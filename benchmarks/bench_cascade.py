@@ -32,6 +32,7 @@ from repro.core.envelope import envelope_distance, k_envelope
 from repro.datasets.generators import random_walks
 from repro.dtw.distance import ldtw_distance, ldtw_distance_batch
 from repro.engine import QueryEngine
+from repro.engine.cascade import _REFINE_ROWS
 from repro.obs import OBS_DISABLED, Observability
 
 from _harness import print_series, record_history
@@ -185,10 +186,10 @@ def test_disabled_observability_overhead(benchmark):
     )
 
     # Facade touches per knn query: one span per stage, a refine +
-    # kernel span pair per refinement chunk (plus the seed chunk), the
-    # root span, and the record hook.
-    chunks = stats.dtw_computations // engine.refine_chunk + 2
-    hook_calls = len(stats.stages) + 2 * chunks + 1
+    # kernel span pair per refinement slice (plus the two k-row seed
+    # slices), the root span, and the record hook.
+    slices = -(-stats.dtw_computations // _REFINE_ROWS) + 2
+    hook_calls = len(stats.stages) + 2 * slices + 1
 
     reps = 200
     started = time.perf_counter()

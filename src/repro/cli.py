@@ -935,6 +935,19 @@ def _cmd_demo(args) -> int:
     return 0
 
 
+def _top_k(text: str) -> int:
+    """argparse ``type`` of every ``-k``: an integer >= 1."""
+    try:
+        value = int(text)
+        if value < 1:
+            raise ValueError(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"k must be an integer >= 1, got {text!r}"
+        ) from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1014,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--hum", required=True, nargs="+",
                          help=".npy pitch series or .mid melody; several "
                               "hums are served as one parallel batch")
-    p_query.add_argument("-k", type=int, default=10)
+    p_query.add_argument("-k", type=_top_k, default=10)
     p_query.add_argument("--stats", action="store_true",
                          help="answer via the batched filter cascade and "
                               "print per-stage pruning counters")
@@ -1065,7 +1078,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--hum", required=True, nargs="+",
                          help=".npy pitch series or .mid melody; the "
                               "request mix cycles over all of them")
-    p_serve.add_argument("-k", type=int, default=10)
+    p_serve.add_argument("-k", type=_top_k, default=10)
     p_serve.add_argument("--clients", type=int, default=8,
                          help="concurrent closed-loop clients (default: 8)")
     p_serve.add_argument("--repeat", type=int, default=4,
@@ -1140,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="popularity skew exponent "
                                     "(default: 1.3)")
     p_bench_serve.add_argument("--clients", type=int, default=8)
-    p_bench_serve.add_argument("-k", type=int, default=5)
+    p_bench_serve.add_argument("-k", type=_top_k, default=5)
     p_bench_serve.add_argument("--epsilon", type=float, default=4.0)
     p_bench_serve.add_argument("--max-batch", type=int, default=8)
     p_bench_serve.add_argument("--linger-ms", type=float, default=2.0)
@@ -1176,7 +1189,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default=[0.25, 0.5, 1.0], metavar="S",
                            help="severity levels in [0, 1] "
                                 "(default: 0.25 0.5 1.0)")
-    p_quality.add_argument("-k", type=int, default=10,
+    p_quality.add_argument("-k", type=_top_k, default=10,
                            help="top-k answers per query (default: 10)")
     p_quality.add_argument("--delta", type=float, default=0.1,
                            help="DTW warping-band width (default: 0.1)")

@@ -69,7 +69,7 @@ from ..core.envelope_transforms import (
     NewPAAEnvelopeTransform,
 )
 from ..core.normal_form import NormalForm
-from ..dtw.distance import ldtw_distance_batch, ldtw_refiner
+from ..dtw.distance import ldtw_distance_batch
 from ..dtw.kernels import DEFAULT_BACKEND, KernelStats, get_kernel
 from ..index.stats import QueryStats
 from ..obs import OBS_DISABLED, Observability
@@ -90,6 +90,18 @@ DEFAULT_STAGES = ("first_last", "keogh_paa", "new_paa", "lb_keogh")
 #: Guard band against floating-point jitter at the pruning threshold:
 #: a bound within this of the radius is never used to prune.
 _PRUNE_ATOL = 1e-9
+
+#: Survivors handed to the DTW kernel per call.  A batched call costs a
+#: few NumPy dispatches per anti-diagonal (2-3 ms at n=128) whatever its
+#: row count, so small slices pay that over and over, while huge ones
+#: freeze the k-NN cutoff over too many rows.  Swept on bench_e2e's
+#: ``knn_hard`` requests (10^4 rows, one thread; table in CHANGES.md,
+#: PR 12): p50 240 ms at 32 rows, 42-60 ms on the 1024-2048 plateau,
+#: 59 ms at 4096 where 46 % more rows are refined.  1024 rows of n=128
+#: are a 1 MB float64 gather and, at that length, one abort poll every
+#: ~8 ms; a slice's time grows with n x band, so the longest stretch
+#: between polls measured ~40 ms at n=256 and 100-140 ms at n=512.
+_REFINE_ROWS = 1024
 
 
 @dataclass
@@ -430,7 +442,7 @@ def _maybe_abort(should_abort, phase: str) -> None:
 
     Raises :class:`~repro.engine.errors.QueryAborted` tagged with
     *phase* the moment the callback returns true.  Checkpoints sit
-    before every cascade stage and between refine chunks, so an abort
+    before every cascade stage and before every refine slice, so an abort
     (e.g. a missed serving deadline) cuts work short without ever
     producing a partial — and therefore possibly wrong — answer.
     """
@@ -460,7 +472,7 @@ def _set_kernel_span(span, ks: KernelStats | None, before) -> None:
 class _QueryContext:
     """Per-query precomputations, built lazily stage by stage."""
 
-    __slots__ = ("q", "band", "_q_env", "_reduced", "_engine", "_refine",
+    __slots__ = ("q", "band", "_q_env", "_reduced", "_engine",
                  "kernel_stats")
 
     def __init__(self, engine: "QueryEngine", q: np.ndarray) -> None:
@@ -469,7 +481,6 @@ class _QueryContext:
         self.band = engine.band
         self._q_env: Envelope | None = None
         self._reduced: dict[str, Envelope] = {}
-        self._refine = None
         # Kernel work counters are collected only when observability is
         # on: the kernels' per-row/per-diagonal accounting is cheap but
         # not free, and nothing reads it otherwise.
@@ -481,17 +492,6 @@ class _QueryContext:
             self._q_env = k_envelope(self.q, self.band)
         return self._q_env
 
-    @property
-    def refine(self):
-        """Prepared single-pair exact refiner (query converted once)."""
-        if self._refine is None:
-            self._refine = ldtw_refiner(
-                self.q, self.band, metric=self._engine.metric,
-                backend=self._engine.dtw_backend,
-                kernel_stats=self.kernel_stats,
-            )
-        return self._refine
-
     def reduced(self, name: str) -> Envelope:
         if name not in self._reduced:
             transform = self._engine._env_transforms[name]
@@ -501,6 +501,11 @@ class _QueryContext:
 
 class QueryEngine:
     """Batched filter-cascade search over a fixed-length series corpus.
+
+    Both query kinds end in the same refine step: the survivors of the
+    last stage, in ascending lower-bound order, go through the batched
+    DTW kernel :data:`_REFINE_ROWS` at a time (:meth:`_refine`), early
+    abandoned against epsilon or the current k-th distance.
 
     Parameters
     ----------
@@ -523,21 +528,10 @@ class QueryEngine:
         Optional identifiers, default ``range(len(corpus))``.
     metric:
         ``"euclidean"`` (default) or ``"manhattan"``.
-    batch_refine_threshold:
-        Range queries with at least this many surviving candidates are
-        refined with one batched kernel call (per-candidate abandoning
-        against epsilon, same result set) instead of a per-candidate
-        refine loop.
     dtw_backend:
         DTW kernel backend for exact refinement (see
         :mod:`repro.dtw.kernels`): ``"vectorized"`` (default) or
         ``"scalar"``; both return identical results.
-    refine_chunk:
-        How many candidates the k-NN best-first loop refines per
-        kernel call.  Larger chunks amortise dispatch overhead via the
-        batched kernel but update the shrinking answer radius less
-        often.  Default: 32 for batch-capable backends, 1 for
-        ``"scalar"``.
     workers:
         Default thread count for :meth:`range_search_many` /
         :meth:`knn_many` (``None`` = one thread per CPU, capped by the
@@ -564,9 +558,7 @@ class QueryEngine:
         normal_form: NormalForm | None = None,
         ids: Sequence | None = None,
         metric: str = "euclidean",
-        batch_refine_threshold: int = 64,
         dtw_backend: str | None = None,
-        refine_chunk: int | None = None,
         workers: int | None = None,
         obs: Observability | None = None,
     ) -> None:
@@ -613,15 +605,9 @@ class QueryEngine:
         self.band = int(band)
         self.metric = metric
         self.stages = stages
-        self.batch_refine_threshold = int(batch_refine_threshold)
         backend = DEFAULT_BACKEND if dtw_backend is None else dtw_backend
         get_kernel(backend)  # validate the name now, not at query time
         self.dtw_backend = backend
-        if refine_chunk is None:
-            refine_chunk = 1 if backend == "scalar" else 32
-        if refine_chunk < 1:
-            raise ValueError(f"refine_chunk must be >= 1, got {refine_chunk}")
-        self.refine_chunk = int(refine_chunk)
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
@@ -737,6 +723,43 @@ class QueryEngine:
             span.set(**stage.to_dict())
         return alive, stage, span
 
+    def _refine(
+        self,
+        ctx: _QueryContext,
+        rows: np.ndarray,
+        cutoff: float,
+        stats: CascadeStats,
+        should_abort,
+    ) -> np.ndarray:
+        """Exact banded DTW from the query to *rows*: the one refine step.
+
+        One batched kernel call, with *cutoff* frozen for the whole
+        call: a row whose distance provably exceeds it comes back
+        ``inf`` and is counted as abandoned.  A stale (larger) cutoff
+        only costs extra work, never a result: any candidate belonging
+        in the final answer has a distance at most the final radius,
+        which every earlier radius dominates, so it can never be
+        abandoned.  Callers pass one slice — at most
+        :data:`_REFINE_ROWS` rows, or k-NN's *k* seeds — so
+        *should_abort* is polled once per slice.
+        """
+        _maybe_abort(should_abort, "refine")
+        ks = ctx.kernel_stats
+        with self.obs.span("refine", rows=int(rows.size)):
+            started = monotonic_s()
+            with self.obs.span("kernel", backend=self.dtw_backend) as kspan:
+                before = _kernel_snapshot(ks)
+                dists = ldtw_distance_batch(
+                    ctx.q, self._data[rows], self.band, metric=self.metric,
+                    upper_bound=None if math.isinf(cutoff) else cutoff,
+                    backend=self.dtw_backend, kernel_stats=ks,
+                )
+                _set_kernel_span(kspan, ks, before)
+            stats.dtw_computations += int(rows.size)
+            stats.dtw_abandoned += int(np.count_nonzero(np.isinf(dists)))
+            stats.exact_time_s += monotonic_s() - started
+        return dists
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -748,11 +771,11 @@ class QueryEngine:
 
         Exact (no false negatives, no false positives): every filter
         stage is a lower bound, and survivors are refined with the
-        exact banded DTW.  Results are ``(id, distance)`` pairs sorted
-        by distance.
+        exact banded DTW, :data:`_REFINE_ROWS` per batched kernel call.
+        Results are ``(id, distance)`` pairs sorted by distance.
 
         *should_abort*, when given, is a zero-argument callable polled
-        before every stage and between refine chunks; the query raises
+        before every stage and before every refine slice; the query raises
         :class:`QueryAborted` as soon as it returns true (cooperative
         cancellation — the serving layer's deadline mechanism).
         """
@@ -777,48 +800,24 @@ class QueryEngine:
                 )
                 stats.stages.append(stage)
 
-            _maybe_abort(should_abort, "refine")
-            exact_started = monotonic_s()
             # Best-first order: candidates most likely to be answers
             # first, so a consumer streaming the results sees hits early.
             alive = alive[np.argsort(bounds[alive], kind="stable")]
             results: list[tuple[object, float]] = []
-            with self.obs.span("refine", rows=int(alive.size)):
-                ks = ctx.kernel_stats
-                with self.obs.span(
-                    "kernel", backend=self.dtw_backend
-                ) as kspan:
-                    before = _kernel_snapshot(ks)
-                    if alive.size >= self.batch_refine_threshold:
-                        dists = ldtw_distance_batch(
-                            ctx.q, self._data[alive], self.band,
-                            metric=self.metric, upper_bound=epsilon,
-                            backend=self.dtw_backend, kernel_stats=ks,
-                        )
-                        stats.dtw_computations = int(alive.size)
-                        stats.dtw_abandoned = int(
-                            np.count_nonzero(np.isinf(dists))
-                        )
-                        for row, dist in zip(alive, dists):
-                            if dist <= epsilon:
-                                results.append((self.ids[row], float(dist)))
-                    else:
-                        refine = ctx.refine
-                        for row in alive:
-                            _maybe_abort(should_abort, "refine")
-                            dist = refine(self._data[row], epsilon)
-                            stats.dtw_computations += 1
-                            if math.isinf(dist):
-                                stats.dtw_abandoned += 1
-                                continue
-                            if dist <= epsilon:
-                                results.append((self.ids[row], float(dist)))
-                    _set_kernel_span(kspan, ks, before)
+            for start in range(0, alive.size, _REFINE_ROWS):
+                rows = alive[start:start + _REFINE_ROWS]
+                dists = self._refine(
+                    ctx, rows, float(epsilon), stats, should_abort
+                )
+                hits = dists <= epsilon
+                results.extend(
+                    (self.ids[row], dist)
+                    for row, dist in zip(rows[hits].tolist(),
+                                         dists[hits].tolist())
+                )
             results.sort(key=lambda pair: pair[1])
             stats.results = len(results)
-            now = monotonic_s()
-            stats.exact_time_s = now - exact_started
-            stats.total_time_s = now - started
+            stats.total_time_s = monotonic_s() - started
             stats.cpu_time_s = stats.total_time_s
             qspan.set(**_query_span_attrs(stats))
         self.obs.record_cascade_query(
@@ -837,11 +836,14 @@ class QueryEngine:
         most promising candidates to seed a finite answer radius; every
         later stage prunes against the shrinking radius, and surviving
         candidates are refined best-first with early-abandoning DTW —
-        the optimal multi-step stop (no unexamined candidate's lower
-        bound is below the final k-th distance).
+        first the *k* best by the final bound, to tighten the radius,
+        then slices of at most :data:`_REFINE_ROWS` rows whose cutoff is
+        the radius as of the slice's start — up to the optimal
+        multi-step stop (no unexamined candidate's lower bound is below
+        the final k-th distance).
 
         *should_abort* works as in :meth:`range_search`: polled before
-        every stage and before each refine chunk, raising
+        every stage and before every refine slice, raising
         :class:`QueryAborted` on the first true return.
         """
         if k < 1:
@@ -859,65 +861,22 @@ class QueryEngine:
             alive = np.arange(m)
             bounds = np.zeros(m)
             best: list[tuple[float, int, object]] = []  # max-heap, negated
-            refined = np.zeros(m, dtype=bool)
-            exact_time = 0.0
-            ks = ctx.kernel_stats
+            seeded = np.zeros(m, dtype=bool)
 
             def radius() -> float:
                 return -best[0][0] if len(best) >= k else math.inf
 
-            def push(row: int, dist: float) -> None:
-                if math.isinf(dist):
-                    stats.dtw_abandoned += 1
-                    return
-                entry = (-dist, row, self.ids[row])
-                if len(best) < k:
-                    heapq.heappush(best, entry)
-                elif dist < -best[0][0]:
-                    heapq.heapreplace(best, entry)
-
             def refine_rows(rows: np.ndarray) -> None:
-                """Refine a chunk with the cutoff frozen at the call.
-
-                A stale (larger) cutoff only costs extra work, never a
-                result: any candidate belonging in the final answer has
-                a distance at most the final radius, which every
-                earlier radius dominates, so it can never be abandoned.
-                """
-                nonlocal exact_time
-                _maybe_abort(should_abort, "refine")
-                refined[rows] = True
-                cutoff = radius()
-                with self.obs.span("refine", rows=int(rows.size)):
-                    refine_started = monotonic_s()
-                    with self.obs.span(
-                        "kernel", backend=self.dtw_backend
-                    ) as kspan:
-                        before = _kernel_snapshot(ks)
-                        if rows.size == 1 or self.refine_chunk == 1:
-                            for row in rows:
-                                row = int(row)
-                                dist = ctx.refine(
-                                    self._data[row],
-                                    None if math.isinf(cutoff) else cutoff,
-                                )
-                                stats.dtw_computations += 1
-                                push(row, dist)
-                                cutoff = radius()
-                        else:
-                            dists = ldtw_distance_batch(
-                                ctx.q, self._data[rows], self.band,
-                                metric=self.metric,
-                                upper_bound=(
-                                    None if math.isinf(cutoff) else cutoff
-                                ),
-                                backend=self.dtw_backend, kernel_stats=ks,
-                            )
-                            stats.dtw_computations += int(rows.size)
-                            for row, dist in zip(rows, dists):
-                                push(int(row), float(dist))
-                        _set_kernel_span(kspan, ks, before)
-                    exact_time += monotonic_s() - refine_started
+                """Refine *rows* against the current radius; keep the best."""
+                dists = self._refine(ctx, rows, radius(), stats, should_abort)
+                finite = np.isfinite(dists)
+                for row, dist in zip(rows[finite].tolist(),
+                                     dists[finite].tolist()):
+                    entry = (-dist, row, self.ids[row])
+                    if len(best) < k:
+                        heapq.heappush(best, entry)
+                    elif dist < -best[0][0]:
+                        heapq.heapreplace(best, entry)
 
             for position, name in enumerate(self.stages):
                 _maybe_abort(should_abort, "stage:" + name)
@@ -929,6 +888,7 @@ class QueryEngine:
                     # Seed the answer radius from the k most promising
                     # candidates so later (pricier) stages can prune.
                     seeds = alive[np.argsort(bounds[alive], kind="stable")][:k]
+                    seeded[seeds] = True
                     refine_rows(seeds)
                     if math.isfinite(radius()):
                         keep = bounds[alive] <= radius() + _PRUNE_ATOL
@@ -945,33 +905,35 @@ class QueryEngine:
                         )
 
             order = alive[np.argsort(bounds[alive], kind="stable")]
-            pending = order[~refined[order]]
+            pending = order[~seeded[order]]
             position = 0
+            # The stage-0 seeds were picked by the loosest bound, so the
+            # radius they left is loose too.  Open the walk with the k
+            # best rows by the final bound: one small call, after which
+            # the first full slice is cut and abandoned against a radius
+            # close to the final one.
+            size = k
             while position < pending.size:
-                if (len(best) >= k
-                        and bounds[pending[position]]
-                        >= radius() + _PRUNE_ATOL):
-                    stats.exact_skipped += int(pending.size - position)
-                    break
-                # Grow the chunk only over candidates that still beat
-                # the radius as of now; the rest are re-checked next
-                # round against the (possibly smaller) radius.
-                end = position + 1
-                while (end < pending.size
-                       and end - position < self.refine_chunk
-                       and (len(best) < k
-                            or bounds[pending[end]]
-                            < radius() + _PRUNE_ATOL)):
-                    end += 1
-                refine_rows(pending[position:end])
-                position = end
+                rows = pending[position:position + size]
+                size = _REFINE_ROWS
+                if len(best) >= k:
+                    # Bounds ascend along ``pending``: refine only the
+                    # prefix that still beats the radius as of now; the
+                    # rest is re-checked next round against the
+                    # (possibly smaller) radius.
+                    rows = rows[:np.searchsorted(
+                        bounds[rows], radius() + _PRUNE_ATOL, side="left"
+                    )]
+                    if not rows.size:
+                        stats.exact_skipped += int(pending.size - position)
+                        break
+                refine_rows(rows)
+                position += rows.size
             results = sorted(
                 ((item, -negd) for negd, _, item in best), key=lambda p: p[1]
             )
             stats.results = len(results)
-            now = monotonic_s()
-            stats.exact_time_s = exact_time
-            stats.total_time_s = now - started
+            stats.total_time_s = monotonic_s() - started
             stats.cpu_time_s = stats.total_time_s
             qspan.set(**_query_span_attrs(stats))
         self.obs.record_cascade_query(

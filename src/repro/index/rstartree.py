@@ -112,6 +112,33 @@ def _check_metric(metric: str) -> bool:
     return metric == "manhattan"
 
 
+def _sort_tile(items: list, axis: int, capacity: int, dim: int) -> list[list]:
+    """Sort-Tile-Recursive step: split ``(key, payload)`` pairs into
+    groups of at most *capacity*, slicing along *axis* and onward.
+
+    A module function, not a closure inside the tree's method: a
+    self-recursive closure is a reference cycle that would keep the
+    tree it captured alive until the cyclic collector runs.
+    """
+    if len(items) <= capacity:
+        return [items]
+    items.sort(key=lambda kv: kv[0][axis])
+    if axis >= dim - 1:
+        return [
+            items[i : i + capacity]
+            for i in range(0, len(items), capacity)
+        ]
+    n_pages = math.ceil(len(items) / capacity)
+    n_slices = max(1, math.ceil(n_pages ** (1.0 / (dim - axis))))
+    slice_size = math.ceil(len(items) / n_slices)
+    groups = []
+    for i in range(0, len(items), slice_size):
+        groups.extend(
+            _sort_tile(items[i : i + slice_size], axis + 1, capacity, dim)
+        )
+    return groups
+
+
 class RStarTree:
     """An R*-tree over ``dim``-dimensional points.
 
@@ -260,27 +287,9 @@ class RStarTree:
     def _str_tile(self, keys: list[np.ndarray], payload: list) -> list[list]:
         """Recursively sort-tile *payload* (keyed by point) into groups
         of at most ``capacity``."""
-
-        def tile(items: list, axis: int) -> list[list]:
-            if len(items) <= self.capacity:
-                return [items]
-            if axis >= self.dim - 1:
-                items.sort(key=lambda kv: kv[0][axis])
-                return [
-                    items[i : i + self.capacity]
-                    for i in range(0, len(items), self.capacity)
-                ]
-            items.sort(key=lambda kv: kv[0][axis])
-            n_pages = math.ceil(len(items) / self.capacity)
-            n_slices = max(1, math.ceil(n_pages ** (1.0 / (self.dim - axis))))
-            slice_size = math.ceil(len(items) / n_slices)
-            groups = []
-            for i in range(0, len(items), slice_size):
-                groups.extend(tile(items[i : i + slice_size], axis + 1))
-            return groups
-
         keyed = list(zip(keys, payload))
-        return [[kv[1] for kv in group] for group in tile(keyed, 0)]
+        return [[kv[1] for kv in group]
+                for group in _sort_tile(keyed, 0, self.capacity, self.dim)]
 
     def delete(self, point, item_id) -> bool:
         """Remove one (point, id) entry; returns False if absent.

@@ -298,7 +298,7 @@ class SubsequenceIndex:
         if candidates:
             dists = ldtw_distance_batch(
                 q, self._normalized[candidates], self.band,
-                backend=self.dtw_backend,
+                upper_bound=epsilon, backend=self.dtw_backend,
             )
             stats.dtw_computations = len(candidates)
             matches = [

@@ -260,6 +260,12 @@ class MicroBatchScheduler:
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join()
+        if threading.current_thread() not in self._threads:
+            # Every dispatcher has exited, so nothing calls these again.
+            # They are the owner's bound methods: kept, scheduler and
+            # owner form a reference cycle that strands the owner's
+            # index and memory maps until the cyclic collector runs.
+            self._execute_batch = self._on_complete = None
 
     # ------------------------------------------------------------------
     # dispatcher side

@@ -175,8 +175,7 @@ class ShardRouter:
         rows are comparable as-is).
     shards:
         Worker-process count (clamped to the row count).
-    band / stages / n_features / metric / batch_refine_threshold /
-    dtw_backend / refine_chunk:
+    band / stages / n_features / metric / dtw_backend:
         Engine configuration, forwarded verbatim to every shard so a
         1-shard router and a plain :class:`~repro.engine.QueryEngine`
         are byte-identical (the cross-shard parity suite's premise).
@@ -216,9 +215,7 @@ class ShardRouter:
     def __init__(self, data, *, shards, band,
                  stages=DEFAULT_STAGES, n_features: int = 8,
                  normal_form=None, ids=None, metric: str = "euclidean",
-                 batch_refine_threshold: int = 64,
                  dtw_backend: str | None = None,
-                 refine_chunk: int | None = None,
                  mp_context=None, obs=None, epoch_start: int = 0) -> None:
         data = np.ascontiguousarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] == 0:
@@ -273,9 +270,7 @@ class ShardRouter:
                 row_start=start, row_stop=stop, shard=i,
                 band=self.band, stages=self.stages,
                 n_features=n_features, ids=tuple(ids[start:stop]),
-                metric=metric,
-                batch_refine_threshold=batch_refine_threshold,
-                dtw_backend=backend, refine_chunk=refine_chunk,
+                metric=metric, dtw_backend=backend,
             )
             self._shards.append(self._spawn(spec, event="spawn"))
 
@@ -299,9 +294,7 @@ class ShardRouter:
             n_features=engine._features.shape[1],
             normal_form=engine.normal_form, ids=list(engine.ids),
             metric=engine.metric,
-            batch_refine_threshold=engine.batch_refine_threshold,
             dtw_backend=engine.dtw_backend,
-            refine_chunk=engine.refine_chunk,
             mp_context=mp_context,
             obs=engine.obs if obs is None and engine.obs.enabled else obs,
             epoch_start=epoch_start,

@@ -2,7 +2,7 @@
 
 A worker process cannot receive a live
 :class:`~repro.engine.QueryEngine` — the object graph (corpus matrix,
-precomputed PAA features, cached refiners, an observability facade
+precomputed PAA features, an observability facade
 holding locks) is neither cheap nor safe to pickle, and under the
 ``spawn`` start method *everything* crossing the process boundary must
 pickle.  :class:`EngineSpec` is the construction recipe instead: plain
@@ -52,8 +52,6 @@ class EngineSpec:
     ids: tuple = ()
     metric: str = "euclidean"
     dtw_backend: str | None = None
-    batch_refine_threshold: int = 64
-    refine_chunk: int | None = None
 
     def build(self) -> QueryEngine:
         """Construct this shard's engine over the mapped corpus block."""
@@ -68,9 +66,7 @@ class EngineSpec:
             n_features=self.n_features,
             ids=list(self.ids),
             metric=self.metric,
-            batch_refine_threshold=self.batch_refine_threshold,
             dtw_backend=self.dtw_backend,
-            refine_chunk=self.refine_chunk,
             # One thread per worker: the shard pool itself is the
             # parallelism, and in-worker threads would only fight the
             # worker's own GIL.

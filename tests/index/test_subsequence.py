@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.normal_form import NormalForm
+from repro.dtw.distance import ldtw_distance_batch
+from repro.index import subsequence
 from repro.index.subsequence import SubsequenceIndex, SubsequenceMatch
 
 
@@ -96,7 +98,14 @@ class TestRangeQuery:
         assert top[0].sequence_id == 2
         assert abs(top[0].start - 101) <= 8
 
-    def test_matches_ground_truth(self, songs, index):
+    def test_matches_ground_truth(self, songs, index, monkeypatch):
+        cutoffs = []
+
+        def spy(*args, **kwargs):
+            cutoffs.append(kwargs.get("upper_bound"))
+            return ldtw_distance_batch(*args, **kwargs)
+
+        monkeypatch.setattr(subsequence, "ldtw_distance_batch", spy)
         query = songs[0][10:74] + np.linspace(0, 0.5, 64)
         for eps in (1.0, 4.0):
             got, stats = index.range_query(query, eps)
@@ -105,6 +114,9 @@ class TestRangeQuery:
                 (m.sequence_id, m.start) for m in truth
             ]
             assert stats.results == len(truth)
+        # Only epsilon=4.0 has candidates; their refinement
+        # early-abandons at epsilon instead of running every DP out.
+        assert cutoffs == [4.0]
 
     def test_best_per_sequence_dedup(self, songs, index):
         query = songs[7][200:264]

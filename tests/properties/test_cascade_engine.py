@@ -15,6 +15,8 @@ import pytest
 
 from repro.dtw.distance import ldtw_distance
 from repro.engine import DEFAULT_STAGES, STAGE_ORDER, QueryEngine
+from repro.engine.cascade import _REFINE_ROWS
+from repro.obs import Observability
 
 from .conftest import _raw_random_walk, _raw_sine_mixture
 
@@ -100,19 +102,6 @@ def test_epsilon_sweep_never_loses_results(corpus, query):
         truth = {i for i, _ in engine.ground_truth_range(query, epsilon)}
         got = {i for i, _ in engine.range_search(query, epsilon)[0]}
         assert got == truth, f"mismatch at epsilon={epsilon}"
-
-
-def test_batch_and_scalar_refine_paths_agree(corpus, query):
-    """The two exact-stage code paths return identical result sets."""
-    batch = QueryEngine(corpus, band=BAND, batch_refine_threshold=1)
-    scalar = QueryEngine(corpus, band=BAND,
-                         batch_refine_threshold=10**9)
-    r_batch, _ = batch.range_search(query, epsilon=7.0)
-    r_scalar, _ = scalar.range_search(query, epsilon=7.0)
-    assert [i for i, _ in r_batch] == [i for i, _ in r_scalar]
-    np.testing.assert_allclose(
-        [d for _, d in r_batch], [d for _, d in r_scalar], atol=1e-9
-    )
 
 
 def test_stats_tell_a_consistent_story(corpus, query):
@@ -236,6 +225,25 @@ def test_validation_errors():
 BACKENDS = ("vectorized", "scalar")
 
 
+def _epsilon_leaving(engine, query, survivors: int) -> float:
+    """An epsilon at which exactly *survivors* rows reach the refine step.
+
+    Bisects on the engine's own ``exact_candidates``, which only grows
+    with epsilon, so it holds for whatever stages *engine* runs.
+    """
+    assert survivors < len(engine)
+    lo, hi = 0.0, 1.0
+    while engine.range_search(query, hi)[1].exact_candidates <= survivors:
+        hi *= 2
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        count = engine.range_search(query, mid)[1].exact_candidates
+        if count == survivors:
+            return mid
+        lo, hi = (mid, hi) if count < survivors else (lo, mid)
+    raise AssertionError(f"no epsilon leaves exactly {survivors} survivors")
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_kernel_backend_range_equals_ground_truth(corpus, query, backend):
     engine = QueryEngine(corpus, band=BAND, dtw_backend=backend)
@@ -245,6 +253,18 @@ def test_kernel_backend_range_equals_ground_truth(corpus, query, backend):
     np.testing.assert_allclose(
         [d for _, d in results], [d for _, d in truth], atol=1e-9
     )
+    # Small survivor sets take the same batched call as large ones:
+    # none, a single row, a pair, and a few dozen.
+    for survivors in (0, 1, 2, 63, 64, 65):
+        epsilon = _epsilon_leaving(engine, query, survivors)
+        results, stats = engine.range_search(query, epsilon)
+        assert stats.exact_candidates == survivors
+        assert stats.dtw_computations == survivors
+        truth = engine.ground_truth_range(query, epsilon)
+        assert [i for i, _ in results] == [i for i, _ in truth]
+        np.testing.assert_allclose(
+            [d for _, d in results], [d for _, d in truth], atol=1e-9
+        )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -272,6 +292,31 @@ def test_kernel_backends_agree_to_1e9(corpus, query):
         np.testing.assert_allclose(
             [d for _, d in ref], [d for _, d in other], atol=1e-9
         )
+
+
+def test_refine_is_one_kernel_dispatch_per_slice(corpus, query):
+    """Every survivor set goes through the batched kernel, a slice a call."""
+    obs = Observability()
+    calls = obs.metrics.counter("dtw.kernel_calls_total")
+    engine = QueryEngine(corpus, band=BAND, obs=obs)
+    epsilon = _epsilon_leaving(engine, query, 40)
+    before = calls.value
+    _, stats = engine.range_search(query, epsilon)
+    assert stats.dtw_computations == 40
+    assert calls.value - before == 1
+
+    rng = np.random.default_rng(5)
+    big = np.cumsum(rng.normal(size=(2000, LENGTH)), axis=1)
+    hum = big[7] + 2.0 * rng.normal(size=LENGTH)
+    obs = Observability()
+    calls = obs.metrics.counter("dtw.kernel_calls_total")
+    engine = QueryEngine(big, band=BAND, obs=obs)
+    results, stats = engine.knn(hum, 10)
+    # The two k-row seed calls (best rows by the first bound, then by
+    # the last) plus the slices, of which only the last can be short.
+    assert calls.value <= 2 + -(-stats.dtw_computations // _REFINE_ROWS)
+    assert ([i for i, _ in results]
+            == [i for i, _ in engine.ground_truth_knn(hum, 10)])
 
 
 def test_kernel_backend_validated_at_construction(corpus):
@@ -356,7 +401,6 @@ def test_trace_is_lossless_stats_projection(corpus, query, kind):
     objects and their exported-dict form alike.
     """
     from repro.engine import CascadeStats
-    from repro.obs import Observability
 
     obs, sink = Observability.in_memory()
     engine = QueryEngine(corpus, band=BAND, obs=obs)
@@ -378,8 +422,6 @@ def test_trace_is_lossless_stats_projection(corpus, query, kind):
 
 def test_traced_and_plain_engines_answer_identically(corpus, query):
     """Attaching observability never changes an answer."""
-    from repro.obs import Observability
-
     plain = QueryEngine(corpus, band=BAND)
     traced = QueryEngine(corpus, band=BAND, obs=Observability())
     assert plain.knn(query, 5)[0] == traced.knn(query, 5)[0]

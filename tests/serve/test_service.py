@@ -1,6 +1,8 @@
 """QBHService: lifecycle, admission wiring, cache fast path, metrics."""
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -240,6 +242,32 @@ class TestFromIndex:
             service.close()
         counters = obs.metrics.snapshot()["counters"]
         assert counters["serve.requests_total{kind=knn,status=ok}"] == 1
+
+    def test_closed_service_releases_its_index(self, corpus):
+        """No reference cycle outlives ``close()``: the service, the
+        index, its engine and its bulk-loaded R*-tree are freed by
+        reference counting alone, not whenever the cyclic collector
+        next runs (open/close loops otherwise pile up corpora)."""
+        gc.collect()
+        gc.disable()
+        try:
+            index = WarpingIndex(list(corpus[:40]), delta=0.1)
+            service = QBHService.from_index(index, linger_ms=0.0)
+            try:
+                assert service.knn(corpus[2] + 0.3, 3).ok
+            finally:
+                service.close()
+            refs = {
+                "service": weakref.ref(service),
+                "index": weakref.ref(index),
+                "engine": weakref.ref(index.engine()),
+                "tree": weakref.ref(index._index),
+            }
+            del service, index
+            alive = [name for name, ref in refs.items() if ref() is not None]
+        finally:
+            gc.enable()
+        assert alive == []
 
 
 class TestShadowScoring:

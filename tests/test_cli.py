@@ -22,6 +22,19 @@ class TestParser:
                 ["index", "--corpus", "c", "--out", "o", "--transform", "svd"]
             )
 
+    @pytest.mark.parametrize("command", [
+        ["query", "--index", "i", "--hum", "h"],
+        ["serve", "--index", "i", "--hum", "h"],
+        ["bench-serve"],
+        ["quality"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("k", ["0", "abc"])
+    def test_k_below_one_is_a_usage_error(self, command, k, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["-k", k])
+        assert exit_info.value.code == 2
+        assert f"k must be an integer >= 1, got '{k}'" in capsys.readouterr().err
+
 
 class TestLifecycle:
     def test_corpus_index_hum_query(self, tmp_path, capsys):
