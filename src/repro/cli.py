@@ -239,19 +239,19 @@ def _cmd_query(args) -> int:
         # shard router only speaks cascade.
         want_cascade = (args.stats or stats_json is not None
                         or obs is not None or router is not None)
-        if len(hums) > 1:
-            # Batch serving: shard the hums across a thread pool (or
-            # the worker processes) and answer each through the filter
-            # cascade (identical to one-at-a-time).
+
+        def cascade_knn(hum):
             if router is not None:
-                per_hum, cascade = router.knn_many(
-                    [index.normal_form.apply(hum) for hum in hums],
-                    args.k,
-                )
-            else:
-                per_hum, cascade = index.cascade_knn_query_many(
-                    hums, args.k, workers=args.workers
-                )
+                return router.knn(index.normal_form.apply(hum), args.k)
+            return index.cascade_knn_query(hum, args.k)
+
+        if len(hums) > 1:
+            # Several hums: answer each through the filter cascade, one
+            # after the other, and merge the stats with ``+``.
+            answers = [cascade_knn(hum) for hum in hums]
+            per_hum = [results for results, _ in answers]
+            cascade = sum((stats for _, stats in answers[1:]),
+                          answers[0][1])
             print(f"db={len(index)}  hums={len(hums)}", file=info)
             if stats_json != "-":
                 for path, results in zip(args.hum, per_hum):
@@ -275,12 +275,7 @@ def _cmd_query(args) -> int:
             return 0
         hum = hums[0]
         if want_cascade:
-            if router is not None:
-                results, cascade = router.knn(
-                    index.normal_form.apply(hum), args.k
-                )
-            else:
-                results, cascade = index.cascade_knn_query(hum, args.k)
+            results, cascade = cascade_knn(hum)
             if args.stats:
                 print(f"db={len(index)}  filter cascade:", file=info)
                 print(cascade.summary(), file=info)
@@ -360,7 +355,6 @@ def _cmd_serve(args) -> int:
             retry=RetryPolicy(),
             cache_size=args.cache_size,
             cache_ttl_s=args.ttl_s,
-            workers=args.workers,
             health_interval_s=args.health_interval_s,
             shadow_fraction=args.shadow_fraction,
         )
@@ -1026,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "store instead of an .npz index")
     p_query.add_argument("--hum", required=True, nargs="+",
                          help=".npy pitch series or .mid melody; several "
-                              "hums are served as one parallel batch")
+                              "hums are answered one after the other")
     p_query.add_argument("-k", type=_top_k, default=10)
     p_query.add_argument("--stats", action="store_true",
                          help="answer via the batched filter cascade and "
@@ -1034,9 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--dtw-backend", choices=("vectorized", "scalar"),
                          help="DTW kernel for exact refinement "
                               "(default: vectorized)")
-    p_query.add_argument("--workers", type=int,
-                         help="thread-pool size for multi-hum batches "
-                              "(default: one per CPU core)")
     p_query.add_argument("--shards", type=int,
                          help="answer through N worker processes instead "
                               "of in-process threads (default: the "
@@ -1098,9 +1089,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: 1024)")
     p_serve.add_argument("--ttl-s", type=float,
                          help="result-cache time-to-live in seconds")
-    p_serve.add_argument("--workers", type=int,
-                         help="threads executing distinct queries of one "
-                              "batch (default: serial)")
     p_serve.add_argument("--shards", type=int,
                          help="partition the index across N worker "
                               "processes (default: the index's saved "
@@ -1331,10 +1319,10 @@ def build_parser() -> argparse.ArgumentParser:
                                choices=("vectorized", "scalar"),
                                default=["vectorized", "scalar"])
     p_perf_replay.add_argument("--modes", nargs="+",
-                               choices=("serial", "many"),
-                               default=["serial", "many"])
+                               choices=("serial", "concurrent"),
+                               default=["serial", "concurrent"])
     p_perf_replay.add_argument("--workers", type=int,
-                               help="thread-pool size for the 'many' mode")
+                               help="threads of the 'concurrent' mode")
     p_perf_replay.add_argument("--atol", type=float, default=1e-9,
                                help="distance tolerance (default: 1e-9)")
     p_perf_replay.set_defaults(func=_cmd_perf_replay)

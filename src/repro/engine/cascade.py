@@ -44,11 +44,12 @@ from the exact ``CascadeStats``/``StageStats`` fields — so the
 exported trace and the returned stats reconcile by construction (see
 :meth:`CascadeStats.from_trace`) — and per-stage/per-kernel counters
 land in the facade's sharded :class:`~repro.obs.MetricsRegistry`,
-which aggregates exactly across the thread-pooled
-:meth:`QueryEngine.range_search_many` / :meth:`~QueryEngine.knn_many`
-paths.  All timing goes through :mod:`repro.obs.clock` — the lint in
-``tools/lint_timers.py`` keeps raw ``time.perf_counter()`` calls out
-of this package.
+which aggregates exactly across threads that share one engine.  A
+query is run one at a time by whoever holds the engine; concurrency
+belongs to the caller (the serving layer's dispatcher threads, shard
+processes).  All timing goes through :mod:`repro.obs.clock` — the
+lint in ``tools/lint_timers.py`` keeps raw ``time.perf_counter()``
+calls out of this package.
 """
 
 from __future__ import annotations
@@ -56,9 +57,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,9 +109,7 @@ class StageStats:
 
     ``wall_time_s`` is the stage's elapsed time for one query; when
     stats objects for several queries are merged with ``+`` it becomes
-    the *sum* over those queries (per-query stage runs overlap under
-    the thread pool, so the sum is CPU-style accumulated time, not
-    batch wall time).
+    the *sum* over those queries.
     """
 
     name: str
@@ -216,13 +213,11 @@ class CascadeStats:
     exact_time_s:
         Elapsed time of the refinement phase (summed when merged).
     total_time_s:
-        **Wall-clock time** of the call that produced this object.
-        For a single query, the query's elapsed time.  For the merged
-        stats of :meth:`QueryEngine.range_search_many` /
-        :meth:`~QueryEngine.knn_many`, the *batch's* elapsed time
-        under the thread pool — per-query times overlap there, so
-        this is deliberately **not** the sum and is the right
-        denominator for batch throughput.
+        **Wall-clock time** of the call that produced this object: a
+        single query's elapsed time, summed when merged with ``+``
+        (the wall clock of a serial loop).  The shard router
+        overwrites it with the fan-out's elapsed time, during which
+        the per-shard times overlap.
     cpu_time_s:
         **Summed per-query elapsed time** across everything merged
         into this object (equals ``total_time_s`` for a single
@@ -532,10 +527,6 @@ class QueryEngine:
         DTW kernel backend for exact refinement (see
         :mod:`repro.dtw.kernels`): ``"vectorized"`` (default) or
         ``"scalar"``; both return identical results.
-    workers:
-        Default thread count for :meth:`range_search_many` /
-        :meth:`knn_many` (``None`` = one thread per CPU, capped by the
-        batch size).
     obs:
         An :class:`~repro.obs.Observability` facade.  When given,
         every query emits a span tree
@@ -559,7 +550,6 @@ class QueryEngine:
         ids: Sequence | None = None,
         metric: str = "euclidean",
         dtw_backend: str | None = None,
-        workers: int | None = None,
         obs: Observability | None = None,
     ) -> None:
         self.obs = OBS_DISABLED if obs is None else obs
@@ -608,9 +598,6 @@ class QueryEngine:
         backend = DEFAULT_BACKEND if dtw_backend is None else dtw_backend
         get_kernel(backend)  # validate the name now, not at query time
         self.dtw_backend = backend
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
         if ids is None:
             ids = list(range(m))
         else:
@@ -941,84 +928,6 @@ class QueryEngine:
             workload=self._workload(qid, query, {"k": int(k)}, results),
         )
         return results, stats
-
-    # ------------------------------------------------------------------
-    # batched / parallel serving
-    # ------------------------------------------------------------------
-
-    def _resolve_workers(self, workers: int | None, jobs: int) -> int:
-        if workers is None:
-            workers = self.workers
-        if workers is None:
-            workers = os.cpu_count() or 1
-        elif workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        return max(1, min(int(workers), jobs))
-
-    def _search_many(self, queries, one_query, workers):
-        queries = list(queries)
-        if not queries:
-            raise ValueError("queries must not be empty")
-        pool_size = self._resolve_workers(workers, len(queries))
-        started = monotonic_s()
-        if pool_size == 1:
-            outcomes = [one_query(query) for query in queries]
-        else:
-            # Threads, not processes: every worker shares the corpus
-            # matrix and the precomputed PAA features, and the hot
-            # paths spend their time in NumPy (GIL released).
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                outcomes = list(pool.map(one_query, queries))
-        all_results = [results for results, _ in outcomes]
-        merged = outcomes[0][1]
-        for _, stats in outcomes[1:]:
-            merged = merged + stats
-        # Per-query wall times overlap under the pool: total_time_s
-        # reports the batch's true elapsed time, while the summed
-        # per-query time survives as cpu_time_s (see CascadeStats).
-        merged.total_time_s = monotonic_s() - started
-        return all_results, merged
-
-    def range_search_many(
-        self, queries, epsilon: float, *, workers: int | None = None,
-        should_abort=None,
-    ) -> tuple[list[list[tuple[object, float]]], CascadeStats]:
-        """Serve a batch of ε-range queries, sharded across threads.
-
-        Returns ``(per_query_results, merged_stats)``: results are in
-        query order and identical to one :meth:`range_search` call per
-        query; the :class:`CascadeStats` is the per-stage sum over the
-        batch with ``total_time_s`` measuring the batch wall clock.
-
-        *should_abort* is shared by every query in the batch: the first
-        true return aborts the whole call with :class:`QueryAborted`
-        (per-request deadlines belong one level up, in
-        :mod:`repro.serve`, where each request owns its own future).
-        """
-        return self._search_many(
-            queries,
-            lambda query: self.range_search(
-                query, epsilon, should_abort=should_abort
-            ),
-            workers,
-        )
-
-    def knn_many(
-        self, queries, k: int, *, workers: int | None = None,
-        should_abort=None,
-    ) -> tuple[list[list[tuple[object, float]]], CascadeStats]:
-        """Serve a batch of k-NN queries, sharded across threads.
-
-        Returns ``(per_query_results, merged_stats)`` in query order;
-        answers are identical to sequential :meth:`knn` calls.
-        *should_abort* is shared batch-wide, as in
-        :meth:`range_search_many`.
-        """
-        return self._search_many(
-            queries,
-            lambda query: self.knn(query, k, should_abort=should_abort),
-            workers,
-        )
 
     # ------------------------------------------------------------------
     # oracles

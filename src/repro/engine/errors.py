@@ -11,11 +11,16 @@ answer: the serving layer (:mod:`repro.serve`) maps the exception to a
 ``deadline_exceeded`` outcome, and standalone callers can use it to
 bound per-query work (a watchdog, a user hitting cancel, a cooperative
 scheduler's time slice).
+
+:class:`ShardError` / :class:`RouterClosed` are raised by
+:mod:`repro.shard` (which re-exports them) but defined here, so the
+serving layer can catch them without importing the shard tier into a
+process that never shards.
 """
 
 from __future__ import annotations
 
-__all__ = ["QueryAborted"]
+__all__ = ["QueryAborted", "ShardError", "RouterClosed"]
 
 
 class QueryAborted(RuntimeError):
@@ -38,3 +43,16 @@ class QueryAborted(RuntimeError):
             message = f"{message} (phase: {phase})"
         super().__init__(message)
         self.phase = phase
+
+
+class ShardError(RuntimeError):
+    """A shard request failed permanently (worker crashed twice, or the
+    router is closed).  The serving layer maps this to a typed
+    ``error`` outcome — never a silent partial answer."""
+
+
+class RouterClosed(ShardError):
+    """The router was drained and closed between being handed out and
+    being used — the benign race of a generation swap closing the old
+    fleet.  The serving layer retries exactly once against the
+    manager's fresh router instead of surfacing an error."""

@@ -77,12 +77,6 @@ class WarpingIndex:
         ``"scalar"``.  A pure serving knob — results are identical —
         and reassignable after construction (``index.dtw_backend =
         "scalar"``).
-    workers:
-        Default thread-pool size handed to cached cascade engines for
-        ``*_many`` batch calls.  ``None`` (default) lets the engine
-        pick (``os.cpu_count()``).  Another pure serving knob, and
-        round-tripped by :mod:`repro.persistence` so a restarted
-        service behaves identically.
     shards:
         Default worker-**process** count for the sharded serving tier:
         :meth:`repro.serve.QBHService.from_index` reads it when its own
@@ -112,7 +106,6 @@ class WarpingIndex:
         ids: Sequence | None = None,
         metric: str = "euclidean",
         dtw_backend: str | None = None,
-        workers: int | None = None,
         shards: int | None = None,
         obs: Observability | None = None,
     ) -> None:
@@ -130,9 +123,6 @@ class WarpingIndex:
         backend = DEFAULT_BACKEND if dtw_backend is None else dtw_backend
         get_kernel(backend)  # validate the name now, not at query time
         self.dtw_backend = backend
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
@@ -205,7 +195,6 @@ class WarpingIndex:
     def from_store(cls, store, *, index_kind: str = "rstar",
                    capacity: int | None = None,
                    dtw_backend: str | None = None,
-                   workers: int | None = None,
                    shards: int | None = None,
                    obs: Observability | None = None) -> "WarpingIndex":
         """Open a columnar-store generation as a live index.
@@ -236,9 +225,6 @@ class WarpingIndex:
         backend = DEFAULT_BACKEND if dtw_backend is None else dtw_backend
         get_kernel(backend)
         self.dtw_backend = backend
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
@@ -611,7 +597,6 @@ class WarpingIndex:
                 ids=list(self.ids),
                 metric=self.metric,
                 dtw_backend=backend,
-                workers=self.workers,
                 obs=self.obs,
             )
         return self._engines[key]
@@ -640,58 +625,6 @@ class WarpingIndex:
         return self.engine(stages=stages, dtw_backend=dtw_backend).knn(
             self.normal_form.apply(query), k
         )
-
-    def cascade_range_query_many(self, queries, epsilon: float, *,
-                                 stages=None, dtw_backend=None,
-                                 workers=None):
-        """A batch of ε-range queries served in parallel by the engine.
-
-        Shards the queries across a thread pool sharing this index's
-        corpus matrices (see
-        :meth:`repro.engine.QueryEngine.range_search_many`); returns
-        ``(per_query_results, merged CascadeStats)`` in query order,
-        identical to sequential :meth:`cascade_range_query` calls.
-        """
-        engine = self.engine(stages=stages, dtw_backend=dtw_backend)
-        normalised = [self.normal_form.apply(query) for query in queries]
-        return engine.range_search_many(normalised, epsilon, workers=workers)
-
-    def cascade_knn_query_many(self, queries, k: int, *, stages=None,
-                               dtw_backend=None, workers=None):
-        """A batch of k-NN queries served in parallel by the engine."""
-        engine = self.engine(stages=stages, dtw_backend=dtw_backend)
-        normalised = [self.normal_form.apply(query) for query in queries]
-        return engine.knn_many(normalised, k, workers=workers)
-
-    def range_query_many(
-        self, queries, epsilon: float, *, second_filter: bool = True
-    ) -> tuple[list[list[tuple[object, float]]], QueryStats]:
-        """Run a batch of range queries; stats are aggregated.
-
-        Returns ``(per_query_results, total_stats)`` — the workload
-        form every benchmark uses, packaged as API.
-        """
-        all_results = []
-        total = QueryStats()
-        for query in queries:
-            results, stats = self.range_query(
-                query, epsilon, second_filter=second_filter
-            )
-            all_results.append(results)
-            total = total + stats
-        return all_results, total
-
-    def knn_query_many(
-        self, queries, k: int
-    ) -> tuple[list[list[tuple[object, float]]], QueryStats]:
-        """Run a batch of k-NN queries; stats are aggregated."""
-        all_results = []
-        total = QueryStats()
-        for query in queries:
-            results, stats = self.knn_query(query, k)
-            all_results.append(results)
-            total = total + stats
-        return all_results, total
 
     def explain(self, query, item_id) -> dict:
         """The full bound cascade for one query/candidate pair.

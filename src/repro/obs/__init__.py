@@ -7,8 +7,8 @@ The unified telemetry layer for the whole query path.  One
   (``query → stage:<name> → refine → kernel``) with monotonic-clock
   timing and JSONL export,
 * a :class:`MetricsRegistry` of counters / gauges / fixed-bucket
-  histograms whose per-thread shards merge exactly under the engine's
-  ``ThreadPoolExecutor`` serving paths, and
+  histograms whose per-thread shards merge exactly under concurrent
+  callers, and
 * a slow-query log (records + gated per-query trace capture) behind a
   latency threshold, and
 * trace analytics (:mod:`repro.obs.analysis`): a streaming,

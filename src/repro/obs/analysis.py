@@ -25,7 +25,7 @@ a time (a multi-gigabyte trace log never loads at once), lines that
 are truncated or not JSON are counted and skipped rather than fatal
 — a live exporter may be mid-write when the reader arrives — and
 traces whose root never closed are reported as incomplete instead of
-poisoning the aggregate.  Concurrent ``*_many`` serving interleaves
+poisoning the aggregate.  Concurrent serving interleaves
 *traces* in the file (each trace's spans stay contiguous because the
 sink runs under a lock, but trace order follows completion order);
 grouping here is by ``trace_id``, so interleaving is harmless.

@@ -1,9 +1,9 @@
 """Counters, gauges, and fixed-bucket histograms, thread-sharded.
 
 :class:`MetricsRegistry` is the process-wide (or per-engine) metric
-store.  The design constraint is the engine's multi-query serving
-path: ``range_search_many``/``knn_many`` shard queries across a
-``ThreadPoolExecutor``, so metric updates race — and the hot path may
+store.  The design constraint is concurrent serving: several threads
+(the serving layer's dispatchers, any caller's own pool) run queries
+on one engine at once, so metric updates race — and the hot path may
 not take a lock per increment.
 
 The solution is per-thread shards: every metric keeps one private
@@ -14,7 +14,7 @@ attribute atomic with respect to readers, so :meth:`Counter.value` /
 :meth:`MetricsRegistry.snapshot` merge the cells on *read* and lose no
 updates — exact totals, no hot-path locks.  Snapshots taken while
 writers are mid-flight are internally consistent per metric up to
-updates still in flight; snapshots taken after a pool joins (the
+updates still in flight; snapshots taken after the writers join (the
 normal export moment) are exact.
 
 Histograms use fixed, inclusive upper-edge buckets (Prometheus

@@ -20,7 +20,7 @@ per line, :class:`InMemorySink` collects traces for tests, and
 threshold (the per-query trace capture of the slow-query log).
 
 Thread model: each thread builds its own span stack (queries served by
-a ``ThreadPoolExecutor`` become independent traces), and sinks are
+concurrent threads become independent traces), and sinks are
 invoked under a lock, so one exporter may serve many worker threads.
 
 Traces can also cross a *process* boundary (the shard tier).  Three
@@ -323,8 +323,8 @@ class JsonlSpanExporter:
 
     *append* controls the open mode explicitly: ``True`` extends an
     existing log (accumulating a slow-query corpus across runs),
-    ``False`` truncates — there is no implicit mode.  Under the
-    engine's ``*_many`` thread pools, whole traces stay contiguous
+    ``False`` truncates — there is no implicit mode.  Under
+    concurrent callers, whole traces stay contiguous
     (sinks run under the tracer's lock) but trace *order* follows
     completion order, so concurrent queries interleave their trace
     roots in the file; readers must group by ``trace_id`` (see

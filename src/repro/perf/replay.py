@@ -10,13 +10,13 @@ trace span, so a span in ``trace.jsonl`` links to its workload line).
 :func:`replay_workload` then re-executes the records through a
 :class:`~repro.engine.QueryEngine` and *verifies* rather than trusts:
 every replayed distance must match the recording to ``atol`` and every
-survivor set must be identical, on every DTW backend, through both the
-serial (``range_search``/``knn``) and batched-parallel
-(``range_search_many``/``knn_many``) serving paths.
+survivor set must be identical, on every DTW backend, replayed both
+one record at a time and from a pool of threads this module owns, all
+calling the same ``range_search``/``knn``.
 
 A parity failure therefore isolates the culprit precisely: recorded ≠
 serial-vectorized is an engine change, vectorized ≠ scalar is a kernel
-change, serial ≠ ``*_many`` is a concurrency bug.
+change, serial ≠ concurrent is a concurrency bug.
 
 Capture is wired through
 ``Observability.to_files(workload_out=...)`` — the CLI's
@@ -29,6 +29,7 @@ worth debugging.  Replay runs via ``repro perf replay``.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ class WorkloadRecorder:
     Plug into ``Observability(workload_sink=...)`` (or let
     ``Observability.to_files(workload_out=...)`` build one).  Like the
     span exporter, it appends under the facade's locking discipline,
-    so the ``*_many`` thread pool may share it.
+    so threads sharing one engine may share it.
     """
 
     def __init__(self, path, append: bool = False) -> None:
@@ -113,7 +114,7 @@ class ReplayCheck:
     query_id: str
     kind: str
     backend: str
-    mode: str                     # "serial" | "many"
+    mode: str                     # "serial" | "concurrent"
     ok: bool
     detail: str = ""
 
@@ -162,7 +163,7 @@ class ReplayReport:
             bad = [check for check in group if not check.ok]
             verdict = "ok" if not bad else f"{len(bad)} MISMATCH"
             lines.append(
-                f"{backend:<12}{mode:<8}{len(group):>4} queries  {verdict}"
+                f"{backend:<12}{mode:<12}{len(group):>4} queries  {verdict}"
             )
         for check in self.failures:
             lines.append(
@@ -206,7 +207,7 @@ def replay_workload(
     records: list[dict],
     *,
     backends=("vectorized", "scalar"),
-    modes=("serial", "many"),
+    modes=("serial", "concurrent"),
     workers: int | None = None,
     atol: float = 1e-9,
 ) -> ReplayReport:
@@ -216,50 +217,37 @@ def replay_workload(
     ``lambda b: index.engine(dtw_backend=b)`` or a
     :class:`~repro.engine.QueryEngine` constructor closure).  Per
     backend, ``serial`` replays each record through
-    ``range_search``/``knn`` and ``many`` groups records with equal
-    parameters through ``range_search_many``/``knn_many`` (*workers*
-    threads) — so the parallel serving path is exercised against the
-    same ground truth.  Every record contributes one
-    :class:`ReplayCheck` per (backend, mode).
+    ``range_search``/``knn`` on the calling thread and ``concurrent``
+    replays the same records through the same two methods from a pool
+    of *workers* threads — so whatever the engine shares between
+    callers (a router lock, a scheduler, an observability facade) is
+    exercised against the same ground truth.  Every record contributes
+    one :class:`ReplayCheck` per (backend, mode).
     """
     report = ReplayReport()
     if not records:
         return report
     for backend in backends:
         engine = engine_factory(backend)
-        if "serial" in modes:
-            for record in records:
-                query = np.asarray(record["query"], dtype=np.float64)
-                if record["kind"] == "range":
-                    got, _ = engine.range_search(query, _param_of(record))
-                else:
-                    got, _ = engine.knn(query, _param_of(record))
+
+        def answer(record: dict):
+            query = np.asarray(record["query"], dtype=np.float64)
+            if record["kind"] == "range":
+                return engine.range_search(query, _param_of(record))[0]
+            return engine.knn(query, _param_of(record))[0]
+
+        for mode in ("serial", "concurrent"):
+            if mode not in modes:
+                continue
+            if mode == "serial":
+                answers = [answer(record) for record in records]
+            else:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    answers = list(pool.map(answer, records))
+            for record, got in zip(records, answers):
                 ok, detail = _compare(record, got, atol)
                 report.checks.append(ReplayCheck(
                     query_id=record["query_id"], kind=record["kind"],
-                    backend=backend, mode="serial", ok=ok, detail=detail,
+                    backend=backend, mode=mode, ok=ok, detail=detail,
                 ))
-        if "many" in modes:
-            groups: dict[tuple, list[dict]] = {}
-            for record in records:
-                groups.setdefault(
-                    (record["kind"], _param_of(record)), []
-                ).append(record)
-            for (kind, param), group in groups.items():
-                queries = [np.asarray(record["query"], dtype=np.float64)
-                           for record in group]
-                if kind == "range":
-                    all_got, _ = engine.range_search_many(
-                        queries, param, workers=workers
-                    )
-                else:
-                    all_got, _ = engine.knn_many(
-                        queries, param, workers=workers
-                    )
-                for record, got in zip(group, all_got):
-                    ok, detail = _compare(record, got, atol)
-                    report.checks.append(ReplayCheck(
-                        query_id=record["query_id"], kind=kind,
-                        backend=backend, mode="many", ok=ok, detail=detail,
-                    ))
     return report

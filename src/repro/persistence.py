@@ -102,7 +102,6 @@ def save_index(index: WarpingIndex, path: str | os.PathLike) -> None:
         # identical either way), but a restarted service must behave
         # identically to the one that saved the file.
         "dtw_backend": index.dtw_backend,
-        "workers": index.workers,
         "shards": index.shards,
     }
     arrays = {
@@ -136,9 +135,10 @@ def load_index(path: str | os.PathLike) -> WarpingIndex:
         index_kind=config["index_kind"],
         ids=ids,
         # Older files (same format version) predate the serving knobs;
-        # .get keeps them loadable with the constructor defaults.
+        # .get keeps them loadable with the constructor defaults.  Files
+        # written by earlier releases may also carry a "workers" key;
+        # it is ignored.
         dtw_backend=config.get("dtw_backend"),
-        workers=config.get("workers"),
         shards=config.get("shards"),
     )
 
@@ -297,7 +297,7 @@ def load_index_from_store(
 
     ``generation=None`` follows the store's ``CURRENT`` pointer;
     keyword arguments pass through to ``WarpingIndex.from_store``
-    (``index_kind``, ``dtw_backend``, ``workers``, ``shards``, …).
+    (``index_kind``, ``dtw_backend``, ``shards``, …).
     """
     from .store import CorpusStore
 

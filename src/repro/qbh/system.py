@@ -189,30 +189,6 @@ class QueryByHummingSystem:
         )
         return [(self.names[idx], dist) for idx, dist in hits], stats
 
-    def query_cascade_many(
-        self, pitch_series_batch, k: int = 10, *, stages=None,
-        dtw_backend=None, workers: int | None = None,
-    ):
-        """Top-*k* melodies for a batch of hums, served in parallel.
-
-        Shards the batch across a thread pool (see
-        :meth:`repro.engine.QueryEngine.range_search_many`); every hum
-        gets exactly the answer :meth:`query_cascade` would return.
-        Returns ``(per_hum_results, merged_stats)`` where
-        ``per_hum_results[i]`` is the ``(melody_name, distance)`` list
-        for hum ``i`` and *merged_stats* aggregates the cascade
-        counters over the whole batch.
-        """
-        per_query, stats = self.index.cascade_knn_query_many(
-            pitch_series_batch, k, stages=stages,
-            dtw_backend=dtw_backend, workers=workers,
-        )
-        named = [
-            [(self.names[idx], dist) for idx, dist in hits]
-            for hits in per_query
-        ]
-        return named, stats
-
     def query_audio(
         self, waveform, *, sample_rate: int = 8000, k: int = 10
     ) -> tuple[list[tuple[str, float]], QueryStats]:

@@ -31,11 +31,10 @@ asynchronous (:meth:`submit` returning a
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..engine.errors import QueryAborted
+from ..engine.errors import QueryAborted, RouterClosed
 from ..obs import OBS_DISABLED
 from ..obs.clock import monotonic_s
 from .admission import AdmissionPolicy, RetryPolicy, submit_with_retry
@@ -79,14 +78,6 @@ class QBHService:
         disables client-side retry (the shed outcome is returned).
     cache_size / cache_ttl_s:
         Result-cache dials; ``cache_size=0`` disables caching.
-    workers:
-        Thread-pool size for executing distinct queries of one batch
-        concurrently.  ``None`` or 1 executes serially — the right
-        default on a single-core host, where threads cannot overlap
-        NumPy work.  Ignored when the engine is a shard router, whose
-        fan-outs serialize on an internal lock: the shard processes
-        are the parallelism, so sharded batches run serially
-        parent-side.
     health_interval_s:
         With a service-owned shard fleet (``shards=`` on the
         classmethod constructors), start a
@@ -119,7 +110,6 @@ class QBHService:
                  admission: AdmissionPolicy | None = None,
                  retry: RetryPolicy | None = None,
                  cache_size: int = 1024, cache_ttl_s: float | None = None,
-                 workers: int | None = None,
                  health_interval_s: float | None = None,
                  shadow_fraction: float = 0.0, obs=None) -> None:
         self._engine_fn = engine_fn
@@ -132,11 +122,6 @@ class QBHService:
         self.retry = retry
         self.cache = (ResultCache(cache_size, cache_ttl_s)
                       if cache_size > 0 else None)
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self._pool = (ThreadPoolExecutor(max_workers=workers,
-                                         thread_name_prefix="serve-exec")
-                      if workers is not None and workers > 1 else None)
         self._counters_lock = threading.Lock()
         self._counters = {
             "submitted": 0, "completed": 0, "ok": 0, "shed": 0,
@@ -364,8 +349,6 @@ class QBHService:
             self._health_monitor.close()
             self._health_monitor = None
         self.scheduler.close(drain=drain)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
         if self._owned_shards is not None:
             self._owned_shards.close()
 
@@ -484,18 +467,16 @@ class QBHService:
             else:
                 pending.append(request)
 
-        # A shard router takes the deadline itself (a closure cannot
-        # cross a process boundary; the router re-anchors it in every
-        # worker and still polls it parent-side between replies).
-        sharded = getattr(engine, "is_sharded", False)
-        from ..shard.router import RouterClosed
-
         def run_one(request: ServeRequest):
             deadline = request.group_deadline_s
             query = (request.query if self._normalize is None
                      else self._normalize(request.query))
             engine_now, version_now = engine, version
             for retried in (False, True):
+                # A shard router takes the deadline itself (a closure
+                # cannot cross a process boundary; the router re-anchors
+                # it in every worker and still polls it parent-side
+                # between replies).
                 sharded_now = getattr(engine_now, "is_sharded", False)
                 should_abort = (
                     None if deadline is None or sharded_now
@@ -539,14 +520,7 @@ class QBHService:
                     status="ok", results=results
                 )
 
-        # A shard router serializes fan-outs on an internal lock (the
-        # shard processes are the parallelism), so spreading a sharded
-        # batch over the thread pool would only queue threads on that
-        # lock — run it serially instead.
-        if self._pool is not None and len(pending) > 1 and not sharded:
-            computed = list(self._pool.map(run_one, pending))
-        else:
-            computed = [run_one(request) for request in pending]
+        computed = [run_one(request) for request in pending]
         with self._counters_lock:
             self._counters["executed"] += len(pending)
         outcomes.update(computed)

@@ -17,10 +17,9 @@ shards at once.  Merging is exact by construction:
   per-shard heaps and keeping the k best is the exact global answer.
 
 Per-shard :class:`~repro.engine.CascadeStats` re-merge through
-``CascadeStats.from_dict`` + ``__add__`` — the same path the threaded
-``*_many`` batching uses — so ``--stats`` and ``obs report`` stay
-lossless; per-request kernel counters ship back as deltas and fold
-into the parent's ``dtw.*`` metrics.
+``CascadeStats.from_dict`` + ``__add__``, so ``--stats`` and
+``obs report`` stay lossless; per-request kernel counters ship back as
+deltas and fold into the parent's ``dtw.*`` metrics.
 
 Traces cross the process boundary too: when the parent traces, each
 request ships the fan-out span's ``(trace_id, span_id)`` to every
@@ -61,11 +60,11 @@ therefore always set a deadline, which bounds the work every shard
 spends on a request that no one is waiting for anymore.
 
 Fan-outs are **serialized**: a router-level lock makes
-``range_search``/``knn``/``*_many`` safe to call from concurrent
-threads (the serving layer's dispatcher/executor threads do), at the
-cost of running one fan-out at a time — the shard pool itself is the
-parallelism, so concurrent fan-outs would only interleave pipe
-traffic, not add throughput.
+``range_search``/``knn`` safe to call from concurrent threads (the
+serving layer's dispatcher threads do), at the cost of running one
+fan-out at a time — the shard pool itself is the parallelism, so
+concurrent fan-outs would only interleave pipe traffic, not add
+throughput.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ import numpy as np
 
 from ..dtw.kernels import DEFAULT_BACKEND, KernelStats, get_kernel
 from ..engine.cascade import DEFAULT_STAGES, CascadeStats
-from ..engine.errors import QueryAborted
+from ..engine.errors import QueryAborted, RouterClosed, ShardError
 from ..obs import OBS_DISABLED
 from ..obs.clock import monotonic_s
 from .health import ShardHealth
@@ -96,19 +95,6 @@ __all__ = ["ShardRouter", "ShardError", "IndexShardManager",
 _POLL_S = 0.02
 
 
-class ShardError(RuntimeError):
-    """A shard request failed permanently (worker crashed twice, or the
-    router is closed).  The serving layer maps this to a typed
-    ``error`` outcome — never a silent partial answer."""
-
-
-class RouterClosed(ShardError):
-    """The router was drained and closed between being handed out and
-    being used — the benign race of a generation swap closing the old
-    fleet.  The serving layer retries exactly once against the
-    manager's fresh router instead of surfacing an error."""
-
-
 def resolve_mp_context(context=None):
     """A usable multiprocessing context.  Accepts a context object, a
     start-method name, or ``None`` for the default:
@@ -119,8 +105,8 @@ def resolve_mp_context(context=None):
     * ``spawn`` otherwise.  Forking a multi-threaded Python process
       can deadlock the child on locks (threading, allocator, BLAS
       internals) held by other threads at fork time, and a live
-      :class:`~repro.serve.QBHService` always has scheduler and
-      executor threads running — so any spawn that happens with
+      :class:`~repro.serve.QBHService` always has scheduler
+      threads running — so any spawn that happens with
       threads alive must not fork.
 
     An explicit *context* is honored as given; the thread check only
@@ -197,12 +183,10 @@ class ShardRouter:
         threads it through rebuilds so the epoch never goes backward).
 
     The public query API mirrors :class:`~repro.engine.QueryEngine`
-    (``range_search``/``knn``/``*_many`` with ``should_abort=``) plus a
+    (``range_search``/``knn`` with ``should_abort=``) plus a
     ``deadline_s=`` alternative that ships to the workers as remaining
     time — the serving layer uses it because a closure cannot cross a
-    process boundary.  ``workers=`` on the ``*_many`` methods is
-    accepted for interface compatibility (``repro perf replay`` passes
-    it) and ignored: the shard pool *is* the parallelism.
+    process boundary.
 
     All query methods (and :meth:`close`) are thread-safe: fan-outs
     serialize on a router-level lock, so concurrent callers queue
@@ -328,7 +312,7 @@ class ShardRouter:
 
         A defaulted ``fork`` context is only safe while this process is
         single-threaded; respawns and manager rebuilds run on a live
-        service's dispatcher/executor threads, where forking can
+        service's dispatcher threads, where forking can
         deadlock the child on locks another thread held at fork time.
         So the start method is re-decided per spawn: an explicit
         *mp_context* is honored as given, a defaulted one falls back to
@@ -424,46 +408,20 @@ class ShardRouter:
         """
         if epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-        results, stats = self._fanout(
-            "range", [self._normalise_query(query)], float(epsilon),
+        return self._fanout(
+            "range", self._normalise_query(query), float(epsilon),
             should_abort, deadline_s,
         )
-        return results[0], stats
 
     def knn(self, query, k: int, *, should_abort=None,
             deadline_s: float | None = None):
         """The global *k* nearest, merged from per-shard top-k heaps."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        results, stats = self._fanout(
-            "knn", [self._normalise_query(query)], int(k),
+        return self._fanout(
+            "knn", self._normalise_query(query), int(k),
             should_abort, deadline_s,
         )
-        return results[0], stats
-
-    def range_search_many(self, queries, epsilon: float, *,
-                          workers: int | None = None, should_abort=None,
-                          deadline_s: float | None = None):
-        """A batch of range queries, one fan-out for the whole batch."""
-        del workers  # interface compatibility; shards are the pool
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-        queries = [self._normalise_query(q) for q in queries]
-        if not queries:
-            raise ValueError("queries must not be empty")
-        return self._fanout("range", queries, float(epsilon),
-                            should_abort, deadline_s)
-
-    def knn_many(self, queries, k: int, *, workers: int | None = None,
-                 should_abort=None, deadline_s: float | None = None):
-        """A batch of k-NN queries, one fan-out for the whole batch."""
-        del workers  # interface compatibility; shards are the pool
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        queries = [self._normalise_query(q) for q in queries]
-        if not queries:
-            raise ValueError("queries must not be empty")
-        return self._fanout("knn", queries, int(k), should_abort, deadline_s)
 
     # ------------------------------------------------------------------
     # internals
@@ -480,7 +438,7 @@ class ShardRouter:
             )
         return q
 
-    def _fanout(self, kind: str, queries, param, should_abort,
+    def _fanout(self, kind: str, query, param, should_abort,
                 deadline_s):
         """Send one request to every shard, gather, merge exactly.
 
@@ -489,14 +447,14 @@ class ShardRouter:
         could otherwise consume this request's replies (dropping them
         via the ``req_id`` filter) and leave this thread blocked in the
         gather loop forever.  The serving layer may call this from
-        several dispatcher/executor threads at once; they queue here
+        several dispatcher threads at once; they queue here
         and the shard pool stays the only real parallelism.
         """
         with self._lock:
-            return self._fanout_locked(kind, queries, param,
+            return self._fanout_locked(kind, query, param,
                                        should_abort, deadline_s)
 
-    def _fanout_locked(self, kind, queries, param, should_abort,
+    def _fanout_locked(self, kind, query, param, should_abort,
                        deadline_s):
         if self._closed:
             raise RouterClosed("router is closed")
@@ -510,14 +468,14 @@ class ShardRouter:
             if remaining <= 0:
                 raise QueryAborted(phase="shard:fanout")
         # The sharded trace mirrors the single-engine taxonomy: one
-        # ``query`` root per fan-out (a batch is one fan-out) with a
-        # real ``shard:fanout`` child spanning send-to-gather, under
-        # which every worker's shipped spans are grafted — so the
-        # merged JSONL reads ``query → shard:fanout → shard:query →
+        # ``query`` root per fan-out with a real ``shard:fanout``
+        # child spanning send-to-gather, under which every worker's
+        # shipped spans are grafted — so the merged JSONL reads
+        # ``query → shard:fanout → shard:query →
         # stage:*/refine/kernel`` as one connected tree.
         with self.obs.span(
             "query", kind=kind, sharded=True, shards=self.n_shards,
-            batch=len(queries), backend=self.dtw_backend, band=self.band,
+            backend=self.dtw_backend, band=self.band,
         ) as qspan:
             with self.obs.span("shard:fanout", kind=kind,
                                shards=self.n_shards) as fspan:
@@ -525,11 +483,11 @@ class ShardRouter:
                 if tracing:
                     trace_ctx = (fspan.trace_id, fspan.span_id)
                 per_shard = self._dispatch(
-                    kind, queries, param, req_id, collect, trace_ctx,
+                    kind, query, param, req_id, collect, trace_ctx,
                     remaining, should_abort, deadline_s,
                 )
-            all_results = self._merge_results(
-                kind, param, [r[2] for r in per_shard], len(queries)
+            results = self._merge_results(
+                kind, param, [r[2] for r in per_shard]
             )
             stats = self._merge_stats([r[3] for r in per_shard],
                                       monotonic_s() - started)
@@ -549,9 +507,9 @@ class ShardRouter:
                     total_time_s=stats.total_time_s,
                     cpu_time_s=stats.cpu_time_s,
                 )
-        return all_results, stats
+        return results, stats
 
-    def _dispatch(self, kind, queries, param, req_id, collect, trace_ctx,
+    def _dispatch(self, kind, query, param, req_id, collect, trace_ctx,
                   remaining, should_abort, deadline_s) -> list:
         """Send one request to every shard and gather the replies.
 
@@ -571,7 +529,7 @@ class ShardRouter:
             left = remaining
             if deadline_s is not None:
                 left = max(0.0, deadline_s - monotonic_s())
-            return ("req", req_id, kind, queries, param, left, collect,
+            return ("req", req_id, kind, query, param, left, collect,
                     trace_ctx)
 
         retried: set[int] = set()
@@ -754,26 +712,23 @@ class ShardRouter:
         return self._health_rows()
 
     @staticmethod
-    def _merge_results(kind, param, per_shard_results, n_queries):
-        """Merge per-shard answers into exact global answers.
+    def _merge_results(kind, param, per_shard_results):
+        """Merge per-shard answers into the exact global answer.
 
         The sort is stable and shards are visited in corpus order, so
         equal-distance results tie-break by corpus position — the same
         order a single engine's stable final sort produces.
         """
-        merged = []
-        for qi in range(n_queries):
-            rows: list = []
-            for results in per_shard_results:
-                rows.extend(results[qi])
-            rows.sort(key=lambda pair: pair[1])
-            if kind == "knn":
-                rows = rows[:param]
-            merged.append(rows)
-        return merged
+        rows: list = []
+        for results in per_shard_results:
+            rows.extend(results)
+        rows.sort(key=lambda pair: pair[1])
+        if kind == "knn":
+            rows = rows[:param]
+        return rows
 
     def _merge_stats(self, stats_dicts, wall_s: float) -> CascadeStats:
-        """Re-merge per-shard stats exactly as threaded batching does.
+        """Re-merge per-shard stats with ``+``.
 
         Candidate/pruning counters are additive across a partition, so
         the merged record reads like the single-engine one; the wall

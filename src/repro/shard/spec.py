@@ -67,8 +67,4 @@ class EngineSpec:
             ids=list(self.ids),
             metric=self.metric,
             dtw_backend=self.dtw_backend,
-            # One thread per worker: the shard pool itself is the
-            # parallelism, and in-worker threads would only fight the
-            # worker's own GIL.
-            workers=1,
         )

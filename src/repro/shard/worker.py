@@ -11,10 +11,10 @@ Protocol (tuples over a ``multiprocessing.Pipe``):
 ====================================================  ====================
 parent → worker                                       worker → parent
 ====================================================  ====================
-``("req", id, kind, queries, param, remaining,        ``("ok", id, per-query
-collect[, trace_ctx])``                               results, stats dict,
-                                                      kernel counters,
-                                                      spans, recv_s)``
+``("req", id, kind, query, param, remaining,          ``("ok", id, results,
+collect[, trace_ctx])``                               stats dict, kernel
+                                                      counters, spans,
+                                                      recv_s)``
                                                       ``("aborted", id,
                                                       phase, spans,
                                                       recv_s)``
@@ -159,7 +159,7 @@ def worker_main(spec, conn, epoch: int = 0) -> None:
                 os._exit(13)
             crash_next = True
             continue
-        _, req_id, kind, queries, param, remaining, collect = message[:7]
+        _, req_id, kind, query, param, remaining, collect = message[:7]
         trace_ctx = message[7] if len(message) > 7 else None
         recv_s = monotonic_s()
         if crash_next:
@@ -194,12 +194,12 @@ def worker_main(spec, conn, epoch: int = 0) -> None:
             should_abort = lambda: monotonic_s() > deadline  # noqa: E731
         try:
             if kind == "range":
-                results, stats = engine.range_search_many(
-                    queries, param, workers=1, should_abort=should_abort
+                results, stats = engine.range_search(
+                    query, param, should_abort=should_abort
                 )
             else:
-                results, stats = engine.knn_many(
-                    queries, param, workers=1, should_abort=should_abort
+                results, stats = engine.knn(
+                    query, param, should_abort=should_abort
                 )
         except QueryAborted as exc:
             spans = None

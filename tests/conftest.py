@@ -1,9 +1,28 @@
 """Shared fixtures for the test suite."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro.music import generate_corpus, segment_corpus
+
+
+def run_concurrently(fn, items, threads=8):
+    """``[fn(item) for item in items]``, computed by *threads* threads.
+
+    The threads start together behind a barrier and then pull items as
+    fast as they finish them, so calls into whatever *fn* shares really
+    do overlap.  Results come back in item order; an exception in any
+    call propagates.
+    """
+    items = list(items)
+    threads = max(1, min(threads, len(items)))
+    barrier = threading.Barrier(threads, timeout=30.0)
+    with ThreadPoolExecutor(max_workers=threads,
+                            initializer=barrier.wait) as pool:
+        return list(pool.map(fn, items))
 
 
 @pytest.fixture

@@ -133,26 +133,6 @@ class TestRangeQuery:
         assert [i for i, _ in results] == [i for i, _ in truth]
 
 
-class TestBatchQueries:
-    def test_range_query_many_matches_singles(self, built_index):
-        rng = np.random.default_rng(7)
-        queries = [np.cumsum(rng.normal(size=100)) for _ in range(3)]
-        batch_results, total = built_index.range_query_many(queries, 6.0)
-        singles = [built_index.range_query(q, 6.0) for q in queries]
-        assert batch_results == [r for r, _ in singles]
-        assert total.candidates == sum(s.candidates for _, s in singles)
-        assert total.page_accesses == sum(s.page_accesses for _, s in singles)
-
-    def test_knn_query_many_matches_singles(self, built_index):
-        rng = np.random.default_rng(8)
-        queries = [np.cumsum(rng.normal(size=100)) for _ in range(3)]
-        batch_results, total = built_index.knn_query_many(queries, 4)
-        for query, results in zip(queries, batch_results):
-            single, _ = built_index.knn_query(query, 4)
-            assert results == single
-        assert total.results == 12
-
-
 class TestKnnQuery:
     def test_matches_ground_truth_distances(self, built_index, query):
         got, stats = built_index.knn_query(query, 10)

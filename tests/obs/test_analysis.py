@@ -80,7 +80,7 @@ def test_read_traces_groups_interleaved_traces():
             "attrs": {},
         })
 
-    # Two traces interleaved (as concurrent *_many roots are in the
+    # Two traces interleaved (as concurrent queries' roots are in the
     # file), plus one root-less trace left dangling.
     lines = [
         span(1, 11, 1),

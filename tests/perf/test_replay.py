@@ -10,6 +10,7 @@ from repro.engine import QueryEngine
 from repro.obs import Observability
 from repro.perf import WorkloadRecorder, load_workload, replay_workload
 from repro.perf.replay import ReplayReport
+from tests.conftest import run_concurrently
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,8 @@ def test_replay_parity_across_backends_and_modes(workload_file, corpus):
     assert report.ok
     # One check per record per (backend, mode).
     assert len(report.checks) == len(records) * 4
+    assert {check.mode for check in report.checks} == {"serial",
+                                                       "concurrent"}
     assert "PARITY OK" in report.summary()
 
 
@@ -98,7 +101,7 @@ def test_capture_under_many_threads(corpus, tmp_path):
     engine = QueryEngine(corpus, band=4, obs=obs)
     rng = np.random.default_rng(43)
     queries = [corpus[i] + 0.2 * rng.normal(size=64) for i in range(12)]
-    expected, _ = engine.knn_many(queries, 3, workers=8)
+    run_concurrently(lambda query: engine.knn(query, 3), queries)
     obs.close()
 
     records = load_workload(path)

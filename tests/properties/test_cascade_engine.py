@@ -18,6 +18,8 @@ from repro.engine import DEFAULT_STAGES, STAGE_ORDER, QueryEngine
 from repro.engine.cascade import _REFINE_ROWS
 from repro.obs import Observability
 
+from tests.conftest import run_concurrently
+
 from .conftest import _raw_random_walk, _raw_sine_mixture
 
 BAND = 5
@@ -325,7 +327,7 @@ def test_kernel_backend_validated_at_construction(corpus):
 
 
 # ----------------------------------------------------------------------
-# batched / parallel serving
+# concurrent callers
 # ----------------------------------------------------------------------
 
 
@@ -340,14 +342,17 @@ def _many_queries(corpus, count=9):
 def test_range_search_many_matches_sequential(corpus, workers):
     engine = QueryEngine(corpus, band=BAND)
     queries = _many_queries(corpus)
-    per_query, merged = engine.range_search_many(queries, 6.0,
-                                                 workers=workers)
-    assert len(per_query) == len(queries)
+    answers = run_concurrently(
+        lambda query: engine.range_search(query, 6.0), queries,
+        threads=workers,
+    )
+    assert len(answers) == len(queries)
     total_results = 0
-    for query, results in zip(queries, per_query):
+    for query, (results, _) in zip(queries, answers):
         expect, _ = engine.range_search(query, 6.0)
         assert results == expect
         total_results += len(expect)
+    merged = sum((stats for _, stats in answers[1:]), answers[0][1])
     assert merged.corpus_size == corpus.shape[0] * len(queries)
     assert merged.results == total_results
     assert merged.total_time_s >= 0.0
@@ -357,24 +362,17 @@ def test_range_search_many_matches_sequential(corpus, workers):
 def test_knn_many_matches_sequential(corpus, workers):
     engine = QueryEngine(corpus, band=BAND)
     queries = _many_queries(corpus)
-    per_query, merged = engine.knn_many(queries, 5, workers=workers)
-    for query, results in zip(queries, per_query):
+    answers = run_concurrently(
+        lambda query: engine.knn(query, 5), queries, threads=workers
+    )
+    for query, (results, _) in zip(queries, answers):
         expect, _ = engine.knn(query, 5)
         assert [i for i, _ in results] == [i for i, _ in expect]
         np.testing.assert_allclose(
             [d for _, d in results], [d for _, d in expect], atol=1e-9
         )
-    assert merged.dtw_computations >= 5 * len(queries)
-
-
-def test_many_query_validation(corpus):
-    engine = QueryEngine(corpus, band=BAND)
-    with pytest.raises(ValueError, match="queries"):
-        engine.range_search_many([], 1.0)
-    with pytest.raises(ValueError, match="workers"):
-        engine.knn_many(_many_queries(corpus, 2), 3, workers=0)
-    with pytest.raises(ValueError, match="workers"):
-        QueryEngine(corpus, band=BAND, workers=0)
+    assert (sum(stats.dtw_computations for _, stats in answers)
+            >= 5 * len(queries))
 
 
 def test_stage_kernel_validation():

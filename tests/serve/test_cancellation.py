@@ -77,19 +77,6 @@ class TestEngineHooks:
             results = None
         assert results is None
 
-    def test_many_paths_accept_batchwide_abort(self, engine, query):
-        queries = [query, query + 0.1]
-        results, _ = engine.knn_many(queries, 3, should_abort=lambda: False)
-        assert len(results) == 2
-        with pytest.raises(QueryAborted):
-            engine.knn_many(queries, 3, should_abort=lambda: True)
-        results_r, _ = engine.range_search_many(
-            queries, 3.0, should_abort=lambda: False
-        )
-        assert len(results_r) == 2
-        with pytest.raises(QueryAborted):
-            engine.range_search_many(queries, 3.0, should_abort=lambda: True)
-
 
 class TestServeDeadlines:
     def test_lapsed_deadline_is_never_a_result(self):

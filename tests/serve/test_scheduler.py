@@ -1,10 +1,11 @@
 """Micro-batching scheduler: batching, coalescing, fairness, parity.
 
 The headline concurrency-edge test at the bottom replays a mixed
-range/knn workload through a :class:`~repro.serve.QBHService` running
-``workers=8`` via the :mod:`repro.perf.replay` parity harness — the
-same apparatus that checks the engine's ``*_many`` paths — asserting
-the serving layer returns the exact recorded answers.
+range/knn workload through a :class:`~repro.serve.QBHService` from
+8 client threads (``workers=8``) via the :mod:`repro.perf.replay`
+parity harness — the same apparatus that checks the shard router
+under concurrent callers — asserting the serving layer returns the
+exact recorded answers.
 """
 
 import threading
@@ -249,37 +250,32 @@ class _ServiceEngineAdapter:
     def knn(self, query, k):
         return self._one("knn", query, k)
 
-    def _many(self, kind, queries, param, workers):
-        futures = [
-            self.service.submit(kind, query, param) for query in queries
-        ]
-        outcomes = [future.result(timeout=30) for future in futures]
-        assert all(o.ok for o in outcomes)
-        return [list(o.results) for o in outcomes], None
-
-    def range_search_many(self, queries, epsilon, *, workers=None):
-        return self._many("range", queries, epsilon, workers)
-
-    def knn_many(self, queries, k, *, workers=None):
-        return self._many("knn", queries, k, workers)
-
 
 def test_service_parity_with_serial_dispatch_workers8(parity_setup):
-    """Mixed range/knn traffic through the scheduler at workers=8
-    returns byte-for-byte the serially recorded answers."""
+    """Mixed range/knn traffic from 8 client threads, batched by the
+    scheduler onto two dispatchers, returns byte-for-byte the serially
+    recorded answers."""
     engine, records = parity_setup
     service = QBHService.from_engine(
-        engine, max_batch=8, linger_ms=1.0, workers=8, cache_size=64,
+        engine, max_batch=8, linger_ms=1.0, dispatchers=2, cache_size=64,
     )
     try:
         adapter = _ServiceEngineAdapter(service)
-        report = replay_workload(
-            lambda backend: adapter, records,
-            backends=("service",), modes=("serial", "many"), workers=8,
-            atol=0.0,  # byte-identical, not merely close
-        )
+        # Concurrent first, while the cache is cold: those requests go
+        # through batches and both dispatchers; the serial pass after
+        # it is answered from the cache they filled.
+        reports = [
+            replay_workload(
+                lambda backend: adapter, records,
+                backends=("service",), modes=(mode,), workers=8,
+                atol=0.0,  # byte-identical, not merely close
+            )
+            for mode in ("concurrent", "serial")
+        ]
+        executed = service.saturation()["executed"]
     finally:
         service.close()
-    assert report.ok, report.summary()
-    # both modes checked for every record
-    assert len(report.checks) == 2 * len(records)
+    for report in reports:
+        assert report.ok, report.summary()
+        assert len(report.checks) == len(records)
+    assert executed == len(records)

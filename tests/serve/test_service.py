@@ -1,6 +1,10 @@
 """QBHService: lifecycle, admission wiring, cache fast path, metrics."""
 
 import gc
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import weakref
 
@@ -38,6 +42,34 @@ class TestLifecycle:
             assert outcome.ok
             direct, _ = engine.knn(query, 3)
             assert [i for i, _ in outcome.results] == [i for i, _ in direct]
+
+    def test_unsharded_service_never_imports_the_shard_tier(self):
+        """Serving one in-process index must not pay for (or depend
+        on) ``repro.shard`` and ``multiprocessing``; a fresh
+        interpreter is the only place that can be observed."""
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from repro.core.normal_form import NormalForm
+            from repro.index.gemini import WarpingIndex
+            from repro.serve import QBHService
+
+            rng = np.random.default_rng(0)
+            walks = [np.cumsum(rng.normal(size=64)) for _ in range(20)]
+            index = WarpingIndex(walks, delta=0.1,
+                                 normal_form=NormalForm(length=64))
+            service = QBHService.from_index(index)
+            outcome = service.knn(walks[3], 3, timeout=30)
+            service.close()
+            assert outcome.ok, outcome.status
+            assert "repro.shard.router" not in sys.modules
+        """)
+        path = os.pathsep.join(entry for entry in sys.path if entry)
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
 
     def test_submit_after_close_raises(self, corpus, engine):
         service = make_service(engine)

@@ -1,8 +1,8 @@
 """Thread-safety of the shard tier: the reviewer-found failure modes.
 
 A :class:`ShardRouter`'s pipes carry one conversation at a time, so
-the combinations the serving layer actually runs — ``shards>1`` with
-``workers>1`` and/or ``dispatchers>1`` — used to interleave sends and
+the combination the serving layer actually runs — ``shards>1`` with
+``dispatchers>1`` — used to interleave sends and
 let one thread consume another's replies (dropped by the ``req_id``
 filter, leaving the victim blocked in its gather loop forever).  These
 tests pin the fix: fan-outs serialize on a router-level lock, the
@@ -75,13 +75,12 @@ class TestConcurrentFanouts:
     def test_sharded_service_with_workers_and_dispatchers(self, corpus,
                                                           reference,
                                                           queries):
-        """The exact serving shape from the review: shards>1 plus
-        workers>1 plus dispatchers>1, all exposed together on
-        ``repro serve``."""
+        """Shards>1 plus dispatchers>1: several dispatcher threads
+        queue on the router lock while the shard workers compute."""
         want = {i: result_digest(reference.knn(q, 4)[0])
                 for i, q in enumerate(queries)}
         service = QBHService.from_engine(
-            reference, shards=2, workers=4, dispatchers=2,
+            reference, shards=2, dispatchers=2,
             linger_ms=1.0, cache_size=0,
         )
         failures = []
@@ -192,11 +191,12 @@ class TestGcTeardown:
         router = ShardRouter.from_engine(engine, shards=2)
         tmpdir = router._tmpdir
         processes = [shard.process for shard in router._shards]
-        # Park worker 0 in a fat batch so it cannot see a poison pill
-        # before teardown runs.
-        big = [np.asarray(corpus[i % 36], dtype=np.float64)
-               for i in range(64)]
-        router._shards[0].conn.send(("req", 999, "knn", big, 3, None, False))
+        # Park worker 0 behind a queue of requests so it cannot see a
+        # poison pill before teardown runs.
+        for i in range(64):
+            query = np.asarray(corpus[i % 36], dtype=np.float64)
+            router._shards[0].conn.send(
+                ("req", 999 + i, "knn", query, 3, None, False))
         started = time.perf_counter()
         router._shutdown(drain=False)  # what __del__ runs
         elapsed = time.perf_counter() - started

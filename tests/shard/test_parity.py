@@ -4,7 +4,7 @@ The acceptance bar for the shard tier is the serving layer's, one
 level down: partitioning must never change what the engine computes.
 This suite drives the combinations that could disagree —
 ``dtw_backend`` (vectorized/scalar) x request kind (range/knn) x
-serving path (serial / ``*_many``) x shard count — through the
+callers (one thread / several at once) x shard count — through the
 ``repro perf replay`` harness with ``atol=0.0``: the recorded
 single-engine answer and every sharded replay must match to the last
 float bit, order included.
@@ -63,7 +63,8 @@ def _records(engine, queries):
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_replay_parity_exact(corpus, queries, backend, shards):
     """Recorded single-engine answers replay bit-exactly through a
-    sharded fleet, serial and batched, on both kernels."""
+    sharded fleet, from one caller and from several at once, on both
+    kernels."""
     engine = _engine(corpus, backend)
     records = _records(engine, queries)
     routers = []
@@ -76,7 +77,8 @@ def test_replay_parity_exact(corpus, queries, backend, shards):
 
     try:
         report = replay_workload(factory, records, backends=(backend,),
-                                 modes=("serial", "many"), atol=0.0)
+                                 modes=("serial", "concurrent"), workers=4,
+                                 atol=0.0)
     finally:
         for router in routers:
             router.close()

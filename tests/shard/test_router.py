@@ -17,6 +17,7 @@ from repro.engine.errors import QueryAborted
 from repro.obs.clock import monotonic_s
 from repro.serve.loadgen import result_digest
 from repro.shard import ShardError, ShardRouter, resolve_mp_context
+from tests.conftest import run_concurrently
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +57,17 @@ class TestExactMerging:
             assert result_digest(got) == result_digest(want)
 
     def test_many_byte_identical(self, router, reference, queries):
-        got_all, _ = router.knn_many(queries, 4)
-        want_all, _ = reference.knn_many(queries, 4)
-        for got, want in zip(got_all, want_all):
+        """Many callers at once: the router lock keeps every fan-out's
+        replies its own."""
+        got_all = run_concurrently(lambda q: router.knn(q, 4)[0], queries)
+        for query, got in zip(queries, got_all):
+            want, _ = reference.knn(query, 4)
             assert result_digest(got) == result_digest(want)
-        got_all, _ = router.range_search_many(queries, 6.0, workers=3)
-        want_all, _ = reference.range_search_many(queries, 6.0)
-        for got, want in zip(got_all, want_all):
+        got_all = run_concurrently(
+            lambda q: router.range_search(q, 6.0)[0], queries
+        )
+        for query, got in zip(queries, got_all):
+            want, _ = reference.range_search(query, 6.0)
             assert result_digest(got) == result_digest(want)
 
     def test_single_shard_equals_engine(self, corpus, reference, queries):
@@ -94,7 +99,7 @@ class TestStatsMerge:
         assert stats.cpu_time_s >= 0
 
     def test_wall_clock_is_fanout_not_sum(self, router, queries):
-        _, stats = router.knn_many(queries, 3)
+        _, stats = router.knn(queries[0], 3)
         # cpu_time_s sums per-shard work (overlapping in real time);
         # total_time_s is the single fan-out's wall clock.
         assert stats.total_time_s > 0
@@ -124,8 +129,6 @@ class TestValidationAndLifecycle:
             router.knn(queries[0], 0)
         with pytest.raises(ValueError, match="epsilon"):
             router.range_search(queries[0], -1.0)
-        with pytest.raises(ValueError, match="queries"):
-            router.knn_many([], 3)
         with pytest.raises(ValueError, match="shards"):
             ShardRouter.from_engine(reference, shards=0)
 

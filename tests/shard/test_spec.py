@@ -71,8 +71,7 @@ class TestBuild:
         path, data = corpus_file
         spec = _spec(path, data)
         built = spec.build()
-        direct = QueryEngine(data[5:20], band=4, ids=list(range(5, 20)),
-                             workers=1)
+        direct = QueryEngine(data[5:20], band=4, ids=list(range(5, 20)))
         query = data[7] + 0.05
         for kind, param in (("knn", 4), ("range", 6.0)):
             got, _ = getattr(built, kind if kind == "knn" else

@@ -35,6 +35,16 @@ class TestParser:
         assert exit_info.value.code == 2
         assert f"k must be an integer >= 1, got '{k}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["query", "serve"])
+    def test_workers_flag_is_a_usage_error(self, command, capsys):
+        """The per-batch pools are gone; their flag is refused, not
+        silently ignored."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                [command, "--index", "i", "--hum", "h", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestLifecycle:
     def test_corpus_index_hum_query(self, tmp_path, capsys):
@@ -86,7 +96,7 @@ class TestLifecycle:
         main(["hum", "--corpus", corpus_dir, "--melody", "6", "--seed", "9",
               "--out", hum_b])
         assert main(["query", "--index", index_file, "--hum", hum_a, hum_b,
-                     "-k", "3", "--workers", "2", "--stats"]) == 0
+                     "-k", "3", "--stats"]) == 0
         out = capsys.readouterr().out
         assert "hums=2" in out
         assert out.count("DTW distance") == 6
@@ -284,7 +294,7 @@ class TestObservabilityFlags:
         index_file, hum_file = pipeline
         assert main(["query", "--index", index_file,
                      "--hum", hum_file, hum_file,
-                     "-k", "2", "--workers", "2", "--stats-json"]) == 0
+                     "-k", "2", "--stats-json"]) == 0
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
         assert set(payload["results"]) == {hum_file}
@@ -314,7 +324,7 @@ class TestTelemetryCommands:
         stats_file = str(tmp_path / "stats.json")
         assert main(["query", "--index", index_file,
                      "--hum", hum_file, hum_file, "-k", "3",
-                     "--trace-out", trace_file, "--workers", "2",
+                     "--trace-out", trace_file,
                      "--stats-json", stats_file]) == 0
         capsys.readouterr()
 

@@ -71,22 +71,20 @@ class TestIndexRoundtrip:
         assert load_index(path).ids == ids
 
     def test_serving_knobs_roundtrip(self, walks, tmp_path):
-        """dtw_backend and workers survive save/load (regression).
+        """dtw_backend survives save/load (regression).
 
         A restarted service must behave identically to the one that
-        saved the file: same refine kernel, same batch pool size.
+        saved the file: same refine kernel.
         """
         index = WarpingIndex(
             walks, delta=0.1, normal_form=NormalForm(length=64),
-            dtw_backend="scalar", workers=4,
+            dtw_backend="scalar",
         )
         path = tmp_path / "index.npz"
         save_index(index, path)
         loaded = load_index(path)
         assert loaded.dtw_backend == "scalar"
-        assert loaded.workers == 4
         assert loaded.engine().dtw_backend == "scalar"
-        assert loaded.engine().workers == 4
 
     def test_serving_knobs_default_when_absent(self, walks, tmp_path):
         """Files written before the serving knobs still load."""
@@ -99,14 +97,36 @@ class TestIndexRoundtrip:
         data = dict(np.load(path))
         config = json.loads(bytes(data["config"]).decode())
         del config["dtw_backend"]
-        del config["workers"]
         data["config"] = np.frombuffer(
             json.dumps(config).encode(), dtype=np.uint8
         )
         np.savez(path, **data)
         loaded = load_index(path)
         assert loaded.dtw_backend == index.dtw_backend
-        assert loaded.workers is None
+
+    def test_legacy_workers_key_is_ignored(self, walks, tmp_path):
+        """Files written while the index had a ``workers`` knob carry
+        it in their config; they load, and answer exactly as the same
+        file without the key does."""
+        import json
+
+        index = WarpingIndex(walks, delta=0.1,
+                             normal_form=NormalForm(length=64))
+        path = tmp_path / "index.npz"
+        save_index(index, path)
+        plain = load_index(path)
+        data = dict(np.load(path))
+        config = json.loads(bytes(data["config"]).decode())
+        assert "workers" not in config
+        config["workers"] = 4
+        data["config"] = np.frombuffer(
+            json.dumps(config).encode(), dtype=np.uint8
+        )
+        np.savez(path, **data)
+        loaded = load_index(path)
+        query = random_walks(1, 96, seed=16)[0]
+        assert (loaded.cascade_knn_query(query, 5)[0]
+                == plain.cascade_knn_query(query, 5)[0])
 
     def test_bad_version_rejected(self, walks, tmp_path):
         import json
