@@ -57,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -77,7 +78,8 @@ from .errors import QueryAborted
 from .stages import lb_envelope_batch, lb_first_last_batch, lb_lemire_batch
 
 __all__ = ["QueryEngine", "CascadeStats", "StageStats", "STAGE_ORDER",
-           "DEFAULT_STAGES", "QueryAborted"]
+           "DEFAULT_STAGES", "QueryAborted", "check_search", "query_kind",
+           "search_params"]
 
 #: All known stage names, cheapest first.
 STAGE_ORDER = ("first_last", "keogh_paa", "new_paa", "lb_keogh", "lemire")
@@ -398,8 +400,38 @@ class CascadeStats:
         return "\n".join(lines)
 
 
-def _query_id(q: np.ndarray, kind: str, param, band: int) -> str:
-    """Stable 16-hex id of one (query, kind, parameter, band) request.
+def check_search(k, epsilon) -> tuple[int | None, float | None]:
+    """Validate a query's *k* / *epsilon* for every route; return them
+    as ``int`` / ``float``.  At least one is given, *k* is an integer
+    >= 1 (not a ``bool``), *epsilon* a real >= 0 (``inf`` yes, NaN no).
+    """
+    if k is None and epsilon is None:
+        raise ValueError("give k, epsilon or both")
+    if k is not None and (isinstance(k, bool)
+                          or not isinstance(k, numbers.Integral) or k < 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if epsilon is not None and not (isinstance(epsilon, numbers.Real)
+                                    and epsilon >= 0):
+        raise ValueError(f"epsilon must be a real >= 0, got {epsilon!r}")
+    return (None if k is None else int(k),
+            None if epsilon is None else float(epsilon))
+
+
+def query_kind(k) -> str:
+    """The telemetry ``kind`` label: ``"knn"`` when *k* is set."""
+    return "range" if k is None else "knn"
+
+
+def search_params(kind: str, param) -> dict:
+    """The serving front door's ``(kind, param)`` request as
+    :meth:`QueryEngine.search` keywords — the one place it crosses."""
+    if kind not in ("range", "knn"):
+        raise ValueError(f"kind must be 'range' or 'knn', got {kind!r}")
+    return {"epsilon": param} if kind == "range" else {"k": param}
+
+
+def _query_id(q: np.ndarray, kind: str, params: dict, band: int) -> str:
+    """Stable 16-hex id of one (query, kind, parameters, band) request.
 
     A content digest, not a sequence number: replaying the same query
     with the same parameters yields the same id, which is what lets
@@ -408,6 +440,8 @@ def _query_id(q: np.ndarray, kind: str, param, band: int) -> str:
     is deliberately excluded — backends must agree on the answer, so
     they share the id.
     """
+    values = tuple(params.values())
+    param = values if len(values) > 1 else values[0]
     digest = hashlib.sha1(q.tobytes())
     digest.update(f"|{kind}|{param!r}|{band}".encode())
     return digest.hexdigest()[:16]
@@ -497,10 +531,14 @@ class _QueryContext:
 class QueryEngine:
     """Batched filter-cascade search over a fixed-length series corpus.
 
-    Both query kinds end in the same refine step: the survivors of the
-    last stage, in ascending lower-bound order, go through the batched
-    DTW kernel :data:`_REFINE_ROWS` at a time (:meth:`_refine`), early
-    abandoned against epsilon or the current k-th distance.
+    One method runs a query: :meth:`search`, the *k* best within
+    *epsilon*, with :meth:`range_search` (*epsilon* alone) and
+    :meth:`knn` (*k* alone) as its two spellings.  Its one walk prunes
+    every stage against the radius ``min(epsilon, k-th distance so
+    far)`` and sends the survivors, in ascending lower-bound order,
+    through the batched DTW kernel :data:`_REFINE_ROWS` at a time
+    (:meth:`_refine`), early abandoned against that radius.  Answers
+    are ordered by (distance, corpus row).
 
     Parameters
     ----------
@@ -690,7 +728,7 @@ class QueryEngine:
 
         Returns ``(alive, stage, span)``; the span is already closed,
         but its attributes stay writable until the trace is delivered,
-        which lets :meth:`knn` fold its seed-radius re-prune into the
+        which lets :meth:`search` fold its seed-radius re-prune into the
         first stage's record *and* span consistently.
         """
         with self.obs.span("stage:" + name) as span:
@@ -727,7 +765,7 @@ class QueryEngine:
         in the final answer has a distance at most the final radius,
         which every earlier radius dominates, so it can never be
         abandoned.  Callers pass one slice — at most
-        :data:`_REFINE_ROWS` rows, or k-NN's *k* seeds — so
+        :data:`_REFINE_ROWS` rows, or *k* seeds — so
         *should_abort* is polled once per slice.
         """
         _maybe_abort(should_abort, "refine")
@@ -751,118 +789,65 @@ class QueryEngine:
     # queries
     # ------------------------------------------------------------------
 
-    def range_search(
-        self, query, epsilon: float, *, should_abort=None
+    def search(
+        self, query, *, k: int | None = None, epsilon: float | None = None,
+        should_abort=None,
     ) -> tuple[list[tuple[object, float]], CascadeStats]:
-        """All series within DTW distance *epsilon*, with stage stats.
+        """The *k* nearest series within DTW distance *epsilon*, exactly.
 
-        Exact (no false negatives, no false positives): every filter
-        stage is a lower bound, and survivors are refined with the
-        exact banded DTW, :data:`_REFINE_ROWS` per batched kernel call.
-        Results are ``(id, distance)`` pairs sorted by distance.
+        The engine's one walk, with radius ``min(epsilon, k-th distance
+        so far)`` (unset counts as infinite).  Every stage prunes
+        against it; while it is infinite, the first stage's *k* best
+        rows are refined to seed it.  Survivors are then refined in
+        ascending bound order — the *k* best first (when *k* is set),
+        then slices of :data:`_REFINE_ROWS`, each cut and abandoned
+        against the radius as of its start — up to the optimal
+        multi-step stop (Seidl–Kriegel).  Results are ``(id,
+        distance)`` pairs ordered by (distance, corpus row).
 
         *should_abort*, when given, is a zero-argument callable polled
-        before every stage and before every refine slice; the query raises
-        :class:`QueryAborted` as soon as it returns true (cooperative
-        cancellation — the serving layer's deadline mechanism).
+        before every stage and before every refine slice; the query
+        raises :class:`QueryAborted` as soon as it returns true
+        (cooperative cancellation — the serving layer's deadline
+        mechanism).
         """
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+        k, epsilon = check_search(k, epsilon)
+        kind = query_kind(k)
+        params = {key: value for key, value in
+                  (("k", k), ("epsilon", epsilon)) if value is not None}
+        cap = math.inf if epsilon is None else epsilon
         ctx = _QueryContext(self, self._normalise_query(query))
         m = len(self)
-        qid = (_query_id(ctx.q, "range", float(epsilon), self.band)
+        qid = (_query_id(ctx.q, kind, params, self.band)
                if self.obs.enabled else None)
         with self.obs.span(
-            "query", kind="range", epsilon=float(epsilon),
+            "query", kind=kind, **params,
             backend=self.dtw_backend, band=self.band, query_id=qid,
         ) as qspan:
             started = monotonic_s()
             stats = CascadeStats(corpus_size=m)
             alive = np.arange(m)
             bounds = np.zeros(m)
-            for name in self.stages:
-                _maybe_abort(should_abort, "stage:" + name)
-                alive, stage, _ = self._run_stage(
-                    name, ctx, alive, bounds, float(epsilon)
-                )
-                stats.stages.append(stage)
-
-            # Best-first order: candidates most likely to be answers
-            # first, so a consumer streaming the results sees hits early.
-            alive = alive[np.argsort(bounds[alive], kind="stable")]
-            results: list[tuple[object, float]] = []
-            for start in range(0, alive.size, _REFINE_ROWS):
-                rows = alive[start:start + _REFINE_ROWS]
-                dists = self._refine(
-                    ctx, rows, float(epsilon), stats, should_abort
-                )
-                hits = dists <= epsilon
-                results.extend(
-                    (self.ids[row], dist)
-                    for row, dist in zip(rows[hits].tolist(),
-                                         dists[hits].tolist())
-                )
-            results.sort(key=lambda pair: pair[1])
-            stats.results = len(results)
-            stats.total_time_s = monotonic_s() - started
-            stats.cpu_time_s = stats.total_time_s
-            qspan.set(**_query_span_attrs(stats))
-        self.obs.record_cascade_query(
-            "range", stats, ctx.kernel_stats,
-            workload=self._workload(qid, query, {"epsilon": float(epsilon)},
-                                    results),
-        )
-        return results, stats
-
-    def knn(
-        self, query, k: int, *, should_abort=None
-    ) -> tuple[list[tuple[object, float]], CascadeStats]:
-        """The *k* nearest series under the banded DTW, with stage stats.
-
-        After the first (cheapest) stage the engine refines the *k*
-        most promising candidates to seed a finite answer radius; every
-        later stage prunes against the shrinking radius, and surviving
-        candidates are refined best-first with early-abandoning DTW —
-        first the *k* best by the final bound, to tighten the radius,
-        then slices of at most :data:`_REFINE_ROWS` rows whose cutoff is
-        the radius as of the slice's start — up to the optimal
-        multi-step stop (no unexamined candidate's lower bound is below
-        the final k-th distance).
-
-        *should_abort* works as in :meth:`range_search`: polled before
-        every stage and before every refine slice, raising
-        :class:`QueryAborted` on the first true return.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        ctx = _QueryContext(self, self._normalise_query(query))
-        m = len(self)
-        qid = (_query_id(ctx.q, "knn", int(k), self.band)
-               if self.obs.enabled else None)
-        with self.obs.span(
-            "query", kind="knn", k=int(k),
-            backend=self.dtw_backend, band=self.band, query_id=qid,
-        ) as qspan:
-            started = monotonic_s()
-            stats = CascadeStats(corpus_size=m)
-            alive = np.arange(m)
-            bounds = np.zeros(m)
-            best: list[tuple[float, int, object]] = []  # max-heap, negated
+            # The answer so far, a heap of (-distance, -row): its top is
+            # the worst hit in answer order, the one a better hit evicts
+            # once k are held.
+            best: list[tuple[float, int]] = []
             seeded = np.zeros(m, dtype=bool)
 
             def radius() -> float:
-                return -best[0][0] if len(best) >= k else math.inf
+                return -best[0][0] if k is not None and len(best) >= k else cap
 
             def refine_rows(rows: np.ndarray) -> None:
-                """Refine *rows* against the current radius; keep the best."""
-                dists = self._refine(ctx, rows, radius(), stats, should_abort)
-                finite = np.isfinite(dists)
-                for row, dist in zip(rows[finite].tolist(),
-                                     dists[finite].tolist()):
-                    entry = (-dist, row, self.ids[row])
-                    if len(best) < k:
+                """Refine *rows* against the current radius; keep the hits."""
+                cutoff = radius()
+                dists = self._refine(ctx, rows, cutoff, stats, should_abort)
+                hits = dists <= cutoff
+                for row, dist in zip(rows[hits].tolist(),
+                                     dists[hits].tolist()):
+                    entry = (-dist, -row)
+                    if k is None or len(best) < k:
                         heapq.heappush(best, entry)
-                    elif dist < -best[0][0]:
+                    elif entry > best[0]:
                         heapq.heapreplace(best, entry)
 
             for position, name in enumerate(self.stages):
@@ -871,7 +856,8 @@ class QueryEngine:
                     name, ctx, alive, bounds, radius()
                 )
                 stats.stages.append(stage)
-                if position == 0 and alive.size:
+                if (position == 0 and k is not None and alive.size
+                        and math.isinf(radius())):
                     # Seed the answer radius from the k most promising
                     # candidates so later (pricier) stages can prune.
                     seeds = alive[np.argsort(bounds[alive], kind="stable")][:k]
@@ -899,63 +885,65 @@ class QueryEngine:
             # best rows by the final bound: one small call, after which
             # the first full slice is cut and abandoned against a radius
             # close to the final one.
-            size = k
+            size = _REFINE_ROWS if k is None else k
             while position < pending.size:
                 rows = pending[position:position + size]
                 size = _REFINE_ROWS
-                if len(best) >= k:
-                    # Bounds ascend along ``pending``: refine only the
-                    # prefix that still beats the radius as of now; the
-                    # rest is re-checked next round against the
-                    # (possibly smaller) radius.
-                    rows = rows[:np.searchsorted(
-                        bounds[rows], radius() + _PRUNE_ATOL, side="left"
-                    )]
-                    if not rows.size:
-                        stats.exact_skipped += int(pending.size - position)
-                        break
+                # Bounds ascend along ``pending``: refine only the prefix
+                # the stages would keep at the radius as of now; the rest
+                # is re-checked next round against the (possibly
+                # smaller) radius.
+                rows = rows[:np.searchsorted(
+                    bounds[rows], radius() + _PRUNE_ATOL, side="right"
+                )]
+                if not rows.size:
+                    stats.exact_skipped += int(pending.size - position)
+                    break
                 refine_rows(rows)
                 position += rows.size
-            results = sorted(
-                ((item, -negd) for negd, _, item in best), key=lambda p: p[1]
-            )
+            results = [(self.ids[-negrow], -negd)
+                       for negd, negrow in sorted(best, reverse=True)]
             stats.results = len(results)
             stats.total_time_s = monotonic_s() - started
             stats.cpu_time_s = stats.total_time_s
             qspan.set(**_query_span_attrs(stats))
         self.obs.record_cascade_query(
-            "knn", stats, ctx.kernel_stats,
-            workload=self._workload(qid, query, {"k": int(k)}, results),
+            kind, stats, ctx.kernel_stats,
+            workload=self._workload(qid, query, params, results),
         )
         return results, stats
+
+    def range_search(self, query, epsilon: float, *, should_abort=None):
+        """All series within DTW distance *epsilon*: :meth:`search`."""
+        return self.search(query, epsilon=epsilon, should_abort=should_abort)
+
+    def knn(self, query, k: int, *, should_abort=None):
+        """The *k* nearest series under the banded DTW: :meth:`search`."""
+        return self.search(query, k=k, should_abort=should_abort)
 
     # ------------------------------------------------------------------
     # oracles
     # ------------------------------------------------------------------
 
-    def ground_truth_range(
-        self, query, epsilon: float
+    def ground_truth(
+        self, query, *, k: int | None = None, epsilon: float | None = None
     ) -> list[tuple[object, float]]:
-        """Exact answer by an unfiltered vectorised scan (test oracle)."""
-        q = self._normalise_query(query)
+        """Exact :meth:`search` answer by an unfiltered vectorised scan
+        (test oracle), in the same (distance, corpus row) order."""
+        k, epsilon = check_search(k, epsilon)
         dists = ldtw_distance_batch(
-            q, self._data, self.band, metric=self.metric,
-            backend=self.dtw_backend,
+            self._normalise_query(query), self._data, self.band,
+            metric=self.metric, backend=self.dtw_backend,
         )
-        results = [
-            (item_id, float(dist))
-            for item_id, dist in zip(self.ids, dists)
-            if dist <= epsilon
-        ]
-        results.sort(key=lambda pair: pair[1])
-        return results
+        order = np.argsort(dists, kind="stable")
+        if epsilon is not None:
+            order = order[dists[order] <= epsilon]
+        return [(self.ids[i], float(dists[i])) for i in order[:k]]
 
-    def ground_truth_knn(self, query, k: int) -> list[tuple[object, float]]:
-        """Exact k-NN by an unfiltered vectorised scan (test oracle)."""
-        q = self._normalise_query(query)
-        dists = ldtw_distance_batch(
-            q, self._data, self.band, metric=self.metric,
-            backend=self.dtw_backend,
-        )
-        order = np.argsort(dists, kind="stable")[:k]
-        return [(self.ids[i], float(dists[i])) for i in order]
+    def ground_truth_range(self, query, epsilon: float):
+        """Exact range answer: :meth:`ground_truth`."""
+        return self.ground_truth(query, epsilon=epsilon)
+
+    def ground_truth_knn(self, query, k: int):
+        """Exact k-NN: :meth:`ground_truth`."""
+        return self.ground_truth(query, k=k)

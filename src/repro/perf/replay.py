@@ -12,7 +12,8 @@ trace span, so a span in ``trace.jsonl`` links to its workload line).
 every replayed distance must match the recording to ``atol`` and every
 survivor set must be identical, on every DTW backend, replayed both
 one record at a time and from a pool of threads this module owns, all
-calling the same ``range_search``/``knn``.
+calling the engine's one query method, ``search``, with the record's
+``params`` (``{"epsilon": ε}``, ``{"k": k}`` or both) as keywords.
 
 A parity failure therefore isolates the culprit precisely: recorded ≠
 serial-vectorized is an engine change, vectorized ≠ scalar is a kernel
@@ -175,13 +176,6 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def _param_of(record: dict):
-    params = record["params"]
-    if record["kind"] == "range":
-        return float(params["epsilon"])
-    return int(params["k"])
-
-
 def _compare(record: dict, got, atol: float) -> tuple[bool, str]:
     """Ids must be identical, distances equal to *atol*."""
     want = record["results"]
@@ -215,11 +209,11 @@ def replay_workload(
 
     *engine_factory* maps a backend name to a query engine (e.g.
     ``lambda b: index.engine(dtw_backend=b)`` or a
-    :class:`~repro.engine.QueryEngine` constructor closure).  Per
-    backend, ``serial`` replays each record through
-    ``range_search``/``knn`` on the calling thread and ``concurrent``
-    replays the same records through the same two methods from a pool
-    of *workers* threads — so whatever the engine shares between
+    :class:`~repro.engine.QueryEngine` constructor closure).  Each
+    record replays as ``engine.search(query, **record["params"])``.
+    Per backend, ``serial`` replays each record on the calling thread
+    and ``concurrent`` replays the same records from a pool of
+    *workers* threads — so whatever the engine shares between
     callers (a router lock, a scheduler, an observability facade) is
     exercised against the same ground truth.  Every record contributes
     one :class:`ReplayCheck` per (backend, mode).
@@ -232,9 +226,7 @@ def replay_workload(
 
         def answer(record: dict):
             query = np.asarray(record["query"], dtype=np.float64)
-            if record["kind"] == "range":
-                return engine.range_search(query, _param_of(record))[0]
-            return engine.knn(query, _param_of(record))[0]
+            return engine.search(query, **record["params"])[0]
 
         for mode in ("serial", "concurrent"):
             if mode not in modes:

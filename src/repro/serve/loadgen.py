@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..engine.cascade import search_params
 from ..obs.clock import monotonic_s
 
 __all__ = [
@@ -207,10 +208,8 @@ def direct_dispatch(engine):
     batching, no cache — what serving replaces."""
 
     def submit(spec: RequestSpec, query) -> tuple[str, object, dict]:
-        if spec.kind == "range":
-            results, _ = engine.range_search(query, spec.param)
-        else:
-            results, _ = engine.knn(query, spec.param)
+        results, _ = engine.search(query,
+                                   **search_params(spec.kind, spec.param))
         return "ok", results, {}
 
     return submit

@@ -34,6 +34,7 @@ import threading
 
 import numpy as np
 
+from ..engine.cascade import search_params
 from ..engine.errors import QueryAborted, RouterClosed
 from ..obs import OBS_DISABLED
 from ..obs.clock import monotonic_s
@@ -435,12 +436,8 @@ class QBHService:
     def _shadow_exact(self, kind, query, param):
         """Ground truth for the shadow scorer: one direct engine call,
         unbatched, uncached, and without a deadline."""
-        engine = self._engine_fn()
         q = query if self._normalize is None else self._normalize(query)
-        if kind == "range":
-            results, _ = engine.range_search(q, param)
-        else:
-            results, _ = engine.knn(q, param)
+        results, _ = self._engine_fn().search(q, **search_params(kind, param))
         return tuple((item, float(dist)) for item, dist in results)
 
     def _execute_batch(self, kind, param, requests):
@@ -454,6 +451,7 @@ class QBHService:
         """
         engine = self._engine_fn()
         version = self._version_fn()
+        params = search_params(kind, param)
         outcomes: dict[str, ServeOutcome] = {}
         pending = []
         for request in requests:
@@ -485,12 +483,7 @@ class QBHService:
                 kwargs = ({"deadline_s": deadline} if sharded_now
                           else {"should_abort": should_abort})
                 try:
-                    if kind == "range":
-                        results, _ = engine_now.range_search(
-                            query, param, **kwargs
-                        )
-                    else:
-                        results, _ = engine_now.knn(query, param, **kwargs)
+                    results, _ = engine_now.search(query, **params, **kwargs)
                 except RouterClosed as exc:
                     # A generation swap prewarmed a fresh fleet and
                     # closed the router this batch had already fetched.

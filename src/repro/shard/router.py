@@ -7,14 +7,13 @@ block to a persistent **worker process** (see
 :mod:`~repro.shard.worker`), and fanning every query out to all
 shards at once.  Merging is exact by construction:
 
-* **range**: each shard returns every block member within ε — the
-  union over shards *is* the global answer (lower-bound filtering
-  admits no false dismissals per shard, Zhu & Shasha 2003), so the
-  merge is concatenate + stable sort by distance;
-* **k-NN**: each shard returns its local top-k, a superset of that
-  block's contribution to the global top-k (the Seidl–Kriegel
-  multi-step invariant restricted to the block), so merging the
-  per-shard heaps and keeping the k best is the exact global answer.
+* each shard returns its block's *k* best within ε (every member
+  within ε when *k* is unset) — a superset of that block's share of the
+  global answer (lower-bound filtering admits no false dismissals per
+  shard, Zhu & Shasha 2003; the Seidl–Kriegel multi-step invariant
+  restricted to the block), so concatenating the shards' answers in
+  shard order, sorting stably by distance and cutting at *k* is the
+  exact global answer, in the engine's (distance, corpus row) order.
 
 Per-shard :class:`~repro.engine.CascadeStats` re-merge through
 ``CascadeStats.from_dict`` + ``__add__``, so ``--stats`` and
@@ -60,7 +59,7 @@ therefore always set a deadline, which bounds the work every shard
 spends on a request that no one is waiting for anymore.
 
 Fan-outs are **serialized**: a router-level lock makes
-``range_search``/``knn`` safe to call from concurrent threads (the
+``search`` safe to call from concurrent threads (the
 serving layer's dispatcher threads do), at the cost of running one
 fan-out at a time — the shard pool itself is the parallelism, so
 concurrent fan-outs would only interleave pipe traffic, not add
@@ -80,7 +79,8 @@ from multiprocessing.connection import wait as _wait_ready
 import numpy as np
 
 from ..dtw.kernels import DEFAULT_BACKEND, KernelStats, get_kernel
-from ..engine.cascade import DEFAULT_STAGES, CascadeStats
+from ..engine.cascade import (DEFAULT_STAGES, CascadeStats,
+                              _query_span_attrs, check_search, query_kind)
 from ..engine.errors import QueryAborted, RouterClosed, ShardError
 from ..obs import OBS_DISABLED
 from ..obs.clock import monotonic_s
@@ -151,8 +151,7 @@ class _Shard:
 
 
 class ShardRouter:
-    """Exact range/k-NN search over a corpus partitioned across
-    worker processes.
+    """Exact search over a corpus partitioned across worker processes.
 
     Parameters
     ----------
@@ -183,10 +182,10 @@ class ShardRouter:
         threads it through rebuilds so the epoch never goes backward).
 
     The public query API mirrors :class:`~repro.engine.QueryEngine`
-    (``range_search``/``knn`` with ``should_abort=``) plus a
-    ``deadline_s=`` alternative that ships to the workers as remaining
-    time — the serving layer uses it because a closure cannot cross a
-    process boundary.
+    (``search`` with its spellings ``range_search``/``knn``, and
+    ``should_abort=``) plus a ``deadline_s=`` alternative that ships to
+    the workers as remaining time — the serving layer uses it because
+    a closure cannot cross a process boundary.
 
     All query methods (and :meth:`close`) are thread-safe: fan-outs
     serialize on a router-level lock, so concurrent callers queue
@@ -398,30 +397,39 @@ class ShardRouter:
     # queries (QueryEngine-compatible surface)
     # ------------------------------------------------------------------
 
+    def search(self, query, *, k: int | None = None,
+               epsilon: float | None = None, should_abort=None,
+               deadline_s: float | None = None):
+        """The global *k* best within *epsilon*, merged across shards.
+
+        Same contract as :meth:`QueryEngine.search`; *deadline_s*
+        (absolute, :data:`~repro.obs.clock.monotonic_s` time)
+        additionally ships to every worker as remaining time.
+
+        Holds the router lock for the whole send/gather/merge: the
+        pipes carry one conversation at a time, so a concurrent caller
+        could otherwise consume this request's replies (dropping them
+        via the ``req_id`` filter) and leave this thread blocked in the
+        gather loop forever.  The serving layer may call this from
+        several dispatcher threads at once; they queue here and the
+        shard pool stays the only real parallelism.
+        """
+        k, epsilon = check_search(k, epsilon)
+        query = self._normalise_query(query)
+        with self._lock:
+            return self._fanout(query, k, epsilon, should_abort, deadline_s)
+
     def range_search(self, query, epsilon: float, *, should_abort=None,
                      deadline_s: float | None = None):
-        """All series within *epsilon*, merged across shards.
-
-        Same contract as :meth:`QueryEngine.range_search`;
-        *deadline_s* (absolute, :data:`~repro.obs.clock.monotonic_s`
-        time) additionally ships to every worker as remaining time.
-        """
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-        return self._fanout(
-            "range", self._normalise_query(query), float(epsilon),
-            should_abort, deadline_s,
-        )
+        """All series within *epsilon*: :meth:`search`."""
+        return self.search(query, epsilon=epsilon, should_abort=should_abort,
+                           deadline_s=deadline_s)
 
     def knn(self, query, k: int, *, should_abort=None,
             deadline_s: float | None = None):
-        """The global *k* nearest, merged from per-shard top-k heaps."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        return self._fanout(
-            "knn", self._normalise_query(query), int(k),
-            should_abort, deadline_s,
-        )
+        """The global *k* nearest: :meth:`search`."""
+        return self.search(query, k=k, should_abort=should_abort,
+                           deadline_s=deadline_s)
 
     # ------------------------------------------------------------------
     # internals
@@ -438,26 +446,12 @@ class ShardRouter:
             )
         return q
 
-    def _fanout(self, kind: str, query, param, should_abort,
-                deadline_s):
-        """Send one request to every shard, gather, merge exactly.
-
-        Holds the router lock for the whole send/gather/merge: the
-        pipes carry one conversation at a time, so a concurrent caller
-        could otherwise consume this request's replies (dropping them
-        via the ``req_id`` filter) and leave this thread blocked in the
-        gather loop forever.  The serving layer may call this from
-        several dispatcher threads at once; they queue here
-        and the shard pool stays the only real parallelism.
-        """
-        with self._lock:
-            return self._fanout_locked(kind, query, param,
-                                       should_abort, deadline_s)
-
-    def _fanout_locked(self, kind, query, param, should_abort,
-                       deadline_s):
+    def _fanout(self, query, k, epsilon, should_abort, deadline_s):
+        """Send one request to every shard, gather, merge exactly
+        (under the router lock)."""
         if self._closed:
             raise RouterClosed("router is closed")
+        kind = query_kind(k)
         started = monotonic_s()
         req_id = next(self._req_ids)
         collect = self.obs.enabled
@@ -483,12 +477,10 @@ class ShardRouter:
                 if tracing:
                     trace_ctx = (fspan.trace_id, fspan.span_id)
                 per_shard = self._dispatch(
-                    kind, query, param, req_id, collect, trace_ctx,
+                    query, k, epsilon, req_id, collect, trace_ctx,
                     remaining, should_abort, deadline_s,
                 )
-            results = self._merge_results(
-                kind, param, [r[2] for r in per_shard]
-            )
+            results = self._merge_results(k, [r[2] for r in per_shard])
             stats = self._merge_stats([r[3] for r in per_shard],
                                       monotonic_s() - started)
             if collect:
@@ -497,19 +489,10 @@ class ShardRouter:
                 # writable until the root closes and the trace ships
                 # (same late-set trick the engine's stage spans use).
                 fspan.set(**derived)
-                qspan.set(
-                    corpus_size=stats.corpus_size,
-                    dtw_computations=stats.dtw_computations,
-                    dtw_abandoned=stats.dtw_abandoned,
-                    exact_skipped=stats.exact_skipped,
-                    results=stats.results,
-                    exact_time_s=stats.exact_time_s,
-                    total_time_s=stats.total_time_s,
-                    cpu_time_s=stats.cpu_time_s,
-                )
+                qspan.set(**_query_span_attrs(stats))
         return results, stats
 
-    def _dispatch(self, kind, query, param, req_id, collect, trace_ctx,
+    def _dispatch(self, query, k, epsilon, req_id, collect, trace_ctx,
                   remaining, should_abort, deadline_s) -> list:
         """Send one request to every shard and gather the replies.
 
@@ -529,7 +512,7 @@ class ShardRouter:
             left = remaining
             if deadline_s is not None:
                 left = max(0.0, deadline_s - monotonic_s())
-            return ("req", req_id, kind, query, param, left, collect,
+            return ("req", req_id, query, k, epsilon, left, collect,
                     trace_ctx)
 
         retried: set[int] = set()
@@ -712,20 +695,18 @@ class ShardRouter:
         return self._health_rows()
 
     @staticmethod
-    def _merge_results(kind, param, per_shard_results):
+    def _merge_results(k, per_shard_results):
         """Merge per-shard answers into the exact global answer.
 
-        The sort is stable and shards are visited in corpus order, so
-        equal-distance results tie-break by corpus position — the same
-        order a single engine's stable final sort produces.
+        Each shard's answer is in (distance, block row) order and the
+        shards hold consecutive row blocks, so a stable sort by
+        distance over the answers in shard order is the engine's
+        (distance, corpus row) order; cutting at *k* (when set) keeps
+        the global *k* best.
         """
-        rows: list = []
-        for results in per_shard_results:
-            rows.extend(results)
+        rows = [pair for results in per_shard_results for pair in results]
         rows.sort(key=lambda pair: pair[1])
-        if kind == "knn":
-            rows = rows[:param]
-        return rows
+        return rows[:k]
 
     def _merge_stats(self, stats_dicts, wall_s: float) -> CascadeStats:
         """Re-merge per-shard stats with ``+``.

@@ -4,14 +4,16 @@
 process.  It rebuilds its engine from a picklable
 :class:`~repro.shard.spec.EngineSpec` (corpus block mapped read-only,
 shipped once — never per query), then serves request messages until a
-poison pill (``None``) or pipe closure ends the loop.
+poison pill (``None``) or pipe closure ends the loop.  A request is one
+:meth:`~repro.engine.QueryEngine.search` call with the shipped ``k`` /
+``epsilon`` (either may be ``None``).
 
 Protocol (tuples over a ``multiprocessing.Pipe``):
 
 ====================================================  ====================
 parent → worker                                       worker → parent
 ====================================================  ====================
-``("req", id, kind, query, param, remaining,          ``("ok", id, results,
+``("req", id, query, k, epsilon, remaining,           ``("ok", id, results,
 collect[, trace_ctx])``                               stats dict, kernel
                                                       counters, spans,
                                                       recv_s)``
@@ -159,7 +161,7 @@ def worker_main(spec, conn, epoch: int = 0) -> None:
                 os._exit(13)
             crash_next = True
             continue
-        _, req_id, kind, query, param, remaining, collect = message[:7]
+        _, req_id, query, k, epsilon, remaining, collect = message[:7]
         trace_ctx = message[7] if len(message) > 7 else None
         recv_s = monotonic_s()
         if crash_next:
@@ -193,14 +195,9 @@ def worker_main(spec, conn, epoch: int = 0) -> None:
             deadline = recv_s + remaining
             should_abort = lambda: monotonic_s() > deadline  # noqa: E731
         try:
-            if kind == "range":
-                results, stats = engine.range_search(
-                    query, param, should_abort=should_abort
-                )
-            else:
-                results, stats = engine.knn(
-                    query, param, should_abort=should_abort
-                )
+            results, stats = engine.search(
+                query, k=k, epsilon=epsilon, should_abort=should_abort
+            )
         except QueryAborted as exc:
             spans = None
             if trace_ctx is not None:

@@ -79,14 +79,14 @@ def test_router_closed_is_retried_exactly_once():
     """The serve layer refetches the engine when a swap closed its router."""
 
     class GoodEngine:
-        def knn(self, query, k, should_abort=None):
+        def search(self, query, *, k=None, epsilon=None, should_abort=None):
             return ((("m0", 1.0),), None)
 
     class ClosingEngine:
         def __init__(self):
             self.calls = 0
 
-        def knn(self, query, k, should_abort=None):
+        def search(self, query, *, k=None, epsilon=None, should_abort=None):
             self.calls += 1
             raise RouterClosed("router is closed")
 
@@ -106,7 +106,7 @@ def test_router_closed_is_retried_exactly_once():
 
 def test_router_closed_twice_is_an_error():
     class AlwaysClosed:
-        def knn(self, query, k, should_abort=None):
+        def search(self, query, *, k=None, epsilon=None, should_abort=None):
             raise RouterClosed("router is closed")
 
     service = QBHService(lambda: AlwaysClosed(),

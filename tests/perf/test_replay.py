@@ -116,6 +116,32 @@ def test_capture_under_many_threads(corpus, tmp_path):
     assert replayed.ok
 
 
+def test_single_parameter_records_still_replay(corpus, tmp_path):
+    """Records in the schema-1 layout — a ``kind`` plus ``params`` of
+    ``{"epsilon": ...}`` or ``{"k": ...}`` — replay as
+    ``search(query, **params)`` on every backend and mode."""
+    engine = QueryEngine(corpus, band=4)
+    query = corpus[5] + 0.25
+    path = tmp_path / "wl.jsonl"
+    recorder = WorkloadRecorder(path)
+    for kind, params in (("range", {"epsilon": 4.0}), ("knn", {"k": 5})):
+        recorder({
+            "schema": 1, "query_id": f"legacy-{kind}", "kind": kind,
+            "params": params, "query": [float(v) for v in query],
+            "results": [[item, dist] for item, dist
+                        in engine.ground_truth(query, **params)],
+        })
+    recorder.close()
+    records = load_workload(path)
+    assert [r["kind"] for r in records] == ["range", "knn"]
+    report = replay_workload(
+        lambda backend: QueryEngine(corpus, band=4, dtw_backend=backend),
+        records, workers=2,
+    )
+    assert report.ok, report.summary()
+    assert len(report.checks) == len(records) * 4
+
+
 def test_load_workload_skips_damaged_lines(tmp_path):
     path = tmp_path / "wl.jsonl"
     recorder = WorkloadRecorder(path)

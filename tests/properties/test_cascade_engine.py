@@ -1,9 +1,10 @@
 """End-to-end properties of the QueryEngine filter cascade.
 
 The cascade must be an *optimisation*, never an approximation: for any
-stage configuration, corpus family, and metric, ``range_search`` and
-``knn`` return exactly the results of a brute-force scan with the exact
-banded DTW.  The stats object must additionally tell a coherent story
+stage configuration, corpus family, and metric, ``search`` — by *k*,
+by *epsilon* (``knn`` / ``range_search``) or by both — returns exactly
+the results of a brute-force scan with the exact banded DTW.  The
+stats object must additionally tell a coherent story
 (stage i's survivors are stage i+1's candidates, pruned + survivors =
 candidates in, ...), and everything is deterministic under a fixed seed.
 """
@@ -321,6 +322,92 @@ def test_refine_is_one_kernel_dispatch_per_slice(corpus, query):
             == [i for i, _ in engine.ground_truth_knn(hum, 10)])
 
 
+# ----------------------------------------------------------------------
+# k and epsilon together: the k best within epsilon
+# ----------------------------------------------------------------------
+
+#: How many rows the epsilon-range holds, relative to k.
+RANGE_SIZES = ("fewer", "exact", "more")
+
+
+def _epsilon(engine, query, k: int, size: str) -> float:
+    """An epsilon whose range holds k - 1, k or k + 2 rows (*size*)."""
+    dists = [d for _, d in engine.ground_truth(query, k=k + 3)]
+    held = {"fewer": k - 1, "exact": k, "more": k + 2}[size]
+    return (dists[held - 1] + dists[held]) / 2 if held else dists[0] / 2
+
+
+def _assert_same_answer(got, want):
+    assert [i for i, _ in got] == [i for i, _ in want]
+    np.testing.assert_allclose(
+        [d for _, d in got], [d for _, d in want], atol=1e-9
+    )
+
+
+@pytest.mark.parametrize("stages", STAGE_CONFIGS,
+                         ids=lambda s: "+".join(s) if s else "none")
+@pytest.mark.parametrize("k", [1, 5, 17])
+@pytest.mark.parametrize("size", RANGE_SIZES)
+def test_k_and_epsilon_equal_ground_truth(corpus, query, stages, k, size):
+    engine = QueryEngine(corpus, band=BAND, stages=stages)
+    epsilon = _epsilon(engine, query, k, size)
+    truth = engine.ground_truth(query, k=k, epsilon=epsilon)
+    assert len(truth) == (k - 1 if size == "fewer" else k)
+    results, stats = engine.search(query, k=k, epsilon=epsilon)
+    _assert_same_answer(results, truth)
+    assert stats.results == len(results)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("size", RANGE_SIZES)
+def test_k_and_epsilon_on_every_metric_and_backend(corpus, query, metric,
+                                                   backend, size):
+    engine = QueryEngine(corpus, band=BAND, metric=metric,
+                         dtw_backend=backend)
+    for k in (1, 5, 17):
+        epsilon = _epsilon(engine, query, k, size)
+        _assert_same_answer(engine.search(query, k=k, epsilon=epsilon)[0],
+                            engine.ground_truth(query, k=k, epsilon=epsilon))
+
+
+@pytest.fixture(scope="module")
+def router(corpus):
+    from repro.shard import ShardRouter
+
+    with ShardRouter(corpus, shards=2, band=BAND) as router:
+        yield router
+
+
+@pytest.mark.parametrize("size", RANGE_SIZES)
+def test_k_and_epsilon_on_a_sharded_router(corpus, query, router, size):
+    engine = QueryEngine(corpus, band=BAND)
+    for k in (1, 5, 17):
+        epsilon = _epsilon(engine, query, k, size)
+        _assert_same_answer(router.search(query, k=k, epsilon=epsilon)[0],
+                            engine.ground_truth(query, k=k, epsilon=epsilon))
+
+
+def _counters(stats) -> dict:
+    """A stats record without its timings."""
+    payload = stats.to_dict()
+    for key in ("exact_time_s", "total_time_s", "cpu_time_s"):
+        del payload[key]
+    for stage in payload["stages"]:
+        del stage["wall_time_s"]
+    return payload
+
+
+def test_range_search_and_knn_are_spellings_of_search(corpus, query):
+    engine = QueryEngine(corpus, band=BAND)
+    for spelled, direct in (
+        (engine.range_search(query, 6.0), engine.search(query, epsilon=6.0)),
+        (engine.knn(query, 5), engine.search(query, k=5)),
+    ):
+        assert spelled[0] == direct[0]
+        assert _counters(spelled[1]) == _counters(direct[1])
+
+
 def test_kernel_backend_validated_at_construction(corpus):
     with pytest.raises(ValueError, match="unknown DTW backend"):
         QueryEngine(corpus, band=BAND, dtw_backend="warp-core")
@@ -389,7 +476,7 @@ def test_stage_kernel_validation():
         lb_first_last_batch(q, np.zeros(16))           # not a matrix
 
 
-@pytest.mark.parametrize("kind", ["knn", "range"])
+@pytest.mark.parametrize("kind", ["knn", "range", "both"])
 def test_trace_is_lossless_stats_projection(corpus, query, kind):
     """A traced query's span tree rebuilds the exact CascadeStats.
 
@@ -402,10 +489,9 @@ def test_trace_is_lossless_stats_projection(corpus, query, kind):
 
     obs, sink = Observability.in_memory()
     engine = QueryEngine(corpus, band=BAND, obs=obs)
-    if kind == "knn":
-        _, stats = engine.knn(query, 4)
-    else:
-        _, stats = engine.range_search(query, 6.0)
+    params = {"knn": {"k": 4}, "range": {"epsilon": 6.0},
+              "both": {"k": 4, "epsilon": 6.0}}[kind]
+    _, stats = engine.search(query, **params)
     (trace,) = sink.traces
     assert CascadeStats.from_trace(trace) == stats
     assert CascadeStats.from_trace([s.to_dict() for s in trace]) == stats

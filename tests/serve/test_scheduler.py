@@ -238,17 +238,11 @@ class _ServiceEngineAdapter:
     def __init__(self, service):
         self.service = service
 
-    def _one(self, kind, query, param):
-        outcome = (self.service.range_search(query, param)
-                   if kind == "range" else self.service.knn(query, param))
+    def search(self, query, *, k=None, epsilon=None):
+        outcome = (self.service.range_search(query, epsilon)
+                   if k is None else self.service.knn(query, k))
         assert outcome.ok, outcome.status
         return list(outcome.results), None
-
-    def range_search(self, query, epsilon):
-        return self._one("range", query, epsilon)
-
-    def knn(self, query, k):
-        return self._one("knn", query, k)
 
 
 def test_service_parity_with_serial_dispatch_workers8(parity_setup):

@@ -196,7 +196,7 @@ class TestGcTeardown:
         for i in range(64):
             query = np.asarray(corpus[i % 36], dtype=np.float64)
             router._shards[0].conn.send(
-                ("req", 999 + i, "knn", query, 3, None, False))
+                ("req", 999 + i, query, 3, None, None, False))
         started = time.perf_counter()
         router._shutdown(drain=False)  # what __del__ runs
         elapsed = time.perf_counter() - started

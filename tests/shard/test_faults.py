@@ -118,7 +118,7 @@ class TestWorkerProtocol:
         with ShardRouter.from_engine(reference, shards=2) as router:
             conn = router._shards[0].conn
             query = np.zeros(router.series_length)
-            conn.send(("req", 12345, "knn", query, 0, None, False))
+            conn.send(("req", 12345, query, 0, None, None, False))
             reply = conn.recv()
             assert reply[:3] == ("error", 12345, "ValueError")
 
