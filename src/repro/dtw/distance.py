@@ -60,10 +60,27 @@ def _finish(cost: float, manhattan: bool) -> float:
     return cost if manhattan else math.sqrt(cost)
 
 
-def _bound_cost(upper_bound: float | None, manhattan: bool) -> float:
+#: Upward rounding of a Euclidean cutoff's square.  A row belongs
+#: within the cutoff ``e`` when its distance ``fl(sqrt(c)) <= e``, i.e.
+#: whenever ``c <= e**2 / (1 - u)**2`` (u = 2**-53), yet ``fl(e * e)``
+#: can be as small as ``e**2 * (1 - u)``.  Scaled by this factor (one
+#: more rounding) the cutoff is at least ``e**2 * (1 - u)**2 * slack``,
+#: which covers every such row since ``(1 - u)**-4 < 1 + 2**-50``.
+#: Manhattan costs are the distances themselves and need no slack.
+_CUTOFF_SLACK = 1.0 + 2.0 ** -50
+
+
+def _bound_cost(upper_bound, manhattan: bool):
+    """The kernels' cost-space cutoff for a distance-space *upper_bound*
+    (a scalar, or a float64 array of per-row cutoffs); ``None`` is no
+    cutoff."""
     if upper_bound is None:
         return math.inf
-    return float(upper_bound) if manhattan else float(upper_bound) ** 2
+    if not isinstance(upper_bound, np.ndarray):
+        upper_bound = float(upper_bound)
+    if manhattan:
+        return upper_bound
+    return upper_bound * upper_bound * _CUTOFF_SLACK
 
 
 def dtw_distance(
@@ -210,11 +227,8 @@ def ldtw_distance_batch(
         )
     if cand.shape[0] == 0:
         return np.zeros(0)
-    if upper_bound is None:
-        bound_costs = None
-    else:
-        bounds = np.asarray(upper_bound, dtype=np.float64)
-        bound_costs = bounds if manhattan else bounds * bounds
+    bound_costs = None if upper_bound is None else _bound_cost(
+        np.asarray(upper_bound, dtype=np.float64), manhattan)
     kernel = get_kernel(backend)
     if kernel_stats is None:
         final = kernel.cost_batch(q, cand, k, bound_costs,

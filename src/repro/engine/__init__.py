@@ -2,8 +2,8 @@
 
 The production hot path of the library.  :class:`QueryEngine` runs a
 whole corpus through a configurable cascade of vectorised DTW lower
-bounds (corner cells, Keogh_PAA, New_PAA, full-dimension LB_Keogh,
-Lemire's LB_Improved) and early-abandoning exact refinement, and
+bounds (corner cells, Keogh_PAA, New_PAA, two-sided full-dimension
+LB_Keogh, Lemire's LB_Improved) and early-abandoning exact refinement, and
 reports per-stage pruning/observability counters via
 :class:`CascadeStats`.  See ``docs/ARCHITECTURE.md`` ("Engine & filter
 cascade") for how it slots between the index and qbh layers.
@@ -21,6 +21,7 @@ from .stages import (
     batch_gap_distance,
     lb_envelope_batch,
     lb_first_last_batch,
+    lb_keogh_two_sided,
     lb_lemire_batch,
 )
 
@@ -34,5 +35,6 @@ __all__ = [
     "batch_gap_distance",
     "lb_envelope_batch",
     "lb_first_last_batch",
+    "lb_keogh_two_sided",
     "lb_lemire_batch",
 ]

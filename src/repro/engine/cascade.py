@@ -15,23 +15,32 @@ name       bound                                                 cost/row
 first_last corner cells of the banded DP (Kim-style)             O(1)
 keogh_paa  Keogh_PAA feature envelope (prior art, §5.2)          O(N)
 new_paa    New_PAA feature envelope (Theorem 1, the paper's)     O(N)
-lb_keogh   full-dimension query envelope (Lemma 2)               O(n)
+lb_keogh   Lemma 2 both ways: max(EQ, EC), in the rows' dtype    O(n)
 lemire     Lemire two-pass LB_Improved (2009 refinement)         O(n)
 ========== ===================================================== ========
+
+EQ is each row against the query's envelope, EC the query against the
+row's own envelope (the ``envelopes`` the engine is given or computes).
+``lb_keogh`` reads both in one pass over blocks of rows, in float32 for
+a float32 corpus (deflated by its worst-case rounding error) and in
+float64 otherwise; see :func:`~repro.engine.stages.lb_keogh_two_sided`.
 
 Every stage bound is an individual lower bound on the exact distance,
 so pruning against a query radius never loses a true answer; the
 engine additionally carries the *running maximum* of all bounds seen
 so far per candidate, which makes the effective bound monotonically
 non-decreasing along the cascade by construction.  Within the envelope
-family the raw bounds are themselves provably ordered::
+family the raw bounds on float64 rows are themselves provably
+ordered::
 
-    keogh_paa <= new_paa <= lb_keogh <= lemire <= exact LDTW
+    keogh_paa <= new_paa <= EQ <= lb_keogh <= exact LDTW
+                            EQ <= lemire   <= exact LDTW
 
-(`tests/properties/` asserts both chains on hundreds of generated
-cases).  ``first_last`` is sound but outside that chain — it can beat
-or lose to the envelope bounds depending on the data, which is exactly
-why the running maximum is kept.
+(`tests/properties/` asserts these chains on hundreds of generated
+cases).  ``lemire`` and ``lb_keogh`` are not ordered against each
+other, and ``first_last`` is sound but outside the chain — either can
+beat or lose to the other bounds depending on the data, which is
+exactly why the running maximum is kept.
 
 Per-query observability lives in :class:`CascadeStats`: candidates in,
 pruned, bound statistics and wall time per stage, plus exact-phase
@@ -63,7 +72,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.envelope import Envelope, k_envelope, warping_width_to_k
+from ..core.envelope import (
+    Envelope,
+    batch_envelope,
+    k_envelope,
+    warping_width_to_k,
+)
 from ..core.envelope_transforms import (
     KeoghPAAEnvelopeTransform,
     NewPAAEnvelopeTransform,
@@ -75,7 +89,12 @@ from ..index.stats import QueryStats
 from ..obs import OBS_DISABLED, Observability
 from ..obs.clock import monotonic_s
 from .errors import QueryAborted
-from .stages import lb_envelope_batch, lb_first_last_batch, lb_lemire_batch
+from .stages import (
+    lb_envelope_batch,
+    lb_first_last_batch,
+    lb_keogh_two_sided,
+    lb_lemire_batch,
+)
 
 __all__ = ["QueryEngine", "CascadeStats", "StageStats", "STAGE_ORDER",
            "DEFAULT_STAGES", "QueryAborted", "check_search", "query_kind",
@@ -559,6 +578,13 @@ class QueryEngine:
         Optional normalisation applied to the corpus and every query.
     ids:
         Optional identifiers, default ``range(len(corpus))``.
+    envelopes:
+        Optional ``(lower, upper)``: every row's ``k``-envelope, two
+        arrays of the corpus's shape and dtype (a store's ``env_lower``
+        / ``env_upper`` columns).  Data, like *ids*: when absent the
+        engine computes the same arrays with
+        :func:`~repro.core.envelope.batch_envelope`, so the argument
+        changes no result.  The ``lb_keogh`` stage reads them.
     metric:
         ``"euclidean"`` (default) or ``"manhattan"``.
     dtw_backend:
@@ -586,6 +612,7 @@ class QueryEngine:
         n_features: int = 8,
         normal_form: NormalForm | None = None,
         ids: Sequence | None = None,
+        envelopes: tuple | None = None,
         metric: str = "euclidean",
         dtw_backend: str | None = None,
         obs: Observability | None = None,
@@ -610,10 +637,11 @@ class QueryEngine:
             data = np.vstack([normal_form.apply(s) for s in corpus])
         else:
             # A float32 corpus (the columnar store's memory-mapped
-            # columns) is kept as-is: every stage mixes it with float64
-            # query arrays, and float32 → float64 promotion is exact,
-            # so bounds and refinement are bitwise identical to an
-            # upcast copy at half the resident memory.
+            # columns) is kept as-is, at half the resident memory of
+            # an upcast copy: refinement promotes it exactly to
+            # float64, so answers are bitwise identical to the copy's,
+            # and ``lb_keogh`` bounds it in float32, deflated to stay
+            # sound (see ``stages.lb_keogh_two_sided``).
             data = np.asarray(corpus)
             if data.dtype != np.float32:
                 data = np.asarray(corpus, dtype=np.float64)
@@ -643,6 +671,19 @@ class QueryEngine:
             if len(ids) != m:
                 raise ValueError(f"{m} series but {len(ids)} ids")
         self.ids = ids
+        if envelopes is not None:
+            lower, upper = (np.asarray(side) for side in envelopes)
+            if (lower.shape != data.shape or upper.shape != data.shape
+                    or lower.dtype != data.dtype
+                    or upper.dtype != data.dtype):
+                raise ValueError(
+                    f"envelopes must be two {data.dtype} arrays of shape "
+                    f"{data.shape}"
+                )
+            envelopes = (lower, upper)
+        elif "lb_keogh" in stages:
+            envelopes = batch_envelope(data, self.band)
+        self._envelopes = envelopes
         n_features = min(n_features, n)
         self._env_transforms = {
             "keogh_paa": KeoghPAAEnvelopeTransform(n, n_features, metric=metric),
@@ -696,15 +737,16 @@ class QueryEngine:
     ) -> np.ndarray:
         if name == "first_last":
             return lb_first_last_batch(
-                ctx.q, self._data[rows], metric=self.metric
+                ctx.q, self._data, rows, metric=self.metric
             )
         if name in ("keogh_paa", "new_paa"):
             return lb_envelope_batch(
                 self._features[rows], ctx.reduced(name), metric=self.metric
             )
         if name == "lb_keogh":
-            return lb_envelope_batch(
-                self._data[rows], ctx.q_envelope, metric=self.metric
+            return lb_keogh_two_sided(
+                ctx.q, ctx.q_envelope, self._data, *self._envelopes, rows,
+                metric=self.metric,
             )
         if name == "lemire":
             return lb_lemire_batch(

@@ -1,44 +1,62 @@
 """Vectorised lower-bound kernels for the filter cascade.
 
-Every kernel here evaluates one query against an entire candidate
-*matrix* of shape ``(num_candidates, n)`` in a handful of NumPy
-operations, instead of the one-pair-at-a-time calls in
-:mod:`repro.core.lower_bounds`.  Semantically each kernel agrees with
-its scalar counterpart to floating-point precision (the property suite
-in ``tests/properties/`` pins this to 1e-9), so the cascade inherits
-the no-false-negative guarantee of Theorem 1 / Lemma 2 case by case.
+Every kernel here evaluates one query against many candidate rows in a
+handful of NumPy operations, instead of the one-pair-at-a-time calls in
+:mod:`repro.core.lower_bounds`.  On float64 rows each kernel agrees
+with its scalar counterpart to floating-point precision (the property
+suite in ``tests/properties/`` pins this to 1e-9), so the cascade
+inherits the no-false-negative guarantee of Theorem 1 / Lemma 2 case
+by case.
 
 Kernels, cheapest first:
 
 * :func:`lb_first_last_batch` — the corner-cell bound (after Kim et
   al. 2001, specialised to equal-length banded DTW): cells ``(0, 0)``
   and ``(n-1, n-1)`` lie on *every* admissible warping path, so their
-  costs alone lower-bound the distance.  Two subtractions per
-  candidate.
+  costs alone lower-bound the distance.  Reads two columns.
 * :func:`lb_envelope_batch` — distance from each candidate row to one
   fixed band.  With the query's full ``k``-envelope this is LB_Keogh
-  (Lemma 2); with a reduced feature envelope and the candidate feature
-  matrix it is the Theorem-1 feature-space bound (New_PAA or
+  (Lemma 2, "EQ"); with a reduced feature envelope and the candidate
+  feature matrix it is the Theorem-1 feature-space bound (New_PAA or
   Keogh_PAA, depending on which reduction produced the band).
+* :func:`lb_keogh_two_sided` — Lemma 2 read both ways, the ``lb_keogh``
+  stage: ``max(EQ, EC)``, where EC is the distance from the query to
+  each *row's* own ``k``-envelope (banded DTW is symmetric).  Computed
+  in blocks of :data:`_BLOCK_ROWS` rows in the rows' own dtype; float32
+  rows get a bound rounded down to stay sound (derived in the
+  docstring).
 * :func:`lb_lemire_batch` — Lemire's two-pass LB_Improved (Pattern
   Recognition 2009): the LB_Keogh gaps plus the distance from the
   query to the envelope of each candidate's *projection* onto the
-  query envelope.  Never looser than LB_Keogh, still O(n) per
-  candidate thanks to vectorised sliding min/max.
+  query envelope.  Never looser than EQ (neither is ordered against
+  EC), still O(n) per candidate thanks to vectorised sliding min/max.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.envelope import Envelope
+from ..core.envelope import Envelope, batch_envelope
 
 __all__ = [
     "batch_gap_distance",
     "lb_first_last_batch",
     "lb_envelope_batch",
+    "lb_keogh_two_sided",
     "lb_lemire_batch",
 ]
+
+#: Rows :func:`lb_keogh_two_sided` gathers and bounds at a time: a
+#: 512 x 128 float32 block and its two envelope blocks are 0.75 MB, so
+#: a block's temporaries stay in cache while its NumPy calls stay few.
+_BLOCK_ROWS = 512
+
+#: Unit roundoff of float32 (round to nearest).
+_U32 = 2.0 ** -24
+
+#: Where a float32 bound may overflow: a square (or a Manhattan sum)
+#: that reached ``inf`` certifies a true bound of at least this much.
+_F32_SQRT_MAX = float(np.sqrt(np.finfo(np.float32).max))
 
 _METRICS = ("euclidean", "manhattan")
 
@@ -99,7 +117,7 @@ def lb_envelope_batch(
 
 
 def lb_first_last_batch(
-    query, candidates, *, metric: str = "euclidean"
+    query, candidates, rows=None, *, metric: str = "euclidean"
 ) -> np.ndarray:
     """Corner-cell bound for equal-length banded DTW, all rows at once.
 
@@ -107,34 +125,106 @@ def lb_first_last_batch(
     the banded DP (paths are anchored at the corners), so the combined
     cost of those two cells lower-bounds the full distance whatever
     the warping.  The cheapest possible screen: O(1) per candidate.
+    Only the first and last columns are read — of the rows indexed by
+    *rows*, or of every row — and float32 columns promote exactly
+    against the float64 query.
     """
     manhattan = _check_metric(metric)
     q = np.asarray(query, dtype=np.float64)
-    mat = _as_matrix(candidates, q.size)
-    first = np.abs(q[0] - mat[:, 0])
+    data = np.asarray(candidates)
+    if data.ndim != 2 or data.shape[1] != q.size:
+        raise ValueError(
+            f"candidates must have shape (m, {q.size}), got {data.shape}"
+        )
+    pick = slice(None) if rows is None else rows
+    first = np.abs(q[0] - data[pick, 0])
     if q.size == 1:
         return first
-    last = np.abs(q[-1] - mat[:, -1])
+    last = np.abs(q[-1] - data[pick, -1])
     if manhattan:
         return first + last
     return np.sqrt(first * first + last * last)
 
 
-def _sliding_minmax_rows(mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row sliding min/max over the window ``[i-k, i+k]``.
+def _round_f32(values: np.ndarray, toward: float) -> np.ndarray:
+    """*values* as float32, rounded toward ``-inf`` or ``+inf``."""
+    near = values.astype(np.float32)
+    off = near > values if toward < 0 else near < values
+    return np.where(off, np.nextafter(near, np.float32(toward)), near)
 
-    ``scipy.ndimage``'s 1-D rank filters with edge replication compute
-    exactly the truncated centred window (the replicated edge value is
-    itself part of every truncated window), vectorised across rows.
+
+def _gap_norm(gap: np.ndarray, manhattan: bool) -> np.ndarray:
+    """Row norms of ``max(gap, 0)``, in *gap*'s dtype (overwrites it)."""
+    np.maximum(gap, 0, out=gap)
+    if manhattan:
+        return gap.sum(axis=1)
+    return np.sqrt(np.einsum("ij,ij->i", gap, gap))
+
+
+def lb_keogh_two_sided(
+    q, q_envelope: Envelope, data, env_lower, env_upper, rows, *,
+    metric: str = "euclidean",
+) -> np.ndarray:
+    """Lemma 2 both ways, ``max(EQ, EC)``, for the rows indexed by *rows*.
+
+    EQ is each row's distance to the query's envelope *q_envelope*; EC
+    the query's distance to the row's own ``k``-envelope
+    ``(env_lower[r], env_upper[r])``.  Banded DTW is symmetric, so both
+    lower-bound it.  Rows are gathered and bounded :data:`_BLOCK_ROWS`
+    at a time in the dtype of *data* — one read of each block serves
+    both terms, and nothing corpus-sized is made in float64.
+
+    Float64 rows get exactly ``max(EQ, EC)``.  On float32 rows the
+    query arrays are cast once, each rounded *outward*: the envelope's
+    lower side and the ``q`` of the ``q - U`` gaps down, its upper side
+    and the ``q`` of the ``L - q`` gaps up.  Every gap then starts from
+    inputs no farther apart than the exact ones, so with u = 2**-24 and
+    ``gamma_m = m u / (1 - m u)``:
+
+    * each gap rounds once: ``g' <= g (1 + u)``;
+    * Euclidean: each square rounds once, and an n-term sum in any
+      order by at most ``1 + gamma_(n-1)``, so the float32 sum is at
+      most ``1 + gamma_(n+2)`` times the exact one; its rounded root is
+      then within ``(1 + u) sqrt(1 + gamma_(n+2)) <= 1 + gamma_(n+4)``
+      of the exact bound;
+    * Manhattan: the gaps and the sum give ``1 + gamma_n``.
+
+    Scaled by ``1 - gamma_(n+4)`` in float64, the result is at most
+    ``1 - gamma**2`` times the exact bound — sound, with ``gamma**2``
+    far above float64's own rounding.  A float32 result that overflowed
+    certifies an exact bound of at least ``sqrt(FLT_MAX) / (1 + gamma)``
+    and is clipped to ``sqrt(FLT_MAX)`` before the scaling.  (Gradual
+    underflow adds at most ``n * 2**-149`` to a sum, far inside the
+    engine's pruning guard.)  The same pattern as the tree route's
+    ``_lb_slack``: a bound computed from rounded values is deflated by
+    its worst-case error.
     """
-    if k == 0:
-        return mat, mat
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
-
-    size = 2 * k + 1
-    lower = minimum_filter1d(mat, size=size, axis=1, mode="nearest")
-    upper = maximum_filter1d(mat, size=size, axis=1, mode="nearest")
-    return lower, upper
+    manhattan = _check_metric(metric)
+    q = np.asarray(q, dtype=np.float64)
+    rows = np.asarray(rows)
+    lo, hi = q_envelope.lower, q_envelope.upper
+    single = data.dtype == np.float32
+    if single:
+        lo, hi = _round_f32(lo, -np.inf), _round_f32(hi, np.inf)
+        q_down, q_up = _round_f32(q, -np.inf), _round_f32(q, np.inf)
+    else:
+        q_down = q_up = q
+    out = np.empty(rows.size)
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        x = data[block]
+        eq = np.subtract(lo, x)
+        np.maximum(eq, np.subtract(x, hi, out=x), out=eq)
+        ec = np.subtract(q_down, env_upper[block])
+        np.maximum(ec, np.subtract(env_lower[block], q_up), out=ec)
+        out[start:start + block.size] = np.maximum(
+            _gap_norm(eq, manhattan), _gap_norm(ec, manhattan)
+        )
+    if single:
+        m = (q.size + 4) * _U32
+        np.minimum(out, _F32_SQRT_MAX, out=out)
+        out *= 1.0 - m / (1.0 - m)
+    return out
 
 
 def lb_lemire_batch(
@@ -152,7 +242,8 @@ def lb_lemire_batch(
     and measure how far the *query* sticks out of the projection's own
     ``k``-envelope.  Both gap fields contribute to one distance, so
     ``LB_Keogh <= LB_Improved <= D_LDTW(k)`` pointwise (Lemire 2009,
-    Theorem 2 — valid for the banded DP with L1 or L2 ground metric).
+    Theorem 2 — valid for the banded DP with L1 or L2 ground metric),
+    where LB_Keogh is EQ, one half of :func:`lb_keogh_two_sided`.
     """
     if k < 0:
         raise ValueError(f"band half-width must be >= 0, got {k}")
@@ -166,7 +257,7 @@ def lb_lemire_batch(
     lo, hi = q_envelope.lower, q_envelope.upper
     gap1 = np.maximum(lo - mat, 0.0) + np.maximum(mat - hi, 0.0)
     projected = np.clip(mat, lo, hi)
-    proj_lower, proj_upper = _sliding_minmax_rows(projected, k)
+    proj_lower, proj_upper = batch_envelope(projected, k)
     gap2 = np.maximum(proj_lower - q, 0.0) + np.maximum(q - proj_upper, 0.0)
     if manhattan:
         return np.sum(gap1, axis=1) + np.sum(gap2, axis=1)

@@ -21,6 +21,7 @@ paper's selling points.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -137,6 +138,9 @@ class WarpingIndex:
         #: :attr:`store`'s generation for store-backed ones).
         self.generation = 0
         self._store = None
+        #: Row envelopes of ``_data`` when it is a store's rows (that
+        #: store's columns); ``None`` lets the engine compute its own.
+        self._envelopes = None
         self._feature_margin = 0.0
         self._lb_slack = 0.0
         self.normal_form = normal_form or NormalForm()
@@ -175,6 +179,7 @@ class WarpingIndex:
             raise ValueError("ids must be unique")
 
         self._engines: dict = {}
+        self._swap_lock = threading.Lock()
         self._data = np.vstack(
             [self.normal_form.apply(series) for series in database]
         )
@@ -255,6 +260,7 @@ class WarpingIndex:
         self._capacity = (int(cfg.get("capacity", 50)) if capacity is None
                           else capacity)
         self._engines = {}
+        self._swap_lock = threading.Lock()
         for name, value in self._store_state(store).items():
             setattr(self, name, value)
         return self
@@ -318,6 +324,9 @@ class WarpingIndex:
             "_features": features,
             "_index": index,
             "_store": store,
+            # Mapped (or joined across segments) here, off the query
+            # path, rather than by the first engine() after a swap.
+            "_envelopes": (store.env_lower, store.env_upper),
             "generation": store.generation,
             "_feature_margin": margin,
             "_lb_slack": self._slack_for(margin,
@@ -331,8 +340,10 @@ class WarpingIndex:
         Everything corpus-dependent — arrays, id maps, the bulk-loaded
         feature index — is built *first* from the new generation while
         queries keep reading the old references; then the references
-        are rebound (plain attribute stores, atomic under the GIL) and
-        ``mutations`` is bumped **exactly once, last**, so versioned
+        are rebound, all under the lock :meth:`engine` reads them under
+        (so an engine never mixes two generations' rows, ids and
+        envelope columns), and ``mutations`` is bumped **exactly once,
+        last**, so versioned
         result caches and the sharded tier's ``(mutations, epoch)``
         key invalidate exactly once per swap.  In-flight queries that
         captured the old arrays finish correctly against the old
@@ -345,8 +356,9 @@ class WarpingIndex:
             )
         state = self._store_state(store)
         state["_engines"] = {}
-        for name, value in state.items():
-            setattr(self, name, value)
+        with self._swap_lock:
+            for name, value in state.items():
+                setattr(self, name, value)
         self.mutations += 1
 
     def __len__(self) -> int:
@@ -390,6 +402,7 @@ class WarpingIndex:
             features = self.env_transform.transform.transform(normal)
         self._index.insert(features, item_id)
         self._id_to_row[item_id] = self._data.shape[0]
+        self._envelopes = None  # the store's, no longer these rows'
         self._data = np.vstack([self._data, normal])
         self._features = np.vstack([self._features, features])
         self.ids.append(item_id)
@@ -407,6 +420,7 @@ class WarpingIndex:
         removed = self._index.delete(self._features[row], item_id)
         if not removed:  # pragma: no cover - indexes stay in sync
             raise RuntimeError(f"index backend lost id {item_id!r}")
+        self._envelopes = None  # the store's, no longer these rows'
         self._data = np.delete(self._data, row, axis=0)
         self._features = np.delete(self._features, row, axis=0)
         self.ids.pop(row)
@@ -578,23 +592,30 @@ class WarpingIndex:
         """The batched filter-cascade engine over this index's corpus.
 
         Lazily built (and cached per stage configuration and DTW
-        backend) from the stored normal forms; ``insert``/``remove``
-        invalidate the cache.  The engine is the vectorised hot path:
-        it evaluates the whole corpus through cheap-to-tight
-        lower-bound stages before any exact DTW, and reports per-stage
-        pruning counters.
+        backend) from the stored normal forms — and, while they are
+        the store's rows, the store's memory-mapped envelope columns;
+        ``insert``/``remove`` invalidate the cache.  The engine is the
+        vectorised hot path: it evaluates the whole corpus through
+        cheap-to-tight lower-bound stages before any exact DTW, and
+        reports per-stage pruning counters.
         """
         from ..engine import DEFAULT_STAGES, QueryEngine
 
         backend = self.dtw_backend if dtw_backend is None else dtw_backend
         key = (DEFAULT_STAGES if stages is None else tuple(stages), backend)
         if key not in self._engines:
+            # One generation's rows, ids and envelope columns, read
+            # under the lock swap_generation rebinds them under.
+            with self._swap_lock:
+                data, envelopes, ids = (self._data, self._envelopes,
+                                        list(self.ids))
             self._engines[key] = QueryEngine(
-                self._data,
+                data,
                 band=self.band,
                 stages=key[0],
                 n_features=self.feature_dim,
-                ids=list(self.ids),
+                ids=ids,
+                envelopes=envelopes,
                 metric=self.metric,
                 dtw_backend=backend,
                 obs=self.obs,

@@ -28,7 +28,7 @@ from ..core.envelope_transforms import (
     NewPAAEnvelopeTransform,
     SignSplitEnvelopeTransform,
 )
-from ..core.envelope import warping_width_to_k
+from ..core.envelope import batch_envelope, warping_width_to_k
 from ..core.normal_form import NormalForm
 from ..core.transforms import LinearTransform
 from ..obs import OBS_DISABLED, Observability
@@ -36,46 +36,10 @@ from ..obs.clock import monotonic_s
 from ..store import CorpusStore, GenerationWriter, activate_generation
 from ..store.corpus import StoreError, list_generations
 
+# ``batch_envelope`` lives in ``core.envelope``; ``repro.ingest`` re-exports
+# it from here.
 __all__ = ["BuildReport", "StreamingIndexBuilder", "batch_envelope",
            "transform_config", "transform_from_config"]
-
-
-def batch_envelope(chunk: np.ndarray, k: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise k-envelopes of a ``(rows, n)`` chunk, vectorized.
-
-    Equivalent to :func:`repro.core.envelope.k_envelope` per row
-    (sliding min/max with edge truncation) but computed for the whole
-    chunk with one ``sliding_window_view`` — the batched path the
-    streaming builder uses.  Exact for any dtype: envelope values are
-    elements of the input.
-    """
-    chunk = np.asarray(chunk)
-    if chunk.ndim != 2:
-        raise ValueError(f"expected (rows, n) chunk, got shape {chunk.shape}")
-    if k < 0:
-        raise ValueError(f"window half-width must be >= 0, got {k}")
-    if k == 0:
-        return chunk.copy(), chunk.copy()
-    rows, n = chunk.shape
-    if rows == 0:
-        return chunk.copy(), chunk.copy()
-    info = (np.finfo(chunk.dtype) if np.issubdtype(chunk.dtype, np.floating)
-            else np.iinfo(chunk.dtype))
-    window = 2 * k + 1
-    padded_lo = np.full((rows, n + 2 * k), info.max, dtype=chunk.dtype)
-    padded_lo[:, k:k + n] = chunk
-    lower = np.min(
-        np.lib.stride_tricks.sliding_window_view(padded_lo, window, axis=1),
-        axis=2,
-    )
-    padded_hi = np.full((rows, n + 2 * k), info.min, dtype=chunk.dtype)
-    padded_hi[:, k:k + n] = chunk
-    upper = np.max(
-        np.lib.stride_tricks.sliding_window_view(padded_hi, window, axis=1),
-        axis=2,
-    )
-    return lower, upper
 
 
 def transform_config(env_transform: EnvelopeTransform) -> dict[str, Any]:
@@ -219,16 +183,14 @@ class StreamingIndexBuilder:
         self.stride = int(stride)
         self.capacity = int(capacity)
         self.budget_bytes = int(memory_budget_mb * (1 << 20))
-        n, d, k = self.normal_length, self.n_features, self.band
+        n, d = self.normal_length, self.n_features
         # Deterministic staging account per buffered row: the float32
         # normalized chunk + int64 meta held across the chunk, plus the
         # transient flush-time arrays (float64 feature matmul input and
-        # output, float32 features, padded float32 envelope scratch and
-        # the two envelope outputs).
+        # output, float32 features and the two envelope outputs).
         self.row_bytes = (
             n * 4 + 24            # normalized f32 + meta i64
             + n * 8 + d * 8 + d * 4   # f64 upcast, f64 feats, f32 feats
-            + 2 * (n + 2 * k) * 4     # padded envelope scratch (lo+hi)
             + 2 * n * 4               # envelope outputs
         )
         self.chunk_rows = max(1, self.budget_bytes // self.row_bytes)

@@ -244,8 +244,8 @@ def save_index_to_store(
 
     Returns the sealed :class:`~repro.store.CorpusStore`.
     """
-    from .core.envelope import warping_width_to_k
-    from .ingest.builder import batch_envelope, transform_config
+    from .core.envelope import batch_envelope, warping_width_to_k
+    from .ingest.builder import transform_config
     from .store import GenerationWriter, activate_generation, list_generations
 
     if generation is None:

@@ -18,7 +18,10 @@ Columns (all row-aligned):
 ``meta``         int64,   (rows, 3)            — (sequence row, start, length)
 
 Envelope values are order statistics of the stored float32 data, so the
-float32 envelope columns are *exact* for the stored corpus.  Features are
+float32 envelope columns are *exact* for the stored corpus; the query
+engine reads them memory-mapped as each row's own envelope (the EC half
+of its ``lb_keogh`` stage), and ``verify()`` checks they bound the
+data.  Features are
 computed in float64 and quantized to float32; the manifest records the
 maximum absolute quantization error (``feature_margin``) so index-side
 lower bounds can be slackened to keep the zero-false-negative contract

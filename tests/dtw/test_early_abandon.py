@@ -37,14 +37,14 @@ def _pairs(seed=1234):
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
 class TestLdtwEarlyAbandon:
     def test_bound_at_distance_is_never_a_wrong_finite_value(self, metric):
-        """At exact equality the euclidean bound is squared internally,
-        so an ulp of rounding may abandon — but a finite return must
-        still be the exact distance (this is why the engine prunes
-        with a small guard band rather than at strict equality)."""
+        """A bound equal to the distance never abandons: the euclidean
+        bound is squared internally, and that square is rounded up so
+        the ulps lost to the square and to the final root cannot make
+        the row's cost exceed it."""
         for x, y in _pairs():
             d = ldtw_distance(x, y, BAND, metric=metric)
             got = ldtw_distance(x, y, BAND, upper_bound=d, metric=metric)
-            assert math.isinf(got) or got == pytest.approx(d, abs=1e-12)
+            assert got == d
 
     def test_bound_with_guard_band_never_abandons(self, metric):
         for x, y in _pairs():
@@ -119,6 +119,28 @@ class TestDtwEarlyAbandon:
             d = dtw_distance(x, y, metric=metric)
             got = dtw_distance(x, y, upper_bound=0.5 * d, metric=metric)
             assert math.isinf(got) or got == pytest.approx(d, abs=1e-12)
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "scalar"])
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_row_at_exactly_epsilon_is_in_the_range_answer(backend, metric):
+    """epsilon set to a row's own distance keeps the row in the answer.
+
+    The refine cutoff is formed in cost space; ``fl(epsilon**2)`` alone
+    can fall below the cost of a row whose distance is exactly epsilon
+    (about 1 case in 20 here, before the cutoff was rounded up).
+    """
+    from repro.engine import QueryEngine
+
+    rng = np.random.default_rng(400)
+    corpus = np.cumsum(rng.normal(size=(400, LENGTH)), axis=1)
+    engine = QueryEngine(corpus, band=BAND, metric=metric,
+                         dtw_backend=backend)
+    for i in range(20):
+        query = corpus[i] + 0.5 * rng.normal(size=LENGTH)
+        for row, dist in engine.ground_truth(query, k=5):
+            results, _ = engine.search(query, epsilon=dist)
+            assert row in [item for item, _ in results]
 
 
 class TestEngineRefinementUsesSoundAbandoning:

@@ -19,8 +19,9 @@ def _walks(count, length, seed=5):
 
 def test_batch_envelope_matches_per_row_k_envelope(rng):
     chunk = rng.normal(size=(7, 40)).astype(np.float32)
-    for k in (0, 1, 3, 8):
+    for k in (0, 1, 3, 8, 39, 40, 100):
         lower, upper = batch_envelope(chunk, k)
+        assert lower.dtype == upper.dtype == np.float32
         for row in range(chunk.shape[0]):
             env = k_envelope(chunk[row], k)
             np.testing.assert_array_equal(lower[row], env.lower)

@@ -6,6 +6,9 @@ least three generation swaps, the versioned result cache is
 invalidated exactly once per swap, and no request is dropped.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,43 @@ def test_three_swaps_byte_identical_cache_invalidated_once(tmp_path):
     finally:
         service.close()
     assert not coordinator.running
+
+
+def test_engines_built_during_swaps_never_mix_generations(tmp_path):
+    """``engine()`` racing ``swap_generation`` gets one generation's
+    rows, ids and envelope columns (the engine rejects a mismatch)."""
+    root = str(tmp_path / "store")
+    builder = StreamingIndexBuilder(root, normal_form=NormalForm(length=64))
+    first, _ = builder.build([_walk(i) for i in range(30)],
+                             [f"m{i}" for i in range(30)])
+    second, _ = StreamingIndexBuilder.for_store(first).build(
+        [_walk(100 + i) for i in range(10)], [f"n{i}" for i in range(10)],
+        base=first,
+    )
+    live = WarpingIndex.from_store(first)
+    stop = threading.Event()
+
+    def swapper():
+        turn = 0
+        while not stop.is_set():
+            live.swap_generation((second, first)[turn % 2])
+            turn += 1
+
+    thread = threading.Thread(target=swapper)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread.start()
+        for _ in range(300):
+            live._engines.clear()
+            engine = live.engine()
+            assert len(engine) in (first.rows, second.rows)
+            assert engine._envelopes[0].shape == engine._data.shape
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
 
 
 def test_router_closed_is_retried_exactly_once():

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from repro.core.envelope import Envelope, k_envelope
+from repro.core.envelope import Envelope, batch_envelope, k_envelope
 from repro.core.envelope_transforms import (
     KeoghPAAEnvelopeTransform,
     NewPAAEnvelopeTransform,
@@ -27,6 +27,7 @@ from repro.dtw.distance import ldtw_distance_batch
 from repro.engine.stages import (
     lb_envelope_batch,
     lb_first_last_batch,
+    lb_keogh_two_sided,
     lb_lemire_batch,
 )
 from repro.hum.singer import SingerProfile, hum_melody
@@ -41,12 +42,15 @@ CANDIDATES_PER_QUERY = 30
 
 NORMAL_FORM = NormalForm(length=LENGTH)
 
-#: Envelope-family stages in provably-monotone tightness order
-#: (each is pointwise >= its predecessor; all are <= the exact DTW).
-ENVELOPE_CHAIN = ("keogh_paa", "new_paa", "lb_keogh", "lemire")
+#: Envelope-family bounds on float64 rows in provably-monotone
+#: tightness order, ending at the exact DTW (each is pointwise >= its
+#: predecessor).  ``lb_keogh_eq`` is Lemma 2 one way (EQ, the query's
+#: envelope against each row); the ``lb_keogh`` stage is max(EQ, EC).
+#: ``lemire`` is >= EQ but not ordered against ``lb_keogh``.
+ENVELOPE_CHAIN = ("keogh_paa", "new_paa", "lb_keogh_eq", "lb_keogh", "exact")
 
 #: Every cascade stage (first_last is sound but outside the chain).
-ALL_STAGES = ("first_last",) + ENVELOPE_CHAIN
+ALL_STAGES = ("first_last", "keogh_paa", "new_paa", "lb_keogh", "lemire")
 
 
 def _raw_random_walk(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -87,6 +91,16 @@ def _transforms():
     }
 
 
+def two_sided_bound(query, rows: np.ndarray, *,
+                    metric: str = "euclidean") -> np.ndarray:
+    """The ``lb_keogh`` stage's bound of every row, in *rows*' dtype."""
+    lower, upper = batch_envelope(rows, BAND)
+    return lb_keogh_two_sided(
+        query, k_envelope(query, BAND), rows, lower, upper,
+        np.arange(rows.shape[0]), metric=metric,
+    )
+
+
 def make_bundle(family: str, query_raw, candidate_raws) -> CaseBundle:
     """Normalise, then compute exact distances and every stage bound."""
     q = NORMAL_FORM.apply(query_raw)
@@ -98,7 +112,8 @@ def make_bundle(family: str, query_raw, candidate_raws) -> CaseBundle:
     transforms = _transforms()
     features = transforms["new_paa"].transform.transform_batch(cands)
     bundle.bounds["first_last"] = lb_first_last_batch(q, cands)
-    bundle.bounds["lb_keogh"] = lb_envelope_batch(cands, env)
+    bundle.bounds["lb_keogh_eq"] = lb_envelope_batch(cands, env)
+    bundle.bounds["lb_keogh"] = two_sided_bound(q, cands)
     bundle.bounds["lemire"] = lb_lemire_batch(q, cands, BAND, q_envelope=env)
     for name in ("keogh_paa", "new_paa"):
         bundle.bounds[name] = lb_envelope_batch(

@@ -1,13 +1,19 @@
 """Float32 storage parity: the cascade over quantised data stays exact.
 
 The columnar store keeps normal forms as float32 and GEMINI features
-as float32 with a recorded quantisation margin.  Three properties keep
+as float32 with a recorded quantisation margin.  Four properties keep
 that sound:
 
-* the engine recomputes features in float64 *from* the float32 rows,
-  and float32→float64 promotion is exact — so a cascade over the
-  stored corpus is **bitwise identical** to one over a float64 upcast
-  copy, with no slack needed;
+* refinement promotes the float32 rows exactly to float64, and the
+  ``lb_keogh`` stage's float32 bound is deflated below the float64 one
+  (``tests/properties/test_lower_bound_invariants.py``) — so a cascade
+  over the stored corpus returns answers **bitwise identical** to one
+  over a float64 upcast copy, though its bounds differ in the last
+  digits;
+* the engine reads the store's envelope columns, and an engine that
+  computes its own envelopes instead returns the same bounds, counters
+  and answers — also after ``insert`` / ``remove`` detach the index's
+  rows from the store;
 * tree searches over the stored float32 features inflate epsilon (and
   deflate k-NN bounds) by the manifest margin — range answers over the
   store can therefore never lose a true float32-corpus hit (zero false
@@ -20,9 +26,11 @@ that sound:
 import numpy as np
 import pytest
 
+from repro.core.envelope import k_envelope
 from repro.core.normal_form import NormalForm
 from repro.datasets.generators import random_walks
 from repro.engine import QueryEngine
+from repro.engine.stages import lb_keogh_two_sided
 from repro.index.gemini import WarpingIndex
 from repro.ingest import StreamingIndexBuilder
 
@@ -61,8 +69,18 @@ def pair(tmp_path_factory, corpus):
     return f64, f32
 
 
+def _counters(stats) -> dict:
+    """Every field of a stats record but its timings."""
+    record = stats.to_dict()
+    for key in ("exact_time_s", "total_time_s", "cpu_time_s"):
+        del record[key]
+    for stage in record["stages"]:
+        del stage["wall_time_s"]
+    return record
+
+
 def test_engine_over_f32_corpus_is_bitwise_exact(pair, queries):
-    """Cascade(float32 rows) == Cascade(float64 upcast of those rows)."""
+    """Answers of Cascade(float32 rows) == Cascade(float64 upcast)."""
     _, f32 = pair
     upcast = QueryEngine(
         np.asarray(f32._data, dtype=np.float64),
@@ -77,6 +95,54 @@ def test_engine_over_f32_corpus_is_bitwise_exact(pair, queries):
         ra, _ = f32.engine().range_search(q, 18.0)
         rb, _ = upcast.range_search(q, 18.0)
         assert ra == rb
+
+
+def test_store_envelopes_change_no_result(pair, queries):
+    """An engine on the store's envelope columns equals one computing
+    its own: bounds bitwise, every stats counter, and the answers."""
+    _, f32 = pair
+    given = f32.engine()
+    assert np.shares_memory(given._envelopes[0], f32.store.env_lower)
+    assert np.shares_memory(given._envelopes[1], f32.store.env_upper)
+    own = QueryEngine(f32._data, band=f32.band, n_features=f32.feature_dim,
+                      ids=list(f32.ids), metric=f32.metric)
+    rows = np.arange(len(own))
+    for query in queries:
+        q = f32.normal_form.apply(query)
+        env = k_envelope(q, f32.band)
+        assert np.array_equal(
+            lb_keogh_two_sided(q, env, f32._data, *given._envelopes, rows),
+            lb_keogh_two_sided(q, env, f32._data, *own._envelopes, rows),
+        )
+        for params in ({"k": 5}, {"epsilon": 18.0}, {"k": 3, "epsilon": 18.0}):
+            a, a_stats = given.search(q, **params)
+            b, b_stats = own.search(q, **params)
+            assert a == b
+            assert _counters(a_stats) == _counters(b_stats)
+
+
+def test_store_index_after_insert_and_remove_matches_ground_truth(
+    tmp_path, corpus, queries
+):
+    """Once insert/remove replace the store's rows, the engine computes
+    its own envelopes and stays exact."""
+    ids = [f"m{i}" for i in range(CORPUS_SIZE)]
+    builder = StreamingIndexBuilder(str(tmp_path),
+                                    normal_form=NormalForm(length=NORMAL))
+    store, _ = builder.build(list(corpus), ids)
+    index = WarpingIndex.from_store(store)
+    rng = np.random.default_rng(33)
+    for i in range(3):
+        index.insert(corpus[i] + 0.1 * rng.normal(size=LENGTH), f"new{i}")
+    index.remove("m4")
+    index.remove("new1")
+    engine = index.engine()
+    assert not np.shares_memory(engine._envelopes[0], store.env_lower)
+    for query in queries:
+        q = index.normal_form.apply(query)
+        for params in ({"k": 5}, {"epsilon": 18.0}):
+            results, _ = engine.search(q, **params)
+            assert results == engine.ground_truth(q, **params)
 
 
 def test_range_zero_false_negatives_vs_f64(pair, queries):

@@ -7,9 +7,12 @@ filter cascade relies on:
 * **Soundness** — every stage bound is <= the exact constrained DTW
   (Theorem 1 of the paper for the feature-space stages, Lemma 2 for
   LB_Keogh, corner-cell monotonicity for first/last).
-* **Monotone tightness** — the envelope-family stages satisfy the
-  pointwise chain ``keogh_paa <= new_paa <= lb_keogh <= lemire``,
-  which is the documented cascade order.
+* **Monotone tightness** — on float64 rows the envelope-family bounds
+  satisfy the pointwise chain
+  ``keogh_paa <= new_paa <= EQ <= lb_keogh <= exact`` (``lb_keogh`` is
+  Lemma 2 both ways, max(EQ, EC)), and ``EQ <= lemire``.
+* **Float32 soundness** — on float32 rows the deflated ``lb_keogh``
+  bound never exceeds the exact float64 max(EQ, EC) of the same rows.
 * **New_PAA beats Keogh_PAA** — the paper's headline claim, both
   pointwise and strictly in aggregate.
 * **Batch == scalar** — the vectorized kernels agree with the scalar
@@ -21,11 +24,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.envelope import k_envelope
+from repro.core.envelope import batch_envelope, k_envelope
 from repro.core.lower_bounds import lb_envelope_transform, lb_keogh
 from repro.engine.stages import (
     lb_envelope_batch,
     lb_first_last_batch,
+    lb_keogh_two_sided,
     lb_lemire_batch,
 )
 
@@ -36,6 +40,7 @@ from .conftest import (
     _transforms,
     generate_bundles,
     make_bundle,
+    two_sided_bound,
 )
 
 ATOL = 1e-9
@@ -68,9 +73,10 @@ def test_stage_never_overestimates_exact_dtw(bundles, stage):
     list(zip(ENVELOPE_CHAIN[:-1], ENVELOPE_CHAIN[1:])),
 )
 def test_envelope_chain_is_monotonically_tighter(bundles, looser, tighter):
-    """The documented cascade order is pointwise monotone in tightness."""
+    """The documented chain is pointwise monotone in tightness."""
     for bundle in bundles:
-        gap = bundle.bounds[looser] - bundle.bounds[tighter]
+        values = {**bundle.bounds, "exact": bundle.exact}
+        gap = values[looser] - values[tighter]
         assert np.max(gap) <= ATOL, (
             f"{looser} exceeded {tighter} by {np.max(gap):.3e} "
             f"on a {bundle.family} case"
@@ -106,12 +112,17 @@ def test_tightness_ratio_in_unit_interval(bundles, stage):
 
 
 def test_batch_lb_keogh_matches_scalar(bundles):
-    """Vectorized LB_Keogh row i == scalar lb_keogh(candidate_i, query)."""
+    """Vectorized EQ row i == scalar lb_keogh(candidate_i, query), and the
+    two-sided stage == the larger of the scalar bound read both ways."""
     for bundle in bundles:
-        batch = bundle.bounds["lb_keogh"]
+        eq = bundle.bounds["lb_keogh_eq"]
+        two_sided = bundle.bounds["lb_keogh"]
         for i in range(bundle.size):
-            scalar = lb_keogh(bundle.candidates[i], bundle.query, BAND)
-            assert batch[i] == pytest.approx(scalar, abs=ATOL)
+            scalar_eq = lb_keogh(bundle.candidates[i], bundle.query, BAND)
+            scalar_ec = lb_keogh(bundle.query, bundle.candidates[i], BAND)
+            assert eq[i] == pytest.approx(scalar_eq, abs=ATOL)
+            assert two_sided[i] == pytest.approx(max(scalar_eq, scalar_ec),
+                                                 abs=ATOL)
 
 
 @pytest.mark.parametrize("stage", ["keogh_paa", "new_paa"])
@@ -133,10 +144,31 @@ def test_batch_feature_bound_matches_scalar_envelope_transform(
 
 
 def test_lemire_second_pass_only_adds(bundles):
-    """LB_Improved = LB_Keogh + a nonnegative second-pass term."""
+    """LB_Improved = LB_Keogh (EQ) + a nonnegative second-pass term."""
     for bundle in bundles:
-        assert np.max(bundle.bounds["lb_keogh"]
+        assert np.max(bundle.bounds["lb_keogh_eq"]
                       - bundle.bounds["lemire"]) <= ATOL
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e4, 1e3)])
+def test_float32_two_sided_bound_never_exceeds_float64(
+    bundles, metric, scale, offset
+):
+    """On float32 rows the deflated bound is <= the exact float64
+    max(EQ, EC) of the same stored rows, every case, both metrics —
+    and loses at most the deflation's 1e-5 relative."""
+    for bundle in bundles:
+        query = bundle.query * scale + offset
+        rows = (bundle.candidates * scale + offset).astype(np.float32)
+        single = two_sided_bound(query, rows, metric=metric)
+        exact = two_sided_bound(query, rows.astype(np.float64),
+                                metric=metric)
+        assert np.all(single <= exact), (
+            f"float32 bound exceeds float64 by "
+            f"{np.max(single - exact):.3e} on a {bundle.family} case"
+        )
+        assert np.all(single >= exact * (1 - 1e-5))
 
 
 def test_first_last_is_exact_on_identical_series(bundles):
@@ -160,9 +192,12 @@ def test_manhattan_metric_bounds_are_sound():
     exact = np.array([
         ldtw_distance(q, c, 4, metric="manhattan") for c in cands
     ])
+    lower, upper = batch_envelope(cands, 4)
     for bound in (
         lb_envelope_batch(cands, env, metric="manhattan"),
         lb_first_last_batch(q, cands, metric="manhattan"),
+        lb_keogh_two_sided(q, env, cands, lower, upper,
+                           np.arange(len(cands)), metric="manhattan"),
         lb_lemire_batch(q, cands, 4, q_envelope=env, metric="manhattan"),
     ):
         assert np.max(bound - exact) <= ATOL
