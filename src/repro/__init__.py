@@ -17,126 +17,64 @@ Quick start::
 
 from .core import (
     DFTTransform,
-    Envelope,
-    HaarTransform,
-    IdentityTransform,
     KeoghPAAEnvelopeTransform,
     NewPAAEnvelopeTransform,
-    NormalForm,
-    PAATransform,
     SignSplitEnvelopeTransform,
     SVDTransform,
     k_envelope,
     lb_envelope_transform,
     lb_keogh,
-    lb_yi,
     normalize,
-    tightness,
 )
-from .datasets import dataset_names, make_dataset, random_walks
-from .dtw import dtw_distance, ldtw_distance, utw_distance, warping_distance
-from .engine import CascadeStats, QueryEngine, StageStats
+from .datasets import random_walks
+from .dtw import dtw_distance, ldtw_distance, warping_distance
+from .engine import QueryEngine
 from .hum import SingerProfile, hum_melody, synthesize_melody, track_pitch
-from .index import GridFile, LinearScan, QueryStats, RStarTree, WarpingIndex
+from .index import RStarTree, WarpingIndex
 from .music import (
     ContourIndex,
     Melody,
-    MidiFile,
     Note,
     contour_string,
     generate_corpus,
     segment_corpus,
 )
-from .core.apca import APCA, apca_approximate, apca_dtw_lb, apca_euclidean_lb
-from .core.sax import SAXWord, sax_mindist, sax_transform
-from .hum.online import OnlinePitchTracker
-from .index.subsequence import SubsequenceIndex, SubsequenceMatch
-from .persistence import (
-    load_corpus,
-    load_index,
-    melodies_from_midi_directory,
-    save_corpus,
-    save_index,
-)
-from .dtw.multivariate import mdtw_distance
-from .qbh import (
-    ProgressiveQuery,
-    QueryByHummingSystem,
-    QuerySession,
-    RankTable,
-    assess_humming,
-    format_rank_tables,
-)
-from .tuning import TuningReport, tune_feature_count
+from .index.subsequence import SubsequenceIndex
+from .persistence import load_index, save_index
+from .qbh import QueryByHummingSystem
 
 __version__ = "1.0.0"
 
 __all__ = [
     "DFTTransform",
-    "Envelope",
-    "HaarTransform",
-    "IdentityTransform",
     "KeoghPAAEnvelopeTransform",
     "NewPAAEnvelopeTransform",
-    "NormalForm",
-    "PAATransform",
     "SignSplitEnvelopeTransform",
     "SVDTransform",
     "k_envelope",
     "lb_envelope_transform",
     "lb_keogh",
-    "lb_yi",
     "normalize",
-    "tightness",
-    "dataset_names",
-    "make_dataset",
     "random_walks",
     "dtw_distance",
     "ldtw_distance",
-    "utw_distance",
     "warping_distance",
     "QueryEngine",
-    "CascadeStats",
-    "StageStats",
     "SingerProfile",
     "hum_melody",
     "synthesize_melody",
     "track_pitch",
-    "GridFile",
-    "LinearScan",
-    "QueryStats",
     "RStarTree",
     "WarpingIndex",
     "ContourIndex",
     "Melody",
-    "MidiFile",
     "Note",
     "contour_string",
     "generate_corpus",
     "segment_corpus",
-    "QueryByHummingSystem",
-    "RankTable",
-    "format_rank_tables",
-    "APCA",
-    "apca_approximate",
-    "apca_dtw_lb",
-    "apca_euclidean_lb",
     "SubsequenceIndex",
-    "SubsequenceMatch",
-    "load_corpus",
     "load_index",
-    "melodies_from_midi_directory",
-    "save_corpus",
     "save_index",
-    "SAXWord",
-    "sax_mindist",
-    "sax_transform",
-    "OnlinePitchTracker",
-    "QuerySession",
-    "ProgressiveQuery",
-    "assess_humming",
-    "mdtw_distance",
-    "TuningReport",
-    "tune_feature_count",
+    "QueryByHummingSystem",
     "__version__",
 ]

@@ -1,7 +1,6 @@
 """Core time-series machinery: envelopes, transforms, normal forms, bounds."""
 
 from .apca import APCA, apca_approximate, apca_dtw_lb, apca_euclidean_lb
-from .sax import SAXWord, sax_breakpoints, sax_mindist, sax_transform
 from .envelope import (
     Envelope,
     envelope_distance,
@@ -19,14 +18,6 @@ from .envelope_transforms import (
     SignSplitEnvelopeTransform,
 )
 from .lower_bounds import lb_envelope_transform, lb_keogh, lb_yi, tightness
-from .preprocess import (
-    amplitude_normalize,
-    clip_outliers,
-    detrend,
-    exponential_smoothing,
-    median_smoothing,
-    moving_average,
-)
 from .normal_form import (
     DEFAULT_NORMAL_LENGTH,
     NormalForm,
@@ -51,16 +42,6 @@ __all__ = [
     "apca_approximate",
     "apca_dtw_lb",
     "apca_euclidean_lb",
-    "SAXWord",
-    "sax_breakpoints",
-    "sax_mindist",
-    "sax_transform",
-    "amplitude_normalize",
-    "clip_outliers",
-    "detrend",
-    "exponential_smoothing",
-    "median_smoothing",
-    "moving_average",
     "Envelope",
     "envelope_distance",
     "k_envelope",

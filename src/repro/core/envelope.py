@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .series import as_series
 
@@ -140,8 +141,6 @@ def batch_envelope(rows, k: int) -> tuple[np.ndarray, np.ndarray]:
     vectorised across rows.  Exact for any dtype: envelope values are
     elements of the input.
     """
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
-
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise ValueError(f"expected an (m, n) matrix, got shape {rows.shape}")

@@ -1,14 +1,10 @@
 """Synthetic dataset families (UCR-archive stand-ins) and random walks."""
 
 from .generators import GENERATORS, dataset_names, make_dataset, random_walks
-from .ucr_io import load_ucr_directory, read_ucr_file, write_ucr_file
 
 __all__ = [
     "GENERATORS",
     "dataset_names",
     "make_dataset",
     "random_walks",
-    "load_ucr_directory",
-    "read_ucr_file",
-    "write_ucr_file",
 ]

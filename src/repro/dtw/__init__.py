@@ -15,12 +15,6 @@ from .kernels import (
     get_kernel,
     register_kernel,
 )
-from .multivariate import (
-    lb_keogh_multivariate,
-    lb_paa_multivariate,
-    mdtw_distance,
-    multivariate_envelope,
-)
 from .path import cost_matrix, is_valid_path, path_cost, warping_path
 
 __all__ = [
@@ -35,10 +29,6 @@ __all__ = [
     "available_backends",
     "get_kernel",
     "register_kernel",
-    "lb_keogh_multivariate",
-    "lb_paa_multivariate",
-    "mdtw_distance",
-    "multivariate_envelope",
     "cost_matrix",
     "is_valid_path",
     "path_cost",

@@ -7,8 +7,6 @@ from .degrade import (
     degrade,
     scenario_names,
 )
-from .noise import add_noise, babble_noise, mains_hum, snr_db, white_noise
-from .online import OnlinePitchTracker
 from .pitch_tracking import PitchTrack, track_pitch
 from .segmentation import segment_notes
 from .singer import SingerProfile, hum_melody
@@ -20,12 +18,6 @@ __all__ = [
     "DegradationScenario",
     "degrade",
     "scenario_names",
-    "add_noise",
-    "babble_noise",
-    "mains_hum",
-    "snr_db",
-    "white_noise",
-    "OnlinePitchTracker",
     "PitchTrack",
     "track_pitch",
     "segment_notes",

@@ -1,22 +1,14 @@
 """Query-by-humming system and retrieval evaluation."""
 
-from .calibration import HummerProfile, fit_hummer_profile
 from .scoring import HummingReport, NoteAssessment, assess_humming
-from .progressive import ProgressiveQuery, ProgressiveSnapshot
-from .session import QuerySession
 from .evaluation import RANK_BUCKETS, RankTable, bucket_label, format_rank_tables
 from .quality import ScenarioCell, ScenarioMatrix, run_scenario_matrix
 from .system import QueryByHummingSystem
 
 __all__ = [
-    "HummerProfile",
-    "fit_hummer_profile",
     "HummingReport",
     "NoteAssessment",
     "assess_humming",
-    "QuerySession",
-    "ProgressiveQuery",
-    "ProgressiveSnapshot",
     "RANK_BUCKETS",
     "RankTable",
     "bucket_label",

@@ -13,13 +13,12 @@ import pytest
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
 
-#: Scripts fast enough for the unit-test suite (the heavier ones run
-#: whenever the benchmark suite or a human exercises them).
+#: Scripts fast enough for the unit-test suite (the heavier ones run in
+#: the CI ``benchmarks-smoke`` job).
 FAST_EXAMPLES = [
     "quickstart.py",
     "singing_tutor.py",
     "figures1_to_5.py",
-    "gesture_search.py",
 ]
 
 
@@ -41,14 +40,12 @@ def test_example_runs_clean(name):
 
 def test_every_example_file_is_listed_or_known():
     """No example may exist without being run somewhere: either in the
-    fast list above or exercised by the tutorial/test suite."""
+    fast list above or in the CI ``benchmarks-smoke`` job."""
     known_slow = {
         "query_by_humming.py",    # full audio round trip (~20 s)
         "index_tuning.py",        # builds many indexes (~30 s)
         "hum_any_part.py",        # subsequence windows (~15 s)
-        "personalized_qbh.py",    # 600-melody calibration demo (~20 s)
         "corpus_report.py",       # 500-melody key estimation (~15 s)
-        "live_search.py",         # streaming audio demo (~15 s)
     }
     on_disk = {
         name for name in os.listdir(EXAMPLES_DIR) if name.endswith(".py")
@@ -59,9 +56,3 @@ def test_every_example_file_is_listed_or_known():
 def test_quickstart_finds_its_target():
     result = run_example("quickstart.py")
     assert "<-- the hummed melody" in result.stdout
-
-
-def test_gesture_search_prunes():
-    result = run_example("gesture_search.py")
-    assert "pruned" in result.stdout
-    assert "right shape" in result.stdout

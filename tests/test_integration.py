@@ -65,16 +65,16 @@ class TestFullQbhPipeline:
 class TestNoisyAudioPipeline:
     def test_query_survives_room_noise(self, corpus):
         """The full audio path at 12 dB SNR still finds the melody."""
-        from repro.hum.noise import add_noise, white_noise
-
         system = QueryByHummingSystem(corpus, delta=0.1)
         rng = np.random.default_rng(14)
         # Target must lie within the tracker's 80-700 Hz band (melody
         # 31 does); out-of-band scores alias regardless of noise.
         target = 31
         wave = synthesize_melody(corpus[target], tempo_bpm=100)
-        noisy = add_noise(wave, white_noise(wave.size, rng),
-                          snr_db_target=12.0)
+        noise = rng.normal(0.0, 1.0, size=wave.size)
+        # White noise scaled so that P_signal / P_noise is 12 dB.
+        noisy = wave + noise * np.sqrt(
+            np.mean(wave**2) / (np.mean(noise**2) * 10 ** (12.0 / 10.0)))
         track = track_pitch(noisy)
         assert track.pitch_series().size > 50
         assert system.rank_of(track.pitch_series(), target) <= 5

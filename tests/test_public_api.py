@@ -21,7 +21,6 @@ MODULES = [
     "repro.viz",
     "repro.cli",
     "repro.tuning",
-    "repro.dtw.multivariate",
     "repro.obs",
     "repro.obs.tracing",
     "repro.obs.metrics",
