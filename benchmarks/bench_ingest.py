@@ -140,7 +140,7 @@ def test_streaming_build_query_and_swaps(benchmark, scale, tmp_path):
     )
     live = WarpingIndex.from_store(mel_store)
     queue = IngestQueue()
-    service = QBHService.from_index(live, max_batch=4)
+    service = QBHService.from_index(live)
     coordinator = IngestCoordinator(live, queue, min_batch=5,
                                     memory_budget_mb=BUDGET_MB)
     service.attach_ingest(coordinator)

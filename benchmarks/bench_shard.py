@@ -52,8 +52,6 @@ from repro.serve.loadgen import (
 from _harness import print_series, record_history
 
 CLIENTS = 8
-MAX_BATCH = 8
-LINGER_MS = 2.0
 ZIPF_S = 1.3
 KNN_K = 5
 EPSILON = 4.0
@@ -82,10 +80,7 @@ def _workload(scale):
 
 def _serve_run(engine, specs, queries, shards):
     """One fresh (possibly sharded) service, one closed-loop pass."""
-    service = QBHService.from_engine(
-        engine, shards=shards, max_batch=MAX_BATCH, linger_ms=LINGER_MS,
-        cache_size=0,
-    )
+    service = QBHService.from_engine(engine, shards=shards, cache_size=0)
     try:
         report = run_load(service_dispatch(service), specs, queries,
                           clients=CLIENTS, mode=f"shards-{shards}")
@@ -176,8 +171,6 @@ def test_shard_scaling_parity_and_efficiency(benchmark, scale):
         "workload": {
             **shape,
             "clients": CLIENTS,
-            "max_batch": MAX_BATCH,
-            "linger_ms": LINGER_MS,
             "zipf_s": ZIPF_S,
             "cpu_count": cpus,
             "shard_counts": counts,

@@ -21,7 +21,7 @@ The telemetry loop closes through two more groups::
 And the serving layer::
 
     repro serve        --index index.npz --hum hum.npy --clients 8
-    repro bench-serve  --quick                      # batching vs direct
+    repro bench-serve  --quick                      # service vs direct
 """
 
 from __future__ import annotations
@@ -317,7 +317,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """Serve hums concurrently through the micro-batching service."""
+    """Serve hums concurrently through the request-queueing service."""
     from .serve import AdmissionPolicy, QBHService, RetryPolicy
     from .serve.loadgen import RequestSpec, run_load, service_dispatch
 
@@ -349,8 +349,6 @@ def _cmd_serve(args) -> int:
         service = QBHService.from_index(
             index,
             shards=args.shards,
-            max_batch=args.max_batch,
-            linger_ms=args.linger_ms,
             admission=admission,
             retry=RetryPolicy(),
             cache_size=args.cache_size,
@@ -429,7 +427,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_bench_serve(args) -> int:
-    """Closed-loop serving benchmark: micro-batching vs direct dispatch."""
+    """Closed-loop serving benchmark: the service vs direct dispatch."""
     import json
 
     from .datasets.generators import random_walks
@@ -461,8 +459,7 @@ def _cmd_bench_serve(args) -> int:
     direct = run_load(direct_dispatch(engine), specs, queries,
                       clients=args.clients, mode="direct")
     service = QBHService.from_engine(
-        engine, shards=args.shards, max_batch=args.max_batch,
-        linger_ms=args.linger_ms, cache_size=args.cache_size,
+        engine, shards=args.shards, cache_size=args.cache_size,
     )
     try:
         served = run_load(service_dispatch(service), specs, queries,
@@ -1058,8 +1055,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="serve hums concurrently with micro-batching, deadlines, "
-             "and a result cache",
+        help="serve hums concurrently with request coalescing, "
+             "deadlines, and a result cache",
     )
     p_serve.add_argument("--index",
                          help=".npz index file (or use --store-dir)")
@@ -1074,10 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="concurrent closed-loop clients (default: 8)")
     p_serve.add_argument("--repeat", type=int, default=4,
                          help="requests per hum (default: 4)")
-    p_serve.add_argument("--max-batch", type=int, default=8,
-                         help="micro-batch size cap (default: 8)")
-    p_serve.add_argument("--linger-ms", type=float, default=2.0,
-                         help="batching window in ms (default: 2)")
     p_serve.add_argument("--deadline-ms", type=float,
                          help="per-request deadline; lapsed requests "
                               "return deadline_exceeded, never results")
@@ -1123,8 +1116,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench_serve = sub.add_parser(
         "bench-serve",
-        help="closed-loop load benchmark: micro-batching service vs "
-             "direct per-query dispatch (exits 1 on parity mismatch)",
+        help="closed-loop load benchmark: the cached, coalescing "
+             "service vs direct per-query dispatch (exits 1 on parity "
+             "mismatch)",
     )
     p_bench_serve.add_argument("--quick", action="store_true",
                                help="small smoke-sized workload")
@@ -1143,8 +1137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench_serve.add_argument("--clients", type=int, default=8)
     p_bench_serve.add_argument("-k", type=_top_k, default=5)
     p_bench_serve.add_argument("--epsilon", type=float, default=4.0)
-    p_bench_serve.add_argument("--max-batch", type=int, default=8)
-    p_bench_serve.add_argument("--linger-ms", type=float, default=2.0)
     p_bench_serve.add_argument("--cache-size", type=int, default=1024)
     p_bench_serve.add_argument("--shards", type=int,
                                help="serve through N shard processes "

@@ -52,7 +52,6 @@ from .quality import RECALL_KS
 
 __all__ = [
     "SPAN_LATENCY_BUCKETS_S",
-    "SERVE_OCCUPANCY_BUCKETS",
     "TraceReadStats",
     "iter_span_lines",
     "read_traces",
@@ -76,11 +75,6 @@ SPAN_LATENCY_BUCKETS_S = (
     1e-3, 2.5e-3, 5e-3, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
-
-#: Histogram edges for micro-batch occupancy (batch size over
-#: ``max_batch``, a fraction in (0, 1]).  Sixteenths: fine enough to
-#: resolve every occupancy level of the default ``max_batch`` range.
-SERVE_OCCUPANCY_BUCKETS = tuple(i / 16 for i in range(1, 17))
 
 #: Span-dict keys every valid trace line must carry (the JSONL schema
 #: of :meth:`repro.obs.tracing.Span.to_dict`).
@@ -276,7 +270,7 @@ class ServeAggregate:
 
     The serving layer (:mod:`repro.serve`) emits *instant* root spans
     whose attributes carry the real timings — queue wait and service
-    time for requests, size/occupancy for dispatched micro-batches —
+    time for requests, size for each scheduler execution —
     so the analysis reads attributes, never span durations, and the
     engine's ``query`` root spans stay untouched underneath.
     """
@@ -292,9 +286,6 @@ class ServeAggregate:
     ))
     service_time: Histogram = field(default_factory=lambda: Histogram(
         "serve.request_seconds", {}, SPAN_LATENCY_BUCKETS_S
-    ))
-    occupancy: Histogram = field(default_factory=lambda: Histogram(
-        "serve.batch_occupancy", {}, SERVE_OCCUPANCY_BUCKETS
     ))
 
     def add_request(self, attrs: dict) -> None:
@@ -312,10 +303,7 @@ class ServeAggregate:
         self.batches += 1
         size = int(attrs.get("size", 0))
         self.batched_requests += size
-        self.coalesced += size - int(attrs.get("distinct", size))
-        max_batch = int(attrs.get("max_batch", 0))
-        if max_batch > 0:
-            self.occupancy.observe(min(1.0, size / max_batch))
+        self.coalesced += max(0, size - 1)
 
     def _rate(self, status: str) -> float:
         if not self.requests:
@@ -362,7 +350,6 @@ class ServeAggregate:
             "coalesced": self.coalesced,
             "queue_wait_s": self._percentiles(self.queue_wait),
             "service_time_s": self._percentiles(self.service_time),
-            "batch_occupancy": self._percentiles(self.occupancy),
         }
 
 
@@ -659,26 +646,23 @@ class TraceReport:
                 f"cache-hit {serve.cache_hit_rate:.1%}",
             ]
 
-            def _row(label: str, pct: dict, unit_ms: bool) -> str:
+            def _row(label: str, pct: dict) -> str:
                 if not pct["count"]:
                     return f"  {label:<16}{'-':>9}"
-                scale = 1e3 if unit_ms else 100.0
                 return (
                     f"  {label:<16}"
-                    f"{pct['p50'] * scale:>9.3f}{pct['p95'] * scale:>9.3f}"
-                    f"{pct['p99'] * scale:>9.3f}{pct['max'] * scale:>9.3f}"
+                    f"{pct['p50'] * 1e3:>9.3f}{pct['p95'] * 1e3:>9.3f}"
+                    f"{pct['p99'] * 1e3:>9.3f}{pct['max'] * 1e3:>9.3f}"
                 )
 
             out.append(
                 f"  {'':<16}{'p50':>9}{'p95':>9}{'p99':>9}{'max':>9}"
             )
             out.append(_row("queue wait ms",
-                            serve._percentiles(serve.queue_wait), True))
+                            serve._percentiles(serve.queue_wait)))
             out.append(_row("service ms",
-                            serve._percentiles(serve.service_time), True))
+                            serve._percentiles(serve.service_time)))
             if serve.batches:
-                out.append(_row("occupancy %",
-                                serve._percentiles(serve.occupancy), False))
                 out.append(
                     f"  batches: {serve.batches} "
                     f"({serve.batched_requests} requests, "

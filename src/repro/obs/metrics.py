@@ -2,7 +2,7 @@
 
 :class:`MetricsRegistry` is the process-wide (or per-engine) metric
 store.  The design constraint is concurrent serving: several threads
-(the serving layer's dispatchers, any caller's own pool) run queries
+(the serving layer's dispatcher, any caller's own pool) run queries
 on one engine at once, so metric updates race — and the hot path may
 not take a lock per increment.
 

@@ -313,32 +313,24 @@ class Observability:
         ):
             pass
 
-    def record_serve_batch(self, kind: str, size: int, distinct: int,
-                           max_batch: int, service_time_s: float,
-                           queue_depth: int) -> None:
-        """Fold one dispatched micro-batch into metrics + spans.
+    def record_serve_batch(self, kind: str, size: int,
+                           service_time_s: float, queue_depth: int) -> None:
+        """Fold one scheduler execution into metrics + spans.
 
-        *size* counts coalesced requests, *distinct* the deduplicated
-        queries actually executed (``size - distinct`` answers came
-        from request coalescing).  Occupancy — ``size / max_batch`` —
-        lands in a ratio histogram so the analysis layer can report
-        percentiles.  Emits an instant root span ``serve:batch`` (see
-        :meth:`record_serve_request` for why not a wrapping span).
+        *size* counts the requests the execution answered: the head
+        plus ``size - 1`` coalesced duplicates.  Emits an instant root
+        span ``serve:batch`` (see :meth:`record_serve_request` for why
+        not a wrapping span).
         """
         m = self.metrics
         m.counter("serve.batches_total", kind=kind).inc()
         m.counter("serve.batched_requests_total", kind=kind).inc(size)
-        m.counter("serve.coalesced_total", kind=kind).inc(size - distinct)
-        if max_batch > 0:
-            m.histogram("serve.batch_occupancy", edges=_RATIO_EDGES).observe(
-                min(1.0, size / max_batch)
-            )
+        m.counter("serve.coalesced_total", kind=kind).inc(size - 1)
         m.histogram("serve.batch_seconds", kind=kind).observe(service_time_s)
         m.gauge("serve.queue_depth").set(queue_depth)
         with self.span(
-            "serve:batch", kind=kind, size=int(size), distinct=int(distinct),
-            max_batch=int(max_batch), service_time_s=service_time_s,
-            queue_depth=int(queue_depth),
+            "serve:batch", kind=kind, size=int(size),
+            service_time_s=service_time_s, queue_depth=int(queue_depth),
         ):
             pass
 
@@ -569,8 +561,8 @@ class _DisabledObservability(Observability):
                              service_time_s, *, from_cache=False) -> None:
         """Do nothing (observability is disabled)."""
 
-    def record_serve_batch(self, kind, size, distinct, max_batch,
-                           service_time_s, queue_depth) -> None:
+    def record_serve_batch(self, kind, size, service_time_s,
+                           queue_depth) -> None:
         """Do nothing (observability is disabled)."""
 
     def record_serve_cache(self, event) -> None:

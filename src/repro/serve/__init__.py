@@ -6,9 +6,9 @@ filter-and-refine machinery (:mod:`repro.engine`,
 :mod:`repro.index`) from "a library you call" to "a service that
 survives load":
 
-* :mod:`~repro.serve.scheduler` — bounded request queue + dynamic
-  micro-batching with request coalescing and oldest-first fairness;
-* :mod:`~repro.serve.admission` — queue/in-flight caps, per-request
+* :mod:`~repro.serve.scheduler` — bounded FIFO request queue and one
+  dispatcher thread, coalescing queued duplicates into one execution;
+* :mod:`~repro.serve.admission` — the queue cap, per-request
   deadlines (cooperatively cancelled inside the engine), deterministic
   retry/backoff for shed requests;
 * :mod:`~repro.serve.cache` — LRU + TTL result cache with versioned
@@ -22,13 +22,13 @@ Everything here changes *when* and *how often* the engine runs — never
 what it computes: answers are exact, deadline misses return
 ``deadline_exceeded`` rather than partial results, and cache hits are
 byte-identical to recomputation.  See ``docs/ARCHITECTURE.md``
-("Serving layer") for the queue → batch → cascade picture.
+("Serving layer") for the queue → dispatcher → cascade picture.
 """
 
 from .admission import AdmissionPolicy, RetryPolicy, submit_with_retry
 from .cache import CacheStats, ResultCache, request_fingerprint
 from .scheduler import (
-    MicroBatchScheduler,
+    RequestScheduler,
     ServeFuture,
     ServeOutcome,
     ServeRequest,
@@ -37,7 +37,7 @@ from .service import QBHService
 
 __all__ = [
     "QBHService",
-    "MicroBatchScheduler",
+    "RequestScheduler",
     "ServeRequest",
     "ServeOutcome",
     "ServeFuture",

@@ -5,10 +5,10 @@ load exceeds capacity — queues grow without bound, every request's
 latency diverges, and nobody gets an answer.  The serving discipline
 here is the standard one:
 
-* **Caps** (:class:`AdmissionPolicy`) — a bounded request queue and an
-  in-flight ceiling.  A request arriving past either cap is *shed*
-  immediately with a ``retry_after_s`` hint: an honest, cheap "try
-  again shortly" instead of an open-ended wait.
+* **Caps** (:class:`AdmissionPolicy`) — a bounded request queue.  A
+  request arriving past the cap is *shed* immediately with a
+  ``retry_after_s`` hint: an honest, cheap "try again shortly"
+  instead of an open-ended wait.
 * **Deadlines** — each request carries an absolute deadline; the
   engine's cooperative-cancellation checkpoints
   (:class:`~repro.engine.errors.QueryAborted`) cut work short when it
@@ -42,10 +42,6 @@ class AdmissionPolicy:
         Requests allowed to wait in the scheduler queue; arrivals
         beyond this are shed.  ``None`` = unbounded (load tests only —
         an unbounded queue is how services die).
-    max_inflight:
-        Requests allowed to be executing at once (across dispatched
-        batches); arrivals finding the service this busy *and* a
-        non-empty queue are shed.  ``None`` = unbounded.
     default_deadline_s:
         Deadline applied to requests that do not bring their own.
         ``None`` = no implicit deadline.
@@ -54,7 +50,6 @@ class AdmissionPolicy:
     """
 
     max_queue_depth: int | None = 64
-    max_inflight: int | None = None
     default_deadline_s: float | None = None
     retry_after_s: float = 0.01
 
@@ -62,10 +57,6 @@ class AdmissionPolicy:
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
-            )
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be >= 1, got {self.max_inflight}"
             )
         if (self.default_deadline_s is not None
                 and self.default_deadline_s <= 0):
@@ -78,15 +69,10 @@ class AdmissionPolicy:
                 f"retry_after_s must be >= 0, got {self.retry_after_s}"
             )
 
-    def admits(self, queue_depth: int, inflight: int) -> bool:
-        """Whether a new request may enter at the observed load."""
-        if (self.max_queue_depth is not None
-                and queue_depth >= self.max_queue_depth):
-            return False
-        if (self.max_inflight is not None and inflight >= self.max_inflight
-                and queue_depth > 0):
-            return False
-        return True
+    def admits(self, queue_depth: int) -> bool:
+        """Whether a new request may enter at the observed queue depth."""
+        return (self.max_queue_depth is None
+                or queue_depth < self.max_queue_depth)
 
     def resolve_deadline(self, deadline_s: float | None) -> float | None:
         """The request's *absolute* deadline on the monotonic clock.

@@ -4,7 +4,7 @@ The benchmark harness behind ``repro bench-serve`` and
 ``benchmarks/bench_serve.py``: *clients* threads each submit their
 share of a fixed workload back-to-back (closed loop — a client only
 submits its next request once the previous one resolved), against
-either the micro-batching service or direct per-query engine dispatch,
+either the serving layer or direct per-query engine dispatch,
 and the run is summarised as sustained throughput, latency
 percentiles, outcome counts, and per-request result digests.
 
@@ -205,7 +205,7 @@ class LoadReport:
 
 def direct_dispatch(engine):
     """Baseline submit function: one engine call per request, no
-    batching, no cache — what serving replaces."""
+    coalescing, no cache — what serving replaces."""
 
     def submit(spec: RequestSpec, query) -> tuple[str, object, dict]:
         results, _ = engine.search(query,

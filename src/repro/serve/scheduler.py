@@ -1,46 +1,40 @@
-"""Micro-batching scheduler: a bounded queue that coalesces requests.
+"""Request scheduler: a bounded FIFO queue with request coalescing.
 
-Concurrent callers submit single queries; the engine is at its best
-serving *batches* (shared corpus matrices, one cache-warm pass per
-group, deduplicated repeats answered once).  The scheduler bridges the
-two with the classic dynamic micro-batching loop:
+Concurrent callers submit single queries; one dispatcher thread answers
+them in arrival order:
 
-1. a dispatcher blocks on the bounded FIFO queue;
-2. when a request arrives it becomes the **head**: the dispatcher
-   lingers up to ``linger_s`` collecting *compatible* requests — same
-   kind (range/knn) and same search parameter — closing the batch
-   early when ``max_batch`` of them are waiting;
-3. requests whose deadline already passed are resolved as
+1. the dispatcher blocks on the bounded FIFO queue and takes the
+   **oldest** request, together with every queued request carrying the
+   same fingerprint (same query bytes, kind and parameter) — request
+   coalescing, the win under the QBH workload's repeated hums;
+2. requests whose deadline already passed are resolved as
    ``deadline_exceeded`` without doing any work;
-4. the surviving batch is deduplicated by query fingerprint and handed
-   to the executor (one engine evaluation per *distinct* query —
-   request coalescing, the big win under the QBH workload's repeated
-   hums);
-5. every request's future is resolved — duplicates share the computed
+3. the survivors are answered by one execution, cancelled only once
+   the group's *latest* deadline has passed;
+4. every request's future is resolved — duplicates share the computed
    answer — and a request whose deadline lapsed *during* execution
    still gets ``deadline_exceeded``, never a late result.
 
-Fairness: batches always form around the **oldest waiting request**,
-so an unpopular singleton is at worst one batch away from dispatch —
-a hot query group can never starve it.
+Fairness is the queue order itself: no later arrival overtakes a
+waiting request, so a hot query can never starve an unpopular one.
 
 The scheduler knows nothing about engines or caches: execution is a
-callable ``execute_batch(kind, param, requests) -> {fingerprint:
-ServeOutcome}`` supplied by :class:`~repro.serve.service.QBHService`,
-which keeps this module testable with stub executors.
+callable ``execute(request) -> ServeOutcome`` supplied by
+:class:`~repro.serve.service.QBHService`, which keeps this module
+testable with stub executors.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..obs import OBS_DISABLED
 from ..obs.clock import monotonic_s
 
 __all__ = ["ServeOutcome", "ServeRequest", "ServeFuture",
-           "MicroBatchScheduler"]
+           "RequestScheduler"]
 
 #: Outcome statuses a request can resolve to.
 OUTCOME_STATUSES = ("ok", "shed", "deadline_exceeded", "error", "shutdown")
@@ -54,7 +48,8 @@ class ServeOutcome:
     exact ``(id, distance)`` sequence for ``ok`` and ``None``
     otherwise — a missed deadline or an error never carries a partial
     answer.  ``results`` may be shared between coalesced requests and
-    cache hits: treat it as read-only.
+    cache hits: treat it as read-only.  ``batch_size`` counts the
+    requests one execution answered: 1 plus its coalesced duplicates.
     """
 
     status: str
@@ -123,9 +118,10 @@ class ServeRequest:
 
     ``deadline_s`` is *absolute* on the monotonic clock (``None`` = no
     deadline).  ``group_deadline_s`` is filled by the scheduler before
-    execution with the latest deadline among the request's coalesced
-    duplicates — the executor's cooperative-cancellation cutoff: work
-    stops only once *no* requester can still use the answer.
+    execution with the latest deadline among the request and its
+    coalesced duplicates — the executor's cooperative-cancellation
+    cutoff: work stops only once *no* requester can still use the
+    answer.
     """
 
     kind: str
@@ -143,35 +139,22 @@ class ServeRequest:
                 f"kind must be 'range' or 'knn', got {self.kind!r}"
             )
 
-    @property
-    def group_key(self) -> tuple:
-        """Batching compatibility: same kind and search parameter."""
-        return (self.kind, self.param)
-
     def expired(self, now: float) -> bool:
         """Whether the request's own deadline has passed."""
         return self.deadline_s is not None and now > self.deadline_s
 
 
-class MicroBatchScheduler:
-    """Bounded FIFO queue + dispatcher threads forming micro-batches.
+class RequestScheduler:
+    """Bounded FIFO queue + one dispatcher thread.
 
     Parameters
     ----------
-    execute_batch:
-        ``(kind, param, requests) -> {fingerprint: ServeOutcome}`` run
-        on a dispatcher thread with the deduplicated batch.  Outcomes
-        are templates: the scheduler stamps per-request queue wait,
-        batch size, and the post-execution deadline check on top.
-    max_batch:
-        Most requests dispatched per batch (before deduplication).
-    linger_s:
-        How long the dispatcher waits past the head request's arrival
-        for compatible requests to accumulate.  The core
-        latency/throughput dial: 0 disables batching delay entirely.
-    dispatchers:
-        Dispatcher thread count.  One (the default) strictly preserves
-        batch FIFO order; more overlap execution of *different* batches.
+    execute:
+        ``(request) -> ServeOutcome`` run on the dispatcher thread for
+        the oldest waiting request; its coalesced duplicates share the
+        answer.  The outcome is a template: the scheduler stamps
+        per-request queue wait, group size, and the post-execution
+        deadline check on top.
     max_queue_depth:
         Bound on waiting requests; :meth:`submit` refuses past it.
     on_complete:
@@ -181,19 +164,9 @@ class MicroBatchScheduler:
         Observability facade for ``serve:batch`` spans and metrics.
     """
 
-    def __init__(self, execute_batch, *, max_batch: int = 8,
-                 linger_s: float = 0.002, dispatchers: int = 1,
-                 max_queue_depth: int | None = None,
+    def __init__(self, execute, *, max_queue_depth: int | None = None,
                  on_complete=None, obs=None) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if linger_s < 0:
-            raise ValueError(f"linger_s must be >= 0, got {linger_s}")
-        if dispatchers < 1:
-            raise ValueError(f"dispatchers must be >= 1, got {dispatchers}")
-        self._execute_batch = execute_batch
-        self.max_batch = max_batch
-        self.linger_s = linger_s
+        self._execute = execute
         self.max_queue_depth = max_queue_depth
         self._on_complete = on_complete
         self.obs = OBS_DISABLED if obs is None else obs
@@ -203,13 +176,9 @@ class MicroBatchScheduler:
         self._closed = False
         self._drain = True
         self._inflight = 0
-        self._threads = [
-            threading.Thread(target=self._dispatch_loop,
-                             name=f"serve-dispatch-{i}", daemon=True)
-            for i in range(dispatchers)
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._thread = threading.Thread(target=self._dispatch_loop,
+                                        name="serve-dispatch", daemon=True)
+        self._thread.start()
 
     # ------------------------------------------------------------------
     # producer side
@@ -223,7 +192,7 @@ class MicroBatchScheduler:
 
     @property
     def inflight(self) -> int:
-        """Requests currently inside a dispatched batch."""
+        """Requests currently answered by the running execution."""
         with self._lock:
             return self._inflight
 
@@ -251,28 +220,24 @@ class MicroBatchScheduler:
         Idempotent; safe to call from any thread.
         """
         with self._cond:
-            if self._closed:
-                self._cond.notify_all()
-            else:
+            if not self._closed:
                 self._closed = True
                 self._drain = drain
-                self._cond.notify_all()
-        for thread in self._threads:
-            if thread is not threading.current_thread():
-                thread.join()
-        if threading.current_thread() not in self._threads:
-            # Every dispatcher has exited, so nothing calls these again.
+            self._cond.notify_all()
+        if self._thread is not threading.current_thread():
+            self._thread.join()
+            # The dispatcher has exited, so nothing calls these again.
             # They are the owner's bound methods: kept, scheduler and
             # owner form a reference cycle that strands the owner's
             # index and memory maps until the cyclic collector runs.
-            self._execute_batch = self._on_complete = None
+            self._execute = self._on_complete = None
 
     # ------------------------------------------------------------------
     # dispatcher side
     # ------------------------------------------------------------------
 
-    def _collect_batch(self) -> list[ServeRequest] | None:
-        """Block for a head request, linger, and cut one batch.
+    def _next_group(self) -> list[ServeRequest] | None:
+        """Block for the oldest request and take its duplicates along.
 
         Returns ``None`` exactly once the scheduler is closed and the
         queue is empty (dispatcher exit signal).  Holding the lock is
@@ -281,7 +246,7 @@ class MicroBatchScheduler:
         """
         while True:
             shed: list[ServeRequest] = []
-            batch: list[ServeRequest] = []
+            group: list[ServeRequest] = []
             with self._cond:
                 while not self._queue and not self._closed:
                     self._cond.wait()
@@ -291,57 +256,38 @@ class MicroBatchScheduler:
                     shed = list(self._queue)
                     self._queue.clear()
                 else:
-                    head = self._queue[0]
-                    key = head.group_key
-                    cutoff = head.submitted_s + self.linger_s
-                    while not self._closed:
-                        matching = sum(
-                            1 for r in self._queue if r.group_key == key
-                        )
-                        if matching >= self.max_batch:
-                            break
-                        remaining = cutoff - monotonic_s()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
-                        if not self._queue or self._queue[0] is not head:
-                            break  # another dispatcher took the head
-                    kept: list[ServeRequest] = []
-                    while self._queue and len(batch) < self.max_batch:
-                        request = self._queue.popleft()
-                        if request.group_key == key:
-                            batch.append(request)
-                        else:
-                            kept.append(request)
-                    self._queue.extendleft(reversed(kept))
-                    if batch:
-                        self._inflight += len(batch)
+                    fingerprint = self._queue[0].fingerprint
+                    kept: deque[ServeRequest] = deque()
+                    for request in self._queue:
+                        (group if request.fingerprint == fingerprint
+                         else kept).append(request)
+                    self._queue = kept
+                    self._inflight = len(group)
             for request in shed:
                 self._resolve(request, ServeOutcome(status="shutdown"))
-            if batch:
-                return batch
+            if group:
+                return group
 
     def _dispatch_loop(self) -> None:
         while True:
-            batch = self._collect_batch()
-            if batch is None:
+            group = self._next_group()
+            if group is None:
                 return
             try:
-                self._run_batch(batch)
+                self._run_group(group)
             finally:
                 with self._lock:
-                    self._inflight -= len(batch)
+                    self._inflight = 0
 
     def _resolve(self, request: ServeRequest, outcome: ServeOutcome) -> None:
         request.future.resolve(outcome)
         if self._on_complete is not None:
             self._on_complete(request, outcome)
 
-    def _run_batch(self, batch: list[ServeRequest]) -> None:
-        kind, param = batch[0].group_key
+    def _run_group(self, group: list[ServeRequest]) -> None:
         now = monotonic_s()
         live: list[ServeRequest] = []
-        for request in batch:
+        for request in group:
             if request.expired(now):
                 self._resolve(request, ServeOutcome(
                     status="deadline_exceeded",
@@ -352,64 +298,45 @@ class MicroBatchScheduler:
         if not live:
             return
 
-        # Coalesce: one execution per distinct fingerprint; the
-        # representative carries the group's *latest* deadline so the
+        # The head carries the group's *latest* deadline so the
         # executor only aborts once every duplicate has expired.
-        groups: OrderedDict[str, list[ServeRequest]] = OrderedDict()
-        for request in live:
-            groups.setdefault(request.fingerprint, []).append(request)
-        representatives = []
-        for members in groups.values():
-            rep = members[0]
-            deadlines = [m.deadline_s for m in members]
-            rep.group_deadline_s = (
-                None if any(d is None for d in deadlines)
-                else max(deadlines)
-            )
-            representatives.append(rep)
+        head = live[0]
+        deadlines = [request.deadline_s for request in live]
+        head.group_deadline_s = (
+            None if any(d is None for d in deadlines) else max(deadlines)
+        )
 
         started = monotonic_s()
         try:
-            outcomes = self._execute_batch(kind, param, representatives)
-        except Exception as exc:  # executor bug: fail the batch loudly
-            outcomes = {
-                rep.fingerprint: ServeOutcome(
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                for rep in representatives
-            }
-        elapsed = monotonic_s() - started
-
-        done = monotonic_s()
-        for fingerprint, members in groups.items():
-            template = outcomes.get(fingerprint) or ServeOutcome(
-                status="error", error="executor returned no outcome"
+            template = self._execute(head)
+        except Exception as exc:  # executor bug: fail the group loudly
+            template = ServeOutcome(
+                status="error", error=f"{type(exc).__name__}: {exc}",
             )
-            for request in members:
-                if template.ok and request.expired(done):
-                    # The answer exists but arrived too late for this
-                    # requester: a deadline violation must never be
-                    # returned as a result.
-                    outcome = ServeOutcome(
-                        status="deadline_exceeded",
-                        queue_wait_s=started - request.submitted_s,
-                        service_time_s=elapsed,
-                        batch_size=len(live),
-                    )
-                else:
-                    outcome = ServeOutcome(
-                        status=template.status,
-                        results=template.results,
-                        queue_wait_s=started - request.submitted_s,
-                        service_time_s=elapsed,
-                        from_cache=template.from_cache,
-                        batch_size=len(live),
-                        error=template.error,
-                    )
-                self._resolve(request, outcome)
+        done = monotonic_s()
+        elapsed = done - started
 
-        self.obs.record_serve_batch(
-            kind, len(live), len(groups), self.max_batch, elapsed,
-            self.depth,
-        )
+        for request in live:
+            if template.ok and request.expired(done):
+                # The answer exists but arrived too late for this
+                # requester: a deadline violation must never be
+                # returned as a result.
+                outcome = ServeOutcome(
+                    status="deadline_exceeded",
+                    queue_wait_s=started - request.submitted_s,
+                    service_time_s=elapsed,
+                    batch_size=len(live),
+                )
+            else:
+                outcome = ServeOutcome(
+                    status=template.status,
+                    results=template.results,
+                    queue_wait_s=started - request.submitted_s,
+                    service_time_s=elapsed,
+                    from_cache=template.from_cache,
+                    batch_size=len(live),
+                    error=template.error,
+                )
+            self._resolve(request, outcome)
+
+        self.obs.record_serve_batch(head.kind, len(live), elapsed, self.depth)

@@ -11,9 +11,10 @@ serving pieces together:
 * a **result cache** (:class:`~repro.serve.cache.ResultCache`) answers
   byte-identical repeats instantly, with versioned invalidation keyed
   to the index mutation counter;
-* admitted requests flow through the **micro-batching scheduler**
-  (:class:`~repro.serve.scheduler.MicroBatchScheduler`), which
-  coalesces concurrent duplicates and batches compatible queries;
+* admitted requests wait in the **request scheduler**'s FIFO queue
+  (:class:`~repro.serve.scheduler.RequestScheduler`); its one
+  dispatcher answers them oldest first, coalescing queued duplicates
+  into one execution;
 * execution runs on the engine with **cooperative deadlines**: the
   engine's ``should_abort`` checkpoints turn a lapsed deadline into a
   ``deadline_exceeded`` outcome, never a partial answer;
@@ -41,7 +42,7 @@ from ..obs.clock import monotonic_s
 from .admission import AdmissionPolicy, RetryPolicy, submit_with_retry
 from .cache import ResultCache, request_fingerprint
 from .scheduler import (
-    MicroBatchScheduler,
+    RequestScheduler,
     ServeFuture,
     ServeOutcome,
     ServeRequest,
@@ -57,7 +58,7 @@ class QBHService:
     ----------
     engine_fn:
         Zero-argument callable returning the engine to execute on.
-        Called per batch, so an index that rebuilds its engine after a
+        Called per execution, so an index that rebuilds its engine after a
         mutation is always served with the fresh one.
     version_fn:
         Zero-argument callable returning the index version (a
@@ -67,9 +68,6 @@ class QBHService:
         Optional per-query transform applied at *execution* time (the
         index's normal form).  Fingerprints are taken over the raw
         query bytes, before this runs.
-    max_batch / linger_ms / dispatchers:
-        Micro-batching dials (see
-        :class:`~repro.serve.scheduler.MicroBatchScheduler`).
     admission:
         An :class:`~repro.serve.admission.AdmissionPolicy`; ``None``
         uses the defaults (queue bound 64, no implicit deadline).
@@ -92,7 +90,7 @@ class QBHService:
         Shadow-scoring sample rate in ``[0, 1]``: this fraction of
         completed ``ok`` requests (cache hits included — a stale cache
         is exactly what shadowing exists to catch) is re-answered by a
-        direct, unbatched, deadline-free engine call and compared
+        direct, uncoalesced, deadline-free engine call and compared
         result-for-result, feeding the ``quality.shadow.*`` counters
         and the online ``quality.shadow.agreement`` gauge.  The
         re-check runs on the completing thread, so keep it small in
@@ -106,8 +104,6 @@ class QBHService:
     """
 
     def __init__(self, engine_fn, *, version_fn=None, normalize=None,
-                 max_batch: int = 8,
-                 linger_ms: float = 2.0, dispatchers: int = 1,
                  admission: AdmissionPolicy | None = None,
                  retry: RetryPolicy | None = None,
                  cache_size: int = 1024, cache_ttl_s: float | None = None,
@@ -149,11 +145,8 @@ class QBHService:
         self._ingest = None
         self.health_interval_s = health_interval_s
         self._health_monitor = None
-        self.scheduler = MicroBatchScheduler(
-            self._execute_batch,
-            max_batch=max_batch,
-            linger_s=linger_ms / 1e3,
-            dispatchers=dispatchers,
+        self.scheduler = RequestScheduler(
+            self._execute,
             max_queue_depth=self.admission.max_queue_depth,
             on_complete=self._on_complete,
             obs=self.obs,
@@ -203,7 +196,7 @@ class QBHService:
         ``index.cascade_*_query`` would.
 
         With *shards* > 1 (default: the index's own ``shards`` knob,
-        round-tripped by :mod:`repro.persistence`), batches run on a
+        round-tripped by :mod:`repro.persistence`), queries run on a
         corpus partitioned across worker processes behind an
         :class:`~repro.shard.IndexShardManager`: mutations rebuild the
         shard set, and the cache version becomes the composite
@@ -220,9 +213,9 @@ class QBHService:
                 index, shards=shards, mp_context=mp_context,
                 obs=kwargs.get("obs"),
             )
-            # Build the fleet now, before the scheduler's threads start:
+            # Build the fleet now, before the scheduler's thread starts:
             # a defaulted start method can still fork here (cheap),
-            # whereas the first batch would build it on a dispatcher
+            # whereas the first query would build it on the dispatcher
             # thread, where only spawn is safe.
             manager.router()
             service = cls(
@@ -283,14 +276,8 @@ class QBHService:
                 return request.future
             self.obs.record_serve_cache("miss")
 
-        if not self.admission.admits(self.scheduler.depth,
-                                     self.scheduler.inflight):
-            self._finish_inline(request, ServeOutcome(
-                status="shed",
-                retry_after_s=self.admission.retry_after_s,
-            ))
-            return request.future
-        if not self.scheduler.submit(request):
+        if (not self.admission.admits(self.scheduler.depth)
+                or not self.scheduler.submit(request)):
             self._finish_inline(request, ServeOutcome(
                 status="shed",
                 retry_after_s=self.admission.retry_after_s,
@@ -435,89 +422,70 @@ class QBHService:
 
     def _shadow_exact(self, kind, query, param):
         """Ground truth for the shadow scorer: one direct engine call,
-        unbatched, uncached, and without a deadline."""
+        uncoalesced, uncached, and without a deadline."""
         q = query if self._normalize is None else self._normalize(query)
         results, _ = self._engine_fn().search(q, **search_params(kind, param))
         return tuple((item, float(dist)) for item, dist in results)
 
-    def _execute_batch(self, kind, param, requests):
-        """Run one deduplicated batch on the engine (scheduler hook).
+    def _execute(self, request: ServeRequest) -> ServeOutcome:
+        """Answer one request on the engine (scheduler hook).
 
         The cache is re-probed here — a duplicate may have populated
-        it while this request waited in the queue — and every computed
+        it while this request waited in the queue — and a computed
         answer is stored under the version captured *before* the
         engine ran, so a concurrent index mutation can only waste the
         entry, never let it serve a stale answer.
         """
         engine = self._engine_fn()
         version = self._version_fn()
-        params = search_params(kind, param)
-        outcomes: dict[str, ServeOutcome] = {}
-        pending = []
-        for request in requests:
-            cached = (self.cache.get(request.fingerprint, version)
-                      if self.cache is not None else None)
+        if self.cache is not None:
+            cached = self.cache.get(request.fingerprint, version)
             if cached is not None:
                 self.obs.record_serve_cache("hit")
-                outcomes[request.fingerprint] = ServeOutcome(
-                    status="ok", results=cached, from_cache=True,
-                )
-            else:
-                pending.append(request)
-
-        def run_one(request: ServeRequest):
-            deadline = request.group_deadline_s
-            query = (request.query if self._normalize is None
-                     else self._normalize(request.query))
-            engine_now, version_now = engine, version
-            for retried in (False, True):
-                # A shard router takes the deadline itself (a closure
-                # cannot cross a process boundary; the router re-anchors
-                # it in every worker and still polls it parent-side
-                # between replies).
-                sharded_now = getattr(engine_now, "is_sharded", False)
-                should_abort = (
-                    None if deadline is None or sharded_now
-                    else (lambda: monotonic_s() > deadline)
-                )
-                kwargs = ({"deadline_s": deadline} if sharded_now
-                          else {"should_abort": should_abort})
-                try:
-                    results, _ = engine_now.search(query, **params, **kwargs)
-                except RouterClosed as exc:
-                    # A generation swap prewarmed a fresh fleet and
-                    # closed the router this batch had already fetched.
-                    # Benign race: refetch and retry exactly once.
-                    if retried:
-                        return request.fingerprint, ServeOutcome(
-                            status="error",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    engine_now = self._engine_fn()
-                    version_now = self._version_fn()
-                    continue
-                except QueryAborted:
-                    return request.fingerprint, ServeOutcome(
-                        status="deadline_exceeded"
-                    )
-                except Exception as exc:
-                    return request.fingerprint, ServeOutcome(
-                        status="error", error=f"{type(exc).__name__}: {exc}",
-                    )
-                results = tuple(
-                    (item, float(dist)) for item, dist in results
-                )
-                if self.cache is not None:
-                    self.cache.put(request.fingerprint, version_now, results)
-                return request.fingerprint, ServeOutcome(
-                    status="ok", results=results
-                )
-
-        computed = [run_one(request) for request in pending]
+                return ServeOutcome(status="ok", results=cached,
+                                    from_cache=True)
         with self._counters_lock:
-            self._counters["executed"] += len(pending)
-        outcomes.update(computed)
-        return outcomes
+            self._counters["executed"] += 1
+        params = search_params(request.kind, request.param)
+        deadline = request.group_deadline_s
+        query = (request.query if self._normalize is None
+                 else self._normalize(request.query))
+        for retried in (False, True):
+            # A shard router takes the deadline itself (a closure
+            # cannot cross a process boundary; the router re-anchors
+            # it in every worker and still polls it parent-side
+            # between replies).
+            if getattr(engine, "is_sharded", False):
+                kwargs = {"deadline_s": deadline}
+            else:
+                kwargs = {"should_abort": (
+                    None if deadline is None
+                    else (lambda: monotonic_s() > deadline)
+                )}
+            try:
+                results, _ = engine.search(query, **params, **kwargs)
+            except RouterClosed as exc:
+                # A generation swap prewarmed a fresh fleet and closed
+                # the router this request had already fetched.  Benign
+                # race: refetch and retry exactly once.
+                if retried:
+                    return ServeOutcome(
+                        status="error",
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
+                engine = self._engine_fn()
+                version = self._version_fn()
+                continue
+            except QueryAborted:
+                return ServeOutcome(status="deadline_exceeded")
+            except Exception as exc:
+                return ServeOutcome(
+                    status="error", error=f"{type(exc).__name__}: {exc}",
+                )
+            results = tuple((item, float(dist)) for item, dist in results)
+            if self.cache is not None:
+                self.cache.put(request.fingerprint, version, results)
+            return ServeOutcome(status="ok", results=results)
 
     # ------------------------------------------------------------------
     # introspection
@@ -527,9 +495,9 @@ class QBHService:
         """A point-in-time snapshot of the service's load counters.
 
         Includes current queue depth and in-flight count, cumulative
-        outcome counts, shed/deadline-miss rates, batch occupancy, and
-        the cache's own accounting — the numbers an operator watches
-        to decide whether the service is keeping up.  A service-owned
+        outcome counts, shed/deadline-miss rates, and the cache's own
+        accounting — the numbers an operator watches to decide whether
+        the service is keeping up.  A service-owned
         shard fleet contributes a ``"shards"`` list of per-worker
         health rows (see :class:`~repro.shard.health.ShardHealth`);
         RTT/RSS are as fresh as the last ping, so enable the

@@ -1,6 +1,6 @@
 """Sharded multi-process index tier: escape the GIL for multi-core serving.
 
-The :mod:`repro.serve` layer batches and schedules, but every DTW
+The :mod:`repro.serve` layer queues and schedules, but every DTW
 still runs in one Python process — threads cannot overlap kernel time
 behind the GIL.  This package partitions the corpus into N row blocks,
 gives each to a persistent worker **process**, and puts an exact

@@ -743,7 +743,7 @@ class ShardRouter:
 class IndexShardManager:
     """Keeps a :class:`ShardRouter` in step with a mutable index.
 
-    The serving layer calls :meth:`router` once per batch (its
+    The serving layer calls :meth:`router` once per execution (its
     ``engine_fn``): when the index's mutation counter moved since the
     last build, the old router is drained and a fresh one is built
     over the new corpus, with the epoch carried forward past the old
@@ -752,12 +752,12 @@ class IndexShardManager:
     respawn.
 
     All methods are thread-safe: a manager lock serializes rebuild
-    decisions, so two dispatcher threads observing the same stale
-    ``_built_at`` cannot both rebuild — one builds, the other reuses
-    the fresh fleet — and a rebuild can never close a router out from
-    under a concurrent :meth:`version` read or regress the epoch.
-    (The router handed out is itself thread-safe; a rebuild only
-    happens between batches, when the scheduler calls back in.)
+    decisions, so two threads observing the same stale ``_built_at``
+    cannot both rebuild — one builds, the other reuses the fresh
+    fleet — and a rebuild can never close a router out from under a
+    concurrent :meth:`version` read or regress the epoch.  (The router
+    handed out is itself thread-safe; a rebuild only happens between
+    executions, when the scheduler calls back in.)
     """
 
     def __init__(self, index, *, shards, mp_context=None,
@@ -805,7 +805,7 @@ class IndexShardManager:
 
         The ingest coordinator calls this right after a generation
         swap so the respawn cost is paid on the rebuild thread, not by
-        the first serving batch.  Safe to call concurrently with
+        the first served request.  Safe to call concurrently with
         serving: :meth:`router`'s lock serializes the rebuild, and
         closing the old router blocks until its in-flight fan-out
         drains.  A dispatcher that already held the old router gets

@@ -32,7 +32,7 @@ def test_three_swaps_byte_identical_cache_invalidated_once(tmp_path):
                              [f"m{i}" for i in range(20)])
     live = WarpingIndex.from_store(store)
     queue = IngestQueue()
-    service = QBHService.from_index(live, max_batch=4)
+    service = QBHService.from_index(live)
     coordinator = IngestCoordinator(live, queue, min_batch=100)
     service.attach_ingest(coordinator)
     hums = [_walk(1000 + i) for i in range(3)]

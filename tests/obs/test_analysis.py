@@ -279,8 +279,7 @@ def served_run(tmp_path_factory):
     path = tmp_path_factory.mktemp("serve_trace") / "trace.jsonl"
     obs = Observability.to_files(trace_out=path)
     engine = QueryEngine(corpus, band=4, obs=obs)
-    service = QBHService.from_engine(engine, linger_ms=0.0, max_batch=4,
-                                     cache_size=16, obs=obs)
+    service = QBHService.from_engine(engine, cache_size=16, obs=obs)
     try:
         repeat = corpus[0] + 0.1 * rng.normal(size=64)
         for _ in range(2):            # second one is a cache hit
@@ -306,10 +305,7 @@ def test_report_serve_rows(served_run):
     assert serve.cache_hit_rate == pytest.approx(0.2)
     assert serve.batches == 4          # 5 requests, one answered by cache
     assert serve.batched_requests == 4
-    # occupancy observed for every batch, in (0, 1]
-    occupancy = serve._percentiles(serve.occupancy)
-    assert occupancy["count"] == 4
-    assert 0.0 < occupancy["max"] <= 1.0
+    assert serve.coalesced == 0        # no duplicate was ever queued
     # the engine's own query spans still aggregate as before
     assert report.queries == 4
     # serve spans are instant roots: they must not leak into latencies

@@ -8,15 +8,10 @@ from repro.serve.scheduler import ServeOutcome
 
 class TestAdmissionPolicy:
     def test_admits_below_caps(self):
-        policy = AdmissionPolicy(max_queue_depth=4, max_inflight=2)
-        assert policy.admits(3, 1)
-        assert not policy.admits(4, 1)      # queue at cap
-        assert not policy.admits(1, 2)      # busy AND queue non-empty
-        assert policy.admits(0, 2)          # busy but queue empty: admit
-
-    def test_no_inflight_cap_by_default(self):
         policy = AdmissionPolicy(max_queue_depth=4)
-        assert policy.admits(1, 10_000)
+        assert policy.admits(3)
+        assert not policy.admits(4)         # queue at cap
+        assert AdmissionPolicy(max_queue_depth=None).admits(10_000)
 
     def test_resolve_deadline_relative_to_now(self):
         policy = AdmissionPolicy()
@@ -34,8 +29,6 @@ class TestAdmissionPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_queue_depth"):
             AdmissionPolicy(max_queue_depth=0)
-        with pytest.raises(ValueError, match="max_inflight"):
-            AdmissionPolicy(max_inflight=0)
         with pytest.raises(ValueError, match="default_deadline_s"):
             AdmissionPolicy(default_deadline_s=0.0)
         with pytest.raises(ValueError, match="retry_after_s"):

@@ -122,8 +122,7 @@ def test_cache_never_serves_stale_after_mutation(mutation_corpus, ops):
     """Property: under any mutate/query interleaving, every served
     answer equals the *current* index's ground truth."""
     index = WarpingIndex(list(mutation_corpus[:20]), delta=0.1)
-    service = QBHService.from_index(index, max_batch=4, linger_ms=0.0,
-                                    cache_size=64)
+    service = QBHService.from_index(index, cache_size=64)
     rng = np.random.default_rng(33)
     pool = [mutation_corpus[i] + 0.1 * rng.normal(size=96) for i in range(8)]
     next_insert = 20
@@ -155,8 +154,7 @@ def test_cache_never_serves_stale_after_mutation(mutation_corpus, ops):
 def test_cache_hit_is_byte_identical_to_recompute(mutation_corpus):
     """A hit replays the no-false-negative contract: identical bytes."""
     index = WarpingIndex(list(mutation_corpus[:20]), delta=0.1)
-    service = QBHService.from_index(index, max_batch=2, linger_ms=0.0,
-                                    cache_size=16)
+    service = QBHService.from_index(index, cache_size=16)
     query = mutation_corpus[3] + 0.05
     try:
         first = service.knn(query, 4)

@@ -85,7 +85,7 @@ class TestServeDeadlines:
         big_corpus = random_walks(500, 256, seed=15)
         big = QueryEngine(list(big_corpus), delta=0.1)
         rng = np.random.default_rng(16)
-        service = QBHService.from_engine(big, linger_ms=0.0, max_batch=4)
+        service = QBHService.from_engine(big)
         try:
             futures = [
                 service.submit(
@@ -101,7 +101,7 @@ class TestServeDeadlines:
         assert all(o.results is None for o in outcomes)
 
     def test_generous_deadline_answers_normally(self, engine, query):
-        service = QBHService.from_engine(engine, linger_ms=0.0)
+        service = QBHService.from_engine(engine)
         try:
             outcome = service.knn(query, 5, deadline_s=60.0)
         finally:
@@ -113,12 +113,11 @@ class TestServeDeadlines:
         ]
 
     def test_deadline_checked_after_execution_too(self, engine, query):
-        """A batch whose group deadline was generous can still finish
+        """A group whose latest deadline was generous can still finish
         past an individual member's stricter deadline — that member
         must come back as a miss, not a late answer."""
         service = QBHService.from_engine(
-            engine, linger_ms=0.0,
-            admission=AdmissionPolicy(default_deadline_s=1e-7),
+            engine, admission=AdmissionPolicy(default_deadline_s=1e-7),
         )
         try:
             # group deadline = the max over coalesced members; here a

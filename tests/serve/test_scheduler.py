@@ -1,4 +1,4 @@
-"""Micro-batching scheduler: batching, coalescing, fairness, parity.
+"""Request scheduler: FIFO dispatch, coalescing, fairness, parity.
 
 The headline concurrency-edge test at the bottom replays a mixed
 range/knn workload through a :class:`~repro.serve.QBHService` from
@@ -18,8 +18,8 @@ from repro.datasets.generators import random_walks
 from repro.engine import QueryEngine
 from repro.perf.replay import replay_workload
 from repro.serve import (
-    MicroBatchScheduler,
     QBHService,
+    RequestScheduler,
     ServeOutcome,
     ServeRequest,
 )
@@ -37,124 +37,83 @@ def make_request(kind="knn", param=5, value=0.0, deadline_s=None):
 
 
 class RecordingExecutor:
-    """Stub executor capturing the batches it was handed."""
+    """Stub executor capturing the requests it executed.
 
-    def __init__(self, delay_s=0.0):
-        self.batches = []
+    With *hold_first*, the first execution blocks until :attr:`release`
+    is set (and :attr:`started` tells the test it is running), so the
+    test can queue requests behind it deterministically.
+    """
+
+    def __init__(self, delay_s=0.0, hold_first=False):
+        self.executed = []
         self.delay_s = delay_s
-        self.lock = threading.Lock()
+        self.started = threading.Event()
+        self.release = threading.Event()
+        if not hold_first:
+            self.release.set()
 
-    def __call__(self, kind, param, requests):
-        with self.lock:
-            self.batches.append((kind, param, list(requests)))
+    def __call__(self, request):
+        self.executed.append(request)
+        self.started.set()
+        assert self.release.wait(5)
         if self.delay_s:
             time.sleep(self.delay_s)
-        return {
-            r.fingerprint: ServeOutcome(
-                status="ok", results=((kind, float(len(requests))),)
-            )
-            for r in requests
-        }
+        return ServeOutcome(
+            status="ok", results=((request.kind, float(request.param)),)
+        )
 
 
 class TestBatching:
     def test_single_request_dispatches(self):
         executor = RecordingExecutor()
-        scheduler = MicroBatchScheduler(executor, max_batch=4,
-                                        linger_s=0.001)
+        scheduler = RequestScheduler(executor)
         request = make_request()
         assert scheduler.submit(request)
         outcome = request.future.result(timeout=5)
         scheduler.close()
         assert outcome.ok and outcome.batch_size == 1
 
-    def test_concurrent_compatible_requests_batch_together(self):
-        executor = RecordingExecutor()
-        scheduler = MicroBatchScheduler(executor, max_batch=8,
-                                        linger_s=0.05)
-        requests = [make_request(value=float(i)) for i in range(6)]
-        for request in requests:
-            assert scheduler.submit(request)
-        outcomes = [r.future.result(timeout=5) for r in requests]
-        scheduler.close()
-        assert all(o.ok for o in outcomes)
-        # All six arrived within the linger window -> one batch.
-        assert len(executor.batches) == 1
-        assert outcomes[0].batch_size == 6
-
-    def test_full_batch_dispatches_before_linger(self):
-        executor = RecordingExecutor()
-        scheduler = MicroBatchScheduler(executor, max_batch=2,
-                                        linger_s=10.0)
-        requests = [make_request(value=float(i)) for i in range(2)]
-        started = time.perf_counter()
-        for request in requests:
-            scheduler.submit(request)
-        outcomes = [r.future.result(timeout=5) for r in requests]
-        elapsed = time.perf_counter() - started
-        scheduler.close()
-        assert all(o.ok for o in outcomes)
-        assert elapsed < 5.0  # did not wait for the 10 s linger
-
-    def test_incompatible_params_split_batches(self):
-        executor = RecordingExecutor()
-        scheduler = MicroBatchScheduler(executor, max_batch=8,
-                                        linger_s=0.02)
-        k5 = [make_request(param=5, value=float(i)) for i in range(3)]
-        k9 = [make_request(param=9, value=float(i)) for i in range(3)]
-        for request in k5 + k9:
-            scheduler.submit(request)
-        for request in k5 + k9:
-            assert request.future.result(timeout=5).ok
-        scheduler.close()
-        assert len(executor.batches) == 2
-        params = sorted(param for _, param, _ in executor.batches)
-        assert params == [5, 9]
-
     def test_duplicates_coalesce_to_one_execution(self):
-        executor = RecordingExecutor()
-        scheduler = MicroBatchScheduler(executor, max_batch=8,
-                                        linger_s=0.05)
+        executor = RecordingExecutor(hold_first=True)
+        scheduler = RequestScheduler(executor)
+        blocker = make_request(value=9.0)
+        scheduler.submit(blocker)
+        assert executor.started.wait(5)
         requests = [make_request(value=1.0) for _ in range(5)]
         for request in requests:
             scheduler.submit(request)
+        executor.release.set()
         outcomes = [r.future.result(timeout=5) for r in requests]
         scheduler.close()
         assert all(o.ok for o in outcomes)
-        assert len(executor.batches) == 1
-        _, _, executed = executor.batches[0]
-        assert len(executed) == 1          # five requests, one execution
-        assert outcomes[0].batch_size == 5
+        assert executor.executed[1:] == [requests[0]]  # five, one run
+        assert all(o.batch_size == 5 for o in outcomes)
         assert len({id(o.results) for o in outcomes}) == 1  # shared answer
 
     def test_fairness_oldest_first_no_starvation(self):
-        """A hot query group cannot starve an incompatible singleton."""
-        executor = RecordingExecutor(delay_s=0.002)
-        scheduler = MicroBatchScheduler(executor, max_batch=4,
-                                        linger_s=0.001)
+        """A hot query group cannot starve an unpopular singleton."""
+        executor = RecordingExecutor(delay_s=0.002, hold_first=True)
+        scheduler = RequestScheduler(executor)
         singleton = make_request(kind="range", param=1.0)
         hot = [make_request(param=5, value=float(i % 2)) for i in range(12)]
         scheduler.submit(hot[0])
+        assert executor.started.wait(5)
         scheduler.submit(singleton)
         for request in hot[1:]:
             scheduler.submit(request)
+        executor.release.set()
         assert singleton.future.result(timeout=5).ok
         for request in hot:
             assert request.future.result(timeout=5).ok
         scheduler.close()
-        # The singleton went out in the first or second batch — right
-        # behind the head group that preceded it, never pushed to the
-        # back by later-arriving hot requests.
-        position = next(
-            i for i, (_, param, _) in enumerate(executor.batches)
-            if param == 1.0
-        )
-        assert position <= 1
+        # The singleton runs right behind the request ahead of it,
+        # never pushed back by later-arriving hot requests; the hot
+        # ones queued behind it coalesce by fingerprint.
+        assert executor.executed == [hot[0], singleton, hot[1], hot[2]]
 
     def test_queue_bound_refuses(self):
         executor = RecordingExecutor(delay_s=0.05)
-        scheduler = MicroBatchScheduler(executor, max_batch=1,
-                                        linger_s=0.0, max_queue_depth=2)
+        scheduler = RequestScheduler(executor, max_queue_depth=2)
         accepted = [scheduler.submit(make_request(value=float(i)))
                     for i in range(12)]
         scheduler.close()
@@ -162,20 +121,18 @@ class TestBatching:
 
     def test_expired_deadline_skipped_without_execution(self):
         executor = RecordingExecutor()
-        scheduler = MicroBatchScheduler(executor, max_batch=4,
-                                        linger_s=0.0)
+        scheduler = RequestScheduler(executor)
         request = make_request(deadline_s=-1.0)  # already past
         scheduler.submit(request)
         outcome = request.future.result(timeout=5)
         scheduler.close()
         assert outcome.status == "deadline_exceeded"
         assert outcome.results is None
-        assert executor.batches == []  # no work was done
+        assert executor.executed == []  # no work was done
 
     def test_close_drain_false_sheds_queue(self):
         executor = RecordingExecutor(delay_s=0.05)
-        scheduler = MicroBatchScheduler(executor, max_batch=1,
-                                        linger_s=0.0)
+        scheduler = RequestScheduler(executor)
         requests = [make_request(value=float(i)) for i in range(6)]
         for request in requests:
             scheduler.submit(request)
@@ -185,10 +142,10 @@ class TestBatching:
         assert "shutdown" in statuses
 
     def test_executor_exception_becomes_error_outcome(self):
-        def broken(kind, param, requests):
+        def broken(request):
             raise RuntimeError("boom")
 
-        scheduler = MicroBatchScheduler(broken, max_batch=2, linger_s=0.0)
+        scheduler = RequestScheduler(broken)
         request = make_request()
         scheduler.submit(request)
         outcome = request.future.result(timeout=5)
@@ -197,13 +154,6 @@ class TestBatching:
         assert "boom" in outcome.error
 
     def test_validation(self):
-        executor = RecordingExecutor()
-        with pytest.raises(ValueError, match="max_batch"):
-            MicroBatchScheduler(executor, max_batch=0)
-        with pytest.raises(ValueError, match="linger_s"):
-            MicroBatchScheduler(executor, linger_s=-1.0)
-        with pytest.raises(ValueError, match="dispatchers"):
-            MicroBatchScheduler(executor, dispatchers=0)
         with pytest.raises(ValueError, match="kind"):
             make_request(kind="nope")
 
@@ -246,17 +196,15 @@ class _ServiceEngineAdapter:
 
 
 def test_service_parity_with_serial_dispatch_workers8(parity_setup):
-    """Mixed range/knn traffic from 8 client threads, batched by the
-    scheduler onto two dispatchers, returns byte-for-byte the serially
+    """Mixed range/knn traffic from 8 client threads, queued by the
+    scheduler onto its dispatcher, returns byte-for-byte the serially
     recorded answers."""
     engine, records = parity_setup
-    service = QBHService.from_engine(
-        engine, max_batch=8, linger_ms=1.0, dispatchers=2, cache_size=64,
-    )
+    service = QBHService.from_engine(engine, cache_size=64)
     try:
         adapter = _ServiceEngineAdapter(service)
         # Concurrent first, while the cache is cold: those requests go
-        # through batches and both dispatchers; the serial pass after
+        # through the queue and the dispatcher; the serial pass after
         # it is answered from the cache they filled.
         reports = [
             replay_workload(

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -28,16 +29,31 @@ def engine(corpus):
     return QueryEngine(list(corpus), delta=0.1)
 
 
-def make_service(engine, **kwargs):
-    kwargs.setdefault("linger_ms", 0.0)
-    kwargs.setdefault("max_batch", 4)
-    return QBHService.from_engine(engine, **kwargs)
+class GatedEngine:
+    """Stub engine: the first search blocks until :attr:`release` is
+    set (:attr:`started` says it is running); every later search
+    sleeps *delay_s*.  Lets a test queue requests behind a held one."""
+
+    def __init__(self, delay_s=0.0):
+        self.delay_s = delay_s
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.calls = 0
+
+    def search(self, query, *, k=None, epsilon=None, should_abort=None):
+        self.calls += 1
+        if self.calls == 1:
+            self.started.set()
+            assert self.release.wait(10)
+        else:
+            time.sleep(self.delay_s)
+        return [(f"row{int(query[0])}", float(query[0]))], None
 
 
 class TestLifecycle:
     def test_sync_answers_match_direct_engine(self, corpus, engine):
         query = corpus[5] + 0.1
-        with make_service(engine) as service:
+        with QBHService.from_engine(engine) as service:
             outcome = service.knn(query, 3)
             assert outcome.ok
             direct, _ = engine.knn(query, 3)
@@ -72,46 +88,51 @@ class TestLifecycle:
         assert result.returncode == 0, result.stderr[-2000:]
 
     def test_submit_after_close_raises(self, corpus, engine):
-        service = make_service(engine)
+        service = QBHService.from_engine(engine)
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.submit("knn", corpus[0], 3)
 
     def test_drain_completes_queued_requests(self, corpus, engine):
-        service = make_service(engine, max_batch=2)
+        service = QBHService.from_engine(engine)
         futures = [service.submit("knn", corpus[i] + 0.05, 3)
                    for i in range(6)]
         service.drain()
         outcomes = [future.result(timeout=10) for future in futures]
         assert all(o.ok for o in outcomes)
 
-    def test_close_without_drain_sheds(self, corpus, engine):
-        # A lingering scheduler holds requests long enough to shed them.
-        service = make_service(engine, linger_ms=200.0, max_batch=64)
+    def test_close_without_drain_sheds(self, corpus):
+        # A held first request keeps the rest queued until the close.
+        gated = GatedEngine()
+        service = QBHService.from_engine(gated)
         futures = [service.submit("knn", corpus[i] + 0.05, 3)
                    for i in range(8)]
+        assert gated.started.wait(10)
+        threading.Timer(0.05, gated.release.set).start()
         service.close(drain=False)
         statuses = {f.result(timeout=10).status for f in futures}
         assert "shutdown" in statuses
         assert statuses <= {"ok", "shutdown"}
 
     def test_context_manager_closes(self, corpus, engine):
-        with make_service(engine) as service:
+        with QBHService.from_engine(engine) as service:
             assert service.knn(corpus[0], 2).ok
         with pytest.raises(RuntimeError):
             service.submit("knn", corpus[0], 2)
 
 
 class TestAdmissionWiring:
-    def test_overload_sheds_with_retry_hint(self, corpus, engine):
-        service = make_service(
-            engine, linger_ms=500.0, max_batch=64,
+    def test_overload_sheds_with_retry_hint(self, corpus):
+        gated = GatedEngine()
+        service = QBHService.from_engine(
+            gated,
             admission=AdmissionPolicy(max_queue_depth=1,
                                       retry_after_s=0.25),
         )
         try:
             futures = [service.submit("knn", corpus[i] + 0.05, 3)
                        for i in range(6)]
+            gated.release.set()
             shed = [f.result(timeout=10) for f in futures
                     if f.result(timeout=10).status == "shed"]
             assert shed, "queue bound of 1 must shed some of 6 submissions"
@@ -121,7 +142,7 @@ class TestAdmissionWiring:
             service.close(drain=False)
 
     def test_sync_retry_rides_out_transient_overload(self, corpus, engine):
-        service = make_service(
+        service = QBHService.from_engine(
             engine,
             admission=AdmissionPolicy(max_queue_depth=1,
                                       retry_after_s=0.001),
@@ -154,7 +175,7 @@ class TestAdmissionWiring:
         # An impossible default deadline turns every answer into a miss.
         big = QueryEngine(list(random_walks(400, 256, seed=9)), delta=0.1)
         service = QBHService.from_engine(
-            big, linger_ms=0.0,
+            big,
             admission=AdmissionPolicy(default_deadline_s=1e-7),
         )
         try:
@@ -166,9 +187,33 @@ class TestAdmissionWiring:
             service.close()
 
 
+class TestOneExecutionAtATime:
+    def test_distinct_queued_requests_never_share_an_execution(self):
+        """Queued behind a held request, B, C (same kind and k, other
+        query) and D (B's duplicate) take two executions: C waits
+        only for its own 50 ms search, D shares B's answer."""
+        gated = GatedEngine(delay_s=0.05)
+        service = QBHService.from_engine(gated, cache_size=0)
+        try:
+            held = service.submit("knn", np.array([0.0, 0.0]), 3)
+            assert gated.started.wait(10)
+            futures = [service.submit("knn", np.array([value, 0.0]), 3)
+                       for value in (1.0, 2.0, 1.0)]
+            gated.release.set()
+            assert held.result(timeout=10).ok
+            b, c, d = (future.result(timeout=10) for future in futures)
+        finally:
+            service.close()
+        assert b.ok and c.ok and d.ok
+        assert c.service_time_s < 1.5 * 0.05
+        assert d.results is b.results
+        assert b.batch_size == 2 and c.batch_size == 1
+        assert gated.calls == 3
+
+
 class TestCacheFastPath:
     def test_repeat_hits_cache_and_skips_scheduler(self, corpus, engine):
-        service = make_service(engine, cache_size=32)
+        service = QBHService.from_engine(engine, cache_size=32)
         try:
             query = corpus[7] + 0.2
             first = service.knn(query, 3)
@@ -183,7 +228,7 @@ class TestCacheFastPath:
             service.close()
 
     def test_cache_disabled_always_executes(self, corpus, engine):
-        service = make_service(engine, cache_size=0)
+        service = QBHService.from_engine(engine, cache_size=0)
         try:
             query = corpus[7] + 0.2
             assert not service.knn(query, 3).from_cache
@@ -195,7 +240,7 @@ class TestCacheFastPath:
 
 class TestSaturationAndMetrics:
     def test_saturation_counters_reconcile(self, corpus, engine):
-        service = make_service(engine, cache_size=32)
+        service = QBHService.from_engine(engine, cache_size=32)
         try:
             for i in range(5):
                 assert service.knn(corpus[i] + 0.1, 3).ok
@@ -215,7 +260,7 @@ class TestSaturationAndMetrics:
 
     def test_serve_metrics_reach_registry(self, corpus, engine):
         obs = Observability()
-        service = make_service(engine, cache_size=32, obs=obs)
+        service = QBHService.from_engine(engine, cache_size=32, obs=obs)
         try:
             query = corpus[3] + 0.1
             service.knn(query, 3)
@@ -234,7 +279,7 @@ class TestSaturationAndMetrics:
         sink = InMemorySink()
         obs = Observability(trace_sink=sink)
         traced_engine = QueryEngine(list(corpus), delta=0.1, obs=obs)
-        service = make_service(traced_engine, obs=obs)
+        service = QBHService.from_engine(traced_engine, obs=obs)
         try:
             service.knn(corpus[3] + 0.1, 3)
         finally:
@@ -254,7 +299,7 @@ class TestFromIndex:
         index = WarpingIndex(list(corpus[:30]), delta=0.1)
         query = corpus[2] + 0.3
         direct, _ = index.cascade_knn_query(query, 3)
-        service = QBHService.from_index(index, linger_ms=0.0)
+        service = QBHService.from_index(index)
         try:
             outcome = service.knn(query, 3)
         finally:
@@ -266,7 +311,7 @@ class TestFromIndex:
     def test_from_index_inherits_obs(self, corpus):
         obs = Observability()
         index = WarpingIndex(list(corpus[:20]), delta=0.1, obs=obs)
-        service = QBHService.from_index(index, linger_ms=0.0)
+        service = QBHService.from_index(index)
         try:
             assert service.obs is obs
             service.knn(corpus[0], 2)
@@ -284,7 +329,7 @@ class TestFromIndex:
         gc.disable()
         try:
             index = WarpingIndex(list(corpus[:40]), delta=0.1)
-            service = QBHService.from_index(index, linger_ms=0.0)
+            service = QBHService.from_index(index)
             try:
                 assert service.knn(corpus[2] + 0.3, 3).ok
             finally:
@@ -306,7 +351,7 @@ class TestShadowScoring:
     def test_shadow_fraction_one_checks_every_ok_request(self, corpus,
                                                          engine):
         obs = Observability()
-        service = make_service(engine, cache_size=32, obs=obs,
+        service = QBHService.from_engine(engine, cache_size=32, obs=obs,
                                shadow_fraction=1.0)
         try:
             for i in range(3):
@@ -325,7 +370,8 @@ class TestShadowScoring:
     def test_cached_answers_are_shadowed_too(self, corpus, engine):
         # The cache is exactly the path an exact re-check must cover:
         # a stale or mis-keyed hit is invisible to latency telemetry.
-        service = make_service(engine, cache_size=32, shadow_fraction=1.0)
+        service = QBHService.from_engine(engine, cache_size=32,
+                                         shadow_fraction=1.0)
         try:
             query = corpus[5] + 0.1
             assert service.knn(query, 3).ok
@@ -337,7 +383,7 @@ class TestShadowScoring:
         assert service.shadow.disagreed == 0
 
     def test_range_requests_shadow_against_exact(self, corpus, engine):
-        service = make_service(engine, shadow_fraction=1.0)
+        service = QBHService.from_engine(engine, shadow_fraction=1.0)
         try:
             assert service.range_search(corpus[2] + 0.1, 5.0).ok
         finally:
@@ -346,7 +392,7 @@ class TestShadowScoring:
         assert service.shadow.disagreed == 0
 
     def test_shadow_disabled_by_default(self, engine):
-        service = make_service(engine)
+        service = QBHService.from_engine(engine)
         try:
             assert service.shadow is None
             assert "shadow" not in service.saturation()
@@ -356,10 +402,10 @@ class TestShadowScoring:
     @pytest.mark.parametrize("fraction", [-0.1, 1.5])
     def test_bad_shadow_fraction_rejected(self, engine, fraction):
         with pytest.raises(ValueError):
-            make_service(engine, shadow_fraction=fraction)
+            QBHService.from_engine(engine, shadow_fraction=fraction)
 
     def test_shadow_failure_never_fails_serving(self, corpus, engine):
-        service = make_service(engine, shadow_fraction=1.0)
+        service = QBHService.from_engine(engine, shadow_fraction=1.0)
         try:
             def boom(kind, query, param):
                 raise RuntimeError("exact path exploded")

@@ -1,9 +1,8 @@
 """Thread-safety of the shard tier: the reviewer-found failure modes.
 
 A :class:`ShardRouter`'s pipes carry one conversation at a time, so
-the combination the serving layer actually runs — ``shards>1`` with
-``dispatchers>1`` — used to interleave sends and
-let one thread consume another's replies (dropped by the ``req_id``
+several threads calling one router used to interleave sends and let
+one thread consume another's replies (dropped by the ``req_id``
 filter, leaving the victim blocked in its gather loop forever).  These
 tests pin the fix: fan-outs serialize on a router-level lock, the
 manager serializes rebuilds, a threaded process never forks workers,
@@ -21,7 +20,6 @@ import pytest
 from repro.datasets.generators import random_walks
 from repro.engine import QueryEngine
 from repro.index.gemini import WarpingIndex
-from repro.serve import QBHService
 from repro.serve.loadgen import result_digest
 from repro.shard import IndexShardManager, ShardRouter, resolve_mp_context
 
@@ -71,41 +69,6 @@ class TestConcurrentFanouts:
             stuck = [t for t in threads if t.is_alive()]
             assert not stuck, "fan-out threads deadlocked"
         assert not failures, failures
-
-    def test_sharded_service_with_workers_and_dispatchers(self, corpus,
-                                                          reference,
-                                                          queries):
-        """Shards>1 plus dispatchers>1: several dispatcher threads
-        queue on the router lock while the shard workers compute."""
-        want = {i: result_digest(reference.knn(q, 4)[0])
-                for i, q in enumerate(queries)}
-        service = QBHService.from_engine(
-            reference, shards=2, dispatchers=2,
-            linger_ms=1.0, cache_size=0,
-        )
-        failures = []
-        try:
-            def client(thread_idx):
-                for rep in range(4):
-                    i = (thread_idx + rep) % len(queries)
-                    outcome = service.knn(queries[i], 4, timeout=60.0)
-                    if outcome.status != "ok":
-                        failures.append((thread_idx, i, outcome.status))
-                    elif result_digest(outcome.results) != want[i]:
-                        failures.append((thread_idx, i, "bytes"))
-
-            threads = [threading.Thread(target=client, args=(t,))
-                       for t in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120.0)
-            assert not any(t.is_alive() for t in threads), (
-                "service clients deadlocked"
-            )
-            assert not failures, failures
-        finally:
-            service.close()
 
 
 class TestManagerSynchronization:

@@ -133,7 +133,7 @@ class TestHealthGauges:
 
     def test_respawn_overwrites_stale_gauges(self, reference, query):
         """A respawned worker's gauges replace its predecessor's — the
-        old epoch must not linger as a parallel labelled row."""
+        old epoch must not survive as a parallel labelled row."""
         obs = Observability()
         with ShardRouter.from_engine(reference, shards=2,
                                      obs=obs) as router:
@@ -204,8 +204,7 @@ class TestManagerDelegation:
 class TestServiceHealth:
     def test_saturation_reports_shard_rows_when_owned(self, reference,
                                                       query):
-        service = QBHService.from_engine(reference, shards=2,
-                                         linger_ms=0.0)
+        service = QBHService.from_engine(reference, shards=2)
         try:
             assert service.knn(query, 3).ok
             snapshot = service.saturation()
@@ -219,8 +218,7 @@ class TestServiceHealth:
                                                        query):
         """saturation()['shards'] after a crash → respawn holds exactly
         one row per shard, at the new epoch — no old-epoch leftovers."""
-        service = QBHService.from_engine(reference, shards=2,
-                                         linger_ms=0.0, cache_size=0)
+        service = QBHService.from_engine(reference, shards=2, cache_size=0)
         try:
             assert service.knn(query, 3).ok
             router = service._owned_shards
@@ -241,7 +239,7 @@ class TestServiceHealth:
 
     def test_unsharded_service_has_no_shards_section(self, reference,
                                                      query):
-        service = QBHService.from_engine(reference, linger_ms=0.0)
+        service = QBHService.from_engine(reference)
         try:
             assert service.knn(query, 3).ok
             assert "shards" not in service.saturation()
@@ -251,7 +249,6 @@ class TestServiceHealth:
     def test_health_interval_starts_and_stops_the_heartbeat(
             self, reference, query):
         service = QBHService.from_engine(reference, shards=2,
-                                         linger_ms=0.0,
                                          health_interval_s=0.05)
         try:
             monitor = service._health_monitor

@@ -51,7 +51,7 @@ def _kill_worker(service, shard=0):
 class TestShardedService:
     def test_from_engine_answers_match_engine(self, corpus):
         engine = QueryEngine(list(corpus), delta=0.1)
-        service = QBHService.from_engine(engine, shards=2, linger_ms=0.0)
+        service = QBHService.from_engine(engine, shards=2)
         try:
             query = corpus[5] + 0.1
             outcome = service.knn(query, 4)
@@ -63,7 +63,7 @@ class TestShardedService:
 
     def test_from_index_uses_saved_shard_default(self, corpus):
         index = WarpingIndex(list(corpus[:20]), delta=0.1, shards=2)
-        service = QBHService.from_index(index, linger_ms=0.0)
+        service = QBHService.from_index(index)
         try:
             assert service._owned_shards is not None
             query = corpus[3] + 0.05
@@ -81,8 +81,7 @@ class TestShardedService:
         entries cached under the old epoch recompute (byte-identically,
         the corpus being unchanged)."""
         index = WarpingIndex(list(corpus[:20]), delta=0.1)
-        service = QBHService.from_index(index, shards=2, linger_ms=0.0,
-                                        cache_size=32)
+        service = QBHService.from_index(index, shards=2, cache_size=32)
         try:
             q_cached, q_other = corpus[2] + 0.05, corpus[7] + 0.05
             first = service.knn(q_cached, 3)
@@ -106,7 +105,7 @@ class TestShardedService:
 
     def test_mutation_rebuilds_the_fleet(self, corpus):
         index = WarpingIndex(list(corpus[:20]), delta=0.1)
-        service = QBHService.from_index(index, shards=2, linger_ms=0.0)
+        service = QBHService.from_index(index, shards=2)
         try:
             query = corpus[1] + 0.05
             assert service.knn(query, 3).status == "ok"
@@ -137,8 +136,7 @@ class TestShardedService:
                 else:
                     want, _ = engine.knn(query, spec.param)
                 truth[spec] = result_digest(want)
-        service = QBHService.from_engine(engine, shards=2, linger_ms=0.0,
-                                         cache_size=0)
+        service = QBHService.from_engine(engine, shards=2, cache_size=0)
         stop = threading.Event()
 
         def killer():
@@ -183,8 +181,7 @@ def test_sharded_cache_never_serves_stale(mutation_corpus, ops):
     the *current* index's ground truth — the composite
     ``(mutations, epoch)`` version leaves no stale window."""
     index = WarpingIndex(list(mutation_corpus[:16]), delta=0.1)
-    service = QBHService.from_index(index, shards=2, linger_ms=0.0,
-                                    cache_size=64)
+    service = QBHService.from_index(index, shards=2, cache_size=64)
     rng = np.random.default_rng(115)
     pool = [mutation_corpus[i] + 0.1 * rng.normal(size=48) for i in range(8)]
     next_insert = 16

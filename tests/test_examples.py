@@ -1,8 +1,8 @@
 """Smoke-run the example scripts.
 
 Examples are documentation: a broken one is a broken promise.  Each is
-executed as a subprocess; the quicker scripts run in full, and all are
-checked for a clean exit and non-trivial output.
+executed in full as a subprocess and checked for a clean exit and
+non-trivial output.
 """
 
 import os
@@ -13,12 +13,15 @@ import pytest
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
 
-#: Scripts fast enough for the unit-test suite (the heavier ones run in
-#: the CI ``benchmarks-smoke`` job).
+#: Every example script; each runs in a few seconds.
 FAST_EXAMPLES = [
     "quickstart.py",
     "singing_tutor.py",
     "figures1_to_5.py",
+    "query_by_humming.py",
+    "index_tuning.py",
+    "hum_any_part.py",
+    "corpus_report.py",
 ]
 
 
@@ -39,18 +42,11 @@ def test_example_runs_clean(name):
 
 
 def test_every_example_file_is_listed_or_known():
-    """No example may exist without being run somewhere: either in the
-    fast list above or in the CI ``benchmarks-smoke`` job."""
-    known_slow = {
-        "query_by_humming.py",    # full audio round trip (~20 s)
-        "index_tuning.py",        # builds many indexes (~30 s)
-        "hum_any_part.py",        # subsequence windows (~15 s)
-        "corpus_report.py",       # 500-melody key estimation (~15 s)
-    }
+    """No example may exist without being run by the list above."""
     on_disk = {
         name for name in os.listdir(EXAMPLES_DIR) if name.endswith(".py")
     }
-    assert on_disk == set(FAST_EXAMPLES) | known_slow
+    assert on_disk == set(FAST_EXAMPLES)
 
 
 def test_quickstart_finds_its_target():
