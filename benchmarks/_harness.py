@@ -1,34 +1,13 @@
 """Benchmark-suite helpers.
 
 Workload scales and experiment logic live in :mod:`repro.experiments`;
-this module only adapts them to the pytest-benchmark harness and keeps
-the benchmark-history trajectory (``BENCH_history.jsonl``) fed — every
-run that writes a ``BENCH_*.json`` snapshot also appends one history
-entry, which is what ``repro perf check`` gates CI on.
+this module only adapts them to the pytest-benchmark harness.
 """
 
-from pathlib import Path
-
 from repro.experiments import format_series
-from repro.perf import BenchHistory
-
-HISTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_history.jsonl"
 
 
 def print_series(title: str, columns: dict) -> None:
     """Print an experiment's rows (see repro.experiments.format_series)."""
     print()
     print(format_series(title, columns))
-
-
-def record_history(bench: str, snapshot: dict, history_path=None) -> dict:
-    """Append one benchmark snapshot to ``BENCH_history.jsonl``.
-
-    *snapshot* is the payload a ``BENCH_*.json`` file carries — its
-    ``timings_ms`` become the entry's metrics and its ``workload`` the
-    comparability context (see :mod:`repro.perf.history`).
-    """
-    history = BenchHistory(history_path or HISTORY_PATH)
-    return history.record(
-        bench, snapshot["timings_ms"], snapshot.get("workload", {})
-    )

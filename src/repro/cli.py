@@ -14,14 +14,11 @@ per 10 ms frame, as the pitch tracker emits) or ``.mid`` files.
 The telemetry loop closes through two more groups::
 
     repro obs report   --trace trace.jsonl          # trace analytics
-    repro perf record  --bench cascade --json BENCH_cascade.json
-    repro perf check                                # regression gate
     repro perf replay  --workload wl.jsonl --index index.npz
 
 And the serving layer::
 
     repro serve        --index index.npz --hum hum.npy --clients 8
-    repro bench-serve  --quick                      # service vs direct
 """
 
 from __future__ import annotations
@@ -361,10 +358,8 @@ def _cmd_serve(args) -> int:
         specs = [RequestSpec(kind="knn", param=args.k, query_index=i)
                  for _ in range(args.repeat) for i in range(len(hums))]
         try:
-            report = run_load(
-                service_dispatch(service), specs, hums,
-                clients=args.clients, mode="service",
-            )
+            report = run_load(service_dispatch(service), specs, hums,
+                              clients=args.clients)
             report.saturation = service.saturation()
             # Answer rows: one (cached) authoritative lookup per hum.
             for path, hum in zip(args.hum, hums):
@@ -424,76 +419,6 @@ def _cmd_serve(args) -> int:
                 print(f"wrote trace spans to {args.trace_out}")
             if args.metrics_out:
                 print(f"wrote metrics snapshot to {args.metrics_out}")
-
-
-def _cmd_bench_serve(args) -> int:
-    """Closed-loop serving benchmark: the service vs direct dispatch."""
-    import json
-
-    from .datasets.generators import random_walks
-    from .engine import QueryEngine
-    from .serve import QBHService
-    from .serve.loadgen import (
-        direct_dispatch,
-        parity_mismatches,
-        run_load,
-        service_dispatch,
-        zipf_workload,
-    )
-
-    if args.quick:
-        corpus_size, length = 200, 64
-        total, pool = 64, 16
-    else:
-        corpus_size, length = args.corpus_size, args.length
-        total, pool = args.requests, args.pool
-    corpus = random_walks(corpus_size, length, seed=5)
-    engine = QueryEngine(list(corpus), delta=0.1)
-    rng = np.random.default_rng(6)
-    queries = [corpus[i % corpus_size] + 0.15 * rng.normal(size=length)
-               for i in range(pool)]
-    specs = zipf_workload(total, pool, s=args.zipf_s, seed=7,
-                          kinds=("knn", "range"), knn_k=args.k,
-                          epsilon=args.epsilon)
-
-    direct = run_load(direct_dispatch(engine), specs, queries,
-                      clients=args.clients, mode="direct")
-    service = QBHService.from_engine(
-        engine, shards=args.shards, cache_size=args.cache_size,
-    )
-    try:
-        served = run_load(service_dispatch(service), specs, queries,
-                          clients=args.clients, mode="service")
-        served.saturation = service.saturation()
-    finally:
-        service.close()
-
-    mismatches = parity_mismatches(direct, served)
-    speedup = served.qps / direct.qps if direct.qps else float("inf")
-    sharding = (f", {args.shards} shards"
-                if args.shards and args.shards > 1 else "")
-    print(f"workload: {total} requests over {pool} queries "
-          f"(zipf s={args.zipf_s}), corpus {corpus_size}x{length}, "
-          f"{args.clients} clients{sharding}")
-    for report in (direct, served):
-        lat = report.latency_percentiles()
-        print(f"{report.mode:<8} {report.qps:8.1f} qps   "
-              f"p50 {lat['p50'] * 1e3:7.2f} ms   "
-              f"p95 {lat['p95'] * 1e3:7.2f} ms")
-    print(f"speedup {speedup:.2f}x   parity mismatches {mismatches}")
-    if args.json:
-        payload = {
-            "direct": direct.to_dict(),
-            "service": served.to_dict(),
-            "speedup": speedup,
-            "parity_mismatches": mismatches,
-            "shards": args.shards or 1,
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote report to {args.json}")
-    return 0 if mismatches == 0 else 1
 
 
 def _cmd_obs_report(args) -> int:
@@ -595,63 +520,6 @@ def _cmd_obs_top(args) -> int:
             return 2
     sys.stdout.write(format_top(snapshot))
     return 0
-
-
-def _cmd_perf_record(args) -> int:
-    """Append one BENCH_*.json snapshot to the benchmark history."""
-    import json
-
-    from .perf import BenchHistory
-
-    with open(args.json) as handle:
-        snapshot = json.load(handle)
-    if "timings_ms" not in snapshot:
-        print(f"error: {args.json} has no 'timings_ms' section",
-              file=sys.stderr)
-        return 2
-    history = BenchHistory(args.history)
-    entry = history.record(
-        args.bench,
-        snapshot["timings_ms"],
-        snapshot.get("workload", {}),
-        timestamp_s=(snapshot.get("metrics", {}) or {}).get("timestamp_s"),
-    )
-    print(f"recorded {args.bench} ({len(entry['timings_ms'])} timings, "
-          f"machine {entry['machine']['fingerprint']}) -> {args.history}")
-    return 0
-
-
-def _cmd_perf_check(args) -> int:
-    """Gate the newest benchmark runs against their history."""
-    from .perf import BenchHistory, GateConfig, check_history
-
-    history = BenchHistory(args.history)
-    entries = history.entries()
-    if not entries:
-        print(f"error: no readable history entries in {args.history} "
-              f"({history.read_stats.bad_lines} bad lines)",
-              file=sys.stderr)
-        return 2
-    config = GateConfig(
-        rel_tolerance=args.rel_tolerance,
-        min_effect_ms=args.min_effect_ms,
-        min_effect_floor=args.min_effect_floor,
-        candidate_runs=args.candidate_runs,
-        match_machine=not args.any_machine,
-        inject_slowdown=args.inject_slowdown,
-        metrics=tuple(args.metric) if args.metric else None,
-        benches=tuple(args.bench) if args.bench else None,
-    )
-    report = check_history(entries, config)
-    print(report.summary())
-    if args.json_out:
-        import json
-
-        with open(args.json_out, "w") as handle:
-            handle.write(json.dumps(report.to_dict(), indent=2,
-                                    sort_keys=True) + "\n")
-        print(f"wrote gate report to {args.json_out}", file=sys.stderr)
-    return 0 if report.ok else 1
 
 
 def _cmd_quality(args) -> int:
@@ -1114,37 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(quality.shadow.* metrics; default: off)")
     p_serve.set_defaults(func=_cmd_serve)
 
-    p_bench_serve = sub.add_parser(
-        "bench-serve",
-        help="closed-loop load benchmark: the cached, coalescing "
-             "service vs direct per-query dispatch (exits 1 on parity "
-             "mismatch)",
-    )
-    p_bench_serve.add_argument("--quick", action="store_true",
-                               help="small smoke-sized workload")
-    p_bench_serve.add_argument("--requests", type=int, default=160,
-                               help="total requests (default: 160)")
-    p_bench_serve.add_argument("--pool", type=int, default=32,
-                               help="distinct queries drawn from "
-                                    "(default: 32)")
-    p_bench_serve.add_argument("--corpus-size", type=int, default=800,
-                               help="in-memory corpus rows (default: 800)")
-    p_bench_serve.add_argument("--length", type=int, default=128,
-                               help="series length (default: 128)")
-    p_bench_serve.add_argument("--zipf-s", type=float, default=1.3,
-                               help="popularity skew exponent "
-                                    "(default: 1.3)")
-    p_bench_serve.add_argument("--clients", type=int, default=8)
-    p_bench_serve.add_argument("-k", type=_top_k, default=5)
-    p_bench_serve.add_argument("--epsilon", type=float, default=4.0)
-    p_bench_serve.add_argument("--cache-size", type=int, default=1024)
-    p_bench_serve.add_argument("--shards", type=int,
-                               help="serve through N shard processes "
-                                    "(default: single-process)")
-    p_bench_serve.add_argument("--json", metavar="FILE",
-                               help="also write the comparison as JSON")
-    p_bench_serve.set_defaults(func=_cmd_bench_serve)
-
     p_quality = sub.add_parser(
         "quality",
         help="run the hum-degradation scenario matrix: recall@k, MRR, "
@@ -1247,57 +1084,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_top.set_defaults(func=_cmd_obs_top)
 
     p_perf = sub.add_parser(
-        "perf", help="benchmark history, regression gate, workload replay"
+        "perf", help="workload replay"
     )
     perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
-
-    p_perf_record = perf_sub.add_parser(
-        "record",
-        help="append one BENCH_*.json snapshot to BENCH_history.jsonl",
-    )
-    p_perf_record.add_argument("--bench", required=True,
-                               help="bench name, e.g. cascade, dtw_kernel")
-    p_perf_record.add_argument("--json", required=True, metavar="FILE",
-                               help="BENCH_*.json snapshot to ingest")
-    p_perf_record.add_argument("--history", default="BENCH_history.jsonl",
-                               metavar="FILE")
-    p_perf_record.set_defaults(func=_cmd_perf_record)
-
-    p_perf_check = perf_sub.add_parser(
-        "check",
-        help="fail (exit 1) when the newest runs regressed vs history",
-    )
-    p_perf_check.add_argument("--history", default="BENCH_history.jsonl",
-                              metavar="FILE")
-    p_perf_check.add_argument("--rel-tolerance", type=float, default=0.20,
-                              help="relative slowdown that fails the gate "
-                                   "(default: 0.20 = 20%%)")
-    p_perf_check.add_argument("--min-effect-ms", type=float, default=1.0,
-                              help="absolute slowdown floor below which "
-                                   "jitter never fails the gate")
-    p_perf_check.add_argument("--min-effect-floor", type=float,
-                              default=0.02,
-                              help="absolute drop a higher-is-better "
-                                   "quality metric (recall_at/mrr/"
-                                   "agreement) must lose before the floor "
-                                   "gate fails (default: 0.02)")
-    p_perf_check.add_argument("--candidate-runs", type=int, default=1,
-                              help="median the newest K runs into the "
-                                   "candidate (default: 1)")
-    p_perf_check.add_argument("--any-machine", action="store_true",
-                              help="also compare runs across machine "
-                                   "fingerprints")
-    p_perf_check.add_argument("--inject-slowdown", type=float, default=1.0,
-                              metavar="F",
-                              help="multiply candidate timings by F "
-                                   "(the gate's self-test)")
-    p_perf_check.add_argument("--bench", nargs="+",
-                              help="restrict to these bench names")
-    p_perf_check.add_argument("--metric", nargs="+",
-                              help="restrict to these timing metrics")
-    p_perf_check.add_argument("--json-out", metavar="FILE",
-                              help="also write the gate report as JSON")
-    p_perf_check.set_defaults(func=_cmd_perf_check)
 
     p_perf_replay = perf_sub.add_parser(
         "replay",

@@ -1,42 +1,14 @@
-"""Continuous performance: bench history, regression gates, replay.
+"""Deterministic workload replay.
 
-The perf subsystem closes the loop the observability layer opened:
-PR-over-PR benchmark numbers become *decisions* instead of snapshots.
+:mod:`repro.perf.replay` re-executes the query log captured by the
+observability layer (optionally gated to slow queries) through
+:class:`~repro.engine.QueryEngine` on every DTW backend, serial and
+concurrent, asserting distance and survivor parity with the recorded
+run.
 
-* :mod:`repro.perf.history` — every benchmark run appends one record
-  (machine fingerprint, git SHA, timestamp, timings, workload context)
-  to ``BENCH_history.jsonl``, the append-only trajectory behind the
-  one-shot ``BENCH_*.json`` files.
-* :mod:`repro.perf.regress` — the statistical regression gate: a
-  candidate run is compared against the median of its matching
-  baseline runs (same bench, same workload context, same machine
-  unless told otherwise) with a relative tolerance *and* a minimum
-  absolute effect, so timer noise cannot flake CI while a real
-  cascade slowdown cannot hide.
-* :mod:`repro.perf.replay` — deterministic workload replay: the query
-  log captured by the observability layer (optionally gated to slow
-  queries) is re-executed through :class:`~repro.engine.QueryEngine`
-  on every DTW backend, serial and batched, asserting distance and
-  survivor parity with the recorded run.
-
-CLI surface: ``repro perf check`` / ``repro perf record`` /
-``repro perf replay`` (see ``repro perf --help``).
+CLI surface: ``repro perf replay`` (see ``repro perf replay --help``).
 """
 
-from .history import (
-    BENCH_HISTORY_SCHEMA,
-    BenchHistory,
-    git_sha,
-    machine_fingerprint,
-    make_entry,
-)
-from .regress import (
-    GateConfig,
-    GateFinding,
-    GateReport,
-    check_history,
-    metric_higher_is_better,
-)
 from .replay import (
     ReplayCheck,
     ReplayReport,
@@ -46,16 +18,6 @@ from .replay import (
 )
 
 __all__ = [
-    "BENCH_HISTORY_SCHEMA",
-    "BenchHistory",
-    "machine_fingerprint",
-    "git_sha",
-    "make_entry",
-    "GateConfig",
-    "GateFinding",
-    "GateReport",
-    "check_history",
-    "metric_higher_is_better",
     "WorkloadRecorder",
     "load_workload",
     "replay_workload",

@@ -16,7 +16,7 @@ survives load":
 * :mod:`~repro.serve.service` — :class:`QBHService`, the facade wiring
   it all together with sync/async submission and graceful shutdown;
 * :mod:`~repro.serve.loadgen` — the closed-loop load generator behind
-  ``repro bench-serve`` and ``benchmarks/bench_serve.py``.
+  ``repro serve``.
 
 Everything here changes *when* and *how often* the engine runs — never
 what it computes: answers are exact, deadline misses return

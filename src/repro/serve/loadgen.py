@@ -1,20 +1,19 @@
 """Closed-loop load generator for the serving layer.
 
-The benchmark harness behind ``repro bench-serve`` and
-``benchmarks/bench_serve.py``: *clients* threads each submit their
-share of a fixed workload back-to-back (closed loop — a client only
-submits its next request once the previous one resolved), against
-either the serving layer or direct per-query engine dispatch,
-and the run is summarised as sustained throughput, latency
-percentiles, outcome counts, and per-request result digests.
+What ``repro serve`` drives its hums through: *clients* threads each
+submit their share of a fixed workload back-to-back (closed loop — a
+client only submits its next request once the previous one resolved)
+against a :class:`~repro.serve.QBHService`, and the run is summarised
+as sustained throughput, latency percentiles, outcome counts, and
+per-request result digests.
 
 The workload models what makes QBH serving interesting: a **Zipf**
 distribution over a pool of hum variants, so a few popular tunes
 dominate — exactly the skew that request coalescing and result caching
 exist for.  Digests (:func:`result_digest`) hash the exact result
-bytes, so two runs can assert *byte-identical* answers across serving
-modes — the acceptance bar for "the serving layer never changes what
-the engine computes".
+bytes, so a run can assert *byte-identical* answers against direct
+engine calls — the acceptance bar for "the serving layer never changes
+what the engine computes".
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine.cascade import search_params
 from ..obs.clock import monotonic_s
 
 __all__ = [
@@ -33,12 +31,9 @@ __all__ = [
     "RequestRecord",
     "LoadReport",
     "zipf_workload",
-    "scenario_workload",
     "result_digest",
     "run_load",
-    "direct_dispatch",
     "service_dispatch",
-    "parity_mismatches",
 ]
 
 
@@ -50,8 +45,7 @@ class RequestSpec:
     request built from a degraded hum with a known ground-truth melody
     (see :mod:`repro.hum.degrade`): quality-aware load runs use them
     to attribute each served answer back to its error-model cell.
-    They are part of the (frozen, hashable) identity, so parity
-    checking across serving modes still works per spec.
+    They are part of the (frozen, hashable) identity.
     """
 
     kind: str
@@ -70,8 +64,6 @@ class RequestRecord:
     status: str
     latency_s: float
     digest: str | None
-    from_cache: bool = False
-    batch_size: int = 0
 
 
 def result_digest(results) -> str:
@@ -117,38 +109,10 @@ def zipf_workload(total: int, pool_size: int, *, s: float = 1.3,
     return specs
 
 
-def scenario_workload(cells, *, kind: str = "knn", knn_k: int = 10,
-                      epsilon: float = 1.0,
-                      repeat: int = 1) -> list[RequestSpec]:
-    """Specs over a degraded-query pool, tagged with their cell.
-
-    *cells* is a sequence of ``(query_index, scenario, severity,
-    target)`` tuples — one per entry of the query pool the caller
-    built with :func:`repro.hum.degrade.degrade` (``target`` is the
-    ground-truth melody index the hum was rendered from).  Each pool
-    entry yields *repeat* identical specs, so caching and coalescing
-    see realistic repeats while every answer stays attributable to
-    its (scenario, severity) cell.
-    """
-    if repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {repeat}")
-    param = int(knn_k) if kind == "knn" else float(epsilon)
-    specs = []
-    for query_index, scenario, severity, target in cells:
-        spec = RequestSpec(
-            kind=kind, param=param, query_index=int(query_index),
-            scenario=str(scenario), severity=float(severity),
-            target=int(target),
-        )
-        specs.extend([spec] * repeat)
-    return specs
-
-
 @dataclass
 class LoadReport:
     """What one closed-loop run produced."""
 
-    mode: str
     clients: int
     wall_s: float
     records: list[RequestRecord] = field(default_factory=list)
@@ -158,11 +122,6 @@ class LoadReport:
     def completed(self) -> int:
         """Requests that resolved (any status)."""
         return len(self.records)
-
-    @property
-    def ok(self) -> int:
-        """Requests that produced results."""
-        return sum(1 for r in self.records if r.status == "ok")
 
     @property
     def by_status(self) -> dict:
@@ -189,60 +148,28 @@ class LoadReport:
             "max": float(lat[-1]),
         }
 
-    def to_dict(self) -> dict:
-        """The run summary as a JSON-ready dict (no per-request rows)."""
-        return {
-            "mode": self.mode,
-            "clients": self.clients,
-            "wall_s": self.wall_s,
-            "completed": self.completed,
-            "qps": self.qps,
-            "by_status": self.by_status,
-            "latency_s": self.latency_percentiles(),
-            "saturation": self.saturation,
-        }
 
-
-def direct_dispatch(engine):
-    """Baseline submit function: one engine call per request, no
-    coalescing, no cache — what serving replaces."""
-
-    def submit(spec: RequestSpec, query) -> tuple[str, object, dict]:
-        results, _ = engine.search(query,
-                                   **search_params(spec.kind, spec.param))
-        return "ok", results, {}
-
-    return submit
-
-
-def service_dispatch(service, *, deadline_s: float | None = None):
+def service_dispatch(service):
     """Submit function routing through a
     :class:`~repro.serve.QBHService` (sync, per-service retry)."""
 
-    def submit(spec: RequestSpec, query) -> tuple[str, object, dict]:
+    def submit(spec: RequestSpec, query) -> tuple[str, object]:
         if spec.kind == "range":
-            outcome = service.range_search(query, spec.param,
-                                           deadline_s=deadline_s)
+            outcome = service.range_search(query, spec.param)
         else:
-            outcome = service.knn(query, spec.param,
-                                  deadline_s=deadline_s)
-        extra = {"from_cache": outcome.from_cache,
-                 "batch_size": outcome.batch_size}
-        return outcome.status, outcome.results, extra
+            outcome = service.knn(query, spec.param)
+        return outcome.status, outcome.results
 
     return submit
 
 
-def run_load(submit, specs, queries, *, clients: int = 8,
-             mode: str = "service") -> LoadReport:
+def run_load(submit, specs, queries, *, clients: int = 8) -> LoadReport:
     """Drive *specs* through *submit* from *clients* closed-loop threads.
 
-    *submit* is ``(spec, query) -> (status, results, extra)`` (see
-    :func:`direct_dispatch` / :func:`service_dispatch`); *queries* is
-    the query pool indexed by ``spec.query_index``.  Specs are dealt
-    round-robin to clients, each running its share sequentially.
-    Records keep the original spec order index-free — parity between
-    two runs compares per-spec digests via :func:`parity_mismatches`.
+    *submit* is ``(spec, query) -> (status, results)`` (see
+    :func:`service_dispatch`); *queries* is the query pool indexed by
+    ``spec.query_index``.  Specs are dealt round-robin to clients, each
+    running its share sequentially; records keep the spec order.
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
@@ -256,14 +183,12 @@ def run_load(submit, specs, queries, *, clients: int = 8,
             spec = specs[position]
             query = queries[spec.query_index]
             started = monotonic_s()
-            status, results, extra = submit(spec, query)
+            status, results = submit(spec, query)
             latency = monotonic_s() - started
             records[position] = RequestRecord(
                 spec=spec, status=status, latency_s=latency,
                 digest=(result_digest(results)
                         if status == "ok" and results is not None else None),
-                from_cache=bool(extra.get("from_cache", False)),
-                batch_size=int(extra.get("batch_size", 0)),
             )
 
     threads = [threading.Thread(target=client, args=(i,),
@@ -277,27 +202,4 @@ def run_load(submit, specs, queries, *, clients: int = 8,
         thread.join()
     wall = monotonic_s() - started
     done = [record for record in records if record is not None]
-    return LoadReport(mode=mode, clients=clients, wall_s=wall, records=done)
-
-
-def parity_mismatches(a: LoadReport, b: LoadReport) -> int:
-    """How many requests got *different* results across two runs.
-
-    Identical requests — same kind, parameter, and query — must
-    produce byte-identical results no matter which serving mode
-    answered them, so digests are keyed by the (hashable) spec itself;
-    a spec whose digest disagrees with any earlier sighting, within a
-    run or across the two, counts as a mismatch.  Requests without
-    results (shed, deadline-exceeded) are skipped: they are outcome
-    differences, not correctness differences.
-    """
-    seen: dict[RequestSpec, str] = {}
-    mismatches = 0
-    for report in (a, b):
-        for record in report.records:
-            if record.status != "ok" or record.digest is None:
-                continue
-            known = seen.setdefault(record.spec, record.digest)
-            if known != record.digest:
-                mismatches += 1
-    return mismatches
+    return LoadReport(clients=clients, wall_s=wall, records=done)

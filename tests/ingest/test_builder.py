@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.envelope import k_envelope
 from repro.core.normal_form import NormalForm
+from repro.dtw.distance import ldtw_distance_batch
 from repro.index.gemini import WarpingIndex
 from repro.index.subsequence import SubsequenceIndex
 from repro.ingest import StreamingIndexBuilder, batch_envelope
@@ -89,6 +90,35 @@ def test_subsequence_windowing_matches_index(tmp_path):
         np.asarray(store.normalized),
         reference._normalized.astype(np.float32),
     )
+
+
+def test_store_backed_subsequence_range_has_no_false_negatives(tmp_path):
+    """Every window truly within epsilon of a query, by exact banded DTW
+    over all stored windows, is in the float32 store-backed answer."""
+    builder = StreamingIndexBuilder(
+        str(tmp_path), kind="subsequence",
+        normal_form=NormalForm(length=32), window_lengths=(48,),
+        stride=8, memory_budget_mb=0.05,
+    )
+    store, report = builder.build(_walks(8, 160, seed=13))
+    assert report.peak_buffer_bytes <= report.budget_bytes
+    store.verify()
+    index = SubsequenceIndex.from_store(store)
+    rng = np.random.default_rng(91)
+    for _ in range(3):
+        row = int(rng.integers(report.rows))
+        query = (np.asarray(index._normalized[row], dtype=np.float64)
+                 + 0.1 * rng.normal(size=32))
+        q = index.normal_form.apply(query)
+        exact = ldtw_distance_batch(q, index._normalized, index.band)
+        epsilon = float(np.quantile(exact, 0.3))
+        matches, stats = index.range_query(query, epsilon,
+                                           best_per_sequence=False)
+        got = {(m.sequence_id, m.start) for m in matches}
+        for window in np.flatnonzero(exact <= epsilon):
+            seq_row, start, _ = index._windows[int(window)]
+            assert (index.ids[seq_row], start) in got
+        assert stats.candidates >= len(matches)
 
 
 def test_incremental_build_inherits_and_appends(tmp_path):

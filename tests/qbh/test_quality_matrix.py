@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hum.degrade import DEFAULT_SEVERITIES, scenario_names
 from repro.music.corpus import generate_corpus, segment_corpus
 from repro.obs import Observability
 from repro.qbh.quality import ScenarioCell, run_scenario_matrix
@@ -33,6 +34,21 @@ class TestRunScenarioMatrix:
             assert len(cell.latencies_s) == 2
             assert all(r >= 1 for r in cell.ranks)
             assert all(lat >= 0 for lat in cell.latencies_s)
+
+    def test_default_matrix_covers_every_scenario_and_severity(self,
+                                                                system):
+        matrix = run_scenario_matrix(system, queries_per_cell=1, k=10,
+                                     seed=6)
+        assert len(scenario_names()) >= 4 and len(DEFAULT_SEVERITIES) >= 3
+        assert [(c.scenario, c.severity) for c in matrix.cells] == [
+            (s, v) for s in scenario_names() for v in DEFAULT_SEVERITIES
+        ]
+        for cell in matrix.cells:
+            assert len(cell.ranks) == 1
+            for k in (1, 5, 10):
+                assert 0.0 <= cell.recall(k) <= 1.0
+            assert 0.0 <= cell.mrr <= 1.0
+            assert 0.0 <= cell.contour_recall(10) <= 1.0
 
     def test_same_seed_reproduces_ranks(self, system):
         kwargs = dict(scenarios=("jitter",), severities=(1.0,),

@@ -25,7 +25,6 @@ class TestParser:
     @pytest.mark.parametrize("command", [
         ["query", "--index", "i", "--hum", "h"],
         ["serve", "--index", "i", "--hum", "h"],
-        ["bench-serve"],
         ["quality"],
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("k", ["0", "abc"])
@@ -44,6 +43,20 @@ class TestParser:
                 [command, "--index", "i", "--hum", "h", "--workers", "2"])
         assert exit_info.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_removed_commands_are_usage_errors(self, capsys):
+        """The history gate and the serving benchmark are gone; their
+        commands are refused, not silently run, and replay stays."""
+        for argv in (["perf", "record", "--bench", "cascade", "--json", "b"],
+                     ["perf", "check"],
+                     ["bench-" "serve", "--quick"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2, argv
+            assert "invalid choice" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["perf", "replay", "--workload", "w.jsonl", "--index", "i"])
+        assert args.perf_command == "replay" and args.workload == "w.jsonl"
 
 
 class TestLifecycle:
@@ -424,76 +437,6 @@ class TestTelemetryCommands:
                      "--backends", "vectorized",
                      "--modes", "serial"]) == 1
         assert "FAILED" in capsys.readouterr().out
-
-    def test_perf_record_and_check_gate(self, tmp_path, capsys):
-        import json
-
-        bench_file = str(tmp_path / "BENCH_x.json")
-        history_file = str(tmp_path / "history.jsonl")
-        with open(bench_file, "w") as handle:
-            json.dump({"workload": {"db": 10},
-                       "timings_ms": {"cascade": 10.0}}, handle)
-        assert main(["perf", "record", "--bench", "cascade",
-                     "--json", bench_file, "--history", history_file]) == 0
-
-        # Seeded single-entry history: plain check passes...
-        assert main(["perf", "check", "--history", history_file]) == 0
-        assert "PASS" in capsys.readouterr().out
-        # ...and the synthetic 25% slowdown self-test fails.
-        assert main(["perf", "check", "--history", history_file,
-                     "--inject-slowdown", "1.25",
-                     "--min-effect-ms", "0.5"]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-        # A genuinely regressed second run fails the real gate.
-        with open(bench_file, "w") as handle:
-            json.dump({"workload": {"db": 10},
-                       "timings_ms": {"cascade": 14.0}}, handle)
-        assert main(["perf", "record", "--bench", "cascade",
-                     "--json", bench_file, "--history", history_file]) == 0
-        gate_file = str(tmp_path / "gate.json")
-        assert main(["perf", "check", "--history", history_file,
-                     "--json-out", gate_file]) == 1
-        with open(gate_file) as handle:
-            gate = json.load(handle)
-        assert not gate["ok"]
-        assert gate["findings"][0]["status"] == "regression"
-
-    def test_perf_check_empty_history_is_an_error(self, tmp_path, capsys):
-        missing = str(tmp_path / "none.jsonl")
-        assert main(["perf", "check", "--history", missing]) == 2
-        assert "no readable history entries" in capsys.readouterr().err
-
-    def test_perf_check_recall_floor_gate(self, tmp_path, capsys):
-        import json
-
-        bench_file = str(tmp_path / "BENCH_q.json")
-        history_file = str(tmp_path / "history.jsonl")
-        with open(bench_file, "w") as handle:
-            json.dump({"workload": {"db": 10},
-                       "timings_ms": {"jitter@1.recall_at_10": 1.0}},
-                      handle)
-        assert main(["perf", "record", "--bench", "quality",
-                     "--json", bench_file, "--history", history_file]) == 0
-        assert main(["perf", "check", "--history", history_file]) == 0
-        capsys.readouterr()
-        # Injected degradation *divides* the floor metric and fails.
-        assert main(["perf", "check", "--history", history_file,
-                     "--inject-slowdown", "1.5"]) == 1
-        assert "below a quality floor" in capsys.readouterr().out
-
-        # A second run whose recall dropped fails the real gate...
-        with open(bench_file, "w") as handle:
-            json.dump({"workload": {"db": 10},
-                       "timings_ms": {"jitter@1.recall_at_10": 0.6}},
-                      handle)
-        assert main(["perf", "record", "--bench", "quality",
-                     "--json", bench_file, "--history", history_file]) == 0
-        assert main(["perf", "check", "--history", history_file]) == 1
-        capsys.readouterr()
-        # ...unless --min-effect-floor absorbs the whole drop.
-        assert main(["perf", "check", "--history", history_file,
-                     "--min-effect-floor", "0.5"]) == 0
 
 
 class TestQualityCommand:

@@ -28,8 +28,6 @@ MODULES = [
     "repro.obs.analysis",
     "repro.obs.quality",
     "repro.perf",
-    "repro.perf.history",
-    "repro.perf.regress",
     "repro.perf.replay",
     "repro.serve",
     "repro.serve.scheduler",
