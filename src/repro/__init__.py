@@ -40,7 +40,6 @@ from .music import (
     segment_corpus,
 )
 from .index.subsequence import SubsequenceIndex
-from .persistence import load_index, save_index
 from .qbh import QueryByHummingSystem
 
 __version__ = "1.0.0"
@@ -73,8 +72,6 @@ __all__ = [
     "generate_corpus",
     "segment_corpus",
     "SubsequenceIndex",
-    "load_index",
-    "save_index",
     "QueryByHummingSystem",
     "__version__",
 ]

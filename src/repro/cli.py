@@ -2,11 +2,14 @@
 
 Subcommands mirror a real deployment's lifecycle::
 
-    repro corpus  --songs 50 --out corpus/          # build a MIDI corpus
-    repro index   --corpus corpus/ --out index.npz  # build the warping index
+    repro corpus  --songs 50 --out corpus/              # build a MIDI corpus
+    repro ingest  --corpus corpus/ --store-dir store/   # build the warping index
     repro hum     --corpus corpus/ --melody 123 --out hum.npy
-    repro query   --index index.npz --hum hum.npy -k 10
-    repro demo                                      # end-to-end in memory
+    repro query   --store-dir store/ --hum hum.npy -k 10
+    repro demo                                          # end-to-end in memory
+
+The index lives in a columnar store directory (:mod:`repro.store`);
+``ingest`` initialises it or appends a generation to it.
 
 Hum inputs to ``query`` may be ``.npy`` pitch-series files (MIDI pitch
 per 10 ms frame, as the pitch tracker emits) or ``.mid`` files.
@@ -14,11 +17,11 @@ per 10 ms frame, as the pitch tracker emits) or ``.mid`` files.
 The telemetry loop closes through two more groups::
 
     repro obs report   --trace trace.jsonl          # trace analytics
-    repro perf replay  --workload wl.jsonl --index index.npz
+    repro perf replay  --workload wl.jsonl --store-dir store/
 
 And the serving layer::
 
-    repro serve        --index index.npz --hum hum.npy --clients 8
+    repro serve        --store-dir store/ --hum hum.npy --clients 8
 """
 
 from __future__ import annotations
@@ -39,61 +42,6 @@ def _cmd_corpus(args) -> int:
     melodies = segment_corpus(songs, per_song=args.per_song, seed=args.seed)
     save_corpus(melodies, args.out)
     print(f"wrote {len(melodies)} melodies from {args.songs} songs to {args.out}")
-    return 0
-
-
-def _cmd_index(args) -> int:
-    from .core.envelope_transforms import (
-        KeoghPAAEnvelopeTransform,
-        NewPAAEnvelopeTransform,
-    )
-    from .core.normal_form import NormalForm
-    from .index.gemini import WarpingIndex
-    from .persistence import load_corpus, save_index
-
-    if args.out is None and args.store_dir is None:
-        print("error: need --out and/or --store-dir", file=sys.stderr)
-        return 2
-    melodies = load_corpus(args.corpus)
-    series = [m.to_time_series(8) for m in melodies]
-    ids = [m.name or str(i) for i, m in enumerate(melodies)]
-    length = args.normal_length
-    if args.transform == "new_paa":
-        env_t = NewPAAEnvelopeTransform(length, args.features)
-    else:
-        env_t = KeoghPAAEnvelopeTransform(length, args.features)
-    if args.store_dir is not None:
-        # The streaming bulk-load path: one pass, bounded staging
-        # buffers, columnar float32 generation on disk.
-        from .ingest import StreamingIndexBuilder
-
-        builder = StreamingIndexBuilder(
-            args.store_dir,
-            kind="melody",
-            delta=args.delta,
-            normal_form=NormalForm(length=length),
-            env_transform=env_t,
-            memory_budget_mb=args.memory_budget_mb,
-        )
-        store, report = builder.build(series, ids)
-        print(f"stored {report.rows} melodies -> {args.store_dir} "
-              f"(generation {report.generation}, "
-              f"{report.rows_per_s:.0f} rows/s, "
-              f"{report.flushes} flushes within "
-              f"{report.budget_bytes >> 20} MiB)")
-        if args.out is None:
-            return 0
-    index = WarpingIndex(
-        series,
-        delta=args.delta,
-        env_transform=env_t,
-        normal_form=NormalForm(length=length),
-        index_kind=args.backend,
-        ids=ids,
-    )
-    save_index(index, args.out)
-    print(f"indexed {len(index)} melodies (delta={args.delta}, "
-          f"{args.transform}, {args.backend}) -> {args.out}")
     return 0
 
 
@@ -148,17 +96,12 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _open_index(args):
-    """Resolve --index (.npz) vs --store-dir (columnar store) inputs."""
-    if (args.index is None) == (getattr(args, "store_dir", None) is None):
-        raise SystemExit("error: need exactly one of --index / --store-dir")
-    if args.index is not None:
-        from .persistence import load_index
+def _open_index(store_dir: str):
+    """The live generation of the columnar store at *store_dir*."""
+    from .index.gemini import WarpingIndex
+    from .store import CorpusStore
 
-        return load_index(args.index)
-    from .persistence import load_index_from_store
-
-    return load_index_from_store(args.store_dir)
+    return WarpingIndex.from_store(CorpusStore.open(store_dir))
 
 
 def _load_hum(path: str) -> np.ndarray:
@@ -216,21 +159,20 @@ def _cmd_query(args) -> int:
     info = sys.stderr if stats_json is not None else sys.stdout
     router = None
     try:
-        index = _open_index(args)
+        index = _open_index(args.store_dir)
         if obs is not None:
             index.set_observability(obs)
         if args.dtw_backend:
             index.dtw_backend = args.dtw_backend
         hums = [_load_hum(path) for path in args.hum]
-        shards = args.shards if args.shards is not None else index.shards
-        if shards is not None and shards > 1:
+        if args.shards is not None and args.shards > 1:
             # Multi-process serving: the corpus is partitioned across
             # worker processes and every query fans out; answers (and
             # merged cascade stats) are identical to the in-process
             # path, but the kernel work escapes the GIL.
             from .shard import ShardRouter
 
-            router = ShardRouter.from_index(index, shards=shards)
+            router = ShardRouter.from_index(index, shards=args.shards)
         # The cascade engine is the instrumented path: stats flags need
         # its counters, and observability needs its span tree.  The
         # shard router only speaks cascade.
@@ -334,7 +276,7 @@ def _cmd_serve(args) -> int:
                 interval_s=args.metrics_interval_s,
             ).start()
     try:
-        index = _open_index(args)
+        index = _open_index(args.store_dir)
         if obs is not None:
             index.set_observability(obs)
         hums = [_load_hum(path) for path in args.hum]
@@ -586,14 +528,13 @@ def _cmd_quality(args) -> int:
 def _cmd_perf_replay(args) -> int:
     """Re-execute a captured workload and verify answer parity."""
     from .perf import load_workload, replay_workload
-    from .persistence import load_index
 
     records = load_workload(args.workload)
     if not records:
         print(f"error: no replayable records in {args.workload}",
               file=sys.stderr)
         return 2
-    index = load_index(args.index)
+    index = _open_index(args.store_dir)
     report = replay_workload(
         lambda backend: index.engine(dtw_backend=backend),
         records,
@@ -603,7 +544,7 @@ def _cmd_perf_replay(args) -> int:
         atol=args.atol,
     )
     print(f"replaying {len(records)} recorded queries from "
-          f"{args.workload} against {args.index} "
+          f"{args.workload} against {args.store_dir} "
           f"(db={len(index)})", file=sys.stderr)
     print(report.summary())
     return 0 if report.ok else 1
@@ -821,31 +762,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--out", required=True)
     p_corpus.set_defaults(func=_cmd_corpus)
 
-    p_index = sub.add_parser("index", help="build and save a warping index")
-    p_index.add_argument("--corpus", required=True)
-    p_index.add_argument("--out",
-                         help=".npz index file (optional with --store-dir)")
-    p_index.add_argument("--store-dir", metavar="DIR",
-                         help="also (or instead) stream-build a columnar "
-                              "store generation at DIR — the bulk-load "
-                              "path with bounded staging memory")
-    p_index.add_argument("--memory-budget-mb", type=float, default=64.0,
-                         help="staging-buffer budget for --store-dir "
-                              "builds (default: 64)")
-    p_index.add_argument("--delta", type=float, default=0.1)
-    p_index.add_argument("--features", type=int, default=8)
-    p_index.add_argument("--normal-length", type=int, default=128)
-    p_index.add_argument("--transform", choices=("new_paa", "keogh_paa"),
-                         default="new_paa")
-    p_index.add_argument("--backend", choices=("rstar", "grid", "linear"),
-                         default="rstar")
-    p_index.set_defaults(func=_cmd_index)
-
     p_ingest = sub.add_parser(
         "ingest",
-        help="stream a corpus into a columnar store (init or append a "
-             "generation; the offline twin of the background ingest "
-             "worker)",
+        help="build the warping index: stream a corpus into a columnar "
+             "store (init or append a generation; the offline twin of "
+             "the background ingest worker)",
     )
     p_ingest.add_argument("--corpus", required=True,
                           help="MIDI corpus directory (repro corpus)")
@@ -877,12 +798,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_hum.add_argument("--out", required=True)
     p_hum.set_defaults(func=_cmd_hum)
 
-    p_query = sub.add_parser("query", help="query a saved index with a hum")
-    p_query.add_argument("--index",
-                         help=".npz index file (or use --store-dir)")
-    p_query.add_argument("--store-dir", metavar="DIR",
-                         help="open the live generation of a columnar "
-                              "store instead of an .npz index")
+    p_query = sub.add_parser("query", help="query a stored index with a hum")
+    p_query.add_argument("--store-dir", required=True, metavar="DIR",
+                         help="open the live generation of the columnar "
+                              "store at DIR (repro ingest)")
     p_query.add_argument("--hum", required=True, nargs="+",
                          help=".npy pitch series or .mid melody; several "
                               "hums are answered one after the other")
@@ -895,8 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: vectorized)")
     p_query.add_argument("--shards", type=int,
                          help="answer through N worker processes instead "
-                              "of in-process threads (default: the "
-                              "index's saved shard count, or unsharded)")
+                              "of in-process (default: unsharded)")
     p_query.add_argument("--stats-json", nargs="?", const="-", metavar="FILE",
                          help="emit results + cascade stats as one JSON "
                               "document to FILE (or stdout with no FILE; "
@@ -926,11 +844,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve hums concurrently with request coalescing, "
              "deadlines, and a result cache",
     )
-    p_serve.add_argument("--index",
-                         help=".npz index file (or use --store-dir)")
-    p_serve.add_argument("--store-dir", metavar="DIR",
-                         help="serve the live generation of a columnar "
-                              "store instead of an .npz index")
+    p_serve.add_argument("--store-dir", required=True, metavar="DIR",
+                         help="serve the live generation of the columnar "
+                              "store at DIR (repro ingest)")
     p_serve.add_argument("--hum", required=True, nargs="+",
                          help=".npy pitch series or .mid melody; the "
                               "request mix cycles over all of them")
@@ -952,8 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="result-cache time-to-live in seconds")
     p_serve.add_argument("--shards", type=int,
                          help="partition the index across N worker "
-                              "processes (default: the index's saved "
-                              "shard count, or unsharded)")
+                              "processes (default: unsharded)")
     p_serve.add_argument("--stats", action="store_true",
                          help="print the saturation counters after the run")
     p_serve.add_argument("--trace-out", metavar="FILE",
@@ -1094,8 +1009,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_perf_replay.add_argument("--workload", required=True, metavar="FILE",
                                help="workload JSONL from --workload-out")
-    p_perf_replay.add_argument("--index", required=True,
-                               help="saved index to replay against")
+    p_perf_replay.add_argument("--store-dir", required=True, metavar="DIR",
+                               help="columnar store to replay against")
     p_perf_replay.add_argument("--backends", nargs="+",
                                choices=("vectorized", "scalar"),
                                default=["vectorized", "scalar"])

@@ -78,15 +78,6 @@ class WarpingIndex:
         ``"scalar"``.  A pure serving knob — results are identical —
         and reassignable after construction (``index.dtw_backend =
         "scalar"``).
-    shards:
-        Default worker-**process** count for the sharded serving tier:
-        :meth:`repro.serve.QBHService.from_index` reads it when its own
-        ``shards=`` is not given, partitioning the corpus across that
-        many processes (:class:`~repro.shard.ShardRouter`).  ``None``
-        or ``1`` serves in-process.  A pure serving knob — answers are
-        byte-identical either way — and round-tripped by
-        :mod:`repro.persistence`, so a saved sharded deployment comes
-        back sharded.
     obs:
         An :class:`~repro.obs.Observability` facade.  Attaches to the
         R*-tree/grid query paths (``index.*`` metrics, ``query`` spans)
@@ -107,7 +98,6 @@ class WarpingIndex:
         ids: Sequence | None = None,
         metric: str = "euclidean",
         dtw_backend: str | None = None,
-        shards: int | None = None,
         obs: Observability | None = None,
     ) -> None:
         self.obs = OBS_DISABLED if obs is None else obs
@@ -124,9 +114,6 @@ class WarpingIndex:
         backend = DEFAULT_BACKEND if dtw_backend is None else dtw_backend
         get_kernel(backend)  # validate the name now, not at query time
         self.dtw_backend = backend
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
         #: Monotonic mutation counter: bumped exactly once by every
         #: public mutator (``insert`` / ``remove`` /
         #: ``swap_generation``).  The serving layer's result cache keys
@@ -200,7 +187,6 @@ class WarpingIndex:
     def from_store(cls, store, *, index_kind: str = "rstar",
                    capacity: int | None = None,
                    dtw_backend: str | None = None,
-                   shards: int | None = None,
                    obs: Observability | None = None) -> "WarpingIndex":
         """Open a columnar-store generation as a live index.
 
@@ -230,9 +216,6 @@ class WarpingIndex:
         backend = DEFAULT_BACKEND if dtw_backend is None else dtw_backend
         get_kernel(backend)
         self.dtw_backend = backend
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
         self.mutations = 0
         cfg = manifest.config
         nf = cfg.get("normal_form", {})

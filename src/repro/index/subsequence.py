@@ -35,7 +35,21 @@ from .linear_scan import LinearScan
 from .rstartree import RStarTree
 from .stats import QueryStats
 
-__all__ = ["SubsequenceMatch", "SubsequenceIndex"]
+__all__ = ["SubsequenceMatch", "SubsequenceIndex", "sliding_windows"]
+
+
+def sliding_windows(size: int, window_lengths: Sequence[int],
+                    stride: int):
+    """``(start, length)`` of every window of a *size*-sample sequence.
+
+    Window lengths in the given order, each slid from offset 0 by
+    *stride*; a length longer than the sequence yields nothing.  The
+    in-memory index and the streaming store builder both window with
+    this, so their rows are the same windows in the same order.
+    """
+    for length in window_lengths:
+        for start in range(0, size - length + 1, stride):
+            yield start, length
 
 
 @dataclass(frozen=True)
@@ -144,14 +158,12 @@ class SubsequenceIndex:
         for row, seq in enumerate(self._sequences):
             if seq.ndim != 1:
                 raise ValueError("sequences must be 1-D arrays")
-            for length in window_lengths:
-                if seq.size < length:
-                    continue
-                for start in range(0, seq.size - length + 1, stride):
-                    windows.append((row, start, length))
-                    normalized.append(
-                        self.normal_form.apply(seq[start : start + length])
-                    )
+            for start, length in sliding_windows(seq.size, window_lengths,
+                                                 stride):
+                windows.append((row, start, length))
+                normalized.append(
+                    self.normal_form.apply(seq[start : start + length])
+                )
         if not windows:
             raise ValueError(
                 "no windows extracted: every sequence is shorter than the "

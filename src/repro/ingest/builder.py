@@ -31,6 +31,7 @@ from ..core.envelope_transforms import (
 from ..core.envelope import batch_envelope, warping_width_to_k
 from ..core.normal_form import NormalForm
 from ..core.transforms import LinearTransform
+from ..index.subsequence import sliding_windows
 from ..obs import OBS_DISABLED, Observability
 from ..obs.clock import monotonic_s
 from ..store import CorpusStore, GenerationWriter, activate_generation
@@ -69,7 +70,7 @@ def transform_from_config(spec: dict[str, Any], *,
                                        spec["n_frames"], metric=metric)
     if kind == "keogh_paa":
         return KeoghPAAEnvelopeTransform(spec["input_length"],
-                                         spec["n_frames"])
+                                         spec["n_frames"], metric=metric)
     if kind == "sign_split":
         matrix = np.asarray(spec["matrix"], dtype=np.float64)
         return SignSplitEnvelopeTransform(
@@ -251,11 +252,7 @@ class StreamingIndexBuilder:
         if self.kind == "melody":
             yield 0, int(seq.size)
             return
-        for length in self.window_lengths:
-            if seq.size < length:
-                continue
-            for start in range(0, seq.size - length + 1, self.stride):
-                yield start, length
+        yield from sliding_windows(seq.size, self.window_lengths, self.stride)
 
     def _flush(self, writer: GenerationWriter, chunk: _Chunk) -> float:
         """Feature-extract and append one staged chunk; returns margin."""

@@ -195,17 +195,13 @@ class QBHService:
         index's normal form is applied at execution time, exactly as
         ``index.cascade_*_query`` would.
 
-        With *shards* > 1 (default: the index's own ``shards`` knob,
-        round-tripped by :mod:`repro.persistence`), queries run on a
-        corpus partitioned across worker processes behind an
-        :class:`~repro.shard.IndexShardManager`: mutations rebuild the
-        shard set, and the cache version becomes the composite
-        ``(mutations, epoch)`` so neither a mutation nor a worker
-        respawn can serve a stale cached answer.
+        With *shards* > 1, queries run on a corpus partitioned across
+        worker processes behind an :class:`~repro.shard.IndexShardManager`:
+        mutations rebuild the shard set, and the cache version becomes
+        the composite ``(mutations, epoch)`` so neither a mutation nor a
+        worker respawn can serve a stale cached answer.
         """
         kwargs.setdefault("obs", index.obs)
-        if shards is None:
-            shards = getattr(index, "shards", None)
         if shards is not None and shards > 1:
             from ..shard import IndexShardManager
 

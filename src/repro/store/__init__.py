@@ -1,7 +1,7 @@
 """Columnar float32 store for envelopes, features, and subsequence metadata.
 
-The store is the on-disk layout behind streaming ingest (ROADMAP item 3):
-instead of per-melody float64 arrays pickled into one ``.npz``, a corpus
+The store is the one on-disk format of a warping index, written by
+streaming ingest and opened by ``WarpingIndex.from_store``: a corpus
 lives in a *store root* directory holding immutable **generations**.  Each
 generation is a directory of append-friendly **segment files** — one raw
 little-endian binary per (segment, column) pair — described by a

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.envelope import k_envelope
+from repro.core.envelope_transforms import (
+    KeoghPAAEnvelopeTransform,
+    NewPAAEnvelopeTransform,
+    SignSplitEnvelopeTransform,
+)
 from repro.core.normal_form import NormalForm
+from repro.core.transforms import DFTTransform
 from repro.dtw.distance import ldtw_distance_batch
 from repro.index.gemini import WarpingIndex
 from repro.index.subsequence import SubsequenceIndex
@@ -169,3 +175,55 @@ def test_builder_config_round_trips_through_for_store(tmp_path):
     assert again.normal_length == 48
     assert again.n_features == 6
     assert again.env_transform.output_dim == 6
+
+
+@pytest.mark.parametrize("make_transform, metric", [
+    (lambda: NewPAAEnvelopeTransform(64, 8), "euclidean"),
+    (lambda: NewPAAEnvelopeTransform(64, 8, metric="manhattan"), "manhattan"),
+    (lambda: KeoghPAAEnvelopeTransform(64, 8), "euclidean"),
+    (lambda: KeoghPAAEnvelopeTransform(64, 8, metric="manhattan"),
+     "manhattan"),
+    (lambda: SignSplitEnvelopeTransform(DFTTransform(64, 6)), "euclidean"),
+], ids=["new_paa", "new_paa-manhattan", "keogh_paa", "keogh_paa-manhattan",
+        "dft6"])
+def test_store_round_trip_answers_like_the_in_memory_index(
+        tmp_path, make_transform, metric):
+    """A store built by the streaming builder and opened with
+    ``from_store`` keeps the index's configuration and answers as the
+    float64 in-memory index does, on the tree and the cascade routes."""
+    series = _walks(60, 96, seed=21)
+    ids = [f"w{i}" for i in range(60)]
+    config = dict(delta=0.08, normal_form=NormalForm(length=64),
+                  env_transform=make_transform(), metric=metric, capacity=8)
+    memory = WarpingIndex(series, ids=ids, **config)
+    StreamingIndexBuilder(str(tmp_path), **config).build(series, ids)
+    stored = WarpingIndex.from_store(CorpusStore.open(str(tmp_path)))
+
+    assert stored.metric == metric
+    assert stored.delta == memory.delta
+    assert stored._capacity == 8
+    assert stored.env_transform.name == memory.env_transform.name
+    np.testing.assert_array_equal(stored.env_transform.transform.matrix,
+                                  memory.env_transform.transform.matrix)
+    assert stored.ids == ids
+
+    for seed in (22, 23, 24):
+        query = _walks(1, 96, seed=seed)[0]
+        for k in (1, 5):
+            want, _ = memory.knn_query(query, k)
+            for got, _ in (stored.knn_query(query, k),
+                           stored.cascade_knn_query(query, k)):
+                assert [i for i, _ in got] == [i for i, _ in want]
+                np.testing.assert_allclose([d for _, d in got],
+                                           [d for _, d in want], rtol=1e-6)
+        # Midway between the 5th and 6th distances, so float32 rows
+        # cannot move a boundary row across epsilon.
+        nearest, _ = memory.knn_query(query, 6)
+        epsilon = (nearest[4][1] + nearest[5][1]) / 2
+        want, _ = memory.range_query(query, epsilon)
+        assert len(want) == 5
+        for got, _ in (stored.range_query(query, epsilon),
+                       stored.cascade_range_query(query, epsilon)):
+            assert [i for i, _ in got] == [i for i, _ in want]
+            np.testing.assert_allclose([d for _, d in got],
+                                       [d for _, d in want], rtol=1e-6)

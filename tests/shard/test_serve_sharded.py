@@ -61,21 +61,6 @@ class TestShardedService:
         finally:
             service.close()
 
-    def test_from_index_uses_saved_shard_default(self, corpus):
-        index = WarpingIndex(list(corpus[:20]), delta=0.1, shards=2)
-        service = QBHService.from_index(index)
-        try:
-            assert service._owned_shards is not None
-            query = corpus[3] + 0.05
-            outcome = service.knn(query, 3)
-            assert outcome.status == "ok"
-            truth = index.engine().ground_truth_knn(
-                index.normal_form.apply(query), 3
-            )
-            assert [i for i, _ in outcome.results] == [i for i, _ in truth]
-        finally:
-            service.close()
-
     def test_respawn_invalidates_prior_cache_entries(self, corpus):
         """Kill -> next computed query respawns and bumps the epoch ->
         entries cached under the old epoch recompute (byte-identically,

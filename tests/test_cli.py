@@ -16,15 +16,9 @@ class TestParser:
         assert args.songs == 50
         assert args.per_song == 20
 
-    def test_index_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["index", "--corpus", "c", "--out", "o", "--transform", "svd"]
-            )
-
     @pytest.mark.parametrize("command", [
-        ["query", "--index", "i", "--hum", "h"],
-        ["serve", "--index", "i", "--hum", "h"],
+        ["query", "--store-dir", "s", "--hum", "h"],
+        ["serve", "--store-dir", "s", "--hum", "h"],
         ["quality"],
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("k", ["0", "abc"])
@@ -40,56 +34,61 @@ class TestParser:
         silently ignored."""
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(
-                [command, "--index", "i", "--hum", "h", "--workers", "2"])
+                [command, "--store-dir", "s", "--hum", "h", "--workers", "2"])
         assert exit_info.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
     def test_removed_commands_are_usage_errors(self, capsys):
-        """The history gate and the serving benchmark are gone; their
-        commands are refused, not silently run, and replay stays."""
+        """The history gate, the serving benchmark and the index-file
+        builder are gone; their commands are refused, not silently run,
+        an index file is no longer an input, and replay stays."""
         for argv in (["perf", "record", "--bench", "cascade", "--json", "b"],
                      ["perf", "check"],
-                     ["bench-" "serve", "--quick"]):
+                     ["bench-" "serve", "--quick"],
+                     ["index", "--out", "o"]):
             with pytest.raises(SystemExit) as exit_info:
                 main(argv)
             assert exit_info.value.code == 2, argv
             assert "invalid choice" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", "--index", "i", "--hum", "h"])
+        assert exit_info.value.code == 2
         args = build_parser().parse_args(
-            ["perf", "replay", "--workload", "w.jsonl", "--index", "i"])
+            ["perf", "replay", "--workload", "w.jsonl", "--store-dir", "s"])
         assert args.perf_command == "replay" and args.workload == "w.jsonl"
 
 
 class TestLifecycle:
     def test_corpus_index_hum_query(self, tmp_path, capsys):
         corpus_dir = str(tmp_path / "corpus")
-        index_file = str(tmp_path / "index.npz")
+        store_dir = str(tmp_path / "store")
         hum_file = str(tmp_path / "hum.npy")
 
         assert main(["corpus", "--songs", "5", "--per-song", "10",
                      "--seed", "3", "--out", corpus_dir]) == 0
-        assert main(["index", "--corpus", corpus_dir, "--out", index_file,
+        assert main(["ingest", "--corpus", corpus_dir, "--store-dir", store_dir,
                      "--delta", "0.1"]) == 0
         assert main(["hum", "--corpus", corpus_dir, "--melody", "7",
                      "--seed", "4", "--out", hum_file]) == 0
-        assert main(["query", "--index", index_file, "--hum", hum_file,
+        assert main(["query", "--store-dir", store_dir, "--hum", hum_file,
                      "-k", "5"]) == 0
 
         output = capsys.readouterr().out
         assert "50 melodies" in output
-        assert "indexed 50 melodies" in output
+        assert "initialised 50 melodies" in output
         assert "DTW distance" in output
 
     def test_query_kernel_backends_agree(self, tmp_path, capsys):
         corpus_dir = str(tmp_path / "corpus")
-        index_file = str(tmp_path / "index.npz")
+        store_dir = str(tmp_path / "store")
         hum_file = str(tmp_path / "hum.npy")
         main(["corpus", "--songs", "3", "--per-song", "5", "--out", corpus_dir])
-        main(["index", "--corpus", corpus_dir, "--out", index_file])
+        main(["ingest", "--corpus", corpus_dir, "--store-dir", store_dir])
         main(["hum", "--corpus", corpus_dir, "--melody", "2",
               "--out", hum_file])
         outputs = {}
         for backend in ("vectorized", "scalar"):
-            assert main(["query", "--index", index_file, "--hum", hum_file,
+            assert main(["query", "--store-dir", store_dir, "--hum", hum_file,
                          "-k", "4", "--dtw-backend", backend]) == 0
             out = capsys.readouterr().out
             outputs[backend] = [line for line in out.splitlines()
@@ -99,16 +98,16 @@ class TestLifecycle:
 
     def test_query_kernel_multi_hum_batch(self, tmp_path, capsys):
         corpus_dir = str(tmp_path / "corpus")
-        index_file = str(tmp_path / "index.npz")
+        store_dir = str(tmp_path / "store")
         hum_a = str(tmp_path / "a.npy")
         hum_b = str(tmp_path / "b.npy")
         main(["corpus", "--songs", "3", "--per-song", "5", "--out", corpus_dir])
-        main(["index", "--corpus", corpus_dir, "--out", index_file])
+        main(["ingest", "--corpus", corpus_dir, "--store-dir", store_dir])
         main(["hum", "--corpus", corpus_dir, "--melody", "1",
               "--out", hum_a])
         main(["hum", "--corpus", corpus_dir, "--melody", "6", "--seed", "9",
               "--out", hum_b])
-        assert main(["query", "--index", index_file, "--hum", hum_a, hum_b,
+        assert main(["query", "--store-dir", store_dir, "--hum", hum_a, hum_b,
                      "-k", "3", "--stats"]) == 0
         out = capsys.readouterr().out
         assert "hums=2" in out
@@ -117,11 +116,11 @@ class TestLifecycle:
 
     def test_query_with_midi_hum(self, tmp_path, capsys):
         corpus_dir = str(tmp_path / "corpus")
-        index_file = str(tmp_path / "index.npz")
+        store_dir = str(tmp_path / "store")
         main(["corpus", "--songs", "3", "--per-song", "5", "--out", corpus_dir])
-        main(["index", "--corpus", corpus_dir, "--out", index_file])
+        main(["ingest", "--corpus", corpus_dir, "--store-dir", store_dir])
         midi_file = str(tmp_path / "corpus" / "melody_00002.mid")
-        assert main(["query", "--index", index_file, "--hum", midi_file,
+        assert main(["query", "--store-dir", store_dir, "--hum", midi_file,
                      "-k", "3"]) == 0
         out = capsys.readouterr().out
         # Querying with an exact corpus melody must return it first.
@@ -223,20 +222,20 @@ class TestObservabilityFlags:
     @pytest.fixture()
     def pipeline(self, tmp_path):
         corpus_dir = str(tmp_path / "corpus")
-        index_file = str(tmp_path / "index.npz")
+        store_dir = str(tmp_path / "store")
         hum_file = str(tmp_path / "hum.npy")
         main(["corpus", "--songs", "3", "--per-song", "5", "--out", corpus_dir])
-        main(["index", "--corpus", corpus_dir, "--out", index_file])
+        main(["ingest", "--corpus", corpus_dir, "--store-dir", store_dir])
         main(["hum", "--corpus", corpus_dir, "--melody", "2",
               "--out", hum_file])
-        return index_file, hum_file
+        return store_dir, hum_file
 
     def test_stats_json_to_stdout(self, pipeline, capsys):
         import json
 
-        index_file, hum_file = pipeline
+        store_dir, hum_file = pipeline
         capsys.readouterr()
-        assert main(["query", "--index", index_file, "--hum", hum_file,
+        assert main(["query", "--store-dir", store_dir, "--hum", hum_file,
                      "-k", "3", "--stats-json"]) == 0
         captured = capsys.readouterr()
         # stdout is the JSON document alone; diagnostics go to stderr.
@@ -251,10 +250,10 @@ class TestObservabilityFlags:
                                                      tmp_path, capsys):
         import json
 
-        index_file, hum_file = pipeline
+        store_dir, hum_file = pipeline
         stats_file = str(tmp_path / "stats.json")
         capsys.readouterr()
-        assert main(["query", "--index", index_file, "--hum", hum_file,
+        assert main(["query", "--store-dir", store_dir, "--hum", hum_file,
                      "-k", "2", "--stats-json", stats_file]) == 0
         captured = capsys.readouterr()
         assert captured.out.count("DTW distance") == 2
@@ -271,10 +270,10 @@ class TestObservabilityFlags:
 
         from repro.engine import CascadeStats
 
-        index_file, hum_file = pipeline
+        store_dir, hum_file = pipeline
         trace_file = str(tmp_path / "trace.jsonl")
         metrics_file = str(tmp_path / "metrics.json")
-        assert main(["query", "--index", index_file, "--hum", hum_file,
+        assert main(["query", "--store-dir", store_dir, "--hum", hum_file,
                      "-k", "3", "--trace-out", trace_file,
                      "--metrics-out", metrics_file]) == 0
         out = capsys.readouterr().out
@@ -294,9 +293,9 @@ class TestObservabilityFlags:
 
     def test_slow_query_threshold_zero_reports_on_stderr(self, pipeline,
                                                          capsys):
-        index_file, hum_file = pipeline
+        store_dir, hum_file = pipeline
         capsys.readouterr()
-        assert main(["query", "--index", index_file, "--hum", hum_file,
+        assert main(["query", "--store-dir", store_dir, "--hum", hum_file,
                      "-k", "2", "--slow-query-ms", "0"]) == 0
         assert "slow query:" in capsys.readouterr().err
 
@@ -304,8 +303,8 @@ class TestObservabilityFlags:
                                                 capsys):
         import json
 
-        index_file, hum_file = pipeline
-        assert main(["query", "--index", index_file,
+        store_dir, hum_file = pipeline
+        assert main(["query", "--store-dir", store_dir,
                      "--hum", hum_file, hum_file,
                      "-k", "2", "--stats-json"]) == 0
         captured = capsys.readouterr()
@@ -321,21 +320,21 @@ class TestTelemetryCommands:
     @pytest.fixture()
     def pipeline(self, tmp_path):
         corpus_dir = str(tmp_path / "corpus")
-        index_file = str(tmp_path / "index.npz")
+        store_dir = str(tmp_path / "store")
         hum_file = str(tmp_path / "hum.npy")
         main(["corpus", "--songs", "3", "--per-song", "5", "--out", corpus_dir])
-        main(["index", "--corpus", corpus_dir, "--out", index_file])
+        main(["ingest", "--corpus", corpus_dir, "--store-dir", store_dir])
         main(["hum", "--corpus", corpus_dir, "--melody", "2",
               "--out", hum_file])
-        return index_file, hum_file
+        return store_dir, hum_file
 
     def test_obs_report_matches_stats_json(self, pipeline, tmp_path, capsys):
         import json
 
-        index_file, hum_file = pipeline
+        store_dir, hum_file = pipeline
         trace_file = str(tmp_path / "trace.jsonl")
         stats_file = str(tmp_path / "stats.json")
-        assert main(["query", "--index", index_file,
+        assert main(["query", "--store-dir", store_dir,
                      "--hum", hum_file, hum_file, "-k", "3",
                      "--trace-out", trace_file,
                      "--stats-json", stats_file]) == 0
@@ -397,9 +396,9 @@ class TestTelemetryCommands:
     def test_trace_append_accumulates_across_runs(self, pipeline, tmp_path):
         import json
 
-        index_file, hum_file = pipeline
+        store_dir, hum_file = pipeline
         trace_file = str(tmp_path / "trace.jsonl")
-        base = ["query", "--index", index_file, "--hum", hum_file,
+        base = ["query", "--store-dir", store_dir, "--hum", hum_file,
                 "-k", "2", "--trace-out", trace_file]
         assert main(base) == 0
         once = sum(1 for _ in open(trace_file))
@@ -415,15 +414,15 @@ class TestTelemetryCommands:
                                                    capsys):
         import json
 
-        index_file, hum_file = pipeline
+        store_dir, hum_file = pipeline
         workload_file = str(tmp_path / "workload.jsonl")
-        assert main(["query", "--index", index_file, "--hum", hum_file,
+        assert main(["query", "--store-dir", store_dir, "--hum", hum_file,
                      "-k", "3", "--workload-out", workload_file]) == 0
         assert f"wrote workload records to {workload_file}" in \
             capsys.readouterr().out
 
         assert main(["perf", "replay", "--workload", workload_file,
-                     "--index", index_file]) == 0
+                     "--store-dir", store_dir]) == 0
         assert "replay PARITY OK" in capsys.readouterr().out
 
         # Tamper with a recorded distance: replay must fail.
@@ -433,7 +432,7 @@ class TestTelemetryCommands:
             for record in records:
                 handle.write(json.dumps(record) + "\n")
         assert main(["perf", "replay", "--workload", workload_file,
-                     "--index", index_file,
+                     "--store-dir", store_dir,
                      "--backends", "vectorized",
                      "--modes", "serial"]) == 1
         assert "FAILED" in capsys.readouterr().out
@@ -497,16 +496,16 @@ class TestShardedTelemetryCommands:
     def sharded_artifacts(self, tmp_path):
         """One sharded traced query: (trace.jsonl, metrics.json)."""
         corpus_dir = str(tmp_path / "corpus")
-        index_file = str(tmp_path / "index.npz")
+        store_dir = str(tmp_path / "store")
         hum_file = str(tmp_path / "hum.npy")
         trace_file = str(tmp_path / "trace.jsonl")
         metrics_file = str(tmp_path / "metrics.json")
         main(["corpus", "--songs", "3", "--per-song", "5",
               "--out", corpus_dir])
-        main(["index", "--corpus", corpus_dir, "--out", index_file])
+        main(["ingest", "--corpus", corpus_dir, "--store-dir", store_dir])
         main(["hum", "--corpus", corpus_dir, "--melody", "2",
               "--out", hum_file])
-        assert main(["query", "--index", index_file, "--hum", hum_file,
+        assert main(["query", "--store-dir", store_dir, "--hum", hum_file,
                      "-k", "3", "--shards", "2",
                      "--trace-out", trace_file,
                      "--metrics-out", metrics_file]) == 0

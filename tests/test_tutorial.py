@@ -37,5 +37,5 @@ def test_tutorial_blocks_execute_in_order():
 def test_tutorial_mentions_cli_lifecycle():
     with open(TUTORIAL) as handle:
         text = handle.read()
-    for command in ("repro corpus", "repro index", "repro query"):
+    for command in ("repro corpus", "repro ingest", "repro query"):
         assert command in text
