@@ -162,8 +162,6 @@ def _cmd_query(args) -> int:
         index = _open_index(args.store_dir)
         if obs is not None:
             index.set_observability(obs)
-        if args.dtw_backend:
-            index.dtw_backend = args.dtw_backend
         hums = [_load_hum(path) for path in args.hum]
         if args.shards is not None and args.shards > 1:
             # Multi-process serving: the corpus is partitioned across
@@ -536,9 +534,8 @@ def _cmd_perf_replay(args) -> int:
         return 2
     index = _open_index(args.store_dir)
     report = replay_workload(
-        lambda backend: index.engine(dtw_backend=backend),
+        index.engine(),
         records,
-        backends=tuple(args.backends),
         modes=tuple(args.modes),
         workers=args.workers,
         atol=args.atol,
@@ -809,9 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--stats", action="store_true",
                          help="answer via the batched filter cascade and "
                               "print per-stage pruning counters")
-    p_query.add_argument("--dtw-backend", choices=("vectorized", "scalar"),
-                         help="DTW kernel for exact refinement "
-                              "(default: vectorized)")
     p_query.add_argument("--shards", type=int,
                          help="answer through N worker processes instead "
                               "of in-process (default: unsharded)")
@@ -1011,9 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="workload JSONL from --workload-out")
     p_perf_replay.add_argument("--store-dir", required=True, metavar="DIR",
                                help="columnar store to replay against")
-    p_perf_replay.add_argument("--backends", nargs="+",
-                               choices=("vectorized", "scalar"),
-                               default=["vectorized", "scalar"])
     p_perf_replay.add_argument("--modes", nargs="+",
                                choices=("serial", "concurrent"),
                                default=["serial", "concurrent"])

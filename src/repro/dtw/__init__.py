@@ -8,13 +8,6 @@ from .distance import (
     utw_distance,
     warping_distance,
 )
-from .kernels import (
-    DEFAULT_BACKEND,
-    DTWKernel,
-    available_backends,
-    get_kernel,
-    register_kernel,
-)
 from .path import cost_matrix, is_valid_path, path_cost, warping_path
 
 __all__ = [
@@ -24,11 +17,6 @@ __all__ = [
     "ldtw_refiner",
     "utw_distance",
     "warping_distance",
-    "DTWKernel",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "get_kernel",
-    "register_kernel",
     "cost_matrix",
     "is_valid_path",
     "path_cost",

@@ -15,13 +15,13 @@ the paper's ``D^2`` recurrences.
   between the UTW normal forms, parameterised by the warping width
   ``delta = (2k+1)/n``.
 
-The banded dynamic program itself lives in :mod:`repro.dtw.kernels`
-behind a backend registry (``"scalar"`` reference loop /
-``"vectorized"`` wavefront, the default); every function here takes a
-``backend=`` name.  Input validation and float64 conversion happen
-once in these wrappers — use :func:`ldtw_refiner` when refining many
-candidates against one query so the per-query preparation is also paid
-once.
+The banded dynamic program itself lives in :mod:`repro.dtw.kernels`,
+one kernel per call shape: single pairs (:func:`dtw_distance`,
+:func:`ldtw_distance`, :func:`ldtw_refiner`) run the reference row
+loop, and :func:`ldtw_distance_batch` runs the batched wavefront.
+Input validation and float64 conversion happen once in these
+wrappers — use :func:`ldtw_refiner` when refining many candidates
+against one query so the per-query preparation is also paid once.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from ..core.envelope import warping_width_to_k
 from ..core.series import as_series, uniform_resample
-from .kernels import KernelStats, get_kernel
+from .kernels import KernelStats, banded_dtw_cost, banded_dtw_cost_batch
 
 __all__ = [
     "dtw_distance",
@@ -85,7 +85,6 @@ def _bound_cost(upper_bound, manhattan: bool):
 
 def dtw_distance(
     x, y, *, upper_bound: float | None = None, metric: str = "euclidean",
-    backend: str | None = None,
 ) -> float:
     """Unconstrained DTW distance between two series (Definition 1).
 
@@ -100,15 +99,12 @@ def dtw_distance(
         ``"euclidean"`` (the paper's, default) or ``"manhattan"`` —
         the "other distance metrics" the paper says the framework
         admits with modifications.
-    backend:
-        DTW kernel backend name (default: the registry default,
-        ``"vectorized"``).
     """
     manhattan = _check_metric(metric)
     xa = as_series(x)
     ya = as_series(y)
     k = max(xa.size, ya.size)  # a band this wide imposes no constraint
-    cost = get_kernel(backend).cost(
+    cost = banded_dtw_cost(
         xa, ya, k, _bound_cost(upper_bound, manhattan), manhattan=manhattan
     )
     return _finish(cost, manhattan)
@@ -116,7 +112,7 @@ def dtw_distance(
 
 def ldtw_distance(
     x, y, k: int, *, upper_bound: float | None = None,
-    metric: str = "euclidean", backend: str | None = None,
+    metric: str = "euclidean",
 ) -> float:
     """``k``-Local DTW distance (Definition 4).
 
@@ -129,21 +125,21 @@ def ldtw_distance(
     manhattan = _check_metric(metric)
     xa = as_series(x)
     ya = as_series(y)
-    cost = get_kernel(backend).cost(
+    cost = banded_dtw_cost(
         xa, ya, k, _bound_cost(upper_bound, manhattan), manhattan=manhattan
     )
     return _finish(cost, manhattan)
 
 
 def ldtw_refiner(
-    query, k: int, *, metric: str = "euclidean", backend: str | None = None,
+    query, k: int, *, metric: str = "euclidean",
     kernel_stats: KernelStats | None = None,
 ) -> Callable[..., float]:
     """A prepared ``refine(y, upper_bound=None) -> distance`` closure.
 
     Refinement loops call the exact banded DTW once per surviving
     candidate with the *same* query; this hoists the query-side
-    validation and conversion (including the scalar backend's list
+    validation and conversion (including the row loop's list
     conversion) out of that loop, so each call pays only for the
     candidate side.  The returned callable accepts an optional
     early-abandoning *upper_bound* in distance space and returns the
@@ -154,22 +150,14 @@ def ldtw_refiner(
     if k < 0:
         raise ValueError(f"band half-width must be >= 0, got {k}")
     manhattan = _check_metric(metric)
-    qa = as_series(query)
-    kernel = get_kernel(backend)
-    if kernel_stats is None:
-        prepared = kernel.prepare(qa, k, manhattan=manhattan)
-    else:
-        try:
-            prepared = kernel.prepare(qa, k, manhattan=manhattan,
-                                      stats=kernel_stats)
-        except TypeError:
-            # Third-party kernel predating the stats capability.
-            prepared = kernel.prepare(qa, k, manhattan=manhattan)
+    q_list = as_series(query).tolist()
 
     def refine(y, upper_bound: float | None = None) -> float:
         ya = y if isinstance(y, np.ndarray) and y.dtype == np.float64 \
             else as_series(y)
-        cost = prepared(ya, _bound_cost(upper_bound, manhattan))
+        cost = banded_dtw_cost(q_list, ya, k,
+                               _bound_cost(upper_bound, manhattan),
+                               manhattan=manhattan, stats=kernel_stats)
         return _finish(cost, manhattan)
 
     return refine
@@ -177,17 +165,16 @@ def ldtw_refiner(
 
 def ldtw_distance_batch(
     query, candidates, k: int, *, metric: str = "euclidean",
-    upper_bound=None, backend: str | None = None,
-    kernel_stats: KernelStats | None = None,
+    upper_bound=None, kernel_stats: KernelStats | None = None,
 ) -> np.ndarray:
     """``k``-Local DTW distances from one query to many candidates.
 
     All candidates must share the query's length (the situation after
-    UTW normalisation).  The computation is delegated to the selected
-    kernel backend's batch path; the default ``"vectorized"`` backend
-    sweeps every candidate's banded DP simultaneously as anti-diagonal
-    wavefronts — one to two orders of magnitude faster than per-pair
-    scalar calls for databases of thousands of series.
+    UTW normalisation).  The computation is delegated to
+    :func:`repro.dtw.kernels.banded_dtw_cost_batch`, which sweeps every
+    candidate's banded DP simultaneously as anti-diagonal wavefronts —
+    one to two orders of magnitude faster than per-pair calls for
+    databases of thousands of series.
 
     Parameters
     ----------
@@ -204,12 +191,10 @@ def ldtw_distance_batch(
         shared by all candidates or one value per candidate.  Rows
         whose distance provably exceeds their cutoff come back as
         ``inf`` (sound for filtering, as in :func:`ldtw_distance`).
-    backend:
-        DTW kernel backend name (default ``"vectorized"``).
     kernel_stats:
         Optional :class:`repro.dtw.kernels.KernelStats` recorder; the
-        built-in kernels accumulate cells computed, rows processed,
-        and columns compacted into it.
+        kernel accumulates cells computed, rows processed, and columns
+        compacted into it.
 
     Returns
     -------
@@ -229,12 +214,7 @@ def ldtw_distance_batch(
         return np.zeros(0)
     bound_costs = None if upper_bound is None else _bound_cost(
         np.asarray(upper_bound, dtype=np.float64), manhattan)
-    kernel = get_kernel(backend)
-    if kernel_stats is None:
-        final = kernel.cost_batch(q, cand, k, bound_costs,
-                                  manhattan=manhattan)
-    else:
-        final = kernel.cost_batch(q, cand, k, bound_costs,
+    final = banded_dtw_cost_batch(q, cand, k, bound_costs,
                                   manhattan=manhattan, stats=kernel_stats)
     if manhattan:
         return final
@@ -268,7 +248,6 @@ def warping_distance(
     normal_length: int = 256,
     upper_bound: float | None = None,
     metric: str = "euclidean",
-    backend: str | None = None,
 ) -> float:
     """The paper's composite DTW distance (Definition 5).
 
@@ -279,5 +258,4 @@ def warping_distance(
     xa = uniform_resample(as_series(x), normal_length)
     ya = uniform_resample(as_series(y), normal_length)
     k = warping_width_to_k(delta, normal_length)
-    return ldtw_distance(xa, ya, k, upper_bound=upper_bound, metric=metric,
-                         backend=backend)
+    return ldtw_distance(xa, ya, k, upper_bound=upper_bound, metric=metric)

@@ -84,7 +84,7 @@ from ..core.envelope_transforms import (
 )
 from ..core.normal_form import NormalForm
 from ..dtw.distance import ldtw_distance_batch
-from ..dtw.kernels import DEFAULT_BACKEND, KernelStats, get_kernel
+from ..dtw.kernels import KernelStats
 from ..index.stats import QueryStats
 from ..obs import OBS_DISABLED, Observability
 from ..obs.clock import monotonic_s
@@ -455,9 +455,7 @@ def _query_id(q: np.ndarray, kind: str, params: dict, band: int) -> str:
     A content digest, not a sequence number: replaying the same query
     with the same parameters yields the same id, which is what lets
     ``repro perf replay`` line a workload record up with the trace
-    spans of both the recorded and the replayed run.  The DTW backend
-    is deliberately excluded — backends must agree on the answer, so
-    they share the id.
+    spans of both the recorded and the replayed run.
     """
     values = tuple(params.values())
     param = values if len(values) > 1 else values[0]
@@ -587,10 +585,6 @@ class QueryEngine:
         changes no result.  The ``lb_keogh`` stage reads them.
     metric:
         ``"euclidean"`` (default) or ``"manhattan"``.
-    dtw_backend:
-        DTW kernel backend for exact refinement (see
-        :mod:`repro.dtw.kernels`): ``"vectorized"`` (default) or
-        ``"scalar"``; both return identical results.
     obs:
         An :class:`~repro.obs.Observability` facade.  When given,
         every query emits a span tree
@@ -614,7 +608,6 @@ class QueryEngine:
         ids: Sequence | None = None,
         envelopes: tuple | None = None,
         metric: str = "euclidean",
-        dtw_backend: str | None = None,
         obs: Observability | None = None,
     ) -> None:
         self.obs = OBS_DISABLED if obs is None else obs
@@ -661,9 +654,6 @@ class QueryEngine:
         self.band = int(band)
         self.metric = metric
         self.stages = stages
-        backend = DEFAULT_BACKEND if dtw_backend is None else dtw_backend
-        get_kernel(backend)  # validate the name now, not at query time
-        self.dtw_backend = backend
         if ids is None:
             ids = list(range(m))
         else:
@@ -726,7 +716,6 @@ class QueryEngine:
         return {
             "query_id": qid,
             "params": params,
-            "backend": self.dtw_backend,
             "band": self.band,
             "query": np.asarray(query, dtype=np.float64).ravel(),
             "results": results,
@@ -814,12 +803,12 @@ class QueryEngine:
         ks = ctx.kernel_stats
         with self.obs.span("refine", rows=int(rows.size)):
             started = monotonic_s()
-            with self.obs.span("kernel", backend=self.dtw_backend) as kspan:
+            with self.obs.span("kernel") as kspan:
                 before = _kernel_snapshot(ks)
                 dists = ldtw_distance_batch(
                     ctx.q, self._data[rows], self.band, metric=self.metric,
                     upper_bound=None if math.isinf(cutoff) else cutoff,
-                    backend=self.dtw_backend, kernel_stats=ks,
+                    kernel_stats=ks,
                 )
                 _set_kernel_span(kspan, ks, before)
             stats.dtw_computations += int(rows.size)
@@ -863,8 +852,7 @@ class QueryEngine:
         qid = (_query_id(ctx.q, kind, params, self.band)
                if self.obs.enabled else None)
         with self.obs.span(
-            "query", kind=kind, **params,
-            backend=self.dtw_backend, band=self.band, query_id=qid,
+            "query", kind=kind, **params, band=self.band, query_id=qid,
         ) as qspan:
             started = monotonic_s()
             stats = CascadeStats(corpus_size=m)
@@ -975,7 +963,7 @@ class QueryEngine:
         k, epsilon = check_search(k, epsilon)
         dists = ldtw_distance_batch(
             self._normalise_query(query), self._data, self.band,
-            metric=self.metric, backend=self.dtw_backend,
+            metric=self.metric,
         )
         order = np.argsort(dists, kind="stable")
         if epsilon is not None:

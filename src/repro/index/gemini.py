@@ -30,7 +30,6 @@ from ..core.envelope import Envelope, envelope_distance, k_envelope, warping_wid
 from ..core.envelope_transforms import EnvelopeTransform, NewPAAEnvelopeTransform
 from ..core.normal_form import NormalForm
 from ..dtw.distance import ldtw_distance, ldtw_distance_batch, ldtw_refiner
-from ..dtw.kernels import DEFAULT_BACKEND, get_kernel
 from ..obs import OBS_DISABLED, Observability
 from ..obs.clock import monotonic_s
 from .cluster import ClusterIndex
@@ -72,12 +71,6 @@ class WarpingIndex:
         paper's, default) or ``"manhattan"``.  The envelope transform
         must be sound under the chosen metric (the default New_PAA is
         built accordingly).
-    dtw_backend:
-        DTW kernel backend used for exact refinement (see
-        :mod:`repro.dtw.kernels`): ``"vectorized"`` (default) or
-        ``"scalar"``.  A pure serving knob — results are identical —
-        and reassignable after construction (``index.dtw_backend =
-        "scalar"``).
     obs:
         An :class:`~repro.obs.Observability` facade.  Attaches to the
         R*-tree/grid query paths (``index.*`` metrics, ``query`` spans)
@@ -97,7 +90,6 @@ class WarpingIndex:
         capacity: int = 50,
         ids: Sequence | None = None,
         metric: str = "euclidean",
-        dtw_backend: str | None = None,
         obs: Observability | None = None,
     ) -> None:
         self.obs = OBS_DISABLED if obs is None else obs
@@ -111,9 +103,6 @@ class WarpingIndex:
             )
         if not len(database):
             raise ValueError("database must not be empty")
-        backend = DEFAULT_BACKEND if dtw_backend is None else dtw_backend
-        get_kernel(backend)  # validate the name now, not at query time
-        self.dtw_backend = backend
         #: Monotonic mutation counter: bumped exactly once by every
         #: public mutator (``insert`` / ``remove`` /
         #: ``swap_generation``).  The serving layer's result cache keys
@@ -186,7 +175,6 @@ class WarpingIndex:
     @classmethod
     def from_store(cls, store, *, index_kind: str = "rstar",
                    capacity: int | None = None,
-                   dtw_backend: str | None = None,
                    obs: Observability | None = None) -> "WarpingIndex":
         """Open a columnar-store generation as a live index.
 
@@ -213,9 +201,6 @@ class WarpingIndex:
             raise ValueError(
                 f"index_kind must be one of {_INDEX_KINDS}, got {index_kind!r}"
             )
-        backend = DEFAULT_BACKEND if dtw_backend is None else dtw_backend
-        get_kernel(backend)
-        self.dtw_backend = backend
         self.mutations = 0
         cfg = manifest.config
         nf = cfg.get("normal_form", {})
@@ -450,8 +435,9 @@ class WarpingIndex:
         """All series with DTW distance at most *epsilon* from *query*.
 
         Returns ``(results, stats)`` where results are ``(id, distance)``
-        pairs sorted by distance.  Theorem 1 guarantees the candidate
-        set contains every true answer, so the result is exact.
+        pairs ordered by (distance, corpus row).  Theorem 1 guarantees
+        the candidate set contains every true answer, so the result is
+        exact.
 
         With *second_filter* (default, as in the paper's Section 5.2),
         candidates are first screened with the full-dimension envelope
@@ -474,7 +460,6 @@ class WarpingIndex:
         results = []
         if candidates:
             rows = [self._id_to_row[item_id] for item_id in candidates]
-            survivors = candidates
             if second_filter:
                 # Second filter (paper §5.2): the unreduced envelope
                 # bound, vectorised over the candidate matrix.
@@ -487,20 +472,17 @@ class WarpingIndex:
                     lb = np.sqrt(np.sum(above * above + below * below, axis=1))
                 keep = lb <= epsilon
                 stats.extra["second_filter_pruned"] = int(np.sum(~keep))
-                survivors = [c for c, flag in zip(candidates, keep) if flag]
                 rows = [r for r, flag in zip(rows, keep) if flag]
-            if survivors:
+            if rows:
                 dists = ldtw_distance_batch(q, self._data[rows], self.band,
                                             metric=self.metric,
-                                            upper_bound=epsilon,
-                                            backend=self.dtw_backend)
-                stats.dtw_computations = len(survivors)
-                results = [
-                    (item_id, float(dist))
-                    for item_id, dist in zip(survivors, dists)
-                    if dist <= epsilon
-                ]
-        results.sort(key=lambda pair: pair[1])
+                                            upper_bound=epsilon)
+                stats.dtw_computations = len(rows)
+                hits = sorted(
+                    (float(dist), row)
+                    for row, dist in zip(rows, dists) if dist <= epsilon
+                )
+                results = [(self.ids[row], dist) for dist, row in hits]
         stats.results = len(results)
         self.obs.record_index_query("range", stats, monotonic_s() - started)
         return results, stats
@@ -513,7 +495,8 @@ class WarpingIndex:
         Optimal multi-step k-NN (Seidl & Kriegel 1998): candidates are
         ranked by their feature-space lower bound and refined until the
         next lower bound exceeds the current k-th exact distance — at
-        which point no unexamined series can enter the answer.
+        which point no unexamined series can enter the answer.  Results
+        are ordered by (distance, corpus row), as on the cascade route.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -521,9 +504,10 @@ class WarpingIndex:
         q, rect_lower, rect_upper, q_envelope = self._query_rectangle(query)
         self._index.reset_stats()
         stats = QueryStats()
-        best: list[tuple[float, object]] = []  # max-heap via negated dist
-        refine = ldtw_refiner(q, self.band, metric=self.metric,
-                              backend=self.dtw_backend)
+        # The answer so far, a heap of (-distance, -row): its top is the
+        # worst hit in answer order, the one a better hit evicts.
+        best: list[tuple[float, int]] = []
+        refine = ldtw_refiner(q, self.band, metric=self.metric)
         import heapq
 
         for lower_bound, item_id in self._index.nearest(
@@ -551,14 +535,15 @@ class WarpingIndex:
             if not math.isfinite(dist):
                 continue
             if len(best) < k:
-                heapq.heappush(best, (-dist, item_id))
-            elif dist < -best[0][0]:
-                heapq.heapreplace(best, (-dist, item_id))
+                heapq.heappush(best, (-dist, -row))
+            elif (dist, row) < (-best[0][0], -best[0][1]):
+                heapq.heapreplace(best, (-dist, -row))
         stats.page_accesses = self._index.page_accesses
-        results = sorted(((item, -negd) for negd, item in best), key=lambda p: p[1])
+        results = [(self.ids[-negrow], -negd)
+                   for negd, negrow in sorted(best, reverse=True)]
         stats.results = len(results)
         self.obs.record_index_query("knn", stats, monotonic_s() - started)
-        return [(item, dist) for item, dist in results], stats
+        return results, stats
 
     def set_observability(self, obs: Observability | None) -> None:
         """Attach (or detach, with ``None``) an observability facade.
@@ -571,12 +556,12 @@ class WarpingIndex:
         for engine in self._engines.values():
             engine.obs = self.obs
 
-    def engine(self, *, stages=None, dtw_backend=None):
+    def engine(self, *, stages=None):
         """The batched filter-cascade engine over this index's corpus.
 
-        Lazily built (and cached per stage configuration and DTW
-        backend) from the stored normal forms — and, while they are
-        the store's rows, the store's memory-mapped envelope columns;
+        Lazily built (and cached per stage configuration) from the
+        stored normal forms — and, while they are the store's rows, the
+        store's memory-mapped envelope columns;
         ``insert``/``remove`` invalidate the cache.  The engine is the
         vectorised hot path: it evaluates the whole corpus through
         cheap-to-tight lower-bound stages before any exact DTW, and
@@ -584,8 +569,7 @@ class WarpingIndex:
         """
         from ..engine import DEFAULT_STAGES, QueryEngine
 
-        backend = self.dtw_backend if dtw_backend is None else dtw_backend
-        key = (DEFAULT_STAGES if stages is None else tuple(stages), backend)
+        key = DEFAULT_STAGES if stages is None else tuple(stages)
         if key not in self._engines:
             # One generation's rows, ids and envelope columns, read
             # under the lock swap_generation rebinds them under.
@@ -595,18 +579,16 @@ class WarpingIndex:
             self._engines[key] = QueryEngine(
                 data,
                 band=self.band,
-                stages=key[0],
+                stages=key,
                 n_features=self.feature_dim,
                 ids=ids,
                 envelopes=envelopes,
                 metric=self.metric,
-                dtw_backend=backend,
                 obs=self.obs,
             )
         return self._engines[key]
 
-    def cascade_range_query(self, query, epsilon: float, *, stages=None,
-                            dtw_backend=None):
+    def cascade_range_query(self, query, epsilon: float, *, stages=None):
         """Exact ε-range query through the filter cascade.
 
         Same answer as :meth:`range_query` (both are exact), but
@@ -614,19 +596,18 @@ class WarpingIndex:
         CascadeStats)`` with per-stage pruning counters instead of the
         flat :class:`~repro.index.stats.QueryStats`.
         """
-        return self.engine(stages=stages, dtw_backend=dtw_backend).range_search(
+        return self.engine(stages=stages).range_search(
             self.normal_form.apply(query), epsilon
         )
 
-    def cascade_knn_query(self, query, k: int, *, stages=None,
-                          dtw_backend=None):
+    def cascade_knn_query(self, query, k: int, *, stages=None):
         """Exact k-NN query through the filter cascade.
 
         Same answer as :meth:`knn_query`, evaluated with the
         vectorised engine (best-first refinement with early-abandoning
         DTW); returns ``(results, CascadeStats)``.
         """
-        return self.engine(stages=stages, dtw_backend=dtw_backend).knn(
+        return self.engine(stages=stages).knn(
             self.normal_form.apply(query), k
         )
 
@@ -659,7 +640,7 @@ class WarpingIndex:
         envelope_lb = envelope_distance(self._data[row], q_envelope,
                                         metric=self.metric)
         exact = ldtw_distance(q, self._data[row], self.band,
-                              metric=self.metric, backend=self.dtw_backend)
+                              metric=self.metric)
         return {
             "item_id": item_id,
             "feature_lb": feature_lb,
@@ -674,8 +655,7 @@ class WarpingIndex:
         """Exact answer by scanning every series (test oracle)."""
         q = self.normal_form.apply(query)
         dists = ldtw_distance_batch(q, self._data, self.band,
-                                    metric=self.metric,
-                                    backend=self.dtw_backend)
+                                    metric=self.metric)
         results = [
             (item_id, float(dist))
             for item_id, dist in zip(self.ids, dists)
@@ -688,7 +668,6 @@ class WarpingIndex:
         """Exact k-NN by scanning every series (test oracle)."""
         q = self.normal_form.apply(query)
         dists = ldtw_distance_batch(q, self._data, self.band,
-                                    metric=self.metric,
-                                    backend=self.dtw_backend)
+                                    metric=self.metric)
         ranked = sorted(zip(self.ids, map(float, dists)), key=lambda p: p[1])
         return ranked[:k]

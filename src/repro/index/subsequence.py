@@ -27,7 +27,6 @@ from ..core.envelope import k_envelope, warping_width_to_k
 from ..core.envelope_transforms import EnvelopeTransform, NewPAAEnvelopeTransform
 from ..core.normal_form import NormalForm
 from ..dtw.distance import ldtw_distance, ldtw_distance_batch, ldtw_refiner
-from ..dtw.kernels import DEFAULT_BACKEND, get_kernel
 from ..obs import OBS_DISABLED, Observability
 from ..obs.clock import monotonic_s
 from .gridfile import GridFile
@@ -93,9 +92,6 @@ class SubsequenceIndex:
         DTW warping width.
     normal_form:
         Normalisation applied to windows and queries.
-    dtw_backend:
-        DTW kernel backend used for exact refinement (``"vectorized"``
-        default / ``"scalar"`` reference; results are identical).
     obs:
         An :class:`~repro.obs.Observability` facade for the window
         query paths (``index.*`` metrics).  Default ``None`` =
@@ -115,15 +111,11 @@ class SubsequenceIndex:
         index_kind: str = "rstar",
         capacity: int = 50,
         ids: Sequence | None = None,
-        dtw_backend: str | None = None,
         obs: Observability | None = None,
     ) -> None:
         self.obs = OBS_DISABLED if obs is None else obs
         if not len(sequences):
             raise ValueError("sequence database must not be empty")
-        backend = DEFAULT_BACKEND if dtw_backend is None else dtw_backend
-        get_kernel(backend)  # validate the name now, not at query time
-        self.dtw_backend = backend
         self.store = None
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
@@ -186,7 +178,6 @@ class SubsequenceIndex:
 
     @classmethod
     def from_store(cls, store, *, capacity: int | None = None,
-                   dtw_backend: str | None = None,
                    obs: Observability | None = None) -> "SubsequenceIndex":
         """Open a columnar subsequence-store generation as a live index.
 
@@ -212,9 +203,6 @@ class SubsequenceIndex:
             )
         self = cls.__new__(cls)
         self.obs = OBS_DISABLED if obs is None else obs
-        backend = DEFAULT_BACKEND if dtw_backend is None else dtw_backend
-        get_kernel(backend)
-        self.dtw_backend = backend
         cfg = manifest.config
         nf = cfg.get("normal_form", {})
         self.normal_form = NormalForm(
@@ -310,7 +298,7 @@ class SubsequenceIndex:
         if candidates:
             dists = ldtw_distance_batch(
                 q, self._normalized[candidates], self.band,
-                upper_bound=epsilon, backend=self.dtw_backend,
+                upper_bound=epsilon,
             )
             stats.dtw_computations = len(candidates)
             matches = [
@@ -340,7 +328,7 @@ class SubsequenceIndex:
             raise ValueError(f"k must be >= 1, got {k}")
         started = monotonic_s()
         q, rect_lower, rect_upper = self._query_rectangle(query)
-        refine = ldtw_refiner(q, self.band, backend=self.dtw_backend)
+        refine = ldtw_refiner(q, self.band)
         self._index.reset_stats()
         stats = QueryStats()
         # best distance (and its window) per dedup key; when not

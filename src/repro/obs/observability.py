@@ -254,7 +254,7 @@ class Observability:
             ],
             "query": [float(v) for v in workload["query"]],
             **{key: workload[key] for key in
-               ("query_id", "params", "backend", "band")},
+               ("query_id", "params", "band")},
         }
         with self._workload_lock:
             self.workload_sink(record)

@@ -10,7 +10,7 @@ and each DTW kernel dispatch opens ``kernel``::
     └── stage:first_last       candidates_in, pruned, bound_*
     └── stage:new_paa          ...
     └── refine                 rows, dtw_computations
-        └── kernel             backend, rows, cells
+        └── kernel             rows, cells
 
 When the root span of a trace closes, the whole trace (every finished
 span, root last) is handed to the tracer's *sink*.  Sinks are plain

@@ -2,9 +2,8 @@
 
 :mod:`repro.perf.replay` re-executes the query log captured by the
 observability layer (optionally gated to slow queries) through
-:class:`~repro.engine.QueryEngine` on every DTW backend, serial and
-concurrent, asserting distance and survivor parity with the recorded
-run.
+:class:`~repro.engine.QueryEngine`, serial and concurrent, asserting
+distance and survivor parity with the recorded run.
 
 CLI surface: ``repro perf replay`` (see ``repro perf replay --help``).
 """

@@ -10,14 +10,14 @@ trace span, so a span in ``trace.jsonl`` links to its workload line).
 :func:`replay_workload` then re-executes the records through a
 :class:`~repro.engine.QueryEngine` and *verifies* rather than trusts:
 every replayed distance must match the recording to ``atol`` and every
-survivor set must be identical, on every DTW backend, replayed both
-one record at a time and from a pool of threads this module owns, all
-calling the engine's one query method, ``search``, with the record's
-``params`` (``{"epsilon": ε}``, ``{"k": k}`` or both) as keywords.
+survivor set must be identical, replayed both one record at a time and
+from a pool of threads this module owns, all calling the engine's one
+query method, ``search``, with the record's ``params``
+(``{"epsilon": ε}``, ``{"k": k}`` or both) as keywords.
 
 A parity failure therefore isolates the culprit precisely: recorded ≠
-serial-vectorized is an engine change, vectorized ≠ scalar is a kernel
-change, serial ≠ concurrent is a concurrency bug.
+serial is an engine or kernel change, serial ≠ concurrent is a
+concurrency bug.
 
 Capture is wired through
 ``Observability.to_files(workload_out=...)`` — the CLI's
@@ -110,11 +110,10 @@ def load_workload(path, stats=None) -> list[dict]:
 
 @dataclass
 class ReplayCheck:
-    """Parity verdict of one recorded query on one backend and path."""
+    """Parity verdict of one recorded query on one path."""
 
     query_id: str
     kind: str
-    backend: str
     mode: str                     # "serial" | "concurrent"
     ok: bool
     detail: str = ""
@@ -124,7 +123,6 @@ class ReplayCheck:
         return {
             "query_id": self.query_id,
             "kind": self.kind,
-            "backend": self.backend,
             "mode": self.mode,
             "ok": self.ok,
             "detail": self.detail,
@@ -155,21 +153,19 @@ class ReplayReport:
         }
 
     def summary(self) -> str:
-        """A per-backend/mode pass-fail summary for terminals."""
-        by_group: dict[tuple, list[ReplayCheck]] = {}
+        """A per-mode pass-fail summary for terminals."""
+        by_mode: dict[str, list[ReplayCheck]] = {}
         for check in self.checks:
-            by_group.setdefault((check.backend, check.mode), []).append(check)
+            by_mode.setdefault(check.mode, []).append(check)
         lines = []
-        for (backend, mode), group in sorted(by_group.items()):
+        for mode, group in by_mode.items():
             bad = [check for check in group if not check.ok]
             verdict = "ok" if not bad else f"{len(bad)} MISMATCH"
-            lines.append(
-                f"{backend:<12}{mode:<12}{len(group):>4} queries  {verdict}"
-            )
+            lines.append(f"{mode:<12}{len(group):>4} queries  {verdict}")
         for check in self.failures:
             lines.append(
                 f"  mismatch {check.query_id} ({check.kind}, "
-                f"{check.backend}/{check.mode}): {check.detail}"
+                f"{check.mode}): {check.detail}"
             )
         lines.append("replay PARITY OK" if self.ok
                      else f"replay FAILED ({len(self.failures)} mismatches)")
@@ -197,49 +193,45 @@ def _compare(record: dict, got, atol: float) -> tuple[bool, str]:
 
 
 def replay_workload(
-    engine_factory,
+    engine,
     records: list[dict],
     *,
-    backends=("vectorized", "scalar"),
     modes=("serial", "concurrent"),
     workers: int | None = None,
     atol: float = 1e-9,
 ) -> ReplayReport:
     """Re-execute captured queries and verify distance/survivor parity.
 
-    *engine_factory* maps a backend name to a query engine (e.g.
-    ``lambda b: index.engine(dtw_backend=b)`` or a
-    :class:`~repro.engine.QueryEngine` constructor closure).  Each
-    record replays as ``engine.search(query, **record["params"])``.
-    Per backend, ``serial`` replays each record on the calling thread
-    and ``concurrent`` replays the same records from a pool of
-    *workers* threads — so whatever the engine shares between
-    callers (a router lock, a scheduler, an observability facade) is
-    exercised against the same ground truth.  Every record contributes
-    one :class:`ReplayCheck` per (backend, mode).
+    *engine* is anything with the query engine's ``search`` (a
+    :class:`~repro.engine.QueryEngine`, ``index.engine()``, a
+    :class:`~repro.shard.ShardRouter`).  Each record replays as
+    ``engine.search(query, **record["params"])``.  ``serial`` replays
+    each record on the calling thread and ``concurrent`` replays the
+    same records from a pool of *workers* threads — so whatever the
+    engine shares between callers (a router lock, a scheduler, an
+    observability facade) is exercised against the same ground truth.
+    Every record contributes one :class:`ReplayCheck` per mode.
     """
     report = ReplayReport()
     if not records:
         return report
-    for backend in backends:
-        engine = engine_factory(backend)
 
-        def answer(record: dict):
-            query = np.asarray(record["query"], dtype=np.float64)
-            return engine.search(query, **record["params"])[0]
+    def answer(record: dict):
+        query = np.asarray(record["query"], dtype=np.float64)
+        return engine.search(query, **record["params"])[0]
 
-        for mode in ("serial", "concurrent"):
-            if mode not in modes:
-                continue
-            if mode == "serial":
-                answers = [answer(record) for record in records]
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    answers = list(pool.map(answer, records))
-            for record, got in zip(records, answers):
-                ok, detail = _compare(record, got, atol)
-                report.checks.append(ReplayCheck(
-                    query_id=record["query_id"], kind=record["kind"],
-                    backend=backend, mode=mode, ok=ok, detail=detail,
-                ))
+    for mode in ("serial", "concurrent"):
+        if mode not in modes:
+            continue
+        if mode == "serial":
+            answers = [answer(record) for record in records]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                answers = list(pool.map(answer, records))
+        for record, got in zip(records, answers):
+            ok, detail = _compare(record, got, atol)
+            report.checks.append(ReplayCheck(
+                query_id=record["query_id"], kind=record["kind"],
+                mode=mode, ok=ok, detail=detail,
+            ))
     return report

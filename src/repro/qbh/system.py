@@ -51,10 +51,6 @@ class QueryByHummingSystem:
         Sampling of the melody time series.
     env_transform:
         Optional custom envelope transform (defaults to New_PAA).
-    dtw_backend:
-        DTW kernel backend for exact refinement (``"vectorized"``
-        default, ``"scalar"`` reference) — a serving knob, results
-        are identical.
     obs:
         An :class:`~repro.obs.Observability` facade, passed through to
         the underlying :class:`~repro.index.gemini.WarpingIndex` (and
@@ -73,7 +69,6 @@ class QueryByHummingSystem:
         samples_per_beat: int = 8,
         env_transform=None,
         capacity: int = 50,
-        dtw_backend: str | None = None,
         obs=None,
     ) -> None:
         if not melodies:
@@ -92,7 +87,6 @@ class QueryByHummingSystem:
             normal_form=NormalForm(length=normal_length, shift=True),
             index_kind=index_kind,
             capacity=capacity,
-            dtw_backend=dtw_backend,
             obs=obs,
         )
 
@@ -172,8 +166,7 @@ class QueryByHummingSystem:
         hits, stats = self.index.range_query(pitch_series, epsilon)
         return [(self.names[idx], dist) for idx, dist in hits], stats
 
-    def query_cascade(self, pitch_series, k: int = 10, *, stages=None,
-                      dtw_backend=None):
+    def query_cascade(self, pitch_series, k: int = 10, *, stages=None):
         """Top-*k* melodies via the batched filter-cascade engine.
 
         Returns the same exact answer as :meth:`query`, but evaluated
@@ -184,9 +177,8 @@ class QueryByHummingSystem:
         show where candidates were pruned (``repro query --stats``
         prints it).
         """
-        hits, stats = self.index.cascade_knn_query(
-            pitch_series, k, stages=stages, dtw_backend=dtw_backend
-        )
+        hits, stats = self.index.cascade_knn_query(pitch_series, k,
+                                                   stages=stages)
         return [(self.names[idx], dist) for idx, dist in hits], stats
 
     def query_audio(

@@ -78,7 +78,7 @@ from multiprocessing.connection import wait as _wait_ready
 
 import numpy as np
 
-from ..dtw.kernels import DEFAULT_BACKEND, KernelStats, get_kernel
+from ..dtw.kernels import KernelStats
 from ..engine.cascade import (DEFAULT_STAGES, CascadeStats,
                               _query_span_attrs, check_search, query_kind)
 from ..engine.errors import QueryAborted, RouterClosed, ShardError
@@ -160,7 +160,7 @@ class ShardRouter:
         rows are comparable as-is).
     shards:
         Worker-process count (clamped to the row count).
-    band / stages / n_features / metric / dtw_backend:
+    band / stages / n_features / metric:
         Engine configuration, forwarded verbatim to every shard so a
         1-shard router and a plain :class:`~repro.engine.QueryEngine`
         are byte-identical (the cross-shard parity suite's premise).
@@ -198,7 +198,6 @@ class ShardRouter:
     def __init__(self, data, *, shards, band,
                  stages=DEFAULT_STAGES, n_features: int = 8,
                  normal_form=None, ids=None, metric: str = "euclidean",
-                 dtw_backend: str | None = None,
                  mp_context=None, obs=None, epoch_start: int = 0) -> None:
         data = np.ascontiguousarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] == 0:
@@ -209,9 +208,6 @@ class ShardRouter:
         m, n = data.shape
         shards = min(shards, m)
         self.obs = OBS_DISABLED if obs is None else obs
-        backend = DEFAULT_BACKEND if dtw_backend is None else dtw_backend
-        get_kernel(backend)  # validate now, not in the workers
-        self.dtw_backend = backend
         self.band = int(band)
         self.metric = metric
         self.stages = tuple(stages)
@@ -253,7 +249,7 @@ class ShardRouter:
                 row_start=start, row_stop=stop, shard=i,
                 band=self.band, stages=self.stages,
                 n_features=n_features, ids=tuple(ids[start:stop]),
-                metric=metric, dtw_backend=backend,
+                metric=metric,
             )
             self._shards.append(self._spawn(spec, event="spawn"))
 
@@ -277,7 +273,6 @@ class ShardRouter:
             n_features=engine._features.shape[1],
             normal_form=engine.normal_form, ids=list(engine.ids),
             metric=engine.metric,
-            dtw_backend=engine.dtw_backend,
             mp_context=mp_context,
             obs=engine.obs if obs is None and engine.obs.enabled else obs,
             epoch_start=epoch_start,
@@ -296,7 +291,7 @@ class ShardRouter:
         return cls(
             index._data, shards=shards, band=index.band,
             n_features=index.feature_dim, ids=list(index.ids),
-            metric=index.metric, dtw_backend=index.dtw_backend,
+            metric=index.metric,
             mp_context=mp_context,
             obs=index.obs if obs is None and index.obs.enabled else obs,
             epoch_start=epoch_start,
@@ -469,7 +464,7 @@ class ShardRouter:
         # stage:*/refine/kernel`` as one connected tree.
         with self.obs.span(
             "query", kind=kind, sharded=True, shards=self.n_shards,
-            backend=self.dtw_backend, band=self.band,
+            band=self.band,
         ) as qspan:
             with self.obs.span("shard:fanout", kind=kind,
                                shards=self.n_shards) as fspan:

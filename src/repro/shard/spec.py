@@ -51,7 +51,6 @@ class EngineSpec:
     n_features: int = 8
     ids: tuple = ()
     metric: str = "euclidean"
-    dtw_backend: str | None = None
 
     def build(self) -> QueryEngine:
         """Construct this shard's engine over the mapped corpus block."""
@@ -66,5 +65,4 @@ class EngineSpec:
             n_features=self.n_features,
             ids=list(self.ids),
             metric=self.metric,
-            dtw_backend=self.dtw_backend,
         )

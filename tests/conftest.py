@@ -6,7 +6,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.dtw.distance import ldtw_distance
 from repro.music import generate_corpus, segment_corpus
+
+#: The two DTW kernels, by the name their test cases carry: the
+#: single-pair row loop (the reference) and the batch the engine runs.
+KERNEL_NAMES = ("vectorized", "scalar")
 
 
 def run_concurrently(fn, items, threads=8):
@@ -23,6 +28,27 @@ def run_concurrently(fn, items, threads=8):
     with ThreadPoolExecutor(max_workers=threads,
                             initializer=barrier.wait) as pool:
         return list(pool.map(fn, items))
+
+
+def exact_answer(engine, query, kernel, *, k=None, epsilon=None):
+    """The exact answer to ``engine.search(query, k=k, epsilon=epsilon)``.
+
+    ``"vectorized"`` is ``engine.ground_truth``: one batch-kernel call
+    over the whole corpus.  ``"scalar"`` scans the corpus pair by pair
+    with the single-pair row loop instead, and orders and cuts the
+    answer the same way: by (distance, corpus row), at most *k* rows,
+    none farther than *epsilon*.
+    """
+    if kernel == "vectorized":
+        return engine.ground_truth(query, k=k, epsilon=epsilon)
+    assert kernel == "scalar", kernel
+    q = engine._normalise_query(query)
+    dists = np.array([ldtw_distance(q, row, engine.band, metric=engine.metric)
+                      for row in engine._data])
+    order = np.argsort(dists, kind="stable")
+    if epsilon is not None:
+        order = order[dists[order] <= epsilon]
+    return [(engine.ids[i], float(dists[i])) for i in order[:k]]
 
 
 @pytest.fixture

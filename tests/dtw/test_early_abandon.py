@@ -19,7 +19,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.dtw.distance import dtw_distance, ldtw_distance
+from repro.dtw.distance import (
+    dtw_distance,
+    ldtw_distance,
+    ldtw_distance_batch,
+)
 
 N_PAIRS = 50
 LENGTH = 64
@@ -121,26 +125,34 @@ class TestDtwEarlyAbandon:
             assert math.isinf(got) or got == pytest.approx(d, abs=1e-12)
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "scalar"])
+@pytest.mark.parametrize("kernel", ["vectorized", "scalar"])
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
-def test_row_at_exactly_epsilon_is_in_the_range_answer(backend, metric):
+def test_row_at_exactly_epsilon_is_in_the_range_answer(kernel, metric):
     """epsilon set to a row's own distance keeps the row in the answer.
 
     The refine cutoff is formed in cost space; ``fl(epsilon**2)`` alone
     can fall below the cost of a row whose distance is exactly epsilon
-    (about 1 case in 20 here, before the cutoff was rounded up).
+    (about 1 case in 20 here, before the cutoff was rounded up).  Each
+    kernel — the batch (``vectorized``) and the single-pair row loop
+    (``scalar``) — keeps the row at the same cutoff.
     """
     from repro.engine import QueryEngine
 
     rng = np.random.default_rng(400)
     corpus = np.cumsum(rng.normal(size=(400, LENGTH)), axis=1)
-    engine = QueryEngine(corpus, band=BAND, metric=metric,
-                         dtw_backend=backend)
+    engine = QueryEngine(corpus, band=BAND, metric=metric)
     for i in range(20):
         query = corpus[i] + 0.5 * rng.normal(size=LENGTH)
         for row, dist in engine.ground_truth(query, k=5):
             results, _ = engine.search(query, epsilon=dist)
             assert row in [item for item, _ in results]
+            if kernel == "scalar":
+                got = ldtw_distance(query, corpus[row], BAND, metric=metric,
+                                    upper_bound=dist)
+            else:
+                got = ldtw_distance_batch(query, corpus[row][None], BAND,
+                                          metric=metric, upper_bound=dist)[0]
+            assert got == dist
 
 
 class TestEngineRefinementUsesSoundAbandoning:

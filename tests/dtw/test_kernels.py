@@ -1,11 +1,13 @@
-"""Kernel parity, early-abandon, batch, and registry tests.
+"""Kernel parity, early-abandon and batch tests.
 
-Every banded-DTW backend must agree with the scalar reference to
-1e-9 (they actually agree bit for bit: the vectorized wavefront
-performs the min-of-three and the cost addition in the same order per
-cell).  Early abandoning must never produce a false negative: a
-candidate whose true cost is within the cutoff always comes back with
-its exact value.
+There is one kernel per call shape: the scalar row loop
+(``banded_dtw_cost``, the reference) for single pairs and the
+vectorized wavefront (``banded_dtw_cost_batch``) for a candidate
+matrix.  The batch must agree with the reference to 1e-9 (for
+``k >= 1`` it agrees bit for bit: the min-of-three and the cost
+addition happen in the same order per cell).  Early abandoning must
+never produce a false negative in either kernel: a candidate whose true
+cost is within the cutoff always comes back with its exact value.
 """
 
 import math
@@ -15,14 +17,9 @@ import pytest
 
 from repro.dtw.distance import ldtw_distance, ldtw_distance_batch, ldtw_refiner
 from repro.dtw.kernels import (
-    DEFAULT_BACKEND,
-    DTWKernel,
-    _REGISTRY,
-    available_backends,
+    KernelStats,
     banded_dtw_cost,
     banded_dtw_cost_batch,
-    get_kernel,
-    register_kernel,
 )
 
 ATOL = 1e-9
@@ -30,8 +27,21 @@ N = 48
 BANDS = (0, 1, 5, N)
 METRICS = ("euclidean", "manhattan")
 
-SCALAR = get_kernel("scalar")
-VECTORIZED = get_kernel("vectorized")
+
+def _row_loop_batch(x, candidates, k, bound_costs=None, *, manhattan=False):
+    """The scalar kernel over a candidate matrix, one row at a time."""
+    bounds = np.broadcast_to(
+        math.inf if bound_costs is None else bound_costs,
+        (len(candidates),),
+    )
+    return np.array([
+        banded_dtw_cost(x, row, k, float(bound), manhattan=manhattan)
+        for row, bound in zip(candidates, bounds)
+    ])
+
+
+#: Both kernels in the batch call shape, by name.
+KERNELS = {"scalar": _row_loop_batch, "vectorized": banded_dtw_cost_batch}
 
 
 def _pair(rng, n=N, m=N):
@@ -41,7 +51,7 @@ def _pair(rng, n=N, m=N):
 
 
 # ----------------------------------------------------------------------
-# single-pair parity
+# batch against the reference, one pair at a time
 # ----------------------------------------------------------------------
 
 
@@ -50,54 +60,53 @@ def _pair(rng, n=N, m=N):
 def test_kernel_parity_equal_lengths(rng, k, metric):
     for _ in range(10):
         x, y = _pair(rng)
-        ref = ldtw_distance(x, y, k, metric=metric, backend="scalar")
-        vec = ldtw_distance(x, y, k, metric=metric, backend="vectorized")
-        assert vec == pytest.approx(ref, abs=ATOL)
-        assert math.isfinite(vec)
+        ref = ldtw_distance(x, y, k, metric=metric)
+        batch = ldtw_distance_batch(x, y[None], k, metric=metric)[0]
+        assert batch == pytest.approx(ref, abs=ATOL)
+        assert math.isfinite(batch)
 
 
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("m", (40, 44, 48, 53))
 def test_kernel_parity_unequal_lengths(rng, m, metric):
     k = 8
+    manhattan = metric == "manhattan"
     for _ in range(5):
         x, y = _pair(rng, n=N, m=m)
-        ref = ldtw_distance(x, y, k, metric=metric, backend="scalar")
-        vec = ldtw_distance(x, y, k, metric=metric, backend="vectorized")
+        ref = banded_dtw_cost(x, y, k, manhattan=manhattan)
+        batch = banded_dtw_cost_batch(x, y[None], k, manhattan=manhattan)[0]
         if abs(N - m) > k:
-            assert ref == math.inf and vec == math.inf
+            assert ref == math.inf and batch == math.inf
         else:
-            assert vec == pytest.approx(ref, abs=ATOL)
+            assert batch == pytest.approx(ref, abs=ATOL)
 
 
 def test_kernel_k0_unequal_lengths_is_inf(rng):
     x, y = _pair(rng, n=20, m=21)
-    for backend in ("scalar", "vectorized"):
-        assert ldtw_distance(x, y, 0, backend=backend) == math.inf
+    assert ldtw_distance(x, y, 0) == math.inf
+    assert banded_dtw_cost_batch(x, y[None], 0)[0] == math.inf
 
 
 def test_kernel_k0_is_pointwise(rng):
     x, y = _pair(rng)
     expect = float(np.linalg.norm(x - y))
-    for backend in ("scalar", "vectorized"):
-        assert ldtw_distance(x, y, 0, backend=backend) == pytest.approx(expect)
+    assert ldtw_distance(x, y, 0) == pytest.approx(expect)
+    assert ldtw_distance_batch(x, y[None], 0)[0] == pytest.approx(expect)
 
 
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("k", BANDS)
 def test_kernel_cutoff_grid_no_false_negatives(rng, k, metric):
     """Across a grid of cutoffs: never abandon a true answer, and any
-    finite result is the exact value."""
+    finite result is the exact value — in both kernels."""
     manhattan = metric == "manhattan"
     for _ in range(5):
         x, y = _pair(rng)
-        true_cost = banded_dtw_cost(x, y, k, manhattan=manhattan,
-                                    backend="scalar")
+        true_cost = banded_dtw_cost(x, y, k, manhattan=manhattan)
         for frac in (0.0, 0.25, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 4.0):
             bound = true_cost * frac
-            for backend in ("scalar", "vectorized"):
-                got = banded_dtw_cost(x, y, k, bound, manhattan=manhattan,
-                                      backend=backend)
+            for kernel in KERNELS.values():
+                got = kernel(x, y[None], k, bound, manhattan=manhattan)[0]
                 if frac > 1.0:
                     # Clearly inside the cutoff: must not be abandoned.
                     assert got == pytest.approx(true_cost, abs=ATOL)
@@ -112,8 +121,8 @@ def test_kernel_cutoff_grid_no_false_negatives(rng, k, metric):
 
 def test_kernel_identical_series_zero_under_tight_cutoff(rng):
     x = np.cumsum(rng.normal(size=N))
-    for backend in ("scalar", "vectorized"):
-        assert banded_dtw_cost(x, x, 5, 0.0, backend=backend) == 0.0
+    assert banded_dtw_cost(x, x, 5, 0.0) == 0.0
+    assert banded_dtw_cost_batch(x, x[None], 5, 0.0)[0] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -127,40 +136,38 @@ def test_kernel_batch_matches_per_pair(rng, k, metric):
     x = np.cumsum(rng.normal(size=N))
     candidates = np.cumsum(rng.normal(size=(60, N)), axis=1)
     per_pair = np.array([
-        ldtw_distance(x, row, k, metric=metric, backend="scalar")
-        for row in candidates
+        ldtw_distance(x, row, k, metric=metric) for row in candidates
     ])
-    for backend in ("scalar", "vectorized"):
-        batch = ldtw_distance_batch(x, candidates, k, metric=metric,
-                                    backend=backend)
-        np.testing.assert_allclose(batch, per_pair, atol=ATOL)
+    batch = ldtw_distance_batch(x, candidates, k, metric=metric)
+    np.testing.assert_allclose(batch, per_pair, atol=ATOL)
+    if k > 0:
+        np.testing.assert_array_equal(batch, per_pair)
 
 
-@pytest.mark.parametrize("backend", ("scalar", "vectorized"))
-def test_kernel_batch_cutoffs_no_false_negatives(rng, backend):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel_batch_cutoffs_no_false_negatives(rng, kernel):
     """Per-candidate cutoffs: survivors exact, non-survivors only ever
     candidates whose true distance exceeds their own cutoff."""
     x = np.cumsum(rng.normal(size=N))
     candidates = np.cumsum(rng.normal(size=(200, N)), axis=1)
     k = 5
-    true = ldtw_distance_batch(x, candidates, k, backend="scalar")
+    true_cost = _row_loop_batch(x, candidates, k)
     # Mostly killing cutoffs: with a majority of the batch dead the
     # vectorized kernel's dead-column compaction path runs (a pruned
     # candidate only comes back inf once compaction drops it — until
     # then it may finish with its exact, over-cutoff value, which is
     # an equally sound rejection).
-    cuts = true * rng.choice([0.2, 1.005, 1.5], size=true.size,
-                             p=[0.6, 0.2, 0.2])
-    got = ldtw_distance_batch(x, candidates, k, upper_bound=cuts,
-                              backend=backend)
+    cuts = true_cost * rng.choice([0.2, 1.005, 1.5], size=true_cost.size,
+                                  p=[0.6, 0.2, 0.2])
+    got = KERNELS[kernel](x, candidates, k, cuts)
     finite = np.isfinite(got)
-    # Any finite result is the exact distance ...
-    np.testing.assert_allclose(got[finite], true[finite], atol=ATOL)
+    # Any finite result is the exact cost ...
+    np.testing.assert_allclose(got[finite], true_cost[finite], atol=ATOL)
     # ... anything clearly inside its cutoff survives ...
-    must_survive = true <= cuts * (1.0 - 1e-9)
+    must_survive = true_cost <= cuts * (1.0 - 1e-9)
     assert np.all(finite[must_survive])
     # ... and everything pruned to inf was really over its cutoff.
-    assert np.all(true[~finite] > cuts[~finite])
+    assert np.all(true_cost[~finite] > cuts[~finite])
     assert np.any(~finite)  # the cutoffs really did bite
 
 
@@ -189,10 +196,21 @@ def test_kernel_batch_empty_and_band_violation(rng):
     # ldtw_distance_batch requires equal lengths (the post-UTW shape);
     # the kernels themselves answer inf when |n - m| > k.
     short = np.cumsum(rng.normal(size=(3, N - 10)), axis=1)
-    for backend in ("scalar", "vectorized"):
-        assert np.all(np.isinf(
-            banded_dtw_cost_batch(x, short, 5, backend=backend)
-        ))
+    assert np.all(np.isinf(banded_dtw_cost_batch(x, short, 5)))
+    assert all(banded_dtw_cost(x, row, 5) == math.inf for row in short)
+
+
+def test_kernel_stats_count_both_shapes(rng):
+    x = np.cumsum(rng.normal(size=N))
+    candidates = np.cumsum(rng.normal(size=(3, N)), axis=1)
+    pair, batch = KernelStats(), KernelStats()
+    for row in candidates:
+        banded_dtw_cost(x, row, 5, stats=pair)
+    banded_dtw_cost_batch(x, candidates, 5, stats=batch)
+    assert (pair.calls, pair.rows) == (3, 3)
+    assert (batch.calls, batch.rows) == (1, 3)
+    # Both evaluate every band cell of every row when nothing abandons.
+    assert pair.cells == batch.cells > 0
 
 
 # ----------------------------------------------------------------------
@@ -200,14 +218,18 @@ def test_kernel_batch_empty_and_band_violation(rng):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ("scalar", "vectorized"))
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("metric", METRICS)
-def test_kernel_refiner_matches_ldtw_distance(rng, backend, metric):
+def test_kernel_refiner_matches_ldtw_distance(rng, kernel, metric):
+    """The prepared refiner returns either kernel's distance."""
     x, _ = _pair(rng)
-    refine = ldtw_refiner(x, 5, metric=metric, backend=backend)
+    refine = ldtw_refiner(x, 5, metric=metric)
     for _ in range(5):
         _, y = _pair(rng)
-        expect = ldtw_distance(x, y, 5, metric=metric, backend=backend)
+        if kernel == "scalar":
+            expect = ldtw_distance(x, y, 5, metric=metric)
+        else:
+            expect = ldtw_distance_batch(x, y[None], 5, metric=metric)[0]
         assert refine(y) == pytest.approx(expect, abs=ATOL)
         assert refine(y, expect + 1.0) == pytest.approx(expect, abs=ATOL)
         tight = refine(y, expect * 0.5)
@@ -218,60 +240,3 @@ def test_kernel_refiner_accepts_lists(rng):
     x, y = _pair(rng)
     refine = ldtw_refiner(list(x), 5)
     assert refine(list(y)) == pytest.approx(ldtw_distance(x, y, 5), abs=ATOL)
-
-
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-
-
-def test_kernel_registry_default_and_listing():
-    assert DEFAULT_BACKEND == "vectorized"
-    assert get_kernel() is get_kernel("vectorized")
-    names = available_backends()
-    assert names[0] == DEFAULT_BACKEND
-    assert "scalar" in names
-
-
-def test_kernel_registry_unknown_backend():
-    with pytest.raises(ValueError, match="unknown DTW backend"):
-        get_kernel("cuda")
-    with pytest.raises(ValueError, match="unknown DTW backend"):
-        ldtw_distance([0.0, 1.0], [0.0, 1.0], 1, backend="nope")
-
-
-def test_kernel_registry_register_and_overwrite():
-    class DummyKernel(DTWKernel):
-        name = "dummy-test"
-
-        def prepare(self, x, k, *, manhattan=False):
-            return lambda y, bound_cost=math.inf: 0.0
-
-    try:
-        register_kernel(DummyKernel())
-        assert get_kernel("dummy-test").cost(
-            np.zeros(3), np.zeros(3), 1) == 0.0
-        with pytest.raises(ValueError, match="already registered"):
-            register_kernel(DummyKernel())
-        register_kernel(DummyKernel(), overwrite=True)
-    finally:
-        _REGISTRY.pop("dummy-test", None)
-
-
-def test_kernel_registry_rejects_abstract_name():
-    with pytest.raises(ValueError, match="concrete name"):
-        register_kernel(DTWKernel())
-
-
-def test_kernel_default_cost_batch_loops_refiner(rng):
-    """The base-class batch path (prepared-refiner loop) is exact."""
-
-    class LoopKernel(DTWKernel):
-        name = "loop-test"
-        prepare = type(SCALAR).prepare
-
-    x = np.cumsum(rng.normal(size=N))
-    candidates = np.cumsum(rng.normal(size=(8, N)), axis=1)
-    got = LoopKernel().cost_batch(x, candidates, 5)
-    expect = SCALAR.cost_batch(x, candidates, 5)
-    np.testing.assert_allclose(got, expect, atol=ATOL)

@@ -159,3 +159,43 @@ class TestKnnQuery:
         """The optimal multi-step algorithm must not refine everything."""
         _, stats = built_index.knn_query(query, 5)
         assert stats.dtw_computations < len(built_index)
+
+
+@pytest.fixture(scope="module")
+def twins():
+    """30 random walks plus exact copies of the first 10: every copy
+    ties its original at every query."""
+    rng = np.random.default_rng(2024)
+    originals = [np.cumsum(rng.normal(size=64)) for _ in range(30)]
+    return originals + [series.copy() for series in originals[:10]]
+
+
+@pytest.mark.parametrize("kind", ["rstar", "grid", "linear", "cluster"])
+def test_tree_routes_order_ties_like_the_cascade(twins, kind):
+    """Tree k-NN and range answers are ordered by (distance, corpus row),
+    the cascade's order, whatever the ids sort as."""
+    # String ids in reverse row order: sorting by id inverts row order.
+    ids = [f"m{len(twins) - row:02d}" for row in range(len(twins))]
+    index = WarpingIndex(twins, delta=0.1, normal_form=NormalForm(length=64),
+                         index_kind=kind, capacity=8, ids=ids)
+    rng = np.random.default_rng(7)
+    for i in range(20):
+        query = twins[i % 10] + 0.3 * rng.normal(size=64)
+        for k in (1, 2, 3, 5):
+            tree, _ = index.knn_query(query, k)
+            cascade, _ = index.cascade_knn_query(query, k)
+            assert [item for item, _ in tree] == [item for item, _ in cascade]
+        sixth = index.cascade_knn_query(query, 6)[0][-1][1]
+        epsilon = float(np.nextafter(sixth, np.inf))
+        tree, _ = index.range_query(query, epsilon)
+        cascade, _ = index.cascade_range_query(query, epsilon)
+        assert [item for item, _ in tree] == [item for item, _ in cascade]
+
+    # Ids of mixed types never meet in a comparison.
+    mixed = list(range(30)) + [f"copy{row}" for row in range(10)]
+    index = WarpingIndex(twins, delta=0.1, normal_form=NormalForm(length=64),
+                         index_kind=kind, capacity=8, ids=mixed)
+    tree, _ = index.knn_query(twins[3], 3)
+    cascade, _ = index.cascade_knn_query(twins[3], 3)
+    assert [item for item, _ in tree] == [item for item, _ in cascade]
+    assert [item for item, _ in tree][:2] == [3, "copy3"]

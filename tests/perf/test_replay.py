@@ -44,7 +44,7 @@ def test_capture_schema_and_stable_ids(workload_file, corpus):
         assert record["schema"] == 1
         assert record["kind"] in ("range", "knn")
         assert len(record["query_id"]) == 16
-        assert record["backend"] == "vectorized"
+        assert "backend" not in record
         assert record["band"] == 4
         assert [tuple(pair) for pair in record["results"]] == [
             (item, pytest.approx(dist)) for item, dist in want
@@ -53,16 +53,14 @@ def test_capture_schema_and_stable_ids(workload_file, corpus):
     assert len({record["query_id"] for record in records}) == len(records)
 
 
-def test_replay_parity_across_backends_and_modes(workload_file, corpus):
+def test_replay_parity_across_modes(workload_file, corpus):
     path, _ = workload_file
     records = load_workload(path)
-    report = replay_workload(
-        lambda backend: QueryEngine(corpus, band=4, dtw_backend=backend),
-        records, workers=2,
-    )
+    report = replay_workload(QueryEngine(corpus, band=4), records,
+                             workers=2)
     assert report.ok
-    # One check per record per (backend, mode).
-    assert len(report.checks) == len(records) * 4
+    # One check per record per mode.
+    assert len(report.checks) == len(records) * 2
     assert {check.mode for check in report.checks} == {"serial",
                                                        "concurrent"}
     assert "PARITY OK" in report.summary()
@@ -75,10 +73,8 @@ def test_replay_detects_a_changed_answer(workload_file, corpus):
     records[0]["results"][0][1] += 1.0
     if records[1]["results"]:
         records[1]["results"].pop(0)
-    report = replay_workload(
-        lambda backend: QueryEngine(corpus, band=4, dtw_backend=backend),
-        records, backends=("vectorized",), modes=("serial",),
-    )
+    report = replay_workload(QueryEngine(corpus, band=4), records,
+                             modes=("serial",))
     assert not report.ok
     assert len(report.failures) >= 1
     assert "FAILED" in report.summary()
@@ -109,17 +105,16 @@ def test_capture_under_many_threads(corpus, tmp_path):
     for line in open(path):
         json.loads(line)                  # every line intact JSON
     # Completion order is arbitrary; match by query id digest.
-    replayed = replay_workload(
-        lambda backend: QueryEngine(corpus, band=4, dtw_backend=backend),
-        records, backends=("vectorized",), modes=("serial",),
-    )
+    replayed = replay_workload(QueryEngine(corpus, band=4), records,
+                               modes=("serial",))
     assert replayed.ok
 
 
 def test_single_parameter_records_still_replay(corpus, tmp_path):
     """Records in the schema-1 layout — a ``kind`` plus ``params`` of
-    ``{"epsilon": ...}`` or ``{"k": ...}`` — replay as
-    ``search(query, **params)`` on every backend and mode."""
+    ``{"epsilon": ...}`` or ``{"k": ...}``, and the ``backend`` key older
+    captures carry — replay as ``search(query, **params)`` in every
+    mode."""
     engine = QueryEngine(corpus, band=4)
     query = corpus[5] + 0.25
     path = tmp_path / "wl.jsonl"
@@ -127,19 +122,16 @@ def test_single_parameter_records_still_replay(corpus, tmp_path):
     for kind, params in (("range", {"epsilon": 4.0}), ("knn", {"k": 5})):
         recorder({
             "schema": 1, "query_id": f"legacy-{kind}", "kind": kind,
-            "params": params, "query": [float(v) for v in query],
+            "params": params, "backend": "vectorized", "query": [float(v) for v in query],
             "results": [[item, dist] for item, dist
                         in engine.ground_truth(query, **params)],
         })
     recorder.close()
     records = load_workload(path)
     assert [r["kind"] for r in records] == ["range", "knn"]
-    report = replay_workload(
-        lambda backend: QueryEngine(corpus, band=4, dtw_backend=backend),
-        records, workers=2,
-    )
+    report = replay_workload(engine, records, workers=2)
     assert report.ok, report.summary()
-    assert len(report.checks) == len(records) * 4
+    assert len(report.checks) == len(records) * 2
 
 
 def test_load_workload_skips_damaged_lines(tmp_path):
@@ -157,4 +149,4 @@ def test_load_workload_skips_damaged_lines(tmp_path):
 
 def test_empty_report_is_ok():
     assert ReplayReport().ok
-    assert replay_workload(lambda backend: None, []).ok
+    assert replay_workload(None, []).ok

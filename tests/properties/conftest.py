@@ -23,7 +23,7 @@ from repro.core.envelope_transforms import (
     NewPAAEnvelopeTransform,
 )
 from repro.core.normal_form import NormalForm
-from repro.dtw.distance import ldtw_distance_batch
+from repro.dtw.distance import ldtw_distance
 from repro.engine.stages import (
     lb_envelope_batch,
     lb_first_last_batch,
@@ -105,7 +105,9 @@ def make_bundle(family: str, query_raw, candidate_raws) -> CaseBundle:
     """Normalise, then compute exact distances and every stage bound."""
     q = NORMAL_FORM.apply(query_raw)
     cands = np.vstack([NORMAL_FORM.apply(c) for c in candidate_raws])
-    exact = ldtw_distance_batch(q, cands, BAND)
+    # The reference row loop, pair by pair: the batch kernel is what the
+    # parity properties check against these values.
+    exact = np.array([ldtw_distance(q, row, BAND) for row in cands])
     bundle = CaseBundle(family=family, query=q, candidates=cands, exact=exact)
     env = k_envelope(q, BAND)
     bundle.query_envelope = env

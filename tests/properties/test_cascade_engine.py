@@ -19,7 +19,7 @@ from repro.engine import DEFAULT_STAGES, STAGE_ORDER, QueryEngine
 from repro.engine.cascade import _REFINE_ROWS
 from repro.obs import Observability
 
-from tests.conftest import run_concurrently
+from tests.conftest import KERNEL_NAMES, exact_answer, run_concurrently
 
 from .conftest import _raw_random_walk, _raw_sine_mixture
 
@@ -222,10 +222,8 @@ def test_validation_errors():
 
 
 # ----------------------------------------------------------------------
-# DTW kernel backends
+# DTW refinement
 # ----------------------------------------------------------------------
-
-BACKENDS = ("vectorized", "scalar")
 
 
 def _epsilon_leaving(engine, query, survivors: int) -> float:
@@ -247,10 +245,11 @@ def _epsilon_leaving(engine, query, survivors: int) -> float:
     raise AssertionError(f"no epsilon leaves exactly {survivors} survivors")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_kernel_backend_range_equals_ground_truth(corpus, query, backend):
-    engine = QueryEngine(corpus, band=BAND, dtw_backend=backend)
-    truth = engine.ground_truth_range(query, epsilon=6.0)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+def test_kernel_backend_range_equals_ground_truth(corpus, query, kernel):
+    """Range answers equal an exhaustive scan by either DTW kernel."""
+    engine = QueryEngine(corpus, band=BAND)
+    truth = exact_answer(engine, query, kernel, epsilon=6.0)
     results, _ = engine.range_search(query, epsilon=6.0)
     assert [i for i, _ in results] == [i for i, _ in truth]
     np.testing.assert_allclose(
@@ -263,18 +262,19 @@ def test_kernel_backend_range_equals_ground_truth(corpus, query, backend):
         results, stats = engine.range_search(query, epsilon)
         assert stats.exact_candidates == survivors
         assert stats.dtw_computations == survivors
-        truth = engine.ground_truth_range(query, epsilon)
+        truth = exact_answer(engine, query, kernel, epsilon=epsilon)
         assert [i for i, _ in results] == [i for i, _ in truth]
         np.testing.assert_allclose(
             [d for _, d in results], [d for _, d in truth], atol=1e-9
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("k", [1, 9])
-def test_kernel_backend_knn_equals_ground_truth(corpus, query, backend, k):
-    engine = QueryEngine(corpus, band=BAND, dtw_backend=backend)
-    truth = engine.ground_truth_knn(query, k)
+def test_kernel_backend_knn_equals_ground_truth(corpus, query, kernel, k):
+    """k-NN answers equal an exhaustive scan by either DTW kernel."""
+    engine = QueryEngine(corpus, band=BAND)
+    truth = exact_answer(engine, query, kernel, k=k)
     results, _ = engine.knn(query, k)
     assert [i for i, _ in results] == [i for i, _ in truth]
     np.testing.assert_allclose(
@@ -283,18 +283,19 @@ def test_kernel_backend_knn_equals_ground_truth(corpus, query, backend, k):
 
 
 def test_kernel_backends_agree_to_1e9(corpus, query):
-    """Scalar and vectorized serving paths are interchangeable."""
-    answers = {}
-    for backend in BACKENDS:
-        engine = QueryEngine(corpus, band=BAND, dtw_backend=backend)
-        answers[backend] = (engine.range_search(query, epsilon=8.0)[0],
-                           engine.knn(query, 6)[0])
-    for kind in (0, 1):
-        ref, other = answers["vectorized"][kind], answers["scalar"][kind]
-        assert [i for i, _ in ref] == [i for i, _ in other]
-        np.testing.assert_allclose(
-            [d for _, d in ref], [d for _, d in other], atol=1e-9
-        )
+    """Exhaustive scans by the row loop and by the batch kernel give the
+    same range and k-NN answers, and the engine serves that answer."""
+    engine = QueryEngine(corpus, band=BAND)
+    served = (engine.range_search(query, epsilon=8.0)[0],
+              engine.knn(query, 6)[0])
+    for kernel in KERNEL_NAMES:
+        scans = (exact_answer(engine, query, kernel, epsilon=8.0),
+                 exact_answer(engine, query, kernel, k=6))
+        for got, want in zip(served, scans):
+            assert [i for i, _ in got] == [i for i, _ in want]
+            np.testing.assert_allclose(
+                [d for _, d in got], [d for _, d in want], atol=1e-9
+            )
 
 
 def test_refine_is_one_kernel_dispatch_per_slice(corpus, query):
@@ -359,16 +360,19 @@ def test_k_and_epsilon_equal_ground_truth(corpus, query, stages, k, size):
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("size", RANGE_SIZES)
 def test_k_and_epsilon_on_every_metric_and_backend(corpus, query, metric,
-                                                   backend, size):
-    engine = QueryEngine(corpus, band=BAND, metric=metric,
-                         dtw_backend=backend)
+                                                   kernel, size):
+    """k and epsilon together equal an exhaustive scan by either DTW
+    kernel, under both metrics."""
+    engine = QueryEngine(corpus, band=BAND, metric=metric)
     for k in (1, 5, 17):
         epsilon = _epsilon(engine, query, k, size)
-        _assert_same_answer(engine.search(query, k=k, epsilon=epsilon)[0],
-                            engine.ground_truth(query, k=k, epsilon=epsilon))
+        _assert_same_answer(
+            engine.search(query, k=k, epsilon=epsilon)[0],
+            exact_answer(engine, query, kernel, k=k, epsilon=epsilon),
+        )
 
 
 @pytest.fixture(scope="module")
@@ -406,11 +410,6 @@ def test_range_search_and_knn_are_spellings_of_search(corpus, query):
     ):
         assert spelled[0] == direct[0]
         assert _counters(spelled[1]) == _counters(direct[1])
-
-
-def test_kernel_backend_validated_at_construction(corpus):
-    with pytest.raises(ValueError, match="unknown DTW backend"):
-        QueryEngine(corpus, band=BAND, dtw_backend="warp-core")
 
 
 # ----------------------------------------------------------------------

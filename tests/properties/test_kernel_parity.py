@@ -1,9 +1,9 @@
 """Kernel-parity properties over the generated case pool.
 
-Every registered DTW backend must return *identical* distances (to
-1e-9) on every bundle in the pool, under both metrics, and must never
-produce a false negative under early-abandon cutoffs — the engine's
-no-false-negative guarantee rests on this.
+The batch kernel must return the reference row loop's distances (to
+1e-9) on every bundle in the pool, under both metrics, and neither
+kernel may produce a false negative under early-abandon cutoffs — the
+engine's no-false-negative guarantee rests on this.
 """
 
 from __future__ import annotations
@@ -12,55 +12,53 @@ import numpy as np
 import pytest
 
 from repro.dtw.distance import ldtw_distance, ldtw_distance_batch
-from repro.dtw.kernels import available_backends
 
 from .conftest import BAND
 
 ATOL = 1e-9
 
-BACKENDS = available_backends()
-NON_DEFAULT = tuple(b for b in BACKENDS if b != BACKENDS[0])
+
+def _row_loop_batch(query, candidates, k, *, upper_bound=None):
+    """The reference row loop over a candidate matrix."""
+    return np.array([ldtw_distance(query, row, k, upper_bound=upper_bound)
+                     for row in candidates])
 
 
-def test_kernel_pool_has_both_backends():
-    assert "scalar" in BACKENDS and "vectorized" in BACKENDS
+#: Both kernels in the batch call shape, by name.
+KERNELS = {"scalar": _row_loop_batch, "vectorized": ldtw_distance_batch}
 
 
-@pytest.mark.parametrize("backend", NON_DEFAULT)
-def test_kernel_batch_parity_over_pool(bundles, backend):
-    """Backend batch distances match the pool's precomputed exact
-    distances (themselves computed with the default backend)."""
+def test_kernel_batch_parity_over_pool(bundles):
+    """Batch distances match the pool's exact distances, which the
+    reference row loop computed pair by pair."""
     for bundle in bundles:
-        got = ldtw_distance_batch(bundle.query, bundle.candidates, BAND,
-                                  backend=backend)
+        got = ldtw_distance_batch(bundle.query, bundle.candidates, BAND)
         np.testing.assert_allclose(got, bundle.exact, atol=ATOL,
                                    err_msg=f"family={bundle.family}")
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
 def test_kernel_pairwise_parity_over_pool(bundles, metric):
-    """Scalar and vectorized single-pair calls agree on sampled pairs
-    from every bundle under both metrics."""
+    """Single-pair and batch calls agree on sampled pairs from every
+    bundle under both metrics."""
     for bundle in bundles[::3]:
-        for row in range(0, bundle.size, 7):
-            ref = ldtw_distance(bundle.query, bundle.candidates[row], BAND,
-                                metric=metric, backend="scalar")
-            vec = ldtw_distance(bundle.query, bundle.candidates[row], BAND,
-                                metric=metric, backend="vectorized")
-            assert vec == pytest.approx(ref, abs=ATOL)
+        rows = bundle.candidates[::7]
+        batch = ldtw_distance_batch(bundle.query, rows, BAND, metric=metric)
+        for row, got in zip(rows, batch):
+            ref = ldtw_distance(bundle.query, row, BAND, metric=metric)
+            assert got == pytest.approx(ref, abs=ATOL)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_kernel_cutoffs_never_lose_answers_over_pool(bundles, backend):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel_cutoffs_never_lose_answers_over_pool(bundles, kernel):
     """For a grid of cutoffs: every candidate truly within the cutoff
-    keeps its exact distance, under every backend."""
+    keeps its exact distance, in both kernels."""
     for bundle in bundles[::2]:
         exact = bundle.exact
         for quantile in (0.1, 0.5, 0.9):
             cutoff = float(np.quantile(exact, quantile))
-            got = ldtw_distance_batch(bundle.query, bundle.candidates,
-                                      BAND, upper_bound=cutoff,
-                                      backend=backend)
+            got = KERNELS[kernel](bundle.query, bundle.candidates,
+                                  BAND, upper_bound=cutoff)
             inside = exact <= cutoff * (1.0 - 1e-9)
             np.testing.assert_allclose(got[inside], exact[inside],
                                        atol=ATOL)

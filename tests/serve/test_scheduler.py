@@ -208,8 +208,7 @@ def test_service_parity_with_serial_dispatch_workers8(parity_setup):
         # it is answered from the cache they filled.
         reports = [
             replay_workload(
-                lambda backend: adapter, records,
-                backends=("service",), modes=(mode,), workers=8,
+                adapter, records, modes=(mode,), workers=8,
                 atol=0.0,  # byte-identical, not merely close
             )
             for mode in ("concurrent", "serial")

@@ -2,12 +2,13 @@
 
 The acceptance bar for the shard tier is the serving layer's, one
 level down: partitioning must never change what the engine computes.
-This suite drives the combinations that could disagree —
-``dtw_backend`` (vectorized/scalar) x request kind (range/knn) x
-callers (one thread / several at once) x shard count — through the
-``repro perf replay`` harness with ``atol=0.0``: the recorded
-single-engine answer and every sharded replay must match to the last
-float bit, order included.
+This suite drives the combinations that could disagree — the DTW
+kernel that computed the recorded answer (the engine's batch or an
+exhaustive scan by the single-pair row loop) x request kind (range/knn)
+x callers (one thread / several at once) x shard count — through the
+``repro perf replay`` harness with ``atol=0.0``: the recorded answer
+and every sharded replay must match to the last float bit, order
+included.
 """
 
 import numpy as np
@@ -19,7 +20,8 @@ from repro.perf import replay_workload
 from repro.serve.loadgen import result_digest
 from repro.shard import ShardRouter
 
-BACKENDS = ("vectorized", "scalar")
+from tests.conftest import KERNEL_NAMES, exact_answer
+
 SHARD_COUNTS = (1, 2, 3)
 
 
@@ -35,21 +37,26 @@ def queries(corpus):
             for i in range(5)]
 
 
-def _engine(corpus, backend):
-    return QueryEngine(list(corpus), delta=0.1, dtw_backend=backend)
+def _engine(corpus):
+    return QueryEngine(list(corpus), delta=0.1)
 
 
-def _records(engine, queries):
-    """Ground-truth workload records, as the capture path would emit."""
+def _records(engine, queries, kernel="vectorized"):
+    """Ground-truth workload records, as the capture path would emit.
+
+    ``"vectorized"`` records the single engine's answers; ``"scalar"``
+    records an exhaustive scan by the single-pair row loop.
+    """
     records = []
     for i, query in enumerate(queries):
         for kind, param in (("knn", 4), ("range", 5.0)):
-            if kind == "range":
+            params = {"epsilon" if kind == "range" else "k": param}
+            if kernel == "scalar":
+                got = exact_answer(engine, query, kernel, **params)
+            elif kind == "range":
                 got, _ = engine.range_search(query, param)
-                params = {"epsilon": param}
             else:
                 got, _ = engine.knn(query, param)
-                params = {"k": param}
             records.append({
                 "schema": 1, "query_id": f"q{i}-{kind}", "kind": kind,
                 "params": params,
@@ -59,37 +66,25 @@ def _records(engine, queries):
     return records
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_replay_parity_exact(corpus, queries, backend, shards):
-    """Recorded single-engine answers replay bit-exactly through a
-    sharded fleet, from one caller and from several at once, on both
-    kernels."""
-    engine = _engine(corpus, backend)
-    records = _records(engine, queries)
-    routers = []
-
-    def factory(name):
-        router = ShardRouter.from_engine(_engine(corpus, name),
-                                         shards=shards)
-        routers.append(router)
-        return router
-
-    try:
-        report = replay_workload(factory, records, backends=(backend,),
+def test_replay_parity_exact(corpus, queries, kernel, shards):
+    """Recorded answers, by either kernel, replay bit-exactly through a
+    sharded fleet, from one caller and from several at once."""
+    engine = _engine(corpus)
+    records = _records(engine, queries, kernel)
+    with ShardRouter.from_engine(engine, shards=shards) as router:
+        report = replay_workload(router, records,
                                  modes=("serial", "concurrent"), workers=4,
                                  atol=0.0)
-    finally:
-        for router in routers:
-            router.close()
     assert report.ok, report.summary()
-    # 5 queries x 2 kinds x 2 modes on one backend.
+    # 5 queries x 2 kinds x 2 modes.
     assert len(report.checks) == len(records) * 2
 
 
 def test_digests_agree_across_shard_counts(corpus, queries):
     """The same request digests identically at every fleet width."""
-    engine = _engine(corpus, None)
+    engine = _engine(corpus)
     digests = {}
     for shards in SHARD_COUNTS:
         with ShardRouter.from_engine(engine, shards=shards) as router:

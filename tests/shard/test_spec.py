@@ -43,7 +43,7 @@ def _spec(path, data, **overrides):
 class TestPickling:
     def test_round_trips_through_pickle(self, corpus_file):
         path, data = corpus_file
-        spec = _spec(path, data, dtw_backend="scalar")
+        spec = _spec(path, data, metric="manhattan")
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
 

