@@ -6,7 +6,6 @@ Subcommands mirror a real deployment's lifecycle::
     repro ingest  --corpus corpus/ --store-dir store/   # build the warping index
     repro hum     --corpus corpus/ --melody 123 --out hum.npy
     repro query   --store-dir store/ --hum hum.npy -k 10
-    repro demo                                          # end-to-end in memory
 
 The index lives in a columnar store directory (:mod:`repro.store`);
 ``ingest`` initialises it or appends a generation to it.
@@ -566,130 +565,19 @@ def _cmd_hum(args) -> int:
     return 0
 
 
-def _cmd_assess(args) -> int:
-    from .persistence import load_corpus
-    from .qbh.scoring import assess_humming
-
-    melodies = load_corpus(args.corpus)
-    if not 0 <= args.melody < len(melodies):
-        print(f"error: melody index {args.melody} out of range "
-              f"[0, {len(melodies)})", file=sys.stderr)
-        return 2
-    melody = melodies[args.melody]
-    hum = _load_hum(args.hum)
-    report = assess_humming(hum, melody)
-    print(f"assessing your humming of {melody.name!r}:")
-    print(f"  grade: {report.grade()}")
-    print(f"  mean |pitch error|: {report.mean_abs_pitch_error:.2f} semitones")
-    print(f"  timing consistency: {report.timing_consistency:.2f}")
-    worst = report.worst_note
-    if worst is not None and abs(worst.pitch_error) > 0.5:
-        direction = "sharp" if worst.pitch_error > 0 else "flat"
-        print(f"  worst note: #{worst.index} "
-              f"({melody.notes[worst.index].name}), "
-              f"{abs(worst.pitch_error):.1f} semitones {direction}")
-    return 0
-
-
-def _cmd_analyze(args) -> int:
-    from .music.analysis import analyze_corpus, find_duplicates
-    from .persistence import load_corpus
-
-    melodies = load_corpus(args.corpus)
-    stats = analyze_corpus(melodies, estimate_keys=not args.no_keys)
-    print(stats.summary())
-    duplicates = find_duplicates(melodies)
-    print(f"duplicate groups: {len(duplicates)}")
-    return 0
-
-
-def _cmd_export(args) -> int:
-    from .music.notation import melody_to_abc
-    from .persistence import load_corpus
-
-    melodies = load_corpus(args.corpus)
-    if not 0 <= args.melody < len(melodies):
-        print(f"error: melody index {args.melody} out of range "
-              f"[0, {len(melodies)})", file=sys.stderr)
-        return 2
-    melody = melodies[args.melody]
-    abc = melody_to_abc(melody, title=melody.name)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(abc)
-        print(f"wrote {melody.name!r} to {args.out}")
-    else:
-        print(abc, end="")
-    return 0
-
-
-def _cmd_tune(args) -> int:
-    from .hum.singer import SingerProfile, hum_melody
-    from .persistence import load_corpus
-    from .tuning import tune_feature_count
-
-    melodies = load_corpus(args.corpus)
-    series = [m.to_time_series(8) for m in melodies]
-    rng = np.random.default_rng(args.seed)
-    targets = rng.choice(len(melodies), size=min(args.queries, len(melodies)),
-                         replace=False)
-    queries = [
-        hum_melody(melodies[int(t)], SingerProfile.better(), rng)
-        for t in targets
-    ]
-    report = tune_feature_count(
-        series, queries, delta=args.delta,
-        normal_length=args.normal_length,
-        candidates_grid=tuple(args.grid),
-    )
-    print(report.summary())
-    print(f"\nrecommended feature count: {report.recommended}")
-    return 0
-
-
 def _cmd_experiment(args) -> int:
-    from . import experiments
+    from .experiments import EXPERIMENT_SECTIONS, active_scale, format_series
+    from .qbh.evaluation import format_rank_tables
 
-    scale = experiments.active_scale()
-    small_db = min(scale.fig10_db, 5000)
-    runners = {
-        "table2": lambda: experiments.run_table2(scale),
-        "table3": lambda: experiments.run_table3(scale),
-        "fig6": lambda: experiments.run_fig6(scale),
-        "fig7": lambda: experiments.run_fig7(scale),
-        "fig8": lambda: experiments.run_fig8(scale),
-        "fig9": lambda: experiments.run_fig9(scale),
-        "fig10": lambda: experiments.run_fig10(scale),
-        "scaling": lambda: experiments.run_size_scaling(scale),
-        "signsplit": lambda: experiments.run_signsplit_ablation(
-            max(200, scale.fig7_pairs)),
-        "knn": lambda: experiments.run_knn_ablation(
-            small_db, scale.fig8_queries),
-        "backends": lambda: experiments.run_backend_ablation(
-            small_db, scale.fig8_queries),
-        "secondfilter": lambda: experiments.run_second_filter_ablation(
-            small_db, scale.fig8_queries),
-        "cascade": lambda: experiments.run_cascade_ablation(
-            small_db, scale.fig8_queries),
-        "splits": lambda: experiments.run_split_ablation(
-            min(scale.fig10_db, 3000), scale.fig8_queries),
-        "noise": lambda: experiments.run_noise_sweep(scale),
-    }
-    if args.which not in runners:
-        print(f"error: unknown experiment {args.which!r}; choose from "
-              f"{sorted(runners)}", file=sys.stderr)
-        return 2
+    scale = active_scale()
     print(f"running {args.which} at {scale.name} scale "
           f"(set REPRO_SCALE=full|smoke to change) ...")
-    result = runners[args.which]()
-    if args.which in ("table2", "table3"):
-        from .qbh.evaluation import format_rank_tables
-
-        tables = list(result) if isinstance(result, (list, tuple)) else [result]
-        print(format_rank_tables(tables, title=args.which))
+    _, runner = EXPERIMENT_SECTIONS[args.which]
+    result = runner(scale)
+    if isinstance(result, dict):
+        print(format_series(args.which, result))
     else:
-        rows = result[0] if isinstance(result, tuple) else result
-        print(experiments.format_series(args.which, rows))
+        print(format_rank_tables(result, title=args.which))
     return 0
 
 
@@ -711,41 +599,22 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_demo(args) -> int:
-    from .hum.singer import SingerProfile, hum_melody
-    from .music.corpus import generate_corpus, segment_corpus
-    from .qbh.system import QueryByHummingSystem
-
-    melodies = segment_corpus(generate_corpus(args.songs, seed=args.seed),
-                              per_song=20, seed=args.seed)
-    system = QueryByHummingSystem(melodies, delta=0.1)
-    rng = np.random.default_rng(args.seed)
-    target = int(rng.integers(len(melodies)))
-    hum = hum_melody(melodies[target], SingerProfile.better(), rng)
-    results, stats = system.query(hum, k=5)
-    print(f"database: {len(system)} melodies; hummed {melodies[target].name!r}")
-    print(f"filter: {stats.candidates} candidates, "
-          f"{stats.page_accesses} page accesses")
-    for rank, (name, dist) in enumerate(results, start=1):
-        marker = "  <-- target" if name == melodies[target].name else ""
-        print(f"{rank}. {name} ({dist:.2f}){marker}")
-    return 0
-
-
-def _top_k(text: str) -> int:
-    """argparse ``type`` of every ``-k``: an integer >= 1."""
+def _positive_int(text: str) -> int:
+    """argparse ``type`` of every count flag: an integer >= 1."""
     try:
         value = int(text)
         if value < 1:
             raise ValueError(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"k must be an integer >= 1, got {text!r}"
+            f"must be an integer >= 1, got {text!r}"
         ) from None
     return value
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .experiments import EXPERIMENT_SECTIONS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Query by humming with warping indexes (SIGMOD 2003)",
@@ -753,8 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_corpus = sub.add_parser("corpus", help="generate a MIDI melody corpus")
-    p_corpus.add_argument("--songs", type=int, default=50)
-    p_corpus.add_argument("--per-song", type=int, default=20)
+    p_corpus.add_argument("--songs", type=_positive_int, default=50)
+    p_corpus.add_argument("--per-song", type=_positive_int, default=20)
     p_corpus.add_argument("--seed", type=int, default=1)
     p_corpus.add_argument("--out", required=True)
     p_corpus.set_defaults(func=_cmd_corpus)
@@ -773,8 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--delta", type=float, default=0.1,
                           help="warping width for a fresh store "
                                "(appends reuse the store's config)")
-    p_ingest.add_argument("--features", type=int, default=8)
-    p_ingest.add_argument("--normal-length", type=int, default=128)
+    p_ingest.add_argument("--features", type=_positive_int, default=8)
+    p_ingest.add_argument("--normal-length", type=_positive_int, default=128)
     p_ingest.add_argument("--id-prefix", default="", metavar="P",
                           help="prefix melody ids with P (ids must be "
                                "unique across the whole store)")
@@ -802,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--hum", required=True, nargs="+",
                          help=".npy pitch series or .mid melody; several "
                               "hums are answered one after the other")
-    p_query.add_argument("-k", type=_top_k, default=10)
+    p_query.add_argument("-k", type=_positive_int, default=10)
     p_query.add_argument("--stats", action="store_true",
                          help="answer via the batched filter cascade and "
                               "print per-stage pruning counters")
@@ -844,10 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--hum", required=True, nargs="+",
                          help=".npy pitch series or .mid melody; the "
                               "request mix cycles over all of them")
-    p_serve.add_argument("-k", type=_top_k, default=10)
-    p_serve.add_argument("--clients", type=int, default=8,
+    p_serve.add_argument("-k", type=_positive_int, default=10)
+    p_serve.add_argument("--clients", type=_positive_int, default=8,
                          help="concurrent closed-loop clients (default: 8)")
-    p_serve.add_argument("--repeat", type=int, default=4,
+    p_serve.add_argument("--repeat", type=_positive_int, default=4,
                          help="requests per hum (default: 4)")
     p_serve.add_argument("--deadline-ms", type=float,
                          help="per-request deadline; lapsed requests "
@@ -900,12 +769,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_quality.add_argument("--corpus", metavar="FILE",
                            help="melody corpus from `repro corpus` "
                                 "(default: generate one in memory)")
-    p_quality.add_argument("--songs", type=int, default=8,
+    p_quality.add_argument("--songs", type=_positive_int, default=8,
                            help="songs for the generated corpus "
                                 "(default: 8)")
-    p_quality.add_argument("--per-song", type=int, default=4,
+    p_quality.add_argument("--per-song", type=_positive_int, default=4,
                            help="melody segments per song (default: 4)")
-    p_quality.add_argument("--queries", type=int, default=3,
+    p_quality.add_argument("--queries", type=_positive_int, default=3,
                            help="queries per (scenario, severity) cell "
                                 "(default: 3)")
     p_quality.add_argument("--scenario", nargs="+", metavar="NAME",
@@ -915,11 +784,11 @@ def build_parser() -> argparse.ArgumentParser:
                            default=[0.25, 0.5, 1.0], metavar="S",
                            help="severity levels in [0, 1] "
                                 "(default: 0.25 0.5 1.0)")
-    p_quality.add_argument("-k", type=_top_k, default=10,
+    p_quality.add_argument("-k", type=_positive_int, default=10,
                            help="top-k answers per query (default: 10)")
     p_quality.add_argument("--delta", type=float, default=0.1,
                            help="DTW warping-band width (default: 0.1)")
-    p_quality.add_argument("--normal-length", type=int, default=128,
+    p_quality.add_argument("--normal-length", type=_positive_int, default=128,
                            help="normal-form length (default: 128)")
     p_quality.add_argument("--seed", type=int, default=0)
     p_quality.add_argument("--trace-out", metavar="FILE",
@@ -1014,44 +883,9 @@ def build_parser() -> argparse.ArgumentParser:
                                help="distance tolerance (default: 1e-9)")
     p_perf_replay.set_defaults(func=_cmd_perf_replay)
 
-    p_assess = sub.add_parser("assess",
-                              help="grade a hum against its intended melody")
-    p_assess.add_argument("--corpus", required=True)
-    p_assess.add_argument("--melody", type=int, required=True)
-    p_assess.add_argument("--hum", required=True,
-                          help=".npy pitch series or .mid melody")
-    p_assess.set_defaults(func=_cmd_assess)
-
-    p_analyze = sub.add_parser("analyze", help="corpus statistics report")
-    p_analyze.add_argument("--corpus", required=True)
-    p_analyze.add_argument("--no-keys", action="store_true",
-                           help="skip key estimation (faster)")
-    p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_export = sub.add_parser("export",
-                              help="render a corpus melody as ABC notation")
-    p_export.add_argument("--corpus", required=True)
-    p_export.add_argument("--melody", type=int, required=True)
-    p_export.add_argument("--out", help="write to a file instead of stdout")
-    p_export.set_defaults(func=_cmd_export)
-
-    p_tune = sub.add_parser("tune",
-                            help="recommend a feature dimensionality")
-    p_tune.add_argument("--corpus", required=True)
-    p_tune.add_argument("--delta", type=float, default=0.1)
-    p_tune.add_argument("--normal-length", type=int, default=128)
-    p_tune.add_argument("--queries", type=int, default=5)
-    p_tune.add_argument("--grid", type=int, nargs="+", default=[4, 8, 16, 32])
-    p_tune.add_argument("--seed", type=int, default=0)
-    p_tune.set_defaults(func=_cmd_tune)
-
     p_exp = sub.add_parser("experiment",
                            help="regenerate one of the paper's tables/figures")
-    p_exp.add_argument(
-        "which",
-        help="table2|table3|fig6|fig7|fig8|fig9|fig10|scaling|"
-             "signsplit|knn|backends|secondfilter|splits|noise",
-    )
+    p_exp.add_argument("which", choices=EXPERIMENT_SECTIONS)
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_report = sub.add_parser(
@@ -1060,13 +894,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument("--out", help="output file (default: stdout)")
     p_report.add_argument("--sections", nargs="+",
+                          choices=EXPERIMENT_SECTIONS,
                           help="subset of experiment sections to run")
     p_report.set_defaults(func=_cmd_report)
-
-    p_demo = sub.add_parser("demo", help="end-to-end demo in memory")
-    p_demo.add_argument("--songs", type=int, default=20)
-    p_demo.add_argument("--seed", type=int, default=0)
-    p_demo.set_defaults(func=_cmd_demo)
 
     return parser
 

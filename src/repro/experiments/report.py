@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .ablations import (
     run_backend_ablation,
+    run_cascade_ablation,
     run_knn_ablation,
     run_noise_sweep,
     run_second_filter_ablation,
@@ -25,12 +26,45 @@ from .tightness import run_fig6, run_fig7
 
 __all__ = ["generate_report", "EXPERIMENT_SECTIONS"]
 
-#: Section ids in report order (subset-able via `include`).
-EXPERIMENT_SECTIONS = (
-    "table2", "table3", "fig6", "fig7", "fig8", "fig9", "fig10",
-    "scaling", "signsplit", "knn", "backends", "secondfilter", "splits",
-    "noise",
-)
+
+def _small_db(scale: ExperimentScale) -> int:
+    return min(scale.fig10_db, 5000)
+
+
+#: Every experiment in report order: section id -> (report title,
+#: runner taking a scale).  A runner returns either a column dict
+#: (rendered by :func:`format_series`) or a list of rank tables.
+EXPERIMENT_SECTIONS = {
+    "table2": ("Table 2 — time-series vs contour retrieval",
+               lambda s: list(run_table2(s))),
+    "table3": ("Table 3 — poor singers vs warping width", run_table3),
+    "fig6": ("Figure 6 — lower-bound tightness across 24 datasets",
+             run_fig6),
+    "fig7": ("Figure 7 — tightness vs warping width (random walks)",
+             run_fig7),
+    "fig8": ("Figure 8 — candidates vs warping width (melody DB)",
+             lambda s: run_fig8(s)[0]),
+    "fig9": ("Figure 9 — large music database", lambda s: run_fig9(s)[0]),
+    "fig10": ("Figure 10 — large random-walk database",
+              lambda s: run_fig10(s)[0]),
+    "scaling": ("Scalability — pages vs database size", run_size_scaling),
+    "signsplit": ("Ablation — Lemma 3 sign split",
+                  lambda s: run_signsplit_ablation(max(200, s.fig7_pairs))),
+    "knn": ("Ablation — multi-step k-NN",
+            lambda s: run_knn_ablation(_small_db(s), s.fig8_queries)),
+    "backends": ("Ablation — index backends",
+                 lambda s: run_backend_ablation(_small_db(s),
+                                                s.fig8_queries)[0]),
+    "secondfilter": ("Ablation — §5.2 second filter",
+                     lambda s: run_second_filter_ablation(_small_db(s),
+                                                          s.fig8_queries)),
+    "cascade": ("Ablation — filter cascade stages",
+                lambda s: run_cascade_ablation(_small_db(s), s.fig8_queries)),
+    "splits": ("Ablation — R* vs Guttman splits",
+               lambda s: run_split_ablation(min(s.fig10_db, 3000),
+                                            s.fig8_queries)),
+    "noise": ("Extension — retrieval vs singer error", run_noise_sweep),
+}
 
 
 def _rank_table_markdown(tables) -> str:
@@ -63,11 +97,10 @@ def generate_report(
     include:
         Optional subset of :data:`EXPERIMENT_SECTIONS` to run.
     """
-    selected = EXPERIMENT_SECTIONS if include is None else tuple(include)
-    unknown = set(selected) - set(EXPERIMENT_SECTIONS)
+    selected = set(EXPERIMENT_SECTIONS if include is None else include)
+    unknown = selected - set(EXPERIMENT_SECTIONS)
     if unknown:
         raise ValueError(f"unknown sections: {sorted(unknown)}")
-    small_db = min(scale.fig10_db, 5000)
 
     sections: list[str] = [
         "# Reproduction report",
@@ -77,52 +110,11 @@ def generate_report(
         f"{scale.table_queries} hum queries per table).",
         "",
     ]
-
-    def add(title: str, body: str) -> None:
+    for name, (title, runner) in EXPERIMENT_SECTIONS.items():
+        if name not in selected:
+            continue
+        result = runner(scale)
+        body = (_block(result) if isinstance(result, dict)
+                else _rank_table_markdown(result))
         sections.extend([f"## {title}", "", body, ""])
-
-    if "table2" in selected:
-        ts, ct = run_table2(scale)
-        add("Table 2 — time-series vs contour retrieval",
-            _rank_table_markdown([ts, ct]))
-    if "table3" in selected:
-        add("Table 3 — poor singers vs warping width",
-            _rank_table_markdown(run_table3(scale)))
-    if "fig6" in selected:
-        add("Figure 6 — lower-bound tightness across 24 datasets",
-            _block(run_fig6(scale)))
-    if "fig7" in selected:
-        add("Figure 7 — tightness vs warping width (random walks)",
-            _block(run_fig7(scale)))
-    if "fig8" in selected:
-        add("Figure 8 — candidates vs warping width (melody DB)",
-            _block(run_fig8(scale)[0]))
-    if "fig9" in selected:
-        add("Figure 9 — large music database",
-            _block(run_fig9(scale)[0]))
-    if "fig10" in selected:
-        add("Figure 10 — large random-walk database",
-            _block(run_fig10(scale)[0]))
-    if "scaling" in selected:
-        add("Scalability — pages vs database size",
-            _block(run_size_scaling(scale)))
-    if "signsplit" in selected:
-        add("Ablation — Lemma 3 sign split",
-            _block(run_signsplit_ablation(max(200, scale.fig7_pairs))))
-    if "knn" in selected:
-        add("Ablation — multi-step k-NN",
-            _block(run_knn_ablation(small_db, scale.fig8_queries)))
-    if "backends" in selected:
-        add("Ablation — index backends",
-            _block(run_backend_ablation(small_db, scale.fig8_queries)[0]))
-    if "secondfilter" in selected:
-        add("Ablation — §5.2 second filter",
-            _block(run_second_filter_ablation(small_db, scale.fig8_queries)))
-    if "splits" in selected:
-        add("Ablation — R* vs Guttman splits",
-            _block(run_split_ablation(min(scale.fig10_db, 3000),
-                                      scale.fig8_queries)))
-    if "noise" in selected:
-        add("Extension — retrieval vs singer error",
-            _block(run_noise_sweep(scale)))
     return "\n".join(sections)

@@ -1,23 +1,11 @@
 """Music substrate: melodies, MIDI IO, synthetic corpus, contour baseline."""
 
-from .analysis import CorpusStats, analyze_corpus, find_duplicates
 from .contour import ContourIndex, contour_string, edit_distance
 from .corpus import EXAMPLE_PHRASE, Song, SongGenerator, generate_corpus, segment_corpus
 from .melody import Melody, Note, hz_to_midi, midi_to_hz
 from .midi import MidiFile, melodies_from_midi_bytes, melody_to_midi_bytes
-from .notation import melody_to_abc
-from .theory import (
-    PITCH_CLASSES,
-    estimate_key,
-    interval_name,
-    key_name,
-    pitch_class_histogram,
-)
 
 __all__ = [
-    "CorpusStats",
-    "analyze_corpus",
-    "find_duplicates",
     "ContourIndex",
     "contour_string",
     "edit_distance",
@@ -33,10 +21,4 @@ __all__ = [
     "MidiFile",
     "melodies_from_midi_bytes",
     "melody_to_midi_bytes",
-    "melody_to_abc",
-    "PITCH_CLASSES",
-    "estimate_key",
-    "interval_name",
-    "key_name",
-    "pitch_class_histogram",
 ]

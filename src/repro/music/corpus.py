@@ -180,6 +180,8 @@ def segment_corpus(
     """
     if min_notes < 1 or max_notes < min_notes:
         raise ValueError("need 1 <= min_notes <= max_notes")
+    if per_song < 1:
+        raise ValueError(f"per_song must be >= 1, got {per_song}")
     rng = np.random.default_rng(seed)
     melodies = []
     for song in songs:

@@ -31,7 +31,7 @@ import json
 import os
 import shutil
 from hashlib import sha256
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -536,8 +536,3 @@ class CorpusStore:
             )
         return errors
 
-
-def iter_chunks(array: np.ndarray, chunk_rows: int) -> Iterable[np.ndarray]:
-    """Yield row chunks of *array* (helper for chunked feature passes)."""
-    for start in range(0, array.shape[0], chunk_rows):
-        yield array[start:start + chunk_rows]

@@ -8,13 +8,11 @@ callers decide where it goes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core.envelope import Envelope
 
-__all__ = ["ascii_series", "ascii_envelope", "ascii_warping_grid", "ascii_bars"]
+__all__ = ["ascii_series", "ascii_envelope", "ascii_warping_grid"]
 
 
 def _scale_rows(values: np.ndarray, lo: float, hi: float, height: int) -> np.ndarray:
@@ -96,23 +94,3 @@ def ascii_warping_grid(path: list[tuple[int, int]], n: int, m: int,
         lines.append("".join(row))
     return "\n".join(lines)
 
-
-def ascii_bars(labels, values, *, width: int = 50, title: str = "") -> str:
-    """Horizontal bar chart (for tightness/candidate comparisons)."""
-    labels = [str(label) for label in labels]
-    vals = np.asarray(values, dtype=np.float64)
-    if len(labels) != vals.size:
-        raise ValueError(f"{len(labels)} labels but {vals.size} values")
-    if vals.size == 0:
-        raise ValueError("nothing to plot")
-    if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-        raise ValueError("bar values must be finite and non-negative")
-    top = vals.max() or 1.0
-    label_width = max(len(label) for label in labels)
-    lines = []
-    if title:
-        lines.append(f"--- {title} ---")
-    for label, value in zip(labels, vals):
-        bar = "#" * max(0, int(math.ceil(value / top * width)))
-        lines.append(f"{label.ljust(label_width)} |{bar} {value:g}")
-    return "\n".join(lines)

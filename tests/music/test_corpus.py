@@ -82,6 +82,11 @@ class TestSegmentCorpus:
         with pytest.raises(ValueError):
             segment_corpus(songs, min_notes=10, max_notes=5)
 
+    def test_per_song_below_one_rejected(self):
+        songs = generate_corpus(2)
+        with pytest.raises(ValueError, match="per_song"):
+            segment_corpus(songs, per_song=0)
+
     def test_deterministic(self):
         songs = generate_corpus(5, seed=6)
         a = segment_corpus(songs, seed=3)

@@ -1,12 +1,11 @@
 """Property-based tests for the music substrate."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.music.contour import contour_string, edit_distance
 from repro.music.melody import Melody
-from repro.music.theory import estimate_key, pitch_class_histogram
 
 pitches = st.floats(min_value=36, max_value=96, allow_nan=False)
 durations = st.floats(min_value=0.1, max_value=4.0, allow_nan=False)
@@ -44,24 +43,6 @@ def test_roundtrip_through_series_preserves_run_structure(notes):
     # Runs of equal pitch merge, so the round trip can only shrink.
     assert len(back) <= len(melody)
     assert back.total_beats == series.size / 16
-
-
-@given(note_lists)
-def test_pitch_class_histogram_is_distribution(notes):
-    hist = pitch_class_histogram(Melody(notes))
-    assert hist.shape == (12,)
-    assert np.all(hist >= 0)
-    assert hist.sum() == 1.0 or abs(hist.sum() - 1.0) < 1e-9
-
-
-@settings(max_examples=30)
-@given(note_lists, st.integers(-11, 11))
-def test_key_estimate_transposes_with_the_melody(notes, shift):
-    melody = Melody(notes)
-    tonic_a, mode_a, conf_a = estimate_key(melody)
-    tonic_b, mode_b, conf_b = estimate_key(melody.transpose(shift))
-    if conf_a > 0.6 and conf_b > 0.6 and mode_a == mode_b:
-        assert (tonic_b - tonic_a) % 12 == shift % 12
 
 
 @given(st.text(alphabet="UDS", max_size=15),

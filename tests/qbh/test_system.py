@@ -68,19 +68,14 @@ class TestQuery:
     def test_collapse_duplicates_yields_distinct_tunes(
         self, system, small_corpus_module, rng
     ):
-        from repro.music.analysis import find_duplicates
-
         hum = hum_melody(small_corpus_module[0], SingerProfile.better(), rng)
         plain, _ = system.query(hum, k=10)
         collapsed, _ = system.query(hum, k=10, collapse_duplicates=True)
         assert len(collapsed) == 10
-        # No two collapsed results may be identical melodies.
-        groups = find_duplicates(small_corpus_module)
-        name_to_group = {}
-        for gid, members in enumerate(groups):
-            for m in members:
-                name_to_group[small_corpus_module[m].name] = gid
-        seen = [name_to_group.get(name, name) for name, _ in collapsed]
+        # No two collapsed results may be note-for-note identical melodies.
+        notes = {m.name: tuple((n.pitch, n.duration) for n in m)
+                 for m in small_corpus_module}
+        seen = [notes[name] for name, _ in collapsed]
         assert len(seen) == len(set(seen))
         # Collapsing never worsens the best distance.
         assert collapsed[0][1] == pytest.approx(plain[0][1])

@@ -5,11 +5,9 @@ import doctest
 import pytest
 
 import repro.core.series
-import repro.music.theory
 
 MODULES_WITH_DOCTESTS = [
     repro.core.series,
-    repro.music.theory,
 ]
 
 

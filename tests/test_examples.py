@@ -16,12 +16,10 @@ EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
 #: Every example script; each runs in a few seconds.
 FAST_EXAMPLES = [
     "quickstart.py",
-    "singing_tutor.py",
     "figures1_to_5.py",
     "query_by_humming.py",
     "index_tuning.py",
     "hum_any_part.py",
-    "corpus_report.py",
 ]
 
 

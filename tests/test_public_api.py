@@ -20,7 +20,6 @@ MODULES = [
     "repro.persistence",
     "repro.viz",
     "repro.cli",
-    "repro.tuning",
     "repro.obs",
     "repro.obs.tracing",
     "repro.obs.metrics",

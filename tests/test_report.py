@@ -27,7 +27,7 @@ class TestGenerateReport:
             generate_report(SMOKE, include=("fig99",))
 
     def test_all_sections_registered(self):
-        assert len(EXPERIMENT_SECTIONS) == 14
+        assert len(EXPERIMENT_SECTIONS) == 15
 
     def test_cli_report_subset(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.envelope import k_envelope
 from repro.dtw.path import warping_path
-from repro.viz import ascii_bars, ascii_envelope, ascii_series, ascii_warping_grid
+from repro.viz import ascii_envelope, ascii_series, ascii_warping_grid
 
 
 class TestAsciiSeries:
@@ -80,25 +80,3 @@ class TestAsciiWarpingGrid:
         with pytest.raises(ValueError, match="positive"):
             ascii_warping_grid([], 0, 3)
 
-
-class TestAsciiBars:
-    def test_proportional_lengths(self):
-        out = ascii_bars(["a", "b"], [1.0, 2.0], width=10)
-        line_a, line_b = out.splitlines()
-        assert line_b.count("#") == 2 * line_a.count("#")
-
-    def test_values_printed(self):
-        out = ascii_bars(["x"], [0.25])
-        assert "0.25" in out
-
-    def test_zero_values_ok(self):
-        out = ascii_bars(["x", "y"], [0.0, 0.0])
-        assert "#" not in out
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="labels"):
-            ascii_bars(["a"], [1.0, 2.0])
-        with pytest.raises(ValueError, match="finite"):
-            ascii_bars(["a"], [-1.0])
-        with pytest.raises(ValueError, match="nothing"):
-            ascii_bars([], [])
