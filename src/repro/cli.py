@@ -10,8 +10,10 @@ Subcommands mirror a real deployment's lifecycle::
 The index lives in a columnar store directory (:mod:`repro.store`);
 ``ingest`` initialises it or appends a generation to it.
 
-Hum inputs to ``query`` may be ``.npy`` pitch-series files (MIDI pitch
-per 10 ms frame, as the pitch tracker emits) or ``.mid`` files.
+Hum inputs to ``query`` and ``serve`` may be ``.npy`` pitch-series files
+(MIDI pitch per 10 ms frame, as the pitch tracker emits) or ``.mid``
+files; one that is not a finite, non-empty 1-D series is a usage error.
+``query`` answers through the filter cascade, as ``serve`` does.
 
 The telemetry loop closes through two more groups::
 
@@ -103,16 +105,28 @@ def _open_index(store_dir: str):
     return WarpingIndex.from_store(CorpusStore.open(store_dir))
 
 
-def _load_hum(path: str) -> np.ndarray:
-    if path.endswith(".npy"):
-        return np.load(path)
-    if path.endswith(".mid"):
-        from .music.midi import MidiFile
+def _hum(path: str) -> tuple[str, np.ndarray]:
+    """argparse ``type`` of ``--hum``: the path and its validated series.
 
-        with open(path, "rb") as handle:
-            melody = MidiFile.from_bytes(handle.read()).to_melody()
-        return melody.to_time_series(8).astype(float)
-    raise ValueError(f"unsupported hum input {path!r} (want .npy or .mid)")
+    A ``.npy`` pitch series or a ``.mid`` melody; anything that does not
+    load as a finite, non-empty 1-D series is a usage error.
+    """
+    from .core.series import as_series
+
+    try:
+        if path.endswith(".npy"):
+            values = np.load(path)
+        elif path.endswith(".mid"):
+            from .music.midi import MidiFile
+
+            with open(path, "rb") as handle:
+                melody = MidiFile.from_bytes(handle.read()).to_melody()
+            values = melody.to_time_series(8)
+        else:
+            raise ValueError("unsupported hum input (want .npy or .mid)")
+        return path, as_series(values)
+    except (OSError, ValueError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
 
 
 def _print_hits(results) -> None:
@@ -161,7 +175,6 @@ def _cmd_query(args) -> int:
         index = _open_index(args.store_dir)
         if obs is not None:
             index.set_observability(obs)
-        hums = [_load_hum(path) for path in args.hum]
         if args.shards is not None and args.shards > 1:
             # Multi-process serving: the corpus is partitioned across
             # worker processes and every query fans out; answers (and
@@ -170,48 +183,25 @@ def _cmd_query(args) -> int:
             from .shard import ShardRouter
 
             router = ShardRouter.from_index(index, shards=args.shards)
-        # The cascade engine is the instrumented path: stats flags need
-        # its counters, and observability needs its span tree.  The
-        # shard router only speaks cascade.
-        want_cascade = (args.stats or stats_json is not None
-                        or obs is not None or router is not None)
-
-        def cascade_knn(hum):
-            if router is not None:
-                return router.knn(index.normal_form.apply(hum), args.k)
-            return index.cascade_knn_query(hum, args.k)
-
-        if len(hums) > 1:
-            # Several hums: answer each through the filter cascade, one
-            # after the other, and merge the stats with ``+``.
-            answers = [cascade_knn(hum) for hum in hums]
-            per_hum = [results for results, _ in answers]
-            cascade = sum((stats for _, stats in answers[1:]),
-                          answers[0][1])
-            print(f"db={len(index)}  hums={len(hums)}", file=info)
+        paths = [path for path, _ in args.hum]
+        # Every hum is answered through the filter cascade, one after
+        # the other; several hums merge their stats with ``+``.
+        answers = [router.knn(index.normal_form.apply(hum), args.k)
+                   if router is not None
+                   else index.cascade_knn_query(hum, args.k)
+                   for _, hum in args.hum]
+        per_hum = [results for results, _ in answers]
+        cascade = sum((stats for _, stats in answers[1:]), answers[0][1])
+        if len(paths) > 1:
+            print(f"db={len(index)}  hums={len(paths)}", file=info)
             if stats_json != "-":
-                for path, results in zip(args.hum, per_hum):
+                for path, results in zip(paths, per_hum):
                     print(f"\n{path}:")
                     _print_hits(results)
             if args.stats:
                 print("\nmerged filter cascade:", file=info)
                 print(cascade.summary(), file=info)
-            if stats_json is not None:
-                payload = {
-                    "db": len(index),
-                    "k": args.k,
-                    "hums": list(args.hum),
-                    "results": {
-                        path: [[name, dist] for name, dist in results]
-                        for path, results in zip(args.hum, per_hum)
-                    },
-                    "cascade": cascade.to_dict(),
-                }
-                _emit_stats_json(payload, stats_json, info)
-            return 0
-        hum = hums[0]
-        if want_cascade:
-            results, cascade = cascade_knn(hum)
+        else:
             if args.stats:
                 print(f"db={len(index)}  filter cascade:", file=info)
                 print(cascade.summary(), file=info)
@@ -219,20 +209,18 @@ def _cmd_query(args) -> int:
                 print(f"db={len(index)}  "
                       f"pruned={cascade.pruned_total}  "
                       f"refined={cascade.dtw_computations}", file=info)
-        else:
-            cascade = None
-            results, stats = index.knn_query(hum, args.k)
-            print(f"db={len(index)}  candidates={stats.candidates}  "
-                  f"pages={stats.page_accesses}  "
-                  f"refined={stats.dtw_computations}", file=info)
-        if stats_json != "-":
-            _print_hits(results)
+            if stats_json != "-":
+                _print_hits(per_hum[0])
         if stats_json is not None:
             payload = {
                 "db": len(index),
                 "k": args.k,
-                "hums": list(args.hum),
-                "results": [[name, dist] for name, dist in results],
+                "hums": paths,
+                "results": (
+                    {path: [[name, dist] for name, dist in results]
+                     for path, results in zip(paths, per_hum)}
+                    if len(paths) > 1
+                    else [[name, dist] for name, dist in per_hum[0]]),
                 "cascade": cascade.to_dict(),
             }
             _emit_stats_json(payload, stats_json, info)
@@ -276,7 +264,7 @@ def _cmd_serve(args) -> int:
         index = _open_index(args.store_dir)
         if obs is not None:
             index.set_observability(obs)
-        hums = [_load_hum(path) for path in args.hum]
+        hums = [hum for _, hum in args.hum]
         admission = AdmissionPolicy(
             max_queue_depth=args.max_queue_depth,
             default_deadline_s=(args.deadline_ms / 1e3
@@ -301,13 +289,16 @@ def _cmd_serve(args) -> int:
                               clients=args.clients)
             report.saturation = service.saturation()
             # Answer rows: one (cached) authoritative lookup per hum.
-            for path, hum in zip(args.hum, hums):
+            failed = report.by_status.get("error", 0) > 0
+            for path, hum in args.hum:
                 outcome = service.knn(hum, args.k)
                 print(f"\n{path}:")
                 if outcome.ok:
                     _print_hits(outcome.results)
                 else:
-                    print(f"  <{outcome.status}>")
+                    failed |= outcome.status == "error"
+                    reason = f": {outcome.error}" if outcome.error else ""
+                    print(f"  <{outcome.status}{reason}>")
         finally:
             service.close()
         by_status = ", ".join(f"{status}={count}" for status, count
@@ -346,7 +337,7 @@ def _cmd_serve(args) -> int:
                 print(f"  shard[{row['shard']}]          {state} "
                       f"epoch={row['epoch']} respawns={row['respawns']} "
                       f"requests={row['requests']} rtt={rtt} rss={rss}")
-        return 0
+        return 1 if failed else 0
     finally:
         if exporter is not None:
             exporter.close()
@@ -668,13 +659,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--store-dir", required=True, metavar="DIR",
                          help="open the live generation of the columnar "
                               "store at DIR (repro ingest)")
-    p_query.add_argument("--hum", required=True, nargs="+",
+    p_query.add_argument("--hum", required=True, nargs="+", type=_hum,
                          help=".npy pitch series or .mid melody; several "
                               "hums are answered one after the other")
     p_query.add_argument("-k", type=_positive_int, default=10)
     p_query.add_argument("--stats", action="store_true",
-                         help="answer via the batched filter cascade and "
-                              "print per-stage pruning counters")
+                         help="print the filter cascade's per-stage "
+                              "pruning table (every query is answered "
+                              "through the cascade)")
     p_query.add_argument("--shards", type=int,
                          help="answer through N worker processes instead "
                               "of in-process (default: unsharded)")
@@ -710,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--store-dir", required=True, metavar="DIR",
                          help="serve the live generation of the columnar "
                               "store at DIR (repro ingest)")
-    p_serve.add_argument("--hum", required=True, nargs="+",
+    p_serve.add_argument("--hum", required=True, nargs="+", type=_hum,
                          help=".npy pitch series or .mid melody; the "
                               "request mix cycles over all of them")
     p_serve.add_argument("-k", type=_positive_int, default=10)

@@ -6,8 +6,6 @@ from .envelope import (
     envelope_distance,
     k_envelope,
     k_to_warping_width,
-    sliding_max,
-    sliding_min,
     warping_width_to_k,
 )
 from .envelope_transforms import (
@@ -46,8 +44,6 @@ __all__ = [
     "envelope_distance",
     "k_envelope",
     "k_to_warping_width",
-    "sliding_max",
-    "sliding_min",
     "warping_width_to_k",
     "EnvelopeTransform",
     "KeoghPAAEnvelopeTransform",

@@ -3,18 +3,17 @@
 The ``k``-envelope of a series brackets each sample by the minimum and
 maximum over a window of half-width ``k``; it is the geometric object
 every DTW lower bound in this library is built from.  Envelopes are
-computed in O(n) with the monotonic-deque sliding min/max algorithm
-(Lemire 2006), not the naive O(nk) scan; :func:`batch_envelope` gives
-the same envelopes for every row of a matrix at once.
+computed in O(n) per row with the van Herk / Gil-Werman block
+prefix/suffix min/max, not the naive O(nk) scan; :func:`batch_envelope`
+computes them for every row of a matrix at once and :func:`k_envelope`
+is its one-row call.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .series import as_series
 
@@ -22,8 +21,6 @@ __all__ = [
     "Envelope",
     "batch_envelope",
     "k_envelope",
-    "sliding_min",
-    "sliding_max",
     "envelope_distance",
     "warping_width_to_k",
     "k_to_warping_width",
@@ -83,74 +80,55 @@ class Envelope:
         return np.clip(arr, self.lower, self.upper)
 
 
-def _sliding_extremum(arr: np.ndarray, k: int, *, take_max: bool) -> np.ndarray:
-    """Sliding window extremum with window [i-k, i+k], O(n) via deque."""
-    n = arr.size
-    out = np.empty(n, dtype=np.float64)
-    window: deque[int] = deque()  # indices, extremum at the front
+def _window_extremum(padded: np.ndarray, ufunc, width: int,
+                     n: int) -> np.ndarray:
+    """``ufunc`` over every *width*-wide window of the rows of *padded*.
 
-    def dominated(new: float, old: float) -> bool:
-        return new >= old if take_max else new <= old
-
-    # Index j enters the deque when it becomes visible (j <= i + k) and
-    # leaves when it falls out of range (j < i - k).
-    j = 0
-    for i in range(n):
-        while j < n and j <= i + k:
-            while window and dominated(arr[j], arr[window[-1]]):
-                window.pop()
-            window.append(j)
-            j += 1
-        while window[0] < i - k:
-            window.popleft()
-        out[i] = arr[window[0]]
-    return out
-
-
-def sliding_max(series, k: int) -> np.ndarray:
-    """Max over the window ``[i-k, i+k]`` at every position, in O(n)."""
-    if k < 0:
-        raise ValueError(f"window half-width must be >= 0, got {k}")
-    arr = as_series(series)
-    if k == 0:
-        return arr.copy()
-    return _sliding_extremum(arr, k, take_max=True)
-
-
-def sliding_min(series, k: int) -> np.ndarray:
-    """Min over the window ``[i-k, i+k]`` at every position, in O(n)."""
-    if k < 0:
-        raise ValueError(f"window half-width must be >= 0, got {k}")
-    arr = as_series(series)
-    if k == 0:
-        return arr.copy()
-    return _sliding_extremum(arr, k, take_max=False)
-
-
-def k_envelope(series, k: int) -> Envelope:
-    """The ``k``-envelope ``Env_k`` of a series (Definition 6)."""
-    return Envelope(lower=sliding_min(series, k), upper=sliding_max(series, k))
+    van Herk / Gil-Werman: cut each row into blocks of *width*; the
+    window starting at ``i`` spans the suffix of ``i``'s block and the
+    prefix of the next one, so it is one ``ufunc`` of a running suffix
+    and a running prefix.  *padded*'s length is a multiple of *width*.
+    """
+    m = padded.shape[0]
+    blocks = padded.reshape(m, -1, width)
+    prefix = ufunc.accumulate(blocks, axis=2).reshape(m, -1)
+    suffix = ufunc.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1]
+    suffix = suffix.reshape(m, -1)
+    return ufunc(suffix[:, :n], prefix[:, width - 1:width - 1 + n])
 
 
 def batch_envelope(rows, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise ``k``-envelopes of a ``(m, n)`` matrix, in its own dtype.
 
-    The batched :func:`k_envelope`: SciPy's 1-D rank filters with edge
-    replication compute exactly the truncated window ``[i-k, i+k]`` (a
-    replicated edge value is itself part of every truncated window),
-    vectorised across rows.  Exact for any dtype: envelope values are
-    elements of the input.
+    Each row is padded with ``k`` copies of its edge values, which
+    computes exactly the truncated window ``[i-k, i+k]`` (a replicated
+    edge value is itself part of every truncated window); the windows
+    are then taken with the O(n) block prefix/suffix scan.  Exact for
+    any dtype: envelope values are elements of the input.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise ValueError(f"expected an (m, n) matrix, got shape {rows.shape}")
     if k < 0:
         raise ValueError(f"window half-width must be >= 0, got {k}")
+    n = rows.shape[1]
+    # A window reaching past both ends is the whole row.
+    k = min(k, max(n - 1, 0))
     if k == 0 or rows.size == 0:
         return rows.copy(), rows.copy()
-    size = 2 * k + 1
-    return (minimum_filter1d(rows, size=size, axis=1, mode="nearest"),
-            maximum_filter1d(rows, size=size, axis=1, mode="nearest"))
+    width = 2 * k + 1
+    # Pad to whole blocks; what lies past n + 2k enters no window.
+    tail = -(-(n + 2 * k) // width) * width - n - k
+    padded = np.concatenate([np.repeat(rows[:, :1], k, axis=1), rows,
+                             np.repeat(rows[:, -1:], tail, axis=1)], axis=1)
+    return (_window_extremum(padded, np.minimum, width, n),
+            _window_extremum(padded, np.maximum, width, n))
+
+
+def k_envelope(series, k: int) -> Envelope:
+    """The ``k``-envelope ``Env_k`` of a series (Definition 6)."""
+    lower, upper = batch_envelope(as_series(series)[None, :], k)
+    return Envelope(lower=lower[0], upper=upper[0])
 
 
 def envelope_distance(series, envelope: Envelope, *, metric: str = "euclidean") -> float:

@@ -1,8 +1,9 @@
 """Cluster index: a flat two-level alternative to the R*-tree.
 
-Feature vectors are partitioned by k-means (scipy); each cluster keeps
-the bounding box of its members.  A query prunes whole clusters by
-box distance and scans the survivors — the inverted-file layout used
+Feature vectors are partitioned by k-means (seeded Lloyd iterations
+from randomly chosen points); each cluster keeps the bounding box of
+its members.  A query prunes whole clusters by box distance and scans
+the survivors — the inverted-file layout used
 by modern vector stores, here with *exact* semantics because pruning
 uses bounding geometry rather than probe counts.
 
@@ -18,9 +19,12 @@ import math
 from typing import Iterator
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 __all__ = ["ClusterIndex"]
+
+#: Lloyd iterations per build; pruning stays exact whatever the
+#: partition, so more iterations buy only tighter boxes.
+_LLOYD_ITERATIONS = 10
 
 
 def _check_metric(metric: str) -> bool:
@@ -29,6 +33,26 @@ def _check_metric(metric: str) -> bool:
             f"metric must be 'euclidean' or 'manhattan', got {metric!r}"
         )
     return metric == "manhattan"
+
+
+def _kmeans_labels(pts: np.ndarray, n_clusters: int, seed: int) -> np.ndarray:
+    """Cluster label of each point after Lloyd's k-means.
+
+    The centres start at *n_clusters* distinct points drawn with
+    *seed*; a centre that loses all its points keeps its position.
+    """
+    rng = np.random.default_rng(seed)
+    centres = pts[rng.choice(len(pts), size=n_clusters, replace=False)]
+    for _ in range(_LLOYD_ITERATIONS):
+        # argmin |p - c|^2 = argmin (|c|^2 - 2 p.c): |p|^2 is per row.
+        labels = np.argmin(np.sum(centres * centres, axis=1)
+                           - 2.0 * (pts @ centres.T), axis=1)
+        counts = np.bincount(labels, minlength=n_clusters)
+        sums = np.zeros_like(centres)
+        np.add.at(sums, labels, pts)
+        filled = counts > 0
+        centres[filled] = sums[filled] / counts[filled, None]
+    return labels
 
 
 class ClusterIndex:
@@ -44,7 +68,8 @@ class ClusterIndex:
         Number of partitions; default ``ceil(sqrt(m))`` (balanced
         directory-vs-bucket scan).
     seed:
-        k-means initialisation seed (the index is deterministic).
+        Seed of the k-means starting centres (the index is
+        deterministic).
     """
 
     def __init__(
@@ -78,7 +103,7 @@ class ClusterIndex:
         if n_clusters == 1:
             labels = np.zeros(m, dtype=np.int64)
         else:
-            _, labels = kmeans2(pts, n_clusters, minit="points", seed=seed)
+            labels = _kmeans_labels(pts, n_clusters, seed)
         self._clusters = []
         for label in np.unique(labels):
             member_rows = np.nonzero(labels == label)[0]

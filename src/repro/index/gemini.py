@@ -159,33 +159,26 @@ class WarpingIndex:
         self._data = np.vstack(
             [self.normal_form.apply(series) for series in database]
         )
-        features = self.env_transform.transform.transform_batch(self._data)
-        self._features = features
-        if index_kind == "rstar":
-            self._index = RStarTree.bulk_load(features, ids, capacity=capacity)
-        elif index_kind == "grid":
-            self._index = GridFile(features, ids)
-        elif index_kind == "cluster":
-            self._index = ClusterIndex(features, ids)
-        else:
-            self._index = LinearScan(features, ids, capacity=capacity)
+        self._features = self.env_transform.transform.transform_batch(
+            self._data)
+        self._index = None
         self.index_kind = index_kind
         self._capacity = capacity
 
     @classmethod
-    def from_store(cls, store, *, index_kind: str = "rstar",
-                   capacity: int | None = None,
+    def from_store(cls, store, *,
                    obs: Observability | None = None) -> "WarpingIndex":
         """Open a columnar-store generation as a live index.
 
         The corpus stays in the store's memory-mapped float32 columns
-        (no float64 copy); the feature index is STR-bulk-loaded from
-        the stored feature column.  Because stored features are float32
-        quantizations of the exact float64 features, index-level range
-        searches are inflated by a slack derived from the manifest's
-        ``feature_margin`` — results stay exact (zero false negatives)
-        with respect to the stored corpus.  Refinement always runs in
-        float64 (the DTW kernels upcast).
+        (no float64 copy).  The feature index is an R*-tree with the
+        manifest's page capacity, STR-bulk-loaded from the stored
+        feature column by the first query that reads it.  Because
+        stored features are float32 quantizations of the exact float64
+        features, index-level range searches are inflated by a slack
+        derived from the manifest's ``feature_margin`` — results stay
+        exact (zero false negatives) with respect to the stored corpus.
+        Refinement always runs in float64 (the DTW kernels upcast).
         """
         from ..ingest.builder import transform_from_config
 
@@ -197,10 +190,6 @@ class WarpingIndex:
             )
         self = cls.__new__(cls)
         self.obs = OBS_DISABLED if obs is None else obs
-        if index_kind not in _INDEX_KINDS:
-            raise ValueError(
-                f"index_kind must be one of {_INDEX_KINDS}, got {index_kind!r}"
-            )
         self.mutations = 0
         cfg = manifest.config
         nf = cfg.get("normal_form", {})
@@ -224,9 +213,8 @@ class WarpingIndex:
             raise ValueError(
                 "store's envelope transform does not match its normal form"
             )
-        self.index_kind = index_kind
-        self._capacity = (int(cfg.get("capacity", 50)) if capacity is None
-                          else capacity)
+        self.index_kind = "rstar"
+        self._capacity = int(cfg.get("capacity", 50))
         self._engines = {}
         self._swap_lock = threading.Lock()
         for name, value in self._store_state(store).items():
@@ -251,8 +239,32 @@ class WarpingIndex:
             return 0.0
         return margin * (dim if metric == "manhattan" else math.sqrt(dim))
 
+    def _feature_index(self):
+        """The feature index over this generation's features.
+
+        Built on first use, under the lock :meth:`swap_generation`
+        rebinds a generation under, so it indexes the features and ids
+        of one generation; only the tree routes (``filter_query``,
+        ``range_query``, ``knn_query``) and ``insert`` / ``remove``
+        read it, so the cascade route never pays for it.
+        """
+        with self._swap_lock:
+            if self._index is None:
+                features, ids = self._features, self.ids
+                if self.index_kind == "rstar":
+                    self._index = RStarTree.bulk_load(
+                        features, ids, capacity=self._capacity)
+                elif self.index_kind == "grid":
+                    self._index = GridFile(features, ids)
+                elif self.index_kind == "cluster":
+                    self._index = ClusterIndex(features, ids)
+                else:
+                    self._index = LinearScan(features, ids,
+                                             capacity=self._capacity)
+            return self._index
+
     def _store_state(self, store) -> dict:
-        """Build every corpus-dependent object for a generation.
+        """Every corpus-dependent object for a generation.
 
         Pure construction — nothing on ``self`` is touched, so
         :meth:`swap_generation` can assemble the new generation's state
@@ -273,24 +285,13 @@ class WarpingIndex:
         id_to_row = {item_id: row for row, item_id in enumerate(ids)}
         if len(id_to_row) != len(ids):
             raise ValueError("store ids must be unique")
-        data = store.normalized
-        features = store.features
-        if self.index_kind == "rstar":
-            index = RStarTree.bulk_load(features, ids,
-                                        capacity=self._capacity)
-        elif self.index_kind == "grid":
-            index = GridFile(features, ids)
-        elif self.index_kind == "cluster":
-            index = ClusterIndex(features, ids)
-        else:
-            index = LinearScan(features, ids, capacity=self._capacity)
         margin = store.feature_margin
         return {
             "ids": ids,
             "_id_to_row": id_to_row,
-            "_data": data,
-            "_features": features,
-            "_index": index,
+            "_data": store.normalized,
+            "_features": store.features,
+            "_index": None,
             "_store": store,
             # Mapped (or joined across segments) here, off the query
             # path, rather than by the first engine() after a swap.
@@ -305,13 +306,13 @@ class WarpingIndex:
     def swap_generation(self, store) -> None:
         """Atomically swap in a new store generation (zero downtime).
 
-        Everything corpus-dependent — arrays, id maps, the bulk-loaded
-        feature index — is built *first* from the new generation while
-        queries keep reading the old references; then the references
-        are rebound, all under the lock :meth:`engine` reads them under
-        (so an engine never mixes two generations' rows, ids and
-        envelope columns), and ``mutations`` is bumped **exactly once,
-        last**, so versioned
+        Everything corpus-dependent — arrays, id maps — is gathered
+        *first* from the new generation while queries keep reading the
+        old references; then the references are rebound (the feature
+        index is dropped, for the next tree query to rebuild), all
+        under the lock :meth:`engine` reads them under (so an engine
+        never mixes two generations' rows, ids and envelope columns),
+        and ``mutations`` is bumped **exactly once, last**, so versioned
         result caches and the sharded tier's ``(mutations, epoch)``
         key invalidate exactly once per swap.  In-flight queries that
         captured the old arrays finish correctly against the old
@@ -368,7 +369,7 @@ class WarpingIndex:
             )
         else:
             features = self.env_transform.transform.transform(normal)
-        self._index.insert(features, item_id)
+        self._feature_index().insert(features, item_id)
         self._id_to_row[item_id] = self._data.shape[0]
         self._envelopes = None  # the store's, no longer these rows'
         self._data = np.vstack([self._data, normal])
@@ -385,7 +386,7 @@ class WarpingIndex:
         if item_id not in self._id_to_row:
             raise KeyError(f"id {item_id!r} not in the index")
         row = self._id_to_row[item_id]
-        removed = self._index.delete(self._features[row], item_id)
+        removed = self._feature_index().delete(self._features[row], item_id)
         if not removed:  # pragma: no cover - indexes stay in sync
             raise RuntimeError(f"index backend lost id {item_id!r}")
         self._envelopes = None  # the store's, no longer these rows'
@@ -419,13 +420,14 @@ class WarpingIndex:
         if epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         _, rect_lower, rect_upper, _ = self._query_rectangle(query)
-        self._index.reset_stats()
-        candidates = self._index.range_search(
+        index = self._feature_index()
+        index.reset_stats()
+        candidates = index.range_search(
             rect_lower, rect_upper, epsilon + self._lb_slack,
             metric=self.metric
         )
         stats = QueryStats(
-            candidates=len(candidates), page_accesses=self._index.page_accesses
+            candidates=len(candidates), page_accesses=index.page_accesses
         )
         return candidates, stats
 
@@ -449,13 +451,14 @@ class WarpingIndex:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         started = monotonic_s()
         q, rect_lower, rect_upper, q_envelope = self._query_rectangle(query)
-        self._index.reset_stats()
-        candidates = self._index.range_search(
+        index = self._feature_index()
+        index.reset_stats()
+        candidates = index.range_search(
             rect_lower, rect_upper, epsilon + self._lb_slack,
             metric=self.metric
         )
         stats = QueryStats(
-            candidates=len(candidates), page_accesses=self._index.page_accesses
+            candidates=len(candidates), page_accesses=index.page_accesses
         )
         results = []
         if candidates:
@@ -502,7 +505,8 @@ class WarpingIndex:
             raise ValueError(f"k must be >= 1, got {k}")
         started = monotonic_s()
         q, rect_lower, rect_upper, q_envelope = self._query_rectangle(query)
-        self._index.reset_stats()
+        index = self._feature_index()
+        index.reset_stats()
         stats = QueryStats()
         # The answer so far, a heap of (-distance, -row): its top is the
         # worst hit in answer order, the one a better hit evicts.
@@ -510,7 +514,7 @@ class WarpingIndex:
         refine = ldtw_refiner(q, self.band, metric=self.metric)
         import heapq
 
-        for lower_bound, item_id in self._index.nearest(
+        for lower_bound, item_id in index.nearest(
             rect_lower, rect_upper, metric=self.metric
         ):
             # _lb_slack deflates bounds computed from float32-stored
@@ -538,7 +542,7 @@ class WarpingIndex:
                 heapq.heappush(best, (-dist, -row))
             elif (dist, row) < (-best[0][0], -best[0][1]):
                 heapq.heapreplace(best, (-dist, -row))
-        stats.page_accesses = self._index.page_accesses
+        stats.page_accesses = index.page_accesses
         results = [(self.ids[-negrow], -negd)
                    for negd, negrow in sorted(best, reverse=True)]
         stats.results = len(results)

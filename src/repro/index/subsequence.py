@@ -177,13 +177,14 @@ class SubsequenceIndex:
             raise ValueError(f"unknown index kind {index_kind!r}")
 
     @classmethod
-    def from_store(cls, store, *, capacity: int | None = None,
+    def from_store(cls, store, *,
                    obs: Observability | None = None) -> "SubsequenceIndex":
         """Open a columnar subsequence-store generation as a live index.
 
         Window normal forms stay in the store's memory-mapped float32
-        columns; the window R*-tree is STR-bulk-loaded from the stored
-        float32 feature column, with range searches and k-NN cutoffs
+        columns; the window R*-tree is STR-bulk-loaded, with the
+        manifest's page capacity, from the stored float32 feature
+        column, with range searches and k-NN cutoffs
         slackened by the manifest's ``feature_margin`` so answers stay
         exact (zero false negatives) for the stored corpus.  The raw
         sequences are not retained — re-windowing requires the original
@@ -237,8 +238,7 @@ class SubsequenceIndex:
         window_ids = list(range(len(self._windows)))
         self._index = RStarTree.bulk_load(
             store.features, window_ids,
-            capacity=(int(cfg.get("capacity", 50)) if capacity is None
-                      else capacity),
+            capacity=int(cfg.get("capacity", 50)),
         )
         self.store = store
         return self

@@ -65,6 +65,22 @@ def random_walk_pair(rng):
     return x - x.mean(), y - y.mean()
 
 
+@pytest.fixture
+def bulk_loads(monkeypatch):
+    """Count the R*-tree builds (``RStarTree.bulk_load`` calls)."""
+    from repro.index.rstartree import RStarTree
+
+    loads = []
+    bulk_load = RStarTree.bulk_load.__func__
+
+    def counted(cls, *args, **kwargs):
+        loads.append(1)
+        return bulk_load(cls, *args, **kwargs)
+
+    monkeypatch.setattr(RStarTree, "bulk_load", classmethod(counted))
+    return loads
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     """A deterministic corpus of 10 songs, ~200 melodies."""

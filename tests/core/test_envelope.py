@@ -5,11 +5,10 @@ import pytest
 
 from repro.core.envelope import (
     Envelope,
+    batch_envelope,
     envelope_distance,
     k_envelope,
     k_to_warping_width,
-    sliding_max,
-    sliding_min,
     warping_width_to_k,
 )
 
@@ -22,35 +21,57 @@ def naive_env(x, k):
     return np.array(lower), np.array(upper)
 
 
+def assert_matches_naive(rows, k):
+    """``batch_envelope`` of every row and ``k_envelope`` of each row
+    equal the naive window, bit for bit and in the rows' dtype."""
+    lower, upper = batch_envelope(rows, k)
+    assert lower.dtype == upper.dtype == rows.dtype
+    for row, lo_row, hi_row in zip(rows, lower, upper):
+        lo, hi = naive_env(row, k)
+        assert np.array_equal(lo_row, lo) and np.array_equal(hi_row, hi)
+        env = k_envelope(row, k)
+        assert np.array_equal(env.lower, lo) and np.array_equal(env.upper, hi)
+
+
 class TestSlidingExtrema:
     def test_matches_naive_small(self):
-        x = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
-        lo, hi = naive_env(x, 2)
-        assert np.array_equal(sliding_min(x, 2), lo)
-        assert np.array_equal(sliding_max(x, 2), hi)
+        x = np.array([[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]])
+        assert_matches_naive(x, 2)
 
     def test_matches_naive_random(self, rng):
-        for k in (0, 1, 3, 7, 20):
-            x = rng.normal(size=50)
-            lo, hi = naive_env(x, k)
-            assert np.array_equal(sliding_min(x, k), lo)
-            assert np.array_equal(sliding_max(x, k), hi)
+        for n in (1, 2, 5, 50, 128):
+            for k in (0, 1, 3, 6, 7, 20, 127):
+                assert_matches_naive(rng.normal(size=(4, n)), k)
+                assert_matches_naive(
+                    rng.normal(size=(4, n)).astype(np.float32), k)
 
     def test_k_zero_is_copy(self, rng):
-        x = rng.normal(size=10)
-        out = sliding_max(x, 0)
-        assert np.array_equal(out, x)
-        out[0] = 99.0  # must not alias the input
+        rows = rng.normal(size=(3, 10))
+        lower, upper = batch_envelope(rows, 0)
+        assert np.array_equal(lower, rows) and np.array_equal(upper, rows)
+        lower[0, 0] = upper[0, 1] = 99.0  # must not alias the input
+        assert 99.0 not in rows
+        x = rows[0].copy()
+        env = k_envelope(x, 0)
+        env.upper[0] = 99.0
         assert x[0] != 99.0
 
     def test_k_larger_than_series(self, rng):
-        x = rng.normal(size=5)
-        assert np.all(sliding_max(x, 100) == x.max())
-        assert np.all(sliding_min(x, 100) == x.min())
+        rows = rng.normal(size=(3, 5)).astype(np.float32)
+        lower, upper = batch_envelope(rows, 100)
+        assert np.all(upper == rows.max(axis=1, keepdims=True))
+        assert np.all(lower == rows.min(axis=1, keepdims=True))
+        env = k_envelope(rows[0], 100)
+        assert np.all(env.upper == rows[0].max())
+        assert np.all(env.lower == rows[0].min())
+        lower, upper = batch_envelope(np.array([[2.5]]), 7)
+        assert lower.tolist() == upper.tolist() == [[2.5]]
 
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError, match=">= 0"):
-            sliding_min([1.0], -1)
+            k_envelope([1.0], -1)
+        with pytest.raises(ValueError, match=">= 0"):
+            batch_envelope(np.ones((2, 3)), -1)
 
 
 class TestEnvelope:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.envelope import envelope_distance, k_envelope, sliding_max, sliding_min
+from repro.core.envelope import batch_envelope, envelope_distance, k_envelope
 from repro.core.envelope_transforms import (
     KeoghPAAEnvelopeTransform,
     NewPAAEnvelopeTransform,
@@ -34,10 +34,14 @@ def test_envelope_contains_series(x, k):
     assert k_envelope(x, k).contains(x)
 
 
-@given(series(32), st.integers(0, 31))
+@given(series(32), st.integers(0, 40))
 def test_sliding_extrema_bracket_series(x, k):
-    assert np.all(sliding_min(x, k) <= x)
-    assert np.all(sliding_max(x, k) >= x)
+    """Both envelope routes bracket the series, in float64 and float32."""
+    env = k_envelope(x, k)
+    assert np.all(env.lower <= x) and np.all(env.upper >= x)
+    rows = np.stack([x, x[::-1]]).astype(np.float32)
+    lower, upper = batch_envelope(rows, k)
+    assert np.all(lower <= rows) and np.all(upper >= rows)
 
 
 @given(series(24), st.integers(1, 8), st.integers(1, 8))

@@ -78,6 +78,69 @@ def test_three_swaps_byte_identical_cache_invalidated_once(tmp_path):
     assert not coordinator.running
 
 
+def test_the_tree_is_built_by_the_first_tree_query_of_a_generation(
+        tmp_path, bulk_loads):
+    """Opening and swapping build no feature index; the first tree query
+    of a generation builds it once, over that generation's rows."""
+    root = str(tmp_path / "store")
+    builder = StreamingIndexBuilder(root, normal_form=NormalForm(length=64))
+    first, _ = builder.build([_walk(i) for i in range(30)],
+                             [f"m{i}" for i in range(30)])
+    second, _ = StreamingIndexBuilder.for_store(first).build(
+        [_walk(100 + i) for i in range(10)], [f"n{i}" for i in range(10)],
+        base=first,
+    )
+    live = WarpingIndex.from_store(first)
+    assert bulk_loads == []
+    hum = _walk(1000)
+    assert live.cascade_knn_query(hum, 3)[0]
+    assert bulk_loads == []
+    live.range_query(hum, 30.0)
+    live.knn_query(hum, 3)
+    assert len(bulk_loads) == 1
+    live.swap_generation(second)
+    assert len(bulk_loads) == 1
+    fresh = WarpingIndex.from_store(CorpusStore.open(root))
+    for epsilon in (5.0, 30.0):
+        assert live.range_query(hum, epsilon)[0] == fresh.range_query(
+            hum, epsilon)[0]
+        assert live.filter_query(hum, epsilon)[0] == fresh.filter_query(
+            hum, epsilon)[0]
+    assert live.knn_query(hum, 5)[0] == fresh.knn_query(hum, 5)[0]
+    assert any(item.startswith("n") for item, _ in
+               live.range_query(hum, 1e9)[0])
+    assert len(bulk_loads) == 3  # one per index per generation
+
+
+def test_concurrent_first_tree_queries_build_one_tree(tmp_path, bulk_loads):
+    """Threads racing to the first tree query share one build."""
+    root = str(tmp_path / "store")
+    builder = StreamingIndexBuilder(root, normal_form=NormalForm(length=64))
+    store, _ = builder.build([_walk(i) for i in range(200)],
+                             [f"m{i}" for i in range(200)])
+    live = WarpingIndex.from_store(store)
+    hum = _walk(1000)
+    expected = WarpingIndex.from_store(store).filter_query(hum, 20.0)[0]
+    bulk_loads.clear()
+    answers = []
+    threads = [threading.Thread(
+        target=lambda: answers.append(live.filter_query(hum, 20.0)[0]))
+        for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(bulk_loads) == 1
+    assert len(answers) == 6
+    assert all(sorted(answer) == sorted(expected) for answer in answers)
+
+
 def test_engines_built_during_swaps_never_mix_generations(tmp_path):
     """``engine()`` racing ``swap_generation`` gets one generation's
     rows, ids and envelope columns (the engine rejects a mismatch)."""

@@ -15,8 +15,8 @@ COUNT_FLAGS = [
     (["corpus", "--out", "x"], "--per-song"),
     (["ingest", "--corpus", "c", "--store-dir", "s"], "--features"),
     (["ingest", "--corpus", "c", "--store-dir", "s"], "--normal-length"),
-    (["serve", "--store-dir", "s", "--hum", "h"], "--clients"),
-    (["serve", "--store-dir", "s", "--hum", "h"], "--repeat"),
+    (["serve", "--store-dir", "s", "--hum", "h.npy"], "--clients"),
+    (["serve", "--store-dir", "s", "--hum", "h.npy"], "--repeat"),
     (["quality"], "--songs"),
     (["quality"], "--per-song"),
     (["quality"], "--queries"),
@@ -24,7 +24,39 @@ COUNT_FLAGS = [
 ]
 
 
+#: (file name, writer) per malformed hum input; none is a pitch series.
+BAD_HUMS = {
+    "nan": ("nan.npy", lambda path: np.save(path, np.array([60.0, np.nan]))),
+    "inf": ("inf.npy", lambda path: np.save(path, np.array([np.inf, 60.0]))),
+    "empty": ("empty.npy", lambda path: np.save(path, np.array([]))),
+    "2d": ("grid.npy", lambda path: np.save(path, np.ones((2, 3)))),
+    "missing": ("missing.npy", lambda path: None),
+    "txt": ("hum.txt", lambda path: Path(path).write_text("60 62 64\n")),
+    "bad-midi": ("hum.mid", lambda path: Path(path).write_bytes(b"noise")),
+}
+
+
 class TestParser:
+    @pytest.fixture(autouse=True)
+    def _hum_file(self, tmp_path, monkeypatch):
+        """``--hum`` loads its file while parsing; the argv's is real."""
+        monkeypatch.chdir(tmp_path)
+        np.save("h.npy", np.full(40, 60.0))
+
+    @pytest.mark.parametrize("bad", BAD_HUMS)
+    @pytest.mark.parametrize("command", ["query", "serve"])
+    def test_malformed_hum_is_a_usage_error(self, command, bad, capsys):
+        """A hum that is not a finite, non-empty 1-D series is refused
+        while parsing, naming the file: no traceback, no run."""
+        name, write = BAD_HUMS[bad]
+        write(name)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--store-dir", "s", "--hum", "h.npy", name])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --hum: {name}: " in err
+        assert "Traceback" not in err
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -35,8 +67,8 @@ class TestParser:
         assert args.per_song == 20
 
     @pytest.mark.parametrize("command", [
-        ["query", "--store-dir", "s", "--hum", "h"],
-        ["serve", "--store-dir", "s", "--hum", "h"],
+        ["query", "--store-dir", "s", "--hum", "h.npy"],
+        ["serve", "--store-dir", "s", "--hum", "h.npy"],
         ["quality"],
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("k", ["0", "abc"])
@@ -65,8 +97,8 @@ class TestParser:
         """The per-batch pools are gone; their flag is refused, not
         silently ignored."""
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(
-                [command, "--store-dir", "s", "--hum", "h", "--workers", "2"])
+            build_parser().parse_args([command, "--store-dir", "s", "--hum",
+                                       "h.npy", "--workers", "2"])
         assert exit_info.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
@@ -81,7 +113,7 @@ class TestParser:
                      ["perf", "check"],
                      ["bench-" "serve", "--quick"],
                      ["index", "--out", "o"],
-                     ["assess", "--corpus", "c", "--melody", "0", "--hum", "h"],
+                     ["assess", "--corpus", "c", "--melody", "0", "--hum", "h.npy"],
                      ["analyze", "--corpus", "c"],
                      ["export", "--corpus", "c", "--melody", "0"],
                      ["tune", "--corpus", "c"],
@@ -91,9 +123,9 @@ class TestParser:
             assert exit_info.value.code == 2, argv
             assert "invalid choice" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exit_info:
-            main(["query", "--index", "i", "--hum", "h"])
+            main(["query", "--index", "i", "--hum", "h.npy"])
         assert exit_info.value.code == 2
-        for argv in (["query", "--store-dir", "s", "--hum", "h",
+        for argv in (["query", "--store-dir", "s", "--hum", "h.npy",
                       "--dtw-" "backend", "scalar"],
                      ["perf", "replay", "--workload", "w", "--store-dir", "s",
                       "--backends", "scalar"]):
@@ -149,6 +181,55 @@ class TestLifecycle:
         assert "50 melodies" in output
         assert "initialised 50 melodies" in output
         assert "DTW distance" in output
+
+    def test_flagless_query_answers_like_stats_without_a_tree(
+            self, tmp_path, capsys, bulk_loads):
+        """``--stats`` only chooses what is printed: both invocations
+        answer through the cascade, with the same rows, and neither
+        bulk-loads the R*-tree only the tree routes read."""
+        corpus_dir = str(tmp_path / "corpus")
+        store_dir = str(tmp_path / "store")
+        hum_file = str(tmp_path / "hum.npy")
+        main(["corpus", "--songs", "4", "--per-song", "6", "--out",
+              corpus_dir])
+        main(["ingest", "--corpus", corpus_dir, "--store-dir", store_dir])
+        main(["hum", "--corpus", corpus_dir, "--melody", "5", "--out",
+              hum_file])
+        capsys.readouterr()
+        rows = {}
+        for flags in ([], ["--stats"]):
+            assert main(["query", "--store-dir", store_dir, "--hum",
+                         hum_file, "-k", "4", *flags]) == 0
+            out = capsys.readouterr().out
+            rows[bool(flags)] = [line for line in out.splitlines()
+                                 if "DTW distance" in line]
+        assert len(rows[False]) == 4 and rows[False] == rows[True]
+        assert bulk_loads == []
+
+    def test_serve_exits_one_and_names_the_error(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """A request that ends in ``error`` prints its reason and fails
+        the run; it is not reported as a success."""
+        from repro.engine import QueryEngine
+
+        corpus_dir = str(tmp_path / "corpus")
+        store_dir = str(tmp_path / "store")
+        hum_file = str(tmp_path / "hum.npy")
+        main(["corpus", "--songs", "2", "--per-song", "3", "--out",
+              corpus_dir])
+        main(["ingest", "--corpus", corpus_dir, "--store-dir", store_dir])
+        main(["hum", "--corpus", corpus_dir, "--melody", "1", "--out",
+              hum_file])
+
+        def explode(self, *args, **kwargs):
+            raise RuntimeError("engine exploded")
+
+        monkeypatch.setattr(QueryEngine, "search", explode)
+        assert main(["serve", "--store-dir", store_dir, "--hum", hum_file,
+                     "--clients", "2", "--repeat", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "<error: RuntimeError: engine exploded>" in out
+        assert "error=" in out
 
     def test_query_kernel_multi_hum_batch(self, tmp_path, capsys):
         corpus_dir = str(tmp_path / "corpus")

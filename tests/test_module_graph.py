@@ -8,7 +8,7 @@ resolves through ``__init__`` re-exports to the module that defines
 ``name``, so a re-export list alone keeps nothing alive.  A package
 ``__init__`` counts as reached when any module under it is.  What the
 library imports also sets what every process pays at start-up, so the
-heavy SciPy submodules it loads are pinned here too.
+absence of SciPy is pinned here too.
 """
 
 import ast
@@ -87,16 +87,16 @@ def test_every_module_is_reached_from_a_root():
         for name in orphans)
 
 
-def test_importing_the_library_skips_scipy_stats():
-    """``scipy.stats`` costs a third of a second and tens of MB per
-    process; only a fresh interpreter shows what an import pulls in."""
+def test_importing_the_library_loads_no_scipy():
+    """The library runs on NumPy alone: SciPy is no dependency, and only
+    a fresh interpreter shows what an import pulls in."""
     script = textwrap.dedent("""
         import sys
-        import repro, repro.store, repro.serve, repro.shard
-        assert "scipy.stats" not in sys.modules
-        # Loaded once here, so forked shard workers inherit it rather
-        # than each importing it while computing their envelopes.
-        assert "scipy.ndimage" in sys.modules
+        import repro, repro.cli, repro.store, repro.serve, repro.shard
+        import repro.ingest, repro.index.cluster
+        loaded = sorted(name for name in sys.modules
+                        if name == "scipy" or name.startswith("scipy."))
+        assert not loaded, loaded
     """)
     path = os.pathsep.join(entry for entry in sys.path if entry)
     result = subprocess.run(
