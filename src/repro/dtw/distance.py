@@ -18,7 +18,8 @@ the paper's ``D^2`` recurrences.
 The banded dynamic program itself lives in :mod:`repro.dtw.kernels`,
 one kernel per call shape: single pairs (:func:`dtw_distance`,
 :func:`ldtw_distance`, :func:`ldtw_refiner`) run the reference row
-loop, and :func:`ldtw_distance_batch` runs the batched wavefront.
+loop, and :func:`ldtw_distance_batch` runs the batched kernel (the
+compiled row loop, or a NumPy wavefront where no compiler is found).
 Input validation and float64 conversion happen once in these
 wrappers — use :func:`ldtw_refiner` when refining many candidates
 against one query so the per-query preparation is also paid once.
@@ -171,10 +172,11 @@ def ldtw_distance_batch(
 
     All candidates must share the query's length (the situation after
     UTW normalisation).  The computation is delegated to
-    :func:`repro.dtw.kernels.banded_dtw_cost_batch`, which sweeps every
-    candidate's banded DP simultaneously as anti-diagonal wavefronts —
-    one to two orders of magnitude faster than per-pair calls for
-    databases of thousands of series.
+    :func:`repro.dtw.kernels.banded_dtw_cost_batch`: one call of its
+    compiled row loop for the whole matrix (or, where no compiler is
+    found, anti-diagonal wavefronts swept over every candidate at once
+    in NumPy) — orders of magnitude faster than per-pair calls of the
+    Python reference for databases of thousands of series.
 
     Parameters
     ----------

@@ -10,32 +10,54 @@ dynamic program lives, as one function per call shape:
     band.  Simple, obviously correct, and the reference every other
     computation is tested against.  It is also the single-pair path
     (the tree route's k-NN and the subsequence k-NN refine one
-    candidate at a time), where it is faster than a one-pair NumPy
-    wavefront at the band widths served here.
+    candidate at a time).
 
 :func:`banded_dtw_cost_batch`
-    One query against a ``(B, n)`` candidate matrix: an anti-diagonal
-    *wavefront* sweep.  All cells on one anti-diagonal ``i + j = d``
-    are independent given diagonals ``d-1`` and ``d-2``, so each
-    diagonal of all ``B`` candidates is one batch of NumPy operations
-    spanning ``band x B`` cells.  Early abandoning happens at diagonal
-    granularity with a per-candidate mask: a candidate is dead once the
-    running minimum over two consecutive wavefronts exceeds its cutoff
-    (every warping path advances ``i + j`` by 1 or 2, so it must touch
-    one of any two consecutive anti-diagonals).  The engine, the tree
-    route's range query and every oracle reach the DTW through it.
+    One query against a ``(B, n)`` candidate matrix, with one of two
+    bodies and the same answers from either:
 
-Both work in **accumulated-cost space**: squared differences for the
+    * **native** — ``banded_dtw.c`` next to this file: the reference's
+      row-major DP per candidate, with row-granularity abandoning.  The
+      first call in a process compiles it with ``cc`` into
+      ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``), keyed by
+      a hash of the source and the compiler command, and loads it with
+      :mod:`ctypes`, which releases the GIL for the call.  A call costs
+      tens of microseconds whatever its row count.
+    * **NumPy** — when no build can be had (no ``cc``, a compile or
+      load error, an unwritable cache): an anti-diagonal *wavefront*
+      sweep.  All cells on one anti-diagonal ``i + j = d`` are
+      independent given diagonals ``d-1`` and ``d-2``, so each diagonal
+      of all ``B`` candidates is one batch of NumPy operations.  A
+      candidate is abandoned at diagonal granularity once the running
+      minimum over two consecutive wavefronts exceeds its cutoff (every
+      warping path advances ``i + j`` by 1 or 2).  A call costs a few
+      milliseconds of dispatch whatever its row count.
+
+    The engine, the tree route's range query and every oracle reach the
+    DTW through it.
+
+All work in **accumulated-cost space**: squared differences for the
 Euclidean metric (the square root is the caller's job, as in the
 paper's ``D^2`` recurrences) and absolute differences for Manhattan.
 ``inf`` means "no admissible path" or "abandoned against the cutoff".
-For ``k >= 1`` they agree bit for bit: the min of three and the cost
-addition happen in the same order per cell.
+For ``k >= 1`` every body does the same IEEE operations per cell (the C
+is built with ``-ffp-contract=off`` and without ``-ffast-math``), so a
+finished cost agrees bit for bit; bodies differ only in which
+over-cutoff rows they abandon.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -59,6 +81,95 @@ _COMPACT_MIN_DEAD = 32
 _COMPACT_DEAD_FRACTION = 0.5
 
 
+#: The native body's source, shipped next to this module.
+_SOURCE = Path(__file__).with_name("banded_dtw.c")
+
+#: Compiler flags for the native body.  ``-ffp-contract=off`` keeps
+#: ``best + d*d`` two roundings (no fused multiply-add), and there is
+#: no ``-ffast-math`` or ``-march=native``: costs stay bit-identical to
+#: the reference, and a build cached on a home directory shared across
+#: hosts runs on all of them.
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: The loaded native entry point, ``None`` for the NumPy body, or
+#: :data:`_UNLOADED` until the first batched call decides.
+_UNLOADED = object()
+_native = _UNLOADED
+_native_lock = threading.Lock()
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/repro``, or ``~/.cache/repro`` (XDG default)."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = Path.home() / ".cache"
+    return Path(base) / "repro"
+
+
+def _bind(path: Path):
+    """The entry point of the shared object at *path*, or ``None``."""
+    try:
+        fn = ctypes.CDLL(str(path)).banded_dtw_batch
+    except (OSError, AttributeError):  # truncated, foreign or stale
+        return None
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                   ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                   ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p)
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+def _load_native():
+    """Load the cached native body, building it first if need be.
+
+    The build goes to a temporary file in the cache directory and is
+    moved into place with :func:`os.replace`, so processes starting at
+    the same moment never load a half-written file.  Any failure
+    yields ``None`` (the NumPy body) rather than an exception.
+    """
+    try:
+        cc = shutil.which("cc")
+        if cc is None:
+            return None
+        source = _SOURCE.read_bytes()
+        command = [cc, *_CFLAGS]
+        key = hashlib.sha256(b"\0".join(
+            [source, platform.machine().encode(),
+             *(arg.encode() for arg in command)])).hexdigest()[:16]
+        cache = _cache_dir()
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        path = cache / f"banded_dtw-{key}.so"
+        if path.exists():
+            fn = _bind(path)
+            if fn is not None:
+                return fn
+        fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
+        os.close(fd)
+        try:
+            subprocess.run([*command, "-o", tmp, "-x", "c", "-"],
+                           input=source, capture_output=True, check=True,
+                           timeout=120)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return _bind(path)
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        # No home directory, an unwritable cache, a failed or hung
+        # compile: the NumPy body answers instead, and nothing raises.
+        return None
+
+
+def _native_kernel():
+    """The native entry point (loaded on first use) or ``None``."""
+    global _native
+    if _native is _UNLOADED:
+        with _native_lock:
+            if _native is _UNLOADED:
+                _native = _load_native()
+    return _native
+
+
 class KernelStats:
     """Opt-in work counters a kernel call fills in.
 
@@ -73,7 +184,8 @@ class KernelStats:
     Attributes
     ----------
     calls:
-        Kernel dispatches (one per single-pair call or batch block).
+        Kernel dispatches (one per single-pair call, native batch call
+        or NumPy batch block).
     rows:
         Candidate rows processed across those calls.
     cells:
@@ -82,7 +194,8 @@ class KernelStats:
         work measure for comparing cutoffs.
     compacted_columns:
         Candidate columns physically dropped from batched wavefront
-        blocks by dead-column compaction.
+        blocks by dead-column compaction (the NumPy body's; the native
+        body abandons row by row and compacts nothing).
     """
 
     __slots__ = ("calls", "rows", "cells", "compacted_columns")
@@ -127,7 +240,7 @@ def _broadcast_bounds(
         raise ValueError(
             f"bound_costs must be a scalar or shape ({m},), got {bounds.shape}"
         )
-    return bounds
+    return np.ascontiguousarray(bounds)
 
 
 def banded_dtw_cost(
@@ -213,9 +326,10 @@ def banded_dtw_cost_batch(
     """Costs from *x* to every row of *candidates* (``inf`` = pruned).
 
     *bound_costs* may be a scalar cutoff shared by every candidate or
-    one cutoff per row; ``None`` disables abandoning.  Candidates are
-    swept in column blocks of about :data:`_BATCH_BLOCK_BYTES` per DP
-    buffer.  *stats*, when given, receives work counters.
+    one cutoff per row; ``None`` disables abandoning.  The native body
+    answers in one call; the NumPy body sweeps candidates in column
+    blocks of about :data:`_BATCH_BLOCK_BYTES` per DP buffer.  *stats*,
+    when given, receives work counters.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     candidates = np.ascontiguousarray(candidates, dtype=np.float64)
@@ -245,6 +359,20 @@ def banded_dtw_cost_batch(
         if bounds is not None:
             totals = np.where(totals > bounds, _INF, totals)
         return totals
+
+    native = _native_kernel()
+    if native is not None:
+        out = np.empty(total)
+        cells = native(
+            x.ctypes.data, n, candidates.ctypes.data, total, m, k,
+            None if bounds is None else bounds.ctypes.data,
+            int(manhattan), out.ctypes.data,
+        )
+        if cells >= 0:
+            if stats is not None:
+                stats.calls += 1
+                stats.cells += cells
+            return out
 
     block = max(64, _BATCH_BLOCK_BYTES // ((n + 1) * 8))
     out = np.empty(total)

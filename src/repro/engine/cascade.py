@@ -111,17 +111,25 @@ DEFAULT_STAGES = ("first_last", "keogh_paa", "new_paa", "lb_keogh")
 #: a bound within this of the radius is never used to prune.
 _PRUNE_ATOL = 1e-9
 
-#: Survivors handed to the DTW kernel per call.  A batched call costs a
-#: few NumPy dispatches per anti-diagonal (2-3 ms at n=128) whatever its
-#: row count, so small slices pay that over and over, while huge ones
-#: freeze the k-NN cutoff over too many rows.  Swept on bench_e2e's
-#: ``knn_hard`` requests (10^4 rows, one thread; table in CHANGES.md,
-#: PR 12): p50 240 ms at 32 rows, 42-60 ms on the 1024-2048 plateau,
-#: 59 ms at 4096 where 46 % more rows are refined.  1024 rows of n=128
-#: are a 1 MB float64 gather and, at that length, one abort poll every
-#: ~8 ms; a slice's time grows with n x band, so the longest stretch
-#: between polls measured ~40 ms at n=256 and 100-140 ms at n=512.
+#: Most survivors handed to the DTW kernel per call.  The cap bounds the
+#: float64 gather (1 MB at n=128) and the stretch between abort polls,
+#: which the engine makes once per slice.  Measured on a 2-vCPU host,
+#: 1024 unbounded rows take 3.1 / 13.6 / 71 ms with the native kernel
+#: and 11 / 39 / 128 ms with the NumPy body at n = 128 / 256 / 512
+#: (band 5 / 12 / 25).  A smaller cap would buy little: the native
+#: body's fixed cost is ~0.03 ms a call, but the NumPy body still pays
+#: 2-3 ms of dispatch per call whatever its row count.
 _REFINE_ROWS = 1024
+
+#: Growth factor of a k-NN walk's refine slices, from k up to
+#: :data:`_REFINE_ROWS`: each slice is cut and abandoned against the
+#: radius the previous ones shrank, so small early slices bring the
+#: refined rows close to the floor.  Swept on bench_e2e's ``knn_hard``
+#: requests (10^4 rows, k=10, one thread, native kernel): 280 / 286 /
+#: 294 / 305 rows per query for x2 / x4 / x8 / x16 (691 with a single
+#: opening k-row slice, against a floor of 272), p50 12-15 ms for all
+#: four.  x8 keeps the NumPy body at about three calls per query.
+_REFINE_GROWTH = 8
 
 
 @dataclass
@@ -553,9 +561,9 @@ class QueryEngine:
     :meth:`knn` (*k* alone) as its two spellings.  Its one walk prunes
     every stage against the radius ``min(epsilon, k-th distance so
     far)`` and sends the survivors, in ascending lower-bound order,
-    through the batched DTW kernel :data:`_REFINE_ROWS` at a time
-    (:meth:`_refine`), early abandoned against that radius.  Answers
-    are ordered by (distance, corpus row).
+    through the batched DTW kernel in slices of at most
+    :data:`_REFINE_ROWS` (:meth:`_refine`), early abandoned against
+    that radius.  Answers are ordered by (distance, corpus row).
 
     Parameters
     ----------
@@ -796,7 +804,7 @@ class QueryEngine:
         in the final answer has a distance at most the final radius,
         which every earlier radius dominates, so it can never be
         abandoned.  Callers pass one slice — at most
-        :data:`_REFINE_ROWS` rows, or *k* seeds — so
+        :data:`_REFINE_ROWS` rows, unless *k* seeds are more — so
         *should_abort* is polled once per slice.
         """
         _maybe_abort(should_abort, "refine")
@@ -830,10 +838,12 @@ class QueryEngine:
         so far)`` (unset counts as infinite).  Every stage prunes
         against it; while it is infinite, the first stage's *k* best
         rows are refined to seed it.  Survivors are then refined in
-        ascending bound order — the *k* best first (when *k* is set),
-        then slices of :data:`_REFINE_ROWS`, each cut and abandoned
-        against the radius as of its start — up to the optimal
-        multi-step stop (Seidl–Kriegel).  Results are ``(id,
+        ascending bound order, in slices each cut and abandoned against
+        the radius as of its start — for *k*, slices of *k*, then
+        :data:`_REFINE_GROWTH` times more each, up to
+        :data:`_REFINE_ROWS`; without *k*, slices of
+        :data:`_REFINE_ROWS` — up to the optimal multi-step stop
+        (Seidl–Kriegel).  Results are ``(id,
         distance)`` pairs ordered by (distance, corpus row).
 
         *should_abort*, when given, is a zero-argument callable polled
@@ -911,14 +921,15 @@ class QueryEngine:
             pending = order[~seeded[order]]
             position = 0
             # The stage-0 seeds were picked by the loosest bound, so the
-            # radius they left is loose too.  Open the walk with the k
-            # best rows by the final bound: one small call, after which
-            # the first full slice is cut and abandoned against a radius
-            # close to the final one.
+            # radius they left is loose too.  Open a k-NN walk with the
+            # k best rows by the final bound, then let slices grow by
+            # _REFINE_GROWTH: each is cut and abandoned against the
+            # radius the previous ones shrank (Seidl-Kriegel's
+            # r-optimality, up to a slice's worth of rows).
             size = _REFINE_ROWS if k is None else k
             while position < pending.size:
                 rows = pending[position:position + size]
-                size = _REFINE_ROWS
+                size = min(size * _REFINE_GROWTH, _REFINE_ROWS)
                 # Bounds ascend along ``pending``: refine only the prefix
                 # the stages would keep at the radius as of now; the rest
                 # is re-checked next round against the (possibly

@@ -20,9 +20,11 @@ paper's selling points.
 
 from __future__ import annotations
 
+import heapq
 import math
 import threading
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +43,17 @@ from .stats import QueryStats
 __all__ = ["WarpingIndex"]
 
 _INDEX_KINDS = ("rstar", "grid", "linear", "cluster")
+
+
+class _TreeView(NamedTuple):
+    """One generation as the tree routes read it, taken under one lock
+    acquisition so a concurrent swap cannot mix two generations."""
+
+    index: object
+    id_to_row: dict
+    data: np.ndarray
+    ids: list
+    lb_slack: float
 
 
 class WarpingIndex:
@@ -239,14 +252,17 @@ class WarpingIndex:
             return 0.0
         return margin * (dim if metric == "manhattan" else math.sqrt(dim))
 
-    def _feature_index(self):
-        """The feature index over this generation's features.
+    def _feature_index(self) -> _TreeView:
+        """The feature index over this generation, with its rows.
 
-        Built on first use, under the lock :meth:`swap_generation`
-        rebinds a generation under, so it indexes the features and ids
-        of one generation; only the tree routes (``filter_query``,
-        ``range_query``, ``knn_query``) and ``insert`` / ``remove``
-        read it, so the cascade route never pays for it.
+        The index is built on first use, under the lock
+        :meth:`swap_generation` rebinds a generation under, and returned
+        with that generation's id map, rows, ids and bound slack from the
+        same acquisition, so a query that maps candidate ids to rows
+        reads one generation throughout.  Only the tree routes
+        (``filter_query``, ``range_query``, ``knn_query``) and
+        ``insert`` / ``remove`` read it, so the cascade route never pays
+        for it.
         """
         with self._swap_lock:
             if self._index is None:
@@ -261,7 +277,8 @@ class WarpingIndex:
                 else:
                     self._index = LinearScan(features, ids,
                                              capacity=self._capacity)
-            return self._index
+            return _TreeView(self._index, self._id_to_row, self._data,
+                             self.ids, self._lb_slack)
 
     def _store_state(self, store) -> dict:
         """Every corpus-dependent object for a generation.
@@ -369,7 +386,7 @@ class WarpingIndex:
             )
         else:
             features = self.env_transform.transform.transform(normal)
-        self._feature_index().insert(features, item_id)
+        self._feature_index().index.insert(features, item_id)
         self._id_to_row[item_id] = self._data.shape[0]
         self._envelopes = None  # the store's, no longer these rows'
         self._data = np.vstack([self._data, normal])
@@ -386,7 +403,8 @@ class WarpingIndex:
         if item_id not in self._id_to_row:
             raise KeyError(f"id {item_id!r} not in the index")
         row = self._id_to_row[item_id]
-        removed = self._feature_index().delete(self._features[row], item_id)
+        removed = self._feature_index().index.delete(
+            self._features[row], item_id)
         if not removed:  # pragma: no cover - indexes stay in sync
             raise RuntimeError(f"index backend lost id {item_id!r}")
         self._envelopes = None  # the store's, no longer these rows'
@@ -420,14 +438,14 @@ class WarpingIndex:
         if epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         _, rect_lower, rect_upper, _ = self._query_rectangle(query)
-        index = self._feature_index()
-        index.reset_stats()
-        candidates = index.range_search(
-            rect_lower, rect_upper, epsilon + self._lb_slack,
+        view = self._feature_index()
+        view.index.reset_stats()
+        candidates = view.index.range_search(
+            rect_lower, rect_upper, epsilon + view.lb_slack,
             metric=self.metric
         )
         stats = QueryStats(
-            candidates=len(candidates), page_accesses=index.page_accesses
+            candidates=len(candidates), page_accesses=view.index.page_accesses
         )
         return candidates, stats
 
@@ -451,22 +469,22 @@ class WarpingIndex:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         started = monotonic_s()
         q, rect_lower, rect_upper, q_envelope = self._query_rectangle(query)
-        index = self._feature_index()
-        index.reset_stats()
-        candidates = index.range_search(
-            rect_lower, rect_upper, epsilon + self._lb_slack,
+        view = self._feature_index()
+        view.index.reset_stats()
+        candidates = view.index.range_search(
+            rect_lower, rect_upper, epsilon + view.lb_slack,
             metric=self.metric
         )
         stats = QueryStats(
-            candidates=len(candidates), page_accesses=index.page_accesses
+            candidates=len(candidates), page_accesses=view.index.page_accesses
         )
         results = []
         if candidates:
-            rows = [self._id_to_row[item_id] for item_id in candidates]
+            rows = [view.id_to_row[item_id] for item_id in candidates]
             if second_filter:
                 # Second filter (paper §5.2): the unreduced envelope
                 # bound, vectorised over the candidate matrix.
-                data = self._data[rows]
+                data = view.data[rows]
                 above = np.maximum(data - q_envelope.upper, 0.0)
                 below = np.maximum(q_envelope.lower - data, 0.0)
                 if self.metric == "manhattan":
@@ -477,7 +495,7 @@ class WarpingIndex:
                 stats.extra["second_filter_pruned"] = int(np.sum(~keep))
                 rows = [r for r, flag in zip(rows, keep) if flag]
             if rows:
-                dists = ldtw_distance_batch(q, self._data[rows], self.band,
+                dists = ldtw_distance_batch(q, view.data[rows], self.band,
                                             metric=self.metric,
                                             upper_bound=epsilon)
                 stats.dtw_computations = len(rows)
@@ -485,7 +503,7 @@ class WarpingIndex:
                     (float(dist), row)
                     for row, dist in zip(rows, dists) if dist <= epsilon
                 )
-                results = [(self.ids[row], dist) for dist, row in hits]
+                results = [(view.ids[row], dist) for dist, row in hits]
         stats.results = len(results)
         self.obs.record_index_query("range", stats, monotonic_s() - started)
         return results, stats
@@ -505,36 +523,35 @@ class WarpingIndex:
             raise ValueError(f"k must be >= 1, got {k}")
         started = monotonic_s()
         q, rect_lower, rect_upper, q_envelope = self._query_rectangle(query)
-        index = self._feature_index()
-        index.reset_stats()
+        view = self._feature_index()
+        view.index.reset_stats()
         stats = QueryStats()
         # The answer so far, a heap of (-distance, -row): its top is the
         # worst hit in answer order, the one a better hit evicts.
         best: list[tuple[float, int]] = []
         refine = ldtw_refiner(q, self.band, metric=self.metric)
-        import heapq
 
-        for lower_bound, item_id in index.nearest(
+        for lower_bound, item_id in view.index.nearest(
             rect_lower, rect_upper, metric=self.metric
         ):
-            # _lb_slack deflates bounds computed from float32-stored
+            # lb_slack deflates bounds computed from float32-stored
             # features so the Seidl-Kriegel cutoff stays sound.
-            if len(best) == k and lower_bound - self._lb_slack > -best[0][0]:
+            if len(best) == k and lower_bound - view.lb_slack > -best[0][0]:
                 break
             stats.candidates += 1
-            row = self._id_to_row[item_id]
+            row = view.id_to_row[item_id]
             cutoff = -best[0][0] if len(best) == k else None
             if cutoff is not None:
                 # Second filter (paper §5.2): O(n) full-dimension
                 # envelope bound before the O(kn) exact DTW.
-                lb_full = envelope_distance(self._data[row], q_envelope,
+                lb_full = envelope_distance(view.data[row], q_envelope,
                                             metric=self.metric)
                 if lb_full > cutoff:
                     stats.extra["second_filter_pruned"] = (
                         stats.extra.get("second_filter_pruned", 0) + 1
                     )
                     continue
-            dist = refine(self._data[row], cutoff)
+            dist = refine(view.data[row], cutoff)
             stats.dtw_computations += 1
             if not math.isfinite(dist):
                 continue
@@ -542,8 +559,8 @@ class WarpingIndex:
                 heapq.heappush(best, (-dist, -row))
             elif (dist, row) < (-best[0][0], -best[0][1]):
                 heapq.heapreplace(best, (-dist, -row))
-        stats.page_accesses = index.page_accesses
-        results = [(self.ids[-negrow], -negd)
+        stats.page_accesses = view.index.page_accesses
+        results = [(view.ids[-negrow], -negd)
                    for negd, negrow in sorted(best, reverse=True)]
         stats.results = len(results)
         self.obs.record_index_query("knn", stats, monotonic_s() - started)

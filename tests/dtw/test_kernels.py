@@ -1,20 +1,24 @@
 """Kernel parity, early-abandon and batch tests.
 
 There is one kernel per call shape: the scalar row loop
-(``banded_dtw_cost``, the reference) for single pairs and the
-vectorized wavefront (``banded_dtw_cost_batch``) for a candidate
-matrix.  The batch must agree with the reference to 1e-9 (for
-``k >= 1`` it agrees bit for bit: the min-of-three and the cost
-addition happen in the same order per cell).  Early abandoning must
-never produce a false negative in either kernel: a candidate whose true
-cost is within the cutoff always comes back with its exact value.
+(``banded_dtw_cost``, the reference) for single pairs and
+``banded_dtw_cost_batch`` for a candidate matrix, whose body is the
+compiled C row loop when a build can be had and the NumPy wavefront
+otherwise.  The batch must agree with the reference to 1e-9 (for
+``k >= 1`` it agrees bit for bit: every body does the same IEEE
+operations per cell).  Early abandoning must never produce a false
+negative in any body: a candidate whose true cost is within the cutoff
+always comes back with its exact value.  The NumPy body is reached by
+setting the module's loaded-library handle to ``None``.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from repro.dtw import kernels
 from repro.dtw.distance import ldtw_distance, ldtw_distance_batch, ldtw_refiner
 from repro.dtw.kernels import (
     KernelStats,
@@ -240,3 +244,127 @@ def test_kernel_refiner_accepts_lists(rng):
     x, y = _pair(rng)
     refine = ldtw_refiner(list(x), 5)
     assert refine(list(y)) == pytest.approx(ldtw_distance(x, y, 5), abs=ATOL)
+
+
+# ----------------------------------------------------------------------
+# the native body against the NumPy body and the reference, exactly
+# ----------------------------------------------------------------------
+
+PARITY_N = 32
+
+
+def _native_or_skip():
+    native = kernels._native_kernel()
+    if native is None:
+        pytest.skip("no native build on this host (no C compiler)")
+    return native
+
+
+def _both_bodies(monkeypatch, *args, **kwargs):
+    """``banded_dtw_cost_batch(*args, **kwargs)`` by the native body,
+    then by the NumPy body."""
+    _native_or_skip()
+    native = banded_dtw_cost_batch(*args, **kwargs)
+    monkeypatch.setattr(kernels, "_native", None)
+    numpy_body = banded_dtw_cost_batch(*args, **kwargs)
+    monkeypatch.undo()
+    return native, numpy_body
+
+
+def _reference(x, rows, k, bounds, manhattan, step=1):
+    """``banded_dtw_cost`` on every *step*-th row (the rest nan)."""
+    out = np.full(len(rows), np.nan)
+    for b in range(0, len(rows), step):
+        out[b] = banded_dtw_cost(x, rows[b], k, float(bounds[b]),
+                                 manhattan=manhattan)
+    return out
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("k", (1, 5, PARITY_N - 1))
+@pytest.mark.parametrize("batch", (0, 1, 4, 1025))
+@pytest.mark.parametrize("m", (PARITY_N, PARITY_N + 1))
+def test_native_body_is_bit_identical_unbounded(monkeypatch, rng, dtype,
+                                                metric, k, batch, m):
+    """Unbounded costs: native == NumPy == reference, at tolerance 0,
+    for float32 and float64 rows and for m != n inside the band."""
+    manhattan = metric == "manhattan"
+    x = np.cumsum(rng.normal(size=PARITY_N)).astype(dtype)
+    rows = np.cumsum(rng.normal(size=(batch, m)), axis=1).astype(dtype)
+    native, numpy_body = _both_bodies(monkeypatch, x, rows, k,
+                                      manhattan=manhattan)
+    np.testing.assert_array_equal(native, numpy_body)
+    assert np.all(np.isfinite(native))
+    ref = _reference(x, rows, k, np.full(batch, math.inf), manhattan,
+                     step=max(1, batch // 16))
+    checked = ~np.isnan(ref)
+    np.testing.assert_array_equal(native[checked], ref[checked])
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("k", (1, 5, PARITY_N - 1))
+@pytest.mark.parametrize("batch", (1, 4, 1025))
+def test_native_body_under_cutoffs(monkeypatch, rng, dtype, metric, k,
+                                   batch):
+    """Under per-row cutoffs: a row within its cutoff is identical in
+    every body; any other row is inf or its exact cost; the native body
+    (row-granularity abandoning) abandons every row the reference
+    abandons."""
+    manhattan = metric == "manhattan"
+    x = np.cumsum(rng.normal(size=PARITY_N)).astype(dtype)
+    rows = np.cumsum(rng.normal(size=(batch, PARITY_N)), axis=1).astype(dtype)
+    exact, _ = _both_bodies(monkeypatch, x, rows, k, manhattan=manhattan)
+    cuts = exact * rng.choice([0.3, 0.999, 1.0, 1.5], size=batch)
+    native, numpy_body = _both_bodies(monkeypatch, x, rows, k, cuts,
+                                      manhattan=manhattan)
+    inside = exact <= cuts
+    for got in (native, numpy_body):
+        np.testing.assert_array_equal(got[inside], exact[inside])
+        outside = got[~inside]
+        assert np.all(np.isinf(outside) | (outside == exact[~inside]))
+    ref = _reference(x, rows, k, cuts, manhattan, step=max(1, batch // 16))
+    checked = ~np.isnan(ref)
+    np.testing.assert_array_equal(native[checked], ref[checked])
+
+
+def test_native_body_shared_by_threads(monkeypatch, rng):
+    """Eight threads calling the native body at once get the answers of
+    one thread: the kernel keeps no static state."""
+    _native_or_skip()
+    x = np.cumsum(rng.normal(size=64))
+    batches = [np.cumsum(rng.normal(size=(300, 64)), axis=1)
+               for _ in range(8)]
+    cutoffs = [None, 40.0] * 4
+    expected = [banded_dtw_cost_batch(x, rows, 6, cut)
+                for rows, cut in zip(batches, cutoffs)]
+    got = [None] * 8
+    barrier = threading.Barrier(8)
+
+    def work(i):
+        barrier.wait()
+        for _ in range(20):
+            got[i] = banded_dtw_cost_batch(x, batches[i], 6, cutoffs[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, have in zip(expected, got):
+        np.testing.assert_array_equal(have, want)
+
+
+def test_native_body_fills_kernel_stats(rng):
+    """One native dispatch per call, and the reference's cell count."""
+    _native_or_skip()
+    x = np.cumsum(rng.normal(size=N))
+    rows = np.cumsum(rng.normal(size=(7, N)), axis=1)
+    pair, batch = KernelStats(), KernelStats()
+    for row in rows:
+        banded_dtw_cost(x, row, 5, 10.0, stats=pair)
+    banded_dtw_cost_batch(x, rows, 5, 10.0, stats=batch)
+    assert (batch.calls, batch.rows) == (1, 7)
+    assert batch.cells == pair.cells

@@ -178,6 +178,53 @@ def test_engines_built_during_swaps_never_mix_generations(tmp_path):
     assert not thread.is_alive()
 
 
+def test_tree_routes_racing_swaps_read_one_generation(tmp_path):
+    """A tree-route query racing ``swap_generation`` maps its candidate
+    ids through the id map of the generation its feature index belongs
+    to: no exception, and every answer is one generation's answer."""
+    root = str(tmp_path / "store")
+    builder = StreamingIndexBuilder(root, normal_form=NormalForm(length=64))
+    first, _ = builder.build([_walk(i) for i in range(30)],
+                             [f"m{i}" for i in range(30)])
+    second, _ = StreamingIndexBuilder.for_store(first).build(
+        [_walk(100 + i) for i in range(10)], [f"n{i}" for i in range(10)],
+        base=first,
+    )
+    assert (first.rows, second.rows) == (30, 40)
+    hum = _walk(1000)
+    fresh = [WarpingIndex.from_store(store).range_query(hum, 1e9)[0]
+             for store in (first, second)]
+    live = WarpingIndex.from_store(first)
+    stop = threading.Event()
+
+    def swapper():
+        turn = 1
+        while not stop.is_set():
+            live.swap_generation((first, second)[turn % 2])
+            turn += 1
+
+    thread = threading.Thread(target=swapper)
+    errors, wrong = [], 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        thread.start()
+        for _ in range(2000):
+            try:
+                answer = live.range_query(hum, 1e9)[0]
+            except Exception as exc:  # noqa: BLE001 - counted, then failed
+                errors.append(type(exc).__name__)
+                continue
+            wrong += answer not in fresh
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert errors == []
+    assert wrong == 0
+
+
 def test_router_closed_is_retried_exactly_once():
     """The serve layer refetches the engine when a swap closed its router."""
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.dtw.distance import ldtw_distance
 from repro.engine import DEFAULT_STAGES, STAGE_ORDER, QueryEngine
-from repro.engine.cascade import _REFINE_ROWS
+from repro.engine.cascade import _REFINE_GROWTH, _REFINE_ROWS
 from repro.obs import Observability
 
 from tests.conftest import KERNEL_NAMES, exact_answer, run_concurrently
@@ -315,12 +315,64 @@ def test_refine_is_one_kernel_dispatch_per_slice(corpus, query):
     obs = Observability()
     calls = obs.metrics.counter("dtw.kernel_calls_total")
     engine = QueryEngine(big, band=BAND, obs=obs)
+    before = calls.value
     results, stats = engine.knn(hum, 10)
-    # The two k-row seed calls (best rows by the first bound, then by
-    # the last) plus the slices, of which only the last can be short.
-    assert calls.value <= 2 + -(-stats.dtw_computations // _REFINE_ROWS)
+    # The stage-0 seed call, then slices of k, k x _REFINE_GROWTH, ...
+    # (capped at _REFINE_ROWS) rows, of which only the last can be short.
+    slices, covered, size = 0, 0, 10
+    while covered < stats.dtw_computations - 10:
+        slices += 1
+        covered += size
+        size = min(size * _REFINE_GROWTH, _REFINE_ROWS)
+    assert calls.value - before == 1 + slices
     assert ([i for i, _ in results]
             == [i for i, _ in engine.ground_truth_knn(hum, 10)])
+
+
+def _corpus_with_twins(size: int = 60, copies: int = 3) -> np.ndarray:
+    """Random walks, each held *copies* times: ties at every distance."""
+    rng = np.random.default_rng(31)
+    walks = np.cumsum(rng.normal(size=(size // copies, LENGTH)), axis=1)
+    return np.repeat(walks, copies, axis=0)
+
+
+@pytest.mark.parametrize("k", (1, 10, 60))
+@pytest.mark.parametrize("stages", (DEFAULT_STAGES, ()),
+                         ids=("default", "none"))
+def test_knn_slices_equal_ground_truth_with_duplicates_and_ties(k, stages):
+    """The growing refine slices give the oracle's answer — ids in
+    (distance, row) order and distances exactly — on a corpus whose
+    rows come in triples, so the k-th distance is tied."""
+    corpus = _corpus_with_twins()
+    engine = QueryEngine(corpus, band=BAND, stages=stages)
+    rng = np.random.default_rng(32)
+    for target in (0, 13, 44):
+        hum = corpus[target] + 0.8 * rng.normal(size=LENGTH)
+        truth = engine.ground_truth_knn(hum, k)
+        if k < len(corpus):
+            # The k-th and (k+1)-th rows are twins: a tie at the k-th
+            # distance that only the row order breaks.
+            tail = engine.ground_truth_knn(hum, k + 1)
+            assert tail[k - 1][1] == tail[k][1]
+        results, _ = engine.knn(hum, k)
+        assert results == truth
+
+
+def test_knn_walk_refines_fewer_rows_than_one_big_slice():
+    """Slices that grow from k refine fewer rows than the walk they
+    replace (a k-row opening slice, then 1 024-row slices), which
+    refined 3 161 rows over these eight hums."""
+    rng = np.random.default_rng(5)
+    big = np.cumsum(rng.normal(size=(2000, LENGTH)), axis=1)
+    engine = QueryEngine(big, band=BAND)
+    noise = np.random.default_rng(6)
+    refined = 0
+    for target in range(0, 2000, 250):
+        hum = big[target] + 6.0 * noise.normal(size=LENGTH)
+        results, stats = engine.knn(hum, 10)
+        assert results == engine.ground_truth_knn(hum, 10)
+        refined += stats.dtw_computations
+    assert refined < 3161
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The batch kernel must return the reference row loop's distances (to
 1e-9) on every bundle in the pool, under both metrics, and neither
 kernel may produce a false negative under early-abandon cutoffs — the
-engine's no-false-negative guarantee rests on this.
+engine's no-false-negative guarantee rests on this.  The batch
+kernel's two bodies, native and NumPy, agree at tolerance 0.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.dtw import kernels
 from repro.dtw.distance import ldtw_distance, ldtw_distance_batch
 
 from .conftest import BAND
@@ -65,3 +67,35 @@ def test_kernel_cutoffs_never_lose_answers_over_pool(bundles, kernel):
             finite = np.isfinite(got)
             np.testing.assert_allclose(got[finite], exact[finite],
                                        atol=ATOL)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_kernel_bodies_bit_identical_over_pool(bundles, metric, monkeypatch):
+    """Native and NumPy bodies: identical unbounded distances (the
+    reference's, exactly); under cutoffs, identical within the cutoff
+    and inf or exact beyond it."""
+    if kernels._native_kernel() is None:
+        pytest.skip("no native build on this host (no C compiler)")
+
+    def both(bundle, **kwargs):
+        native = ldtw_distance_batch(bundle.query, bundle.candidates, BAND,
+                                     metric=metric, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_native", None)
+            numpy_body = ldtw_distance_batch(bundle.query, bundle.candidates,
+                                             BAND, metric=metric, **kwargs)
+        return native, numpy_body
+
+    for bundle in bundles:
+        exact, numpy_exact = both(bundle)
+        np.testing.assert_array_equal(exact, numpy_exact,
+                                      err_msg=f"family={bundle.family}")
+        if metric == "euclidean":
+            np.testing.assert_array_equal(exact, bundle.exact)
+        for quantile in (0.1, 0.5, 0.9):
+            cutoff = float(np.quantile(exact, quantile))
+            inside = exact <= cutoff
+            for got in both(bundle, upper_bound=cutoff):
+                np.testing.assert_array_equal(got[inside], exact[inside])
+                beyond = got[~inside]
+                assert np.all(np.isinf(beyond) | (beyond == exact[~inside]))
