@@ -128,49 +128,6 @@ class ClusterIndex:
         """Zero the page-access counter (between measured queries)."""
         self.page_accesses = 0
 
-    def insert(self, point, item_id) -> None:
-        """Add one point to its nearest cluster (boxes stretch)."""
-        pt = np.asarray(point, dtype=np.float64)
-        if pt.shape != (self.dim,):
-            raise ValueError(f"expected a point of shape ({self.dim},)")
-        if not self._clusters:
-            self._clusters.append(
-                {"points": pt[None, :].copy(), "ids": [item_id],
-                 "lower": pt.copy(), "upper": pt.copy()}
-            )
-            self._size += 1
-            return
-        centres = np.array([
-            (c["lower"] + c["upper"]) / 2.0 for c in self._clusters
-        ])
-        nearest = int(np.argmin(np.linalg.norm(centres - pt, axis=1)))
-        cluster = self._clusters[nearest]
-        cluster["points"] = np.vstack([cluster["points"], pt])
-        cluster["ids"].append(item_id)
-        np.minimum(cluster["lower"], pt, out=cluster["lower"])
-        np.maximum(cluster["upper"], pt, out=cluster["upper"])
-        self._size += 1
-
-    def delete(self, point, item_id) -> bool:
-        """Remove one (point, id) entry; returns False if absent."""
-        pt = np.asarray(point, dtype=np.float64)
-        if pt.shape != (self.dim,):
-            raise ValueError(f"expected a point of shape ({self.dim},)")
-        for cluster in self._clusters:
-            for pos, stored_id in enumerate(cluster["ids"]):
-                if stored_id == item_id and np.array_equal(
-                    cluster["points"][pos], pt
-                ):
-                    cluster["points"] = np.delete(cluster["points"], pos,
-                                                  axis=0)
-                    cluster["ids"].pop(pos)
-                    self._size -= 1
-                    if not cluster["ids"]:
-                        self._clusters.remove(cluster)
-                    # Boxes stay conservative (sound, just looser).
-                    return True
-        return False
-
     def _gaps(self, arr, q_lower, q_upper):
         return np.maximum(q_lower - arr, 0.0) + np.maximum(arr - q_upper, 0.0)
 

@@ -45,15 +45,19 @@ __all__ = ["WarpingIndex"]
 _INDEX_KINDS = ("rstar", "grid", "linear", "cluster")
 
 
-class _TreeView(NamedTuple):
-    """One generation as the tree routes read it, taken under one lock
-    acquisition so a concurrent swap cannot mix two generations."""
+class _Snapshot(NamedTuple):
+    """One generation's corpus state, taken under one acquisition of the
+    lock :meth:`WarpingIndex.swap_generation` rebinds it under, so a
+    reader that holds it never mixes two generations."""
 
-    index: object
+    tree: object  # the feature index; None until a tree route builds it
     id_to_row: dict
     data: np.ndarray
+    features: np.ndarray
     ids: list
+    envelopes: tuple | None
     lb_slack: float
+    engines: dict  # cascade engines over these rows, per stage plan
 
 
 class WarpingIndex:
@@ -74,7 +78,7 @@ class WarpingIndex:
         Normalisation applied to database and query series.  Its
         ``length`` fixes the UTW normal-form length ``n``.
     index_kind:
-        ``"rstar"`` (default), ``"grid"``, or ``"linear"``.
+        ``"rstar"`` (default), ``"grid"``, ``"linear"`` or ``"cluster"``.
     capacity:
         Page capacity of the underlying index.
     ids:
@@ -116,21 +120,17 @@ class WarpingIndex:
             )
         if not len(database):
             raise ValueError("database must not be empty")
-        #: Monotonic mutation counter: bumped exactly once by every
-        #: public mutator (``insert`` / ``remove`` /
-        #: ``swap_generation``).  The serving layer's result cache keys
-        #: entries by this version, so any index mutation invalidates
-        #: stale answers without the cache having to subscribe to
-        #: anything.
-        self.mutations = 0
-        #: Store-generation counter (0 for in-memory indexes; tracks
-        #: :attr:`store`'s generation for store-backed ones).
+        #: Swaps since the index was opened: 0 at construction, bumped
+        #: exactly once by every :meth:`swap_generation`.  The serving
+        #: layer's result cache keys entries by this version, so a swap
+        #: invalidates stale answers without the cache having to
+        #: subscribe to anything.  (The store's own number is
+        #: ``store.generation``.)
         self.generation = 0
         self._store = None
         #: Row envelopes of ``_data`` when it is a store's rows (that
         #: store's columns); ``None`` lets the engine compute its own.
         self._envelopes = None
-        self._feature_margin = 0.0
         self._lb_slack = 0.0
         self.normal_form = normal_form or NormalForm()
         if self.normal_form.length is None:
@@ -203,7 +203,7 @@ class WarpingIndex:
             )
         self = cls.__new__(cls)
         self.obs = OBS_DISABLED if obs is None else obs
-        self.mutations = 0
+        self.generation = 0
         cfg = manifest.config
         nf = cfg.get("normal_form", {})
         self.normal_form = NormalForm(
@@ -228,7 +228,6 @@ class WarpingIndex:
             )
         self.index_kind = "rstar"
         self._capacity = int(cfg.get("capacity", 50))
-        self._engines = {}
         self._swap_lock = threading.Lock()
         for name, value in self._store_state(store).items():
             setattr(self, name, value)
@@ -252,20 +251,17 @@ class WarpingIndex:
             return 0.0
         return margin * (dim if metric == "manhattan" else math.sqrt(dim))
 
-    def _feature_index(self) -> _TreeView:
-        """The feature index over this generation, with its rows.
+    def _snapshot(self, *, tree: bool) -> _Snapshot:
+        """This generation's corpus state, read under one acquisition of
+        the lock :meth:`swap_generation` rebinds it under.
 
-        The index is built on first use, under the lock
-        :meth:`swap_generation` rebinds a generation under, and returned
-        with that generation's id map, rows, ids and bound slack from the
-        same acquisition, so a query that maps candidate ids to rows
-        reads one generation throughout.  Only the tree routes
-        (``filter_query``, ``range_query``, ``knn_query``) and
-        ``insert`` / ``remove`` read it, so the cascade route never pays
-        for it.
+        With *tree*, the feature index is built first if this
+        generation has none yet.  Only the tree routes (``filter_query``,
+        ``range_query``, ``knn_query``) ask for it, so the cascade route
+        never pays for it.
         """
         with self._swap_lock:
-            if self._index is None:
+            if tree and self._index is None:
                 features, ids = self._features, self.ids
                 if self.index_kind == "rstar":
                     self._index = RStarTree.bulk_load(
@@ -277,8 +273,9 @@ class WarpingIndex:
                 else:
                     self._index = LinearScan(features, ids,
                                              capacity=self._capacity)
-            return _TreeView(self._index, self._id_to_row, self._data,
-                             self.ids, self._lb_slack)
+            return _Snapshot(self._index, self._id_to_row, self._data,
+                             self._features, self.ids, self._envelopes,
+                             self._lb_slack, self._engines)
 
     def _store_state(self, store) -> dict:
         """Every corpus-dependent object for a generation.
@@ -302,7 +299,6 @@ class WarpingIndex:
         id_to_row = {item_id: row for row, item_id in enumerate(ids)}
         if len(id_to_row) != len(ids):
             raise ValueError("store ids must be unique")
-        margin = store.feature_margin
         return {
             "ids": ids,
             "_id_to_row": id_to_row,
@@ -313,9 +309,8 @@ class WarpingIndex:
             # Mapped (or joined across segments) here, off the query
             # path, rather than by the first engine() after a swap.
             "_envelopes": (store.env_lower, store.env_upper),
-            "generation": store.generation,
-            "_feature_margin": margin,
-            "_lb_slack": self._slack_for(margin,
+            "_engines": {},
+            "_lb_slack": self._slack_for(store.feature_margin,
                                          self.env_transform.output_dim,
                                          self.metric),
         }
@@ -326,14 +321,14 @@ class WarpingIndex:
         Everything corpus-dependent — arrays, id maps — is gathered
         *first* from the new generation while queries keep reading the
         old references; then the references are rebound (the feature
-        index is dropped, for the next tree query to rebuild), all
-        under the lock :meth:`engine` reads them under (so an engine
-        never mixes two generations' rows, ids and envelope columns),
-        and ``mutations`` is bumped **exactly once, last**, so versioned
-        result caches and the sharded tier's ``(mutations, epoch)``
-        key invalidate exactly once per swap.  In-flight queries that
-        captured the old arrays finish correctly against the old
-        generation.
+        index and the engines are dropped, for the next query to
+        rebuild), all under the lock every reader takes its
+        generation snapshot under, and ``generation`` is bumped
+        **exactly once, last**, so versioned result caches and the
+        sharded tier's ``(generation, epoch)`` key invalidate exactly
+        once per swap, and a reader that sees the new number also sees
+        the new rows.  In-flight queries that took the old snapshot
+        finish correctly against the old generation.
         """
         if self._store is None:
             raise ValueError(
@@ -341,11 +336,10 @@ class WarpingIndex:
                 "(build it with WarpingIndex.from_store)"
             )
         state = self._store_state(store)
-        state["_engines"] = {}
         with self._swap_lock:
             for name, value in state.items():
                 setattr(self, name, value)
-        self.mutations += 1
+            self.generation += 1
 
     def __len__(self) -> int:
         return self._data.shape[0]
@@ -356,64 +350,9 @@ class WarpingIndex:
 
     def normalized(self, item_id) -> np.ndarray:
         """The stored normal form of a database series (float64 view)."""
-        return np.asarray(self._data[self._id_to_row[item_id]],
+        snap = self._snapshot(tree=False)
+        return np.asarray(snap.data[snap.id_to_row[item_id]],
                           dtype=np.float64)
-
-    def insert(self, series, item_id) -> None:
-        """Add one series to the index (dynamic maintenance).
-
-        The R*-tree backend uses the R* insertion algorithm (forced
-        reinsertion and all); grid file and linear scan append.
-        """
-        if item_id in self._id_to_row:
-            raise ValueError(f"id {item_id!r} already present")
-        normal = self.normal_form.apply(series)
-        if self._data.dtype == np.float32:
-            # Store-backed corpus: quantize first, then feature-extract
-            # from the quantized row (same pipeline as the streaming
-            # builder) so the stored margin keeps covering every row.
-            normal = normal.astype(np.float32)
-            exact = self.env_transform.transform.transform(
-                np.asarray(normal, dtype=np.float64)
-            )
-            features = exact.astype(np.float32)
-            self._feature_margin = max(
-                self._feature_margin,
-                float(np.abs(exact - features).max()),
-            )
-            self._lb_slack = self._slack_for(
-                self._feature_margin, self.feature_dim, self.metric
-            )
-        else:
-            features = self.env_transform.transform.transform(normal)
-        self._feature_index().index.insert(features, item_id)
-        self._id_to_row[item_id] = self._data.shape[0]
-        self._envelopes = None  # the store's, no longer these rows'
-        self._data = np.vstack([self._data, normal])
-        self._features = np.vstack([self._features, features])
-        self.ids.append(item_id)
-        self._engines.clear()
-        self.mutations += 1
-
-    def remove(self, item_id) -> None:
-        """Remove one series from the index.
-
-        Raises ``KeyError`` for unknown ids.
-        """
-        if item_id not in self._id_to_row:
-            raise KeyError(f"id {item_id!r} not in the index")
-        row = self._id_to_row[item_id]
-        removed = self._feature_index().index.delete(
-            self._features[row], item_id)
-        if not removed:  # pragma: no cover - indexes stay in sync
-            raise RuntimeError(f"index backend lost id {item_id!r}")
-        self._envelopes = None  # the store's, no longer these rows'
-        self._data = np.delete(self._data, row, axis=0)
-        self._features = np.delete(self._features, row, axis=0)
-        self.ids.pop(row)
-        self._id_to_row = {iid: r for r, iid in enumerate(self.ids)}
-        self._engines.clear()
-        self.mutations += 1
 
     def _query_rectangle(
         self, query
@@ -438,14 +377,14 @@ class WarpingIndex:
         if epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         _, rect_lower, rect_upper, _ = self._query_rectangle(query)
-        view = self._feature_index()
-        view.index.reset_stats()
-        candidates = view.index.range_search(
+        view = self._snapshot(tree=True)
+        view.tree.reset_stats()
+        candidates = view.tree.range_search(
             rect_lower, rect_upper, epsilon + view.lb_slack,
             metric=self.metric
         )
         stats = QueryStats(
-            candidates=len(candidates), page_accesses=view.index.page_accesses
+            candidates=len(candidates), page_accesses=view.tree.page_accesses
         )
         return candidates, stats
 
@@ -469,14 +408,14 @@ class WarpingIndex:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         started = monotonic_s()
         q, rect_lower, rect_upper, q_envelope = self._query_rectangle(query)
-        view = self._feature_index()
-        view.index.reset_stats()
-        candidates = view.index.range_search(
+        view = self._snapshot(tree=True)
+        view.tree.reset_stats()
+        candidates = view.tree.range_search(
             rect_lower, rect_upper, epsilon + view.lb_slack,
             metric=self.metric
         )
         stats = QueryStats(
-            candidates=len(candidates), page_accesses=view.index.page_accesses
+            candidates=len(candidates), page_accesses=view.tree.page_accesses
         )
         results = []
         if candidates:
@@ -523,15 +462,15 @@ class WarpingIndex:
             raise ValueError(f"k must be >= 1, got {k}")
         started = monotonic_s()
         q, rect_lower, rect_upper, q_envelope = self._query_rectangle(query)
-        view = self._feature_index()
-        view.index.reset_stats()
+        view = self._snapshot(tree=True)
+        view.tree.reset_stats()
         stats = QueryStats()
         # The answer so far, a heap of (-distance, -row): its top is the
         # worst hit in answer order, the one a better hit evicts.
         best: list[tuple[float, int]] = []
         refine = ldtw_refiner(q, self.band, metric=self.metric)
 
-        for lower_bound, item_id in view.index.nearest(
+        for lower_bound, item_id in view.tree.nearest(
             rect_lower, rect_upper, metric=self.metric
         ):
             # lb_slack deflates bounds computed from float32-stored
@@ -559,7 +498,7 @@ class WarpingIndex:
                 heapq.heappush(best, (-dist, -row))
             elif (dist, row) < (-best[0][0], -best[0][1]):
                 heapq.heapreplace(best, (-dist, -row))
-        stats.page_accesses = view.index.page_accesses
+        stats.page_accesses = view.tree.page_accesses
         results = [(view.ids[-negrow], -negd)
                    for negd, negrow in sorted(best, reverse=True)]
         stats.results = len(results)
@@ -580,34 +519,29 @@ class WarpingIndex:
     def engine(self, *, stages=None):
         """The batched filter-cascade engine over this index's corpus.
 
-        Lazily built (and cached per stage configuration) from the
-        stored normal forms — and, while they are the store's rows, the
-        store's memory-mapped envelope columns;
-        ``insert``/``remove`` invalidate the cache.  The engine is the
-        vectorised hot path: it evaluates the whole corpus through
-        cheap-to-tight lower-bound stages before any exact DTW, and
-        reports per-stage pruning counters.
+        Lazily built (and cached per stage configuration and
+        generation) from the stored normal forms — and, for a store's
+        rows, the store's memory-mapped envelope columns.  The engine
+        is the vectorised hot path: it evaluates the whole corpus
+        through cheap-to-tight lower-bound stages before any exact DTW,
+        and reports per-stage pruning counters.
         """
         from ..engine import DEFAULT_STAGES, QueryEngine
 
         key = DEFAULT_STAGES if stages is None else tuple(stages)
-        if key not in self._engines:
-            # One generation's rows, ids and envelope columns, read
-            # under the lock swap_generation rebinds them under.
-            with self._swap_lock:
-                data, envelopes, ids = (self._data, self._envelopes,
-                                        list(self.ids))
-            self._engines[key] = QueryEngine(
-                data,
+        snap = self._snapshot(tree=False)
+        if key not in snap.engines:
+            snap.engines[key] = QueryEngine(
+                snap.data,
                 band=self.band,
                 stages=key,
                 n_features=self.feature_dim,
-                ids=ids,
-                envelopes=envelopes,
+                ids=snap.ids,
+                envelopes=snap.envelopes,
                 metric=self.metric,
                 obs=self.obs,
             )
-        return self._engines[key]
+        return snap.engines[key]
 
     def cascade_range_query(self, query, epsilon: float, *, stages=None):
         """Exact ε-range query through the filter cascade.
@@ -646,11 +580,12 @@ class WarpingIndex:
         The cascade property ``feature_lb <= envelope_lb <= exact_dtw``
         always holds.
         """
-        if item_id not in self._id_to_row:
+        snap = self._snapshot(tree=False)
+        if item_id not in snap.id_to_row:
             raise KeyError(f"id {item_id!r} not in the index")
         q, rect_lower, rect_upper, q_envelope = self._query_rectangle(query)
-        row = self._id_to_row[item_id]
-        feats = self._features[row]
+        row = snap.id_to_row[item_id]
+        feats = snap.features[row]
         gap = np.maximum(rect_lower - feats, 0.0) + np.maximum(
             feats - rect_upper, 0.0
         )
@@ -658,9 +593,9 @@ class WarpingIndex:
             feature_lb = float(np.sum(gap))
         else:
             feature_lb = float(np.sqrt(np.dot(gap, gap)))
-        envelope_lb = envelope_distance(self._data[row], q_envelope,
+        envelope_lb = envelope_distance(snap.data[row], q_envelope,
                                         metric=self.metric)
-        exact = ldtw_distance(q, self._data[row], self.band,
+        exact = ldtw_distance(q, snap.data[row], self.band,
                               metric=self.metric)
         return {
             "item_id": item_id,
@@ -674,12 +609,13 @@ class WarpingIndex:
 
     def ground_truth_range(self, query, epsilon: float) -> list[tuple[object, float]]:
         """Exact answer by scanning every series (test oracle)."""
+        snap = self._snapshot(tree=False)
         q = self.normal_form.apply(query)
-        dists = ldtw_distance_batch(q, self._data, self.band,
+        dists = ldtw_distance_batch(q, snap.data, self.band,
                                     metric=self.metric)
         results = [
             (item_id, float(dist))
-            for item_id, dist in zip(self.ids, dists)
+            for item_id, dist in zip(snap.ids, dists)
             if dist <= epsilon
         ]
         results.sort(key=lambda pair: pair[1])
@@ -687,8 +623,9 @@ class WarpingIndex:
 
     def ground_truth_knn(self, query, k: int) -> list[tuple[object, float]]:
         """Exact k-NN by scanning every series (test oracle)."""
+        snap = self._snapshot(tree=False)
         q = self.normal_form.apply(query)
-        dists = ldtw_distance_batch(q, self._data, self.band,
+        dists = ldtw_distance_batch(q, snap.data, self.band,
                                     metric=self.metric)
-        ranked = sorted(zip(self.ids, map(float, dists)), key=lambda p: p[1])
+        ranked = sorted(zip(snap.ids, map(float, dists)), key=lambda p: p[1])
         return ranked[:k]

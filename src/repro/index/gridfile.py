@@ -88,44 +88,6 @@ class GridFile:
     def __len__(self) -> int:
         return self._size
 
-    def insert(self, point, item_id) -> None:
-        """Add one point.  The grid geometry is fixed at build time;
-        points outside the original extent land in the boundary cells
-        (their bucket MBRs stretch to keep queries exact)."""
-        pt = np.asarray(point, dtype=np.float64)
-        if pt.shape != (self.dim,):
-            raise ValueError(f"expected a point of shape ({self.dim},)")
-        cell = self._cell_of(pt)
-        self._buckets.setdefault(cell, []).append((pt.copy(), item_id))
-        if cell in self._bucket_mbr:
-            lo, hi = self._bucket_mbr[cell]
-            np.minimum(lo, pt, out=lo)
-            np.maximum(hi, pt, out=hi)
-        else:
-            self._bucket_mbr[cell] = (pt.copy(), pt.copy())
-        self._size += 1
-
-    def delete(self, point, item_id) -> bool:
-        """Remove one (point, id) entry; returns False if absent.
-
-        Bucket MBRs are left as-is (still sound, just conservative);
-        emptied buckets are dropped.
-        """
-        pt = np.asarray(point, dtype=np.float64)
-        if pt.shape != (self.dim,):
-            raise ValueError(f"expected a point of shape ({self.dim},)")
-        cell = self._cell_of(pt)
-        bucket = self._buckets.get(cell, [])
-        for pos, (stored, stored_id) in enumerate(bucket):
-            if stored_id == item_id and np.array_equal(stored, pt):
-                bucket.pop(pos)
-                if not bucket:
-                    del self._buckets[cell]
-                    del self._bucket_mbr[cell]
-                self._size -= 1
-                return True
-        return False
-
     @property
     def bucket_count(self) -> int:
         return len(self._buckets)

@@ -57,26 +57,6 @@ class LinearScan:
     def __len__(self) -> int:
         return self._points.shape[0]
 
-    def insert(self, point, item_id) -> None:
-        """Append one point to the scan set."""
-        pt = np.asarray(point, dtype=np.float64)
-        if pt.shape != (self.dim,):
-            raise ValueError(f"expected a point of shape ({self.dim},)")
-        self._points = np.vstack([self._points, pt])
-        self._ids.append(item_id)
-
-    def delete(self, point, item_id) -> bool:
-        """Remove one (point, id) entry; returns False if absent."""
-        pt = np.asarray(point, dtype=np.float64)
-        if pt.shape != (self.dim,):
-            raise ValueError(f"expected a point of shape ({self.dim},)")
-        for pos, stored_id in enumerate(self._ids):
-            if stored_id == item_id and np.array_equal(self._points[pos], pt):
-                self._points = np.delete(self._points, pos, axis=0)
-                self._ids.pop(pos)
-                return True
-        return False
-
     def reset_stats(self) -> None:
         """Zero every cost counter (pages and points scanned)."""
         self.page_accesses = 0

@@ -291,78 +291,6 @@ class RStarTree:
         return [[kv[1] for kv in group]
                 for group in _sort_tile(keyed, 0, self.capacity, self.dim)]
 
-    def delete(self, point, item_id) -> bool:
-        """Remove one (point, id) entry; returns False if absent.
-
-        Standard R-tree deletion with tree condensation: underfull
-        nodes on the path are dissolved and their entries reinserted
-        at their original level; a root with a single internal child
-        is collapsed.
-        """
-        pt = np.asarray(point, dtype=np.float64)
-        if pt.shape != (self.dim,):
-            raise ValueError(f"expected a point of shape ({self.dim},), got {pt.shape}")
-        path = self._find_leaf(self._root, pt, item_id, [self._root])
-        if path is None:
-            return False
-        leaf = path[-1]
-        for pos, (stored, stored_id) in enumerate(leaf.entries):
-            if stored_id == item_id and np.array_equal(stored, pt):
-                leaf.entries.pop(pos)
-                break
-        self._size -= 1
-        orphans: list[tuple[object, int]] = []  # (entry, containing level)
-        self._condense(path, orphans)
-        # Reinsert before any root collapse so orphan levels are still
-        # valid depths of the current tree.
-        for entry, level in orphans:
-            self._insert_entry(entry, level, reinserting=set())
-        while not self._root.leaf and len(self._root.entries) == 1:
-            self._root = self._root.entries[0]
-        if not self._root.entries and not self._root.leaf:
-            self._root = _Node(leaf=True, dim=self.dim)
-        return True
-
-    def _find_leaf(self, node: _Node, point, item_id, path: list) -> list | None:
-        """Path from root to the leaf holding (point, id), or None."""
-        if node.leaf:
-            for stored, stored_id in node.entries:
-                if stored_id == item_id and np.array_equal(stored, point):
-                    return path
-            return None
-        for child in node.entries:
-            if np.all(point >= child.lower - 1e-12) and np.all(
-                point <= child.upper + 1e-12
-            ):
-                found = self._find_leaf(child, point, item_id, path + [child])
-                if found is not None:
-                    return found
-        return None
-
-    def _condense(self, path: list, orphans: list) -> None:
-        """Dissolve underfull nodes bottom-up, queueing reinsertions.
-
-        Orphaned entries carry the level of the node that should
-        contain them (0 for leaf entries, child-level + 1 for subtree
-        nodes); ``_insert_entry`` does not touch ``_size``, so moving
-        entries around here is size-neutral.
-        """
-        for depth in range(len(path) - 1, 0, -1):
-            node = path[depth]
-            parent = path[depth - 1]
-            if len(node.entries) < self.min_entries:
-                parent.entries.remove(node)
-                if node.leaf:
-                    orphans.extend((entry, 0) for entry in node.entries)
-                else:
-                    orphans.extend(
-                        (child, self._level_of(child) + 1)
-                        for child in node.entries
-                    )
-            else:
-                node.recompute_mbr()
-        self._root.recompute_mbr()
-
     # ------------------------------------------------------------------
     # R* insertion machinery
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ Three pieces:
 - :class:`IngestCoordinator` — background worker that drains the queue,
   builds the next store generation (inheriting the previous one's
   segments by hard link), atomically swaps it into the live
-  :class:`~repro.index.WarpingIndex` (one ``mutations`` bump, so result
+  :class:`~repro.index.WarpingIndex` (one ``generation`` bump, so result
   caches invalidate exactly once), and prewarm-respawns the shard fleet.
 """
 

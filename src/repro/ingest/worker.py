@@ -9,7 +9,7 @@ The coordinator owns the zero-downtime contract:
    live generation's segments by hard link (O(new rows) bytes written).
 3. ``index.swap_generation(new_store)`` — the live
    :class:`~repro.index.WarpingIndex` rebinds its arrays and R*-tree to
-   the new generation and bumps ``mutations`` exactly once *last*, so
+   the new generation and bumps ``generation`` exactly once *last*, so
    the serve tier's versioned result cache invalidates exactly once per
    swap and in-flight queries finish against the old arrays.
 4. ``shard_manager.prewarm()`` (when sharded) respawns the worker fleet
@@ -75,8 +75,8 @@ class IngestCoordinator:
         if getattr(index, "store", None) is None:
             raise IngestError(
                 "IngestCoordinator requires a store-backed index "
-                "(build it with WarpingIndex.from_store); in-memory "
-                "indexes should use insert() directly"
+                "(build it with WarpingIndex.from_store); an in-memory "
+                "index is immutable"
             )
         if min_batch < 1:
             raise ValueError("min_batch must be >= 1")

@@ -12,7 +12,7 @@ survives load":
   deadlines (cooperatively cancelled inside the engine), deterministic
   retry/backoff for shed requests;
 * :mod:`~repro.serve.cache` — LRU + TTL result cache with versioned
-  invalidation on index mutation;
+  invalidation on a generation swap;
 * :mod:`~repro.serve.service` — :class:`QBHService`, the facade wiring
   it all together with sync/async submission and graceful shutdown;
 * :mod:`~repro.serve.loadgen` — the closed-loop load generator behind

@@ -16,16 +16,16 @@ closes that loop while keeping the engine's exactness contract intact:
 * **Versioned invalidation** — every entry stores the index *version*
   captured **before** the result was computed, and
   :meth:`ResultCache.get` refuses entries whose version differs from
-  the caller's current one.  An ``insert``/``remove`` racing with an
+  the caller's current one.  A generation swap racing with an
   in-flight query can therefore only waste a cache slot, never serve
   a stale answer: the stale entry's version no longer matches and the
   next probe recomputes.  The version is any equatable value, not
   necessarily an int: a plain engine pins ``0``, an index supplies
-  :attr:`~repro.index.gemini.WarpingIndex.mutations`, and the sharded
-  tier supplies the composite ``(mutations, router epoch)`` so a
-  shard rebuild *or* a worker respawn
+  its swap counter :attr:`~repro.index.gemini.WarpingIndex.generation`,
+  and the sharded tier supplies the composite ``(generation, router
+  epoch)`` so a shard rebuild *or* a worker respawn
   (:attr:`repro.shard.ShardRouter.epoch`) also invalidates — the
-  property test in ``tests/shard/`` interleaves mutations, forced
+  property test in ``tests/shard/`` interleaves swaps, forced
   respawns, and queries to pin that down.
 * **Bounding** — least-recently-used eviction above *max_entries* and
   an optional TTL so an idle service eventually drops cold results.
@@ -122,7 +122,7 @@ class ResultCache:
 
     Every entry carries the index version it was computed under;
     :meth:`get` only returns entries whose stored version equals the
-    *version* argument, which is how any index mutation invalidates
+    *version* argument, which is how a generation swap invalidates
     the whole cache at zero cost (see the module docstring).
     """
 
@@ -147,7 +147,7 @@ class ResultCache:
         """The cached results for *key* at *version*, or ``None``.
 
         A present entry misses when its stored version differs from
-        *version* (the index mutated since it was computed) or its TTL
+        *version* (the index swapped since it was computed) or its TTL
         lapsed; both kinds are dropped on the spot so the slot frees up.
         """
         with self._lock:

@@ -10,7 +10,7 @@ serving pieces together:
   with a retry hint instead of waiting forever;
 * a **result cache** (:class:`~repro.serve.cache.ResultCache`) answers
   byte-identical repeats instantly, with versioned invalidation keyed
-  to the index mutation counter;
+  to the index's swap counter;
 * admitted requests wait in the **request scheduler**'s FIFO queue
   (:class:`~repro.serve.scheduler.RequestScheduler`); its one
   dispatcher answers them oldest first, coalescing queued duplicates
@@ -59,10 +59,10 @@ class QBHService:
     engine_fn:
         Zero-argument callable returning the engine to execute on.
         Called per execution, so an index that rebuilds its engine after a
-        mutation is always served with the fresh one.
+        generation swap is always served with the fresh one.
     version_fn:
         Zero-argument callable returning the index version (a
-        monotonic mutation counter).  Cache entries are keyed by it;
+        monotonic swap counter).  Cache entries are keyed by it;
         ``None`` pins version 0 (an immutable corpus).
     normalize:
         Optional per-query transform applied at *execution* time (the
@@ -189,16 +189,16 @@ class QBHService:
         """Serve a :class:`~repro.index.gemini.WarpingIndex`.
 
         Queries run through the index's cascade engine; the cache is
-        versioned by ``index.mutations``, so every ``insert`` /
-        ``remove`` invalidates stale results automatically.  Requests
+        versioned by ``index.generation``, so every
+        ``swap_generation`` invalidates stale results.  Requests
         carry the *raw* query (that is what gets fingerprinted); the
         index's normal form is applied at execution time, exactly as
         ``index.cascade_*_query`` would.
 
         With *shards* > 1, queries run on a corpus partitioned across
         worker processes behind an :class:`~repro.shard.IndexShardManager`:
-        mutations rebuild the shard set, and the cache version becomes
-        the composite ``(mutations, epoch)`` so neither a mutation nor a
+        swaps rebuild the shard set, and the cache version becomes
+        the composite ``(generation, epoch)`` so neither a swap nor a
         worker respawn can serve a stale cached answer.
         """
         kwargs.setdefault("obs", index.obs)
@@ -225,7 +225,7 @@ class QBHService:
             return service
         return cls(
             lambda: index.engine(),
-            version_fn=lambda: index.mutations,
+            version_fn=lambda: index.generation,
             normalize=index.normal_form.apply,
             **kwargs,
         )
@@ -429,11 +429,11 @@ class QBHService:
         The cache is re-probed here — a duplicate may have populated
         it while this request waited in the queue — and a computed
         answer is stored under the version captured *before* the
-        engine ran, so a concurrent index mutation can only waste the
-        entry, never let it serve a stale answer.
+        engine was fetched, so a concurrent generation swap can only
+        waste the entry, never let it serve a stale answer.
         """
-        engine = self._engine_fn()
         version = self._version_fn()
+        engine = self._engine_fn()
         if self.cache is not None:
             cached = self.cache.get(request.fingerprint, version)
             if cached is not None:
@@ -469,8 +469,8 @@ class QBHService:
                         status="error",
                         error=f"{type(exc).__name__}: {exc}",
                     )
-                engine = self._engine_fn()
                 version = self._version_fn()
+                engine = self._engine_fn()
                 continue
             except QueryAborted:
                 return ServeOutcome(status="deadline_exceeded")

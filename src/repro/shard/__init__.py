@@ -14,7 +14,7 @@ merging router in front:
   deadlines re-anchored against the worker's own clock;
 * :mod:`~repro.shard.router` — :class:`ShardRouter` (fan-out, exact
   range/k-NN merge, crash respawn with retry-once, poison-pill drain)
-  and :class:`IndexShardManager` (rebuild-on-mutation with a
+  and :class:`IndexShardManager` (rebuild-on-swap with a
   monotonic epoch the serving cache folds into its version).
 
 Answers are byte-identical to a single engine over the same corpus —

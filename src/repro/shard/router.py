@@ -288,9 +288,10 @@ class ShardRouter:
         ``index.normal_form.apply``), which is how the serving layer
         and the CLI feed it.
         """
+        snap = index._snapshot(tree=False)
         return cls(
-            index._data, shards=shards, band=index.band,
-            n_features=index.feature_dim, ids=list(index.ids),
+            snap.data, shards=shards, band=index.band,
+            n_features=index.feature_dim, ids=list(snap.ids),
             metric=index.metric,
             mp_context=mp_context,
             obs=index.obs if obs is None and index.obs.enabled else obs,
@@ -736,13 +737,13 @@ class ShardRouter:
 
 
 class IndexShardManager:
-    """Keeps a :class:`ShardRouter` in step with a mutable index.
+    """Keeps a :class:`ShardRouter` in step with an index's generation.
 
     The serving layer calls :meth:`router` once per execution (its
-    ``engine_fn``): when the index's mutation counter moved since the
+    ``engine_fn``): when the index's swap counter moved since the
     last build, the old router is drained and a fresh one is built
     over the new corpus, with the epoch carried forward past the old
-    router's — so the composite cache version ``(mutations, epoch)``
+    router's — so the composite cache version ``(generation, epoch)``
     from :meth:`version` can never repeat across a rebuild *or* a
     respawn.
 
@@ -768,10 +769,12 @@ class IndexShardManager:
         self._next_epoch = 0
 
     def router(self) -> ShardRouter:
-        """The current router, rebuilt if the index mutated."""
+        """The current router, rebuilt if the index swapped generation."""
         with self._lock:
-            if (self._router is None
-                    or self._built_at != self._index.mutations):
+            # Read before the build: a swap landing during it leaves
+            # _built_at behind, so the next call rebuilds again.
+            generation = self._index.generation
+            if self._router is None or self._built_at != generation:
                 if self._router is not None:
                     self._next_epoch = self._router.epoch + 1
                     self._router.close()
@@ -780,7 +783,7 @@ class IndexShardManager:
                     mp_context=self._mp_context, obs=self._obs,
                     epoch_start=self._next_epoch,
                 )
-                self._built_at = self._index.mutations
+                self._built_at = generation
             return self._router
 
     @property
@@ -791,12 +794,12 @@ class IndexShardManager:
             return self._next_epoch
 
     def version(self) -> tuple:
-        """Composite cache version: ``(index mutations, router epoch)``."""
+        """Composite cache version: ``(index generation, router epoch)``."""
         with self._lock:
-            return (self._index.mutations, self.epoch)
+            return (self._index.generation, self.epoch)
 
     def prewarm(self) -> ShardRouter:
-        """Rebuild the fleet now if the index mutated (ingest path).
+        """Rebuild the fleet now if the index swapped (ingest path).
 
         The ingest coordinator calls this right after a generation
         swap so the respawn cost is paid on the rebuild thread, not by
@@ -805,7 +808,7 @@ class IndexShardManager:
         closing the old router blocks until its in-flight fan-out
         drains.  A dispatcher that already held the old router gets
         :class:`RouterClosed` and is retried once by the serve layer.
-        Exactly one epoch bump per mutation — a no-op when the fleet
+        Exactly one epoch bump per swap — a no-op when the fleet
         is already current.
         """
         return self.router()

@@ -82,6 +82,32 @@ def bulk_loads(monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def generation_pool(tmp_path_factory):
+    """Three schema-compatible store generations, each in its own root.
+
+    Every one is generation 0 of its store.  The first two hold the
+    same ids ``m0`` .. ``m23`` over different rows; the third holds
+    ``m0`` .. ``m31``, so its ids overlap the others' and its rows
+    outnumber theirs.  Swapping a store-backed index among them changes
+    its answers without the store numbers telling the generations
+    apart.
+    """
+    from repro.core.normal_form import NormalForm
+    from repro.ingest import StreamingIndexBuilder
+
+    pool = []
+    for seed, rows in ((1, 24), (2, 24), (3, 32)):
+        rng = np.random.default_rng(seed)
+        walks = np.cumsum(rng.normal(size=(rows, 80)), axis=1)
+        builder = StreamingIndexBuilder(
+            str(tmp_path_factory.mktemp(f"pool{seed}")),
+            normal_form=NormalForm(length=64))
+        store, _ = builder.build(list(walks), [f"m{i}" for i in range(rows)])
+        pool.append(store)
+    return pool
+
+
+@pytest.fixture(scope="session")
 def small_corpus():
     """A deterministic corpus of 10 songs, ~200 melodies."""
     songs = generate_corpus(10, seed=202)

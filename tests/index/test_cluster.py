@@ -96,28 +96,6 @@ class TestQueries:
         assert got == expected
 
 
-class TestMaintenance:
-    def test_insert_then_found(self, rng):
-        index = ClusterIndex(rng.normal(size=(50, 2)))
-        p = np.array([9.0, 9.0])
-        index.insert(p, "new")
-        assert "new" in index.range_search(p, p, 1e-9)
-        assert len(index) == 51
-
-    def test_delete(self, rng):
-        pts = rng.normal(size=(60, 2))
-        index = ClusterIndex(pts)
-        assert index.delete(pts[5], 5)
-        assert 5 not in index.range_search(pts[5], pts[5], 1e-9)
-        assert not index.delete(pts[5], 5)
-
-    def test_insert_into_empty(self):
-        index = ClusterIndex(np.zeros((0, 2)))
-        index.insert(np.array([1.0, 2.0]), "only")
-        assert index.range_search(np.array([1.0, 2.0]),
-                                  np.array([1.0, 2.0]), 0.0) == ["only"]
-
-
 class TestAsWarpingBackend:
     def test_exact_answers(self):
         walks = list(random_walks(200, 96, seed=44))

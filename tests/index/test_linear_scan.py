@@ -109,22 +109,3 @@ class TestStatsLifecycle:
         next(results)
         assert scan.page_accesses == 10
         assert scan.points_scanned == 100
-
-    def test_insert_and_delete_do_not_touch_counters(self, rng):
-        scan = self.make_scan(rng)
-        scan.range_search(np.zeros(2), np.zeros(2), 1.0)
-        pages, points = scan.page_accesses, scan.points_scanned
-        scan.insert(np.zeros(2), "extra")
-        scan.delete(np.zeros(2), "extra")
-        assert (scan.page_accesses, scan.points_scanned) == (pages, points)
-
-    def test_counters_track_growing_database(self, rng):
-        scan = LinearScan(rng.normal(size=(9, 2)), capacity=10)
-        scan.range_search(np.zeros(2), np.zeros(2), 1.0)
-        assert scan.page_accesses == 1
-        scan.insert(np.zeros(2), 9)
-        scan.insert(np.zeros(2), 10)
-        scan.reset_stats()
-        scan.range_search(np.zeros(2), np.zeros(2), 1.0)
-        assert scan.page_accesses == 2  # 11 points, capacity 10
-        assert scan.points_scanned == 11

@@ -1,9 +1,9 @@
 """Stateful (model-based) testing of the R*-tree.
 
-Hypothesis drives random interleavings of insert/delete/query against
-a trivial dictionary model; after every step the tree must agree with
+Hypothesis drives random interleavings of insert/query against a
+trivial dictionary model; after every step the tree must agree with
 the model exactly and keep its structural invariants.  This is the
-strongest correctness net for the condense/reinsert machinery.
+strongest correctness net for the split/reinsert machinery.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
-    precondition,
     rule,
 )
 
@@ -35,17 +34,6 @@ class RStarModel(RuleBasedStateMachine):
         self.tree.insert(arr, self.counter)
         self.model[self.counter] = arr
         self.counter += 1
-
-    @precondition(lambda self: self.model)
-    @rule(data=st.data())
-    def delete_existing(self, data):
-        key = data.draw(st.sampled_from(sorted(self.model)))
-        assert self.tree.delete(self.model[key], key)
-        del self.model[key]
-
-    @rule(p=point)
-    def delete_missing(self, p):
-        assert not self.tree.delete(np.array(p, dtype=np.float64), -1)
 
     @rule(q=point, radius=st.floats(0, 6, allow_nan=False))
     def range_query_matches_model(self, q, radius):

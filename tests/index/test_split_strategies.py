@@ -35,16 +35,6 @@ class TestAllStrategies:
         }
         assert set(tree.range_search(q, q, 2.0)) == expected
 
-    def test_delete_works(self, rng, strategy):
-        pts = rng.normal(size=(120, 3))
-        tree = RStarTree(3, capacity=8, split_strategy=strategy)
-        for i, p in enumerate(pts):
-            tree.insert(p, i)
-        for i in range(0, 120, 3):
-            assert tree.delete(pts[i], i)
-        tree.check_invariants()
-        assert len(tree) == 80
-
     def test_duplicates(self, rng, strategy):
         tree = RStarTree(2, capacity=6, split_strategy=strategy)
         for i in range(40):

@@ -80,13 +80,13 @@ class TestIngestCoordinator:
         queue = IngestQueue()
         coordinator = IngestCoordinator(live_index, queue, min_batch=10)
         generation = live_index.store.generation
-        mutations = live_index.mutations
+        swaps = live_index.generation
         queue.add("new0", _walk(100))
         queue.add("new1", _walk(101))
         report = coordinator.rebuild_now()
         assert report is not None
         assert live_index.store.generation == generation + 1
-        assert live_index.mutations == mutations + 1
+        assert live_index.generation == swaps + 1
         assert "new0" in live_index.ids and "new1" in live_index.ids
         snapshot = coordinator.snapshot()
         assert snapshot["rebuilds_total"] == 1
@@ -113,11 +113,11 @@ class TestIngestCoordinator:
         queue = IngestQueue()
         coordinator = IngestCoordinator(live_index, queue)
         generation = live_index.store.generation
-        mutations = live_index.mutations
+        swaps = live_index.generation
         queue.add("m0", _walk(1))  # duplicate id: the build must fail
         assert coordinator.rebuild_now() is None
         assert live_index.store.generation == generation  # untouched
-        assert live_index.mutations == mutations
+        assert live_index.generation == swaps
         snapshot = coordinator.snapshot()
         assert snapshot["failures_total"] == 1
         assert "duplicate id" in snapshot["last_error"]

@@ -46,11 +46,11 @@ def test_three_swaps_byte_identical_cache_invalidated_once(tmp_path):
             assert all(outcome.from_cache for outcome in warm), (
                 "repeat requests must be served from the cache"
             )
-            mutations = live.mutations
+            swaps = live.generation
             for j in range(2):
                 queue.add(f"s{swap}_{j}", _walk(2000 + 10 * swap + j))
             assert coordinator.rebuild_now() is not None
-            assert live.mutations == mutations + 1, (
+            assert live.generation == swaps + 1, (
                 "one swap must bump the version exactly once"
             )
             # first post-swap request recomputes (stale version evicted),
@@ -216,6 +216,64 @@ def test_tree_routes_racing_swaps_read_one_generation(tmp_path):
                 errors.append(type(exc).__name__)
                 continue
             wrong += answer not in fresh
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert errors == []
+    assert wrong == 0
+
+
+def test_readers_racing_swaps_read_one_generation(generation_pool):
+    """``explain``, ``normalized`` and the ground-truth oracles racing
+    ``swap_generation`` read one generation's id map, rows, features
+    and ids: no exception, and every answer is one generation's answer.
+    The two stores hold 24 and 32 rows under overlapping ids, so a mixed
+    read indexes past the smaller one or pairs an id with another
+    generation's row."""
+    first, second = generation_pool[0], generation_pool[2]
+    hum = _walk(1000, length=80)
+    item = "m20"
+
+    def answers(index):
+        return (index.explain(hum, item),
+                index.normalized(item).tolist(),
+                index.ground_truth_range(hum, 1e9),
+                index.ground_truth_knn(hum, 3))
+
+    fresh = [answers(WarpingIndex.from_store(store))
+             for store in (first, second)]
+    assert fresh[0] != fresh[1]
+    live = WarpingIndex.from_store(first)
+    stop = threading.Event()
+
+    def swapper():
+        turn = 1
+        while not stop.is_set():
+            live.swap_generation((first, second)[turn % 2])
+            turn += 1
+
+    thread = threading.Thread(target=swapper)
+    errors, wrong = [], 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        thread.start()
+        for _ in range(500):
+            got = []
+            for position, read in enumerate((
+                    lambda: live.explain(hum, item),
+                    lambda: live.normalized(item).tolist(),
+                    lambda: live.ground_truth_range(hum, 1e9),
+                    lambda: live.ground_truth_knn(hum, 3))):
+                try:
+                    answer = read()
+                except Exception as exc:  # noqa: BLE001 - counted, then failed
+                    errors.append(type(exc).__name__)
+                    continue
+                wrong += answer not in (fresh[0][position],
+                                        fresh[1][position])
     finally:
         stop.set()
         thread.join(timeout=30)

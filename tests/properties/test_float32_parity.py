@@ -121,30 +121,6 @@ def test_store_envelopes_change_no_result(pair, queries):
             assert _counters(a_stats) == _counters(b_stats)
 
 
-def test_store_index_after_insert_and_remove_matches_ground_truth(
-    tmp_path, corpus, queries
-):
-    """Once insert/remove replace the store's rows, the engine computes
-    its own envelopes and stays exact."""
-    ids = [f"m{i}" for i in range(CORPUS_SIZE)]
-    builder = StreamingIndexBuilder(str(tmp_path),
-                                    normal_form=NormalForm(length=NORMAL))
-    store, _ = builder.build(list(corpus), ids)
-    index = WarpingIndex.from_store(store)
-    rng = np.random.default_rng(33)
-    for i in range(3):
-        index.insert(corpus[i] + 0.1 * rng.normal(size=LENGTH), f"new{i}")
-    index.remove("m4")
-    index.remove("new1")
-    engine = index.engine()
-    assert not np.shares_memory(engine._envelopes[0], store.env_lower)
-    for query in queries:
-        q = index.normal_form.apply(query)
-        for params in ({"k": 5}, {"epsilon": 18.0}):
-            results, _ = engine.search(q, **params)
-            assert results == engine.ground_truth(q, **params)
-
-
 def test_range_zero_false_negatives_vs_f64(pair, queries):
     for query in queries:
         for epsilon in (10.0, 18.0, 30.0):

@@ -1,10 +1,10 @@
 """Result cache: LRU/TTL mechanics and versioned invalidation.
 
-The exactness-critical property is at the bottom: after *any* index
-mutation, a cache probe must never serve the pre-mutation answer —
+The exactness-critical property is at the bottom: after *any*
+generation swap, a cache probe must never serve the pre-swap answer —
 verified against the index's ground-truth oracle across a randomised
-mutate/query interleaving (the invalidation-on-mutation property test
-of the serving acceptance criteria).
+swap/query interleaving (the invalidation-on-swap property test of the
+serving acceptance criteria).
 """
 
 import numpy as np
@@ -112,32 +112,36 @@ def mutation_corpus():
     return random_walks(40, 96, seed=21)
 
 
+def _hums(count, seed):
+    rng = np.random.default_rng(seed)
+    return [np.cumsum(rng.normal(size=80)) for _ in range(count)]
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.lists(
-    st.tuples(st.sampled_from(["query", "insert", "remove"]),
+    st.tuples(st.sampled_from(["query", "swap"]),
               st.integers(min_value=0, max_value=7)),
     min_size=4, max_size=12,
 ))
-def test_cache_never_serves_stale_after_mutation(mutation_corpus, ops):
-    """Property: under any mutate/query interleaving, every served
-    answer equals the *current* index's ground truth."""
-    index = WarpingIndex(list(mutation_corpus[:20]), delta=0.1)
+def test_cache_never_serves_stale_after_mutation(generation_pool, ops):
+    """Property: under any swap/query interleaving over a pool of
+    generations (back-swaps included), every served answer equals the
+    *current* index's ground truth."""
+    index = WarpingIndex.from_store(generation_pool[0])
+    fresh = {store.root: WarpingIndex.from_store(store).engine()
+             for store in generation_pool}
     service = QBHService.from_index(index, cache_size=64)
-    rng = np.random.default_rng(33)
-    pool = [mutation_corpus[i] + 0.1 * rng.normal(size=96) for i in range(8)]
-    next_insert = 20
+    pool = _hums(8, seed=33)
     try:
         for op, arg in ops:
-            if op == "insert" and next_insert < len(mutation_corpus):
-                index.insert(mutation_corpus[next_insert], next_insert)
-                next_insert += 1
-            elif op == "remove" and len(index) > 5:
-                index.remove(index.ids[arg % len(index)])
+            if op == "swap":
+                index.swap_generation(
+                    generation_pool[arg % len(generation_pool)])
             else:
                 query = pool[arg]
                 outcome = service.knn(query, 3)
                 assert outcome.status == "ok"
-                truth = index.engine().ground_truth_knn(
+                truth = fresh[index.store.root].ground_truth_knn(
                     index.normal_form.apply(query), 3
                 )
                 got_ids = [item for item, _ in outcome.results]
@@ -163,5 +167,67 @@ def test_cache_hit_is_byte_identical_to_recompute(mutation_corpus):
         assert first.results == second.results  # same ids, same float bits
         for (_, a), (_, b) in zip(first.results, second.results):
             assert np.float64(a).tobytes() == np.float64(b).tobytes()
+    finally:
+        service.close()
+
+
+def _assert_answers(outcome, fresh, hum):
+    """*outcome* is the 3-NN answer of the index *fresh* to *hum*."""
+    assert [item for item, _ in outcome.results] == \
+        [item for item, _ in fresh.ground_truth_knn(hum, 3)]
+    assert list(outcome.results) == fresh.cascade_knn_query(hum, 3)[0]
+
+
+def test_cache_version_is_the_swap_counter(generation_pool):
+    """Two stores from different roots are both generation 0 of their
+    store, so only the index's own swap counter tells them apart: a
+    swap to a same-ids store with other rows, and the swap back, must
+    each miss the cache and answer from the live rows."""
+    first, second = generation_pool[:2]
+    assert first.generation == second.generation == 0
+    assert first.ids == second.ids
+    index = WarpingIndex.from_store(first)
+    fresh = {store.root: WarpingIndex.from_store(store) for store in
+             (first, second)}
+    service = QBHService.from_index(index, cache_size=16)
+    hum = _hums(1, seed=34)[0]
+    try:
+        assert not service.knn(hum, 3).from_cache
+        assert service.knn(hum, 3).from_cache
+        for store in (second, first):
+            index.swap_generation(store)
+            outcome = service.knn(hum, 3)
+            assert outcome.ok and not outcome.from_cache
+            _assert_answers(outcome, fresh[store.root], hum)
+            assert service.knn(hum, 3).from_cache
+        assert index.generation == 2
+    finally:
+        service.close()
+
+
+def test_a_swap_between_engine_fetch_and_answer_wastes_the_entry(
+        generation_pool):
+    """A swap that lands after the engine was fetched must not file the
+    old generation's answer under the new version: the service reads
+    the version before it fetches the engine."""
+    first, second = generation_pool[:2]
+    index = WarpingIndex.from_store(first)
+    fresh = WarpingIndex.from_store(second)
+    engine = index.engine
+
+    def engine_then_swap():
+        fetched = engine()
+        if index.store is first:
+            index.swap_generation(second)
+        return fetched
+
+    index.engine = engine_then_swap
+    service = QBHService.from_index(index, cache_size=16)
+    hum = _hums(1, seed=35)[0]
+    try:
+        service.knn(hum, 3)  # answered from first, swapped under it
+        outcome = service.knn(hum, 3)
+        assert outcome.ok and not outcome.from_cache
+        _assert_answers(outcome, fresh, hum)
     finally:
         service.close()

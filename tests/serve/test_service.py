@@ -338,7 +338,7 @@ class TestFromIndex:
                 "service": weakref.ref(service),
                 "index": weakref.ref(index),
                 "engine": weakref.ref(index.engine()),
-                "tree": weakref.ref(index._feature_index().index),
+                "tree": weakref.ref(index._snapshot(tree=True).tree),
             }
             del service, index
             alive = [name for name, ref in refs.items() if ref() is not None]

@@ -72,16 +72,17 @@ class TestConcurrentFanouts:
 
 
 class TestManagerSynchronization:
-    def test_concurrent_rebuild_decisions_build_once(self, corpus):
-        """Dispatcher threads racing ``router()`` after a mutation must
+    def test_concurrent_rebuild_decisions_build_once(self,
+                                                     generation_pool):
+        """Dispatcher threads racing ``router()`` after a swap must
         converge on one fleet — never close a router out from under
         each other or build two."""
-        index = WarpingIndex(list(corpus[:16]), delta=0.1)
+        index = WarpingIndex.from_store(generation_pool[0])
         manager = IndexShardManager(index, shards=2)
         try:
             first = manager.router()
             epoch_before = manager.epoch
-            index.insert(corpus[20], "newcomer")
+            index.swap_generation(generation_pool[2])
             barrier = threading.Barrier(4)
             routers = []
 
@@ -104,9 +105,12 @@ class TestManagerSynchronization:
             assert first._closed
             # Epoch carried strictly forward, version consistent.
             assert manager.epoch > epoch_before
-            assert manager.version() == (index.mutations, manager.epoch)
-            got, _ = router.knn(index.normal_form.apply(corpus[2] + 0.05), 3)
-            assert len(got) == 3
+            assert manager.version() == (1, manager.epoch)
+            assert len(router) == generation_pool[2].rows
+            hum = np.cumsum(np.random.default_rng(213).normal(size=80))
+            got, _ = router.knn(index.normal_form.apply(hum), 3)
+            assert got == WarpingIndex.from_store(
+                generation_pool[2]).cascade_knn_query(hum, 3)[0]
         finally:
             manager.close()
 

@@ -1,9 +1,9 @@
 """The sharded service end to end: correctness under churn.
 
-The composite cache version ``(index mutations, router epoch)`` is the
-load-bearing piece: an index mutation *or* a worker respawn must
+The composite cache version ``(index generation, router epoch)`` is the
+load-bearing piece: a generation swap *or* a worker respawn must
 invalidate every cached answer computed before it.  The property test
-at the bottom interleaves mutations, forced worker kills, and queries
+at the bottom interleaves swaps, forced worker kills, and queries
 under Hypothesis and checks every served answer against the *current*
 index's ground truth — the exactness-critical acceptance criterion of
 the shard tier.  Above it: deterministic versions of each moving part,
@@ -88,18 +88,19 @@ class TestShardedService:
         finally:
             service.close()
 
-    def test_mutation_rebuilds_the_fleet(self, corpus):
-        index = WarpingIndex(list(corpus[:20]), delta=0.1)
+    def test_mutation_rebuilds_the_fleet(self, generation_pool):
+        index = WarpingIndex.from_store(generation_pool[0])
         service = QBHService.from_index(index, shards=2)
         try:
-            query = corpus[1] + 0.05
+            query = _hums(1, seed=110)[0]
             assert service.knn(query, 3).status == "ok"
-            index.insert(corpus[25], "newcomer")
+            before = _current_router(service)
+            index.swap_generation(generation_pool[2])
             outcome = service.knn(query, 3)
             assert outcome.status == "ok"
-            truth = index.engine().ground_truth_knn(
-                index.normal_form.apply(query), 3
-            )
+            assert _current_router(service) is not before
+            truth = WarpingIndex.from_store(
+                generation_pool[2]).ground_truth_knn(query, 3)
             assert [i for i, _ in outcome.results] == [i for i, _ in truth]
         finally:
             service.close()
@@ -149,41 +150,39 @@ class TestShardedService:
                 )
 
 
-@pytest.fixture(scope="module")
-def mutation_corpus():
-    return random_walks(32, 48, seed=114)
+def _hums(count, seed):
+    rng = np.random.default_rng(seed)
+    return [np.cumsum(rng.normal(size=80)) for _ in range(count)]
 
 
 @settings(max_examples=8, deadline=None)
 @given(st.lists(
-    st.tuples(st.sampled_from(["query", "insert", "remove", "kill"]),
+    st.tuples(st.sampled_from(["query", "swap", "kill"]),
               st.integers(min_value=0, max_value=7)),
     min_size=4, max_size=10,
 ))
-def test_sharded_cache_never_serves_stale(mutation_corpus, ops):
-    """Property: under any interleaving of index mutations, forced
-    worker kills, and queries, a sharded caching service always serves
-    the *current* index's ground truth — the composite
-    ``(mutations, epoch)`` version leaves no stale window."""
-    index = WarpingIndex(list(mutation_corpus[:16]), delta=0.1)
+def test_sharded_cache_never_serves_stale(generation_pool, ops):
+    """Property: under any interleaving of generation swaps (back-swaps
+    included), forced worker kills, and queries, a sharded caching
+    service always serves the *current* index's ground truth — the
+    composite ``(generation, epoch)`` version leaves no stale window."""
+    index = WarpingIndex.from_store(generation_pool[0])
+    fresh = {store.root: WarpingIndex.from_store(store).engine()
+             for store in generation_pool}
     service = QBHService.from_index(index, shards=2, cache_size=64)
-    rng = np.random.default_rng(115)
-    pool = [mutation_corpus[i] + 0.1 * rng.normal(size=48) for i in range(8)]
-    next_insert = 16
+    pool = _hums(8, seed=115)
     try:
         for op, arg in ops:
-            if op == "insert" and next_insert < len(mutation_corpus):
-                index.insert(mutation_corpus[next_insert], next_insert)
-                next_insert += 1
-            elif op == "remove" and len(index) > 5:
-                index.remove(index.ids[arg % len(index)])
+            if op == "swap":
+                index.swap_generation(
+                    generation_pool[arg % len(generation_pool)])
             elif op == "kill":
                 _kill_worker(service, shard=arg)
             else:
                 query = pool[arg]
                 outcome = service.knn(query, 3)
                 assert outcome.status == "ok"
-                truth = index.engine().ground_truth_knn(
+                truth = fresh[index.store.root].ground_truth_knn(
                     index.normal_form.apply(query), 3
                 )
                 assert [i for i, _ in outcome.results] == \

@@ -73,15 +73,6 @@ class TestIndexEntryPoints:
         with pytest.raises(ValueError):
             index.knn_query(query, 0)
 
-    @pytest.mark.parametrize("bad", BAD_SERIES)
-    def test_insert_rejects_bad_series(self, index, bad):
-        with pytest.raises(ValueError):
-            index.insert(bad, "new-id")
-        # ...and the failed insert must not corrupt the index.
-        results, _ = index.range_query(np.zeros(80), 1e9)
-        assert len(results) == len(index)
-
-
 class TestMelodyEntryPoints:
     def test_note_bounds(self):
         for pitch, duration in ((0, 1.0), (200, 1.0), (60, 0.0), (60, -1.0)):

@@ -99,26 +99,17 @@ class TestDatabaseComposition:
         answers, _ = index.range_query(query, 6.0)
         answer_ids = {i for i, _ in answers}
         victim = next(i for i in index.ids if i not in answer_ids)
-        index2 = WarpingIndex(walks, delta=0.1,
-                              normal_form=NormalForm(length=64))
-        index2.remove(victim)
+        index2 = WarpingIndex(
+            [w for i, w in enumerate(walks) if i != victim], delta=0.1,
+            ids=[i for i in index.ids if i != victim],
+            normal_form=NormalForm(length=64))
         again, _ = index2.range_query(query, 6.0)
         assert answers == again
 
-    def test_insert_then_remove_is_identity(self, walks, query):
-        index = WarpingIndex(walks, delta=0.1,
-                             normal_form=NormalForm(length=64))
-        before, _ = index.range_query(query, 6.0)
-        extra = random_walks(1, 96, seed=93)[0]
-        index.insert(extra, "temp")
-        index.remove("temp")
-        after, _ = index.range_query(query, 6.0)
-        assert before == after
-
     def test_duplicate_series_share_distance(self, walks, query):
-        index = WarpingIndex(walks, delta=0.1,
+        index = WarpingIndex(list(walks) + [walks[7]], delta=0.1,
+                             ids=list(range(len(walks))) + ["clone-of-7"],
                              normal_form=NormalForm(length=64))
-        index.insert(walks[7], "clone-of-7")
         dists = dict(index.ground_truth_range(query, np.inf))
         assert dists[7] == pytest.approx(dists["clone-of-7"])
 
