@@ -39,7 +39,6 @@ from .music import (
     generate_corpus,
     segment_corpus,
 )
-from .index.subsequence import SubsequenceIndex
 from .qbh import QueryByHummingSystem
 
 __version__ = "1.0.0"
@@ -71,7 +70,6 @@ __all__ = [
     "contour_string",
     "generate_corpus",
     "segment_corpus",
-    "SubsequenceIndex",
     "QueryByHummingSystem",
     "__version__",
 ]

@@ -74,7 +74,6 @@ def _cmd_ingest(args) -> int:
 
         builder = StreamingIndexBuilder(
             args.store_dir,
-            kind="melody",
             delta=args.delta,
             normal_form=NormalForm(length=args.normal_length),
             n_features=args.features,
@@ -894,8 +893,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    from .store import StoreError
+
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except StoreError as exc:
+        # A missing, empty, corrupt or outdated store is the operator's
+        # to fix: one line and argparse's exit status, no traceback.
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

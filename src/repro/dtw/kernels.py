@@ -9,8 +9,7 @@ dynamic program lives, as one function per call shape:
     One ``(x, y)`` pair: the per-cell Python loop, row by row over the
     band.  Simple, obviously correct, and the reference every other
     computation is tested against.  It is also the single-pair path
-    (the tree route's k-NN and the subsequence k-NN refine one
-    candidate at a time).
+    (the tree route's k-NN refines one candidate at a time).
 
 :func:`banded_dtw_cost_batch`
     One query against a ``(B, n)`` candidate matrix, with one of two

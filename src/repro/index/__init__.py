@@ -6,7 +6,6 @@ from .gridfile import GridFile
 from .linear_scan import LinearScan
 from .rstartree import RStarTree
 from .stats import QueryStats
-from .subsequence import SubsequenceIndex, SubsequenceMatch
 
 __all__ = [
     "WarpingIndex",
@@ -15,6 +14,4 @@ __all__ = [
     "LinearScan",
     "RStarTree",
     "QueryStats",
-    "SubsequenceIndex",
-    "SubsequenceMatch",
 ]

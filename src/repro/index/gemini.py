@@ -196,11 +196,6 @@ class WarpingIndex:
         from ..ingest.builder import transform_from_config
 
         manifest = store.manifest
-        if manifest.kind != "melody":
-            raise ValueError(
-                f"store kind {manifest.kind!r} is not a melody store "
-                f"(use SubsequenceIndex.from_store)"
-            )
         self = cls.__new__(cls)
         self.obs = OBS_DISABLED if obs is None else obs
         self.generation = 0
@@ -285,15 +280,13 @@ class WarpingIndex:
         while queries keep running against the old one.
         """
         manifest = store.manifest
-        if (manifest.kind != "melody"
-                or manifest.normal_length != self.normal_length
+        if (manifest.normal_length != self.normal_length
                 or manifest.n_features != self.env_transform.output_dim
                 or manifest.metric != self.metric):
             raise ValueError(
                 f"generation {store.generation} is schema-incompatible "
-                f"with this index (kind={manifest.kind!r}, "
-                f"n={manifest.normal_length}, d={manifest.n_features}, "
-                f"metric={manifest.metric!r})"
+                f"with this index (n={manifest.normal_length}, "
+                f"d={manifest.n_features}, metric={manifest.metric!r})"
             )
         ids = store.ids
         id_to_row = {item_id: row for row, item_id in enumerate(ids)}

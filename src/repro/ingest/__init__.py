@@ -5,8 +5,8 @@ Three pieces:
 - :class:`StreamingIndexBuilder` — one streaming pass from raw pitch
   series to a sealed columnar-store generation (float32 columns, batched
   GEMINI feature extraction, vectorized k-envelopes) under a
-  configurable memory ceiling.  10⁵–10⁶ subsequences build without
-  ever materialising the corpus in float64.
+  configurable memory ceiling.  10⁵–10⁶ melodies build without ever
+  materialising the corpus in float64.
 - :class:`IngestQueue` — thread-safe staging buffer melodies are added
   to while the index keeps serving.
 - :class:`IngestCoordinator` — background worker that drains the queue,

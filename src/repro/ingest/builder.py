@@ -1,14 +1,14 @@
 """Streaming corpus builder: raw pitch series → columnar store generation.
 
-One pass over the input sequences, chunked so staging buffers never
-exceed a configurable memory budget.  Per chunk: windows are brought to
-the normal form in float64, quantized into a float32 staging buffer,
-k-envelopes are computed vectorized over the whole chunk (exact for the
-stored float32 data — envelope values are order statistics), GEMINI
-features are extracted batched in float64 and quantized to float32 with
-the maximum absolute quantization error tracked as the generation's
-``feature_margin``, and the chunk is appended to the generation's
-segment files.
+One pass over the input melodies, chunked so staging buffers never
+exceed a configurable memory budget.  Each melody is one row.  Per
+chunk: melodies are brought to the normal form in float64, quantized
+into a float32 staging buffer, k-envelopes are computed vectorized
+over the whole chunk (exact for the stored float32 data — envelope
+values are order statistics), GEMINI features are extracted batched in
+float64 and quantized to float32 with the maximum absolute quantization
+error tracked as the generation's ``feature_margin``, and the chunk is
+appended to the generation's segment files.
 
 Passing ``base=`` builds an *incremental* generation: the previous
 generation's segments are inherited by hard link and only the new rows
@@ -18,7 +18,7 @@ are written — the path the background ingest worker uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from ..core.envelope_transforms import (
 from ..core.envelope import batch_envelope, warping_width_to_k
 from ..core.normal_form import NormalForm
 from ..core.transforms import LinearTransform
-from ..index.subsequence import sliding_windows
 from ..obs import OBS_DISABLED, Observability
 from ..obs.clock import monotonic_s
 from ..store import CorpusStore, GenerationWriter, activate_generation
@@ -85,9 +84,7 @@ class BuildReport:
     """What one streaming build did (and what it cost)."""
 
     generation: int
-    kind: str
     rows: int
-    sequences: int
     build_s: float
     rows_per_s: float
     flushes: int
@@ -100,9 +97,7 @@ class BuildReport:
     def to_dict(self) -> dict[str, Any]:
         return {
             "generation": self.generation,
-            "kind": self.kind,
             "rows": self.rows,
-            "sequences": self.sequences,
             "build_s": self.build_s,
             "rows_per_s": self.rows_per_s,
             "flushes": self.flushes,
@@ -116,10 +111,9 @@ class BuildReport:
 
 @dataclass
 class _Chunk:
-    """Preallocated float32 staging buffers for one flush unit."""
+    """Preallocated float32 staging buffer for one flush unit."""
 
     normalized: np.ndarray
-    meta: np.ndarray
     fill: int = 0
     peak_bytes: int = field(default=0)
 
@@ -127,10 +121,9 @@ class _Chunk:
 class StreamingIndexBuilder:
     """Build columnar-store generations in one streaming pass.
 
-    Parameters mirror :class:`~repro.index.WarpingIndex` /
-    :class:`~repro.index.SubsequenceIndex` so a store built here can be
-    opened by their ``from_store`` constructors with identical query
-    semantics.
+    Parameters mirror :class:`~repro.index.WarpingIndex` so a store
+    built here can be opened by ``WarpingIndex.from_store`` with
+    identical query semantics.
 
     ``memory_budget_mb`` bounds the builder's own staging allocation:
     the chunk size is derived from a deterministic per-row byte account
@@ -145,19 +138,18 @@ class StreamingIndexBuilder:
                  env_transform: EnvelopeTransform | None = None,
                  n_features: int = 8,
                  metric: str = "euclidean",
-                 window_lengths: Sequence[int] = (64,),
-                 stride: int = 16,
                  capacity: int = 50,
                  memory_budget_mb: float = 64.0,
                  obs: Observability | None = None) -> None:
-        if kind not in ("melody", "subsequence"):
+        # Every row is one whole melody; ``kind`` survives only so
+        # callers that name it keep working.
+        if kind != "melody":
             raise ValueError(f"unknown store kind {kind!r}")
         if metric not in ("euclidean", "manhattan"):
             raise ValueError(f"unknown metric {metric!r}")
         if memory_budget_mb <= 0:
             raise ValueError("memory_budget_mb must be > 0")
         self.root = root
-        self.kind = kind
         self.delta = float(delta)
         self.metric = metric
         self.obs = OBS_DISABLED if obs is None else obs
@@ -176,21 +168,15 @@ class StreamingIndexBuilder:
             )
         self.n_features = self.env_transform.output_dim
         self.band = warping_width_to_k(self.delta, self.normal_length)
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        if not window_lengths or any(w < 2 for w in window_lengths):
-            raise ValueError("window lengths must be >= 2")
-        self.window_lengths = tuple(int(w) for w in window_lengths)
-        self.stride = int(stride)
         self.capacity = int(capacity)
         self.budget_bytes = int(memory_budget_mb * (1 << 20))
         n, d = self.normal_length, self.n_features
         # Deterministic staging account per buffered row: the float32
-        # normalized chunk + int64 meta held across the chunk, plus the
-        # transient flush-time arrays (float64 feature matmul input and
-        # output, float32 features and the two envelope outputs).
+        # normalized chunk held across the chunk, plus the transient
+        # flush-time arrays (float64 feature matmul input and output,
+        # float32 features and the two envelope outputs).
         self.row_bytes = (
-            n * 4 + 24            # normalized f32 + meta i64
+            n * 4                     # normalized f32
             + n * 8 + d * 8 + d * 4   # f64 upcast, f64 feats, f32 feats
             + 2 * n * 4               # envelope outputs
         )
@@ -207,8 +193,6 @@ class StreamingIndexBuilder:
                 "scale": self.normal_form.scale,
             },
             "env_transform": transform_config(self.env_transform),
-            "window_lengths": list(self.window_lengths),
-            "stride": self.stride,
             "capacity": self.capacity,
         }
 
@@ -233,14 +217,11 @@ class StreamingIndexBuilder:
         )
         return cls(
             store.root,
-            kind=manifest.kind,
             delta=float(cfg.get("delta", 0.1)),
             normal_form=normal_form,
             env_transform=env_transform,
             n_features=manifest.n_features,
             metric=manifest.metric,
-            window_lengths=tuple(cfg.get("window_lengths", (64,))),
-            stride=int(cfg.get("stride", 16)),
             capacity=int(cfg.get("capacity", 50)),
             memory_budget_mb=memory_budget_mb,
             obs=obs,
@@ -248,24 +229,17 @@ class StreamingIndexBuilder:
 
     # -- the streaming pass ------------------------------------------
 
-    def _windows_of(self, seq: np.ndarray) -> Iterable[tuple[int, int]]:
-        if self.kind == "melody":
-            yield 0, int(seq.size)
-            return
-        yield from sliding_windows(seq.size, self.window_lengths, self.stride)
-
     def _flush(self, writer: GenerationWriter, chunk: _Chunk) -> float:
         """Feature-extract and append one staged chunk; returns margin."""
         rows = chunk.fill
         if not rows:
             return 0.0
         data = chunk.normalized[:rows]
-        meta = chunk.meta[:rows]
         feats64 = self.env_transform.transform.transform_batch(data)
         feats32 = feats64.astype(np.float32)
         margin = float(np.abs(feats64 - feats32).max()) if rows else 0.0
         env_lower, env_upper = batch_envelope(data, self.band)
-        writer.append(data, feats32, env_lower, env_upper, meta)
+        writer.append(data, feats32, env_lower, env_upper)
         chunk.fill = 0
         return margin
 
@@ -277,8 +251,8 @@ class StreamingIndexBuilder:
 
         *sequences* may be any iterable of 1-D pitch series — it is
         consumed once and never materialised.  *ids* is a parallel
-        iterable of sequence ids (defaults to positions offset by the
-        base generation's sequence count).  With *base*, the previous
+        iterable of ids, one per sequence (defaults to positions offset
+        by the base generation's row count).  With *base*, the previous
         generation's segments are inherited and only new rows are
         written.  The sealed generation is activated (``CURRENT``
         swapped) unless ``activate=False``.
@@ -296,23 +270,19 @@ class StreamingIndexBuilder:
             normal_length=self.normal_length,
             n_features=self.n_features,
             metric=self.metric,
-            kind=self.kind,
             config=self.store_config(),
             inherit_from=base,
         )
-        base_sequences = len(base.ids) if base is not None else 0
+        base_rows = base.rows if base is not None else 0
         chunk = _Chunk(
             normalized=np.empty((self.chunk_rows, self.normal_length),
                                 dtype=np.float32),
-            meta=np.empty((self.chunk_rows, 3), dtype=np.int64),
         )
         chunk.peak_bytes = self.chunk_rows * self.row_bytes
         margin = 0.0
         flushes = 0
-        seq_count = 0
         id_iter = iter(ids) if ids is not None else None
-        with self.obs.span("ingest:build", kind=self.kind,
-                           generation=generation):
+        with self.obs.span("ingest:build", generation=generation):
             for offset, seq in enumerate(sequences):
                 seq = np.asarray(seq, dtype=np.float64)
                 if seq.ndim != 1:
@@ -325,43 +295,29 @@ class StreamingIndexBuilder:
                             "fewer ids than sequences"
                         ) from None
                 else:
-                    seq_id = base_sequences + offset
+                    seq_id = base_rows + offset
                 writer.add_ids([seq_id])
-                seq_row = base_sequences + seq_count
-                seq_count += 1
-                for start, length in self._windows_of(seq):
-                    if self.kind == "melody":
-                        window = seq
-                    else:
-                        window = seq[start:start + length]
-                    normal = self.normal_form.apply(window)
-                    row = chunk.fill
-                    chunk.normalized[row] = normal  # float32 quantization
-                    chunk.meta[row] = (seq_row, start, length)
-                    chunk.fill += 1
-                    if chunk.fill == self.chunk_rows:
-                        margin = max(margin, self._flush(writer, chunk))
-                        flushes += 1
+                # the float32 quantization of the normal form
+                chunk.normalized[chunk.fill] = self.normal_form.apply(seq)
+                chunk.fill += 1
+                if chunk.fill == self.chunk_rows:
+                    margin = max(margin, self._flush(writer, chunk))
+                    flushes += 1
             if id_iter is not None and next(id_iter, None) is not None:
                 raise ValueError("more ids than sequences")
             if chunk.fill:
                 margin = max(margin, self._flush(writer, chunk))
                 flushes += 1
             if writer.rows == 0:
-                raise StoreError(
-                    "no rows extracted: every sequence is shorter than "
-                    "the smallest window length"
-                )
+                raise StoreError("no rows extracted: no sequences given")
             store = writer.seal(feature_margin=margin)
             if activate:
                 activate_generation(self.root, generation)
         build_s = monotonic_s() - started
-        new_rows = store.rows - (base.rows if base is not None else 0)
+        new_rows = store.rows - base_rows
         report = BuildReport(
             generation=generation,
-            kind=self.kind,
             rows=store.rows,
-            sequences=seq_count,
             build_s=build_s,
             rows_per_s=(new_rows / build_s) if build_s > 0 else float("inf"),
             flushes=flushes,

@@ -1,4 +1,4 @@
-"""Columnar float32 store for envelopes, features, and subsequence metadata.
+"""Columnar float32 store for normal-form melodies, envelopes, and features.
 
 The store is the one on-disk format of a warping index, written by
 streaming ingest and opened by ``WarpingIndex.from_store``: a corpus
@@ -9,13 +9,12 @@ little-endian binary per (segment, column) pair — described by a
 file names the active generation and is swapped atomically with
 ``os.replace``, so readers always see a complete generation.
 
-Columns (all row-aligned):
+Columns (all row-aligned; one row is one whole melody with one id):
 
-``normalized``   float32, (rows, normal_length) — normal-form windows
+``normalized``   float32, (rows, normal_length) — normal-form melodies
 ``env_lower``    float32, (rows, normal_length) — LDTW k-envelope lower
 ``env_upper``    float32, (rows, normal_length) — LDTW k-envelope upper
 ``features``     float32, (rows, n_features)   — GEMINI envelope features
-``meta``         int64,   (rows, 3)            — (sequence row, start, length)
 
 Envelope values are order statistics of the stored float32 data, so the
 float32 envelope columns are *exact* for the stored corpus; the query

@@ -161,8 +161,8 @@ class GenerationWriter:
 
         writer = GenerationWriter(root, generation=1, normal_length=64,
                                   n_features=8, metric="euclidean",
-                                  kind="melody", inherit_from=old_store)
-        writer.append(normalized, features, env_lower, env_upper, meta,
+                                  inherit_from=old_store)
+        writer.append(normalized, features, env_lower, env_upper,
                       ids=["m-900"])
         store = writer.seal(feature_margin=2e-7)
         activate_generation(root, 1)
@@ -170,10 +170,8 @@ class GenerationWriter:
 
     def __init__(self, root: str, generation: int, *,
                  normal_length: int, n_features: int, metric: str,
-                 kind: str, config: dict[str, Any] | None = None,
+                 config: dict[str, Any] | None = None,
                  inherit_from: "CorpusStore | None" = None) -> None:
-        if kind not in ("melody", "subsequence"):
-            raise StoreError(f"unknown store kind {kind!r}")
         self.root = init_store(root)
         self.generation = int(generation)
         self.directory = os.path.join(root, generation_dirname(generation))
@@ -190,7 +188,6 @@ class GenerationWriter:
         self._normal_length = int(normal_length)
         self._n_features = int(n_features)
         self._metric = metric
-        self._kind = kind
         self._config = dict(config or {})
         self._segments: list[SegmentMeta] = []
         self._ids: list[Any] = []
@@ -211,15 +208,13 @@ class GenerationWriter:
         manifest = store.manifest
         if (manifest.normal_length != self._normal_length
                 or manifest.n_features != self._n_features
-                or manifest.metric != self._metric
-                or manifest.kind != self._kind):
+                or manifest.metric != self._metric):
             raise StoreError(
                 "cannot inherit: schema mismatch with previous generation "
                 f"(normal_length {manifest.normal_length} vs "
                 f"{self._normal_length}, n_features {manifest.n_features} "
                 f"vs {self._n_features}, metric {manifest.metric!r} vs "
-                f"{self._metric!r}, kind {manifest.kind!r} vs "
-                f"{self._kind!r})"
+                f"{self._metric!r})"
             )
         for segment in manifest.segments:
             files: dict[str, dict[str, str]] = {}
@@ -239,12 +234,9 @@ class GenerationWriter:
         return os.path.join(self.directory, f"{self._seg_name}.{column}.bin")
 
     def _write_column(self, column: str, chunk: np.ndarray) -> None:
-        dtype, _ = COLUMN_SPECS[column]
-        width = (self._normal_length
-                 if COLUMN_SPECS[column][1] == "normal_length"
-                 else self._n_features
-                 if COLUMN_SPECS[column][1] == "n_features"
-                 else int(COLUMN_SPECS[column][1]))
+        dtype, source = COLUMN_SPECS[column]
+        width = (self._n_features if source == "n_features"
+                 else self._normal_length)
         data = np.ascontiguousarray(chunk, dtype=np.dtype(dtype))
         if data.ndim != 2 or data.shape[1] != width:
             raise StoreError(
@@ -265,8 +257,7 @@ class GenerationWriter:
         return self._inherited_rows + self._new_rows
 
     def append(self, normalized: np.ndarray, features: np.ndarray,
-               env_lower: np.ndarray, env_upper: np.ndarray,
-               meta: np.ndarray, *,
+               env_lower: np.ndarray, env_upper: np.ndarray, *,
                ids: Sequence[Any] | None = None) -> None:
         """Append one row-aligned chunk to the new segment."""
         if self._sealed:
@@ -275,8 +266,7 @@ class GenerationWriter:
         for name, chunk in (("normalized", normalized),
                             ("features", features),
                             ("env_lower", env_lower),
-                            ("env_upper", env_upper),
-                            ("meta", meta)):
+                            ("env_upper", env_upper)):
             if int(np.asarray(chunk).shape[0]) != chunk_rows:
                 raise StoreError(
                     f"column {name!r} has {np.asarray(chunk).shape[0]} "
@@ -288,12 +278,11 @@ class GenerationWriter:
         self._new_rows += chunk_rows
 
     def add_ids(self, ids: Sequence[Any]) -> None:
-        """Register sequence ids (rejects duplicates across generations).
+        """Register row ids (rejects duplicates across generations).
 
-        For ``kind="melody"`` ids are row-aligned; for
-        ``kind="subsequence"`` there is one id per *sequence* and the
-        ``meta`` column's first field indexes into this list, so ids
-        may be added independently of row chunks.
+        Ids are row-aligned, one per melody, but may be added
+        independently of row chunks; :meth:`seal` checks the counts
+        agree.
         """
         if self._sealed:
             raise StoreError("writer already sealed")
@@ -308,9 +297,10 @@ class GenerationWriter:
              extra_config: dict[str, Any] | None = None) -> "CorpusStore":
         """Flush, checksum, and write the manifest.  Returns a reader.
 
-        The generation is *not* activated; call
-        :func:`activate_generation` (or let the ingest worker do it)
-        once the caller is ready to swap traffic over.
+        Raises :class:`StoreError`, and writes no manifest, when the
+        id count differs from the row count.  The generation is *not*
+        activated; call :func:`activate_generation` (or let the ingest
+        worker do it) once the caller is ready to swap traffic over.
         """
         if self._sealed:
             raise StoreError("writer already sealed")
@@ -324,6 +314,13 @@ class GenerationWriter:
                 "file": f"{self._seg_name}.{column}.bin",
                 "sha256": self._hashers[column].hexdigest(),
             }
+        if len(self._ids) != self.rows:
+            # Unsealed: no manifest is written, so the next writer of
+            # this generation reclaims the directory.
+            raise StoreError(
+                f"{self.directory}: {len(self._ids)} ids for "
+                f"{self.rows} rows (one id per row)"
+            )
         if self._new_rows:
             missing = set(COLUMN_SPECS) - set(files)
             if missing:
@@ -339,7 +336,6 @@ class GenerationWriter:
             normal_length=self._normal_length,
             n_features=self._n_features,
             metric=self._metric,
-            kind=self._kind,
             feature_margin=max(float(feature_margin),
                                self._inherited_margin),
             created_s=wall_s(),
@@ -389,6 +385,14 @@ class CorpusStore:
             raise StoreError(
                 f"{directory}: missing or incomplete generation"
             ) from exc
+        except KeyError as exc:
+            raise StoreError(
+                f"{directory}: bad manifest: missing field {exc}"
+            ) from exc
+        except (ValueError, TypeError) as exc:
+            # ValueError covers JSONDecodeError (a truncated manifest)
+            # and an unsupported format version.
+            raise StoreError(f"{directory}: bad manifest: {exc}") from exc
         return cls(root, generation, manifest)
 
     # -- columns -----------------------------------------------------
@@ -458,15 +462,15 @@ class CorpusStore:
         return self.column("env_upper")
 
     @property
-    def meta(self) -> np.ndarray:
-        return self.column("meta")
-
-    @property
     def ids(self) -> list[Any]:
         if self._ids is None:
             path = os.path.join(self.directory, self.manifest.ids_file)
-            with open(path) as handle:
-                self._ids = json.load(handle)
+            try:
+                with open(path) as handle:
+                    self._ids = json.load(handle)
+            except (OSError, ValueError) as exc:
+                raise StoreError(f"{path}: ids file unreadable: {exc}"
+                                 ) from exc
         return list(self._ids)
 
     # -- validation --------------------------------------------------
@@ -505,26 +509,16 @@ class CorpusStore:
                 f"segment rows sum to {total}, manifest says "
                 f"{self.manifest.rows}"
             )
-        kind = self.manifest.kind
         try:
             ids = self.ids
-        except (OSError, json.JSONDecodeError) as exc:
-            errors.append(f"ids file unreadable: {exc}")
+        except StoreError as exc:
+            errors.append(str(exc))
             ids = []
-        if kind == "melody" and len(ids) != self.manifest.rows:
+        if len(ids) != self.manifest.rows:
             errors.append(
-                f"melody store has {len(ids)} ids for "
-                f"{self.manifest.rows} rows"
+                f"store has {len(ids)} ids for {self.manifest.rows} rows"
             )
         if not errors and self.manifest.rows:
-            meta = self.meta
-            if kind == "subsequence" and ids:
-                max_row = int(meta[:, 0].max())
-                if max_row >= len(ids):
-                    errors.append(
-                        f"meta references sequence row {max_row} but only "
-                        f"{len(ids)} ids are stored"
-                    )
             lower, upper = self.env_lower, self.env_upper
             data = self.normalized
             if not (np.all(lower <= data) and np.all(data <= upper)):

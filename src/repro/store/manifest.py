@@ -30,16 +30,17 @@ __all__ = [
 ]
 
 #: Manifest format version; bump on incompatible layout changes.
-FORMAT_VERSION = 1
+#: Version 2 dropped version 1's per-row ``meta`` column and ``kind``
+#: field: every row is one whole melody with one id.
+FORMAT_VERSION = 2
 
 #: Column schema: name -> (numpy dtype string, width source).  Width
-#: source is ``"normal_length"``, ``"n_features"``, or a literal int.
+#: source is ``"normal_length"`` or ``"n_features"``.
 COLUMN_SPECS: dict[str, tuple[str, Any]] = {
     "normalized": ("float32", "normal_length"),
     "env_lower": ("float32", "normal_length"),
     "env_upper": ("float32", "normal_length"),
     "features": ("float32", "n_features"),
-    "meta": ("int64", 3),
 }
 
 _HASH_CHUNK = 1 << 20
@@ -84,7 +85,6 @@ class Manifest:
     normal_length: int
     n_features: int
     metric: str
-    kind: str  # "melody" | "subsequence"
     feature_margin: float
     created_s: float
     segments: list[SegmentMeta] = field(default_factory=list)
@@ -93,12 +93,9 @@ class Manifest:
     ids_file: str = "ids.json"
 
     def column_width(self, column: str) -> int:
-        spec = COLUMN_SPECS[column]
-        if spec[1] == "normal_length":
-            return self.normal_length
-        if spec[1] == "n_features":
+        if COLUMN_SPECS[column][1] == "n_features":
             return self.n_features
-        return int(spec[1])
+        return self.normal_length
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -108,7 +105,6 @@ class Manifest:
             "normal_length": self.normal_length,
             "n_features": self.n_features,
             "metric": self.metric,
-            "kind": self.kind,
             "feature_margin": self.feature_margin,
             "created_s": self.created_s,
             "ids_file": self.ids_file,
@@ -123,11 +119,16 @@ class Manifest:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "Manifest":
-        version = int(payload.get("format_version", -1))
+        """Parse a manifest; ``ValueError``, ``KeyError`` or ``TypeError``
+        if it is malformed or of another format version."""
+        if not isinstance(payload, dict):
+            raise ValueError("manifest is not a JSON object")
+        version = payload.get("format_version")
         if version != FORMAT_VERSION:
             raise ValueError(
-                f"unsupported store manifest version {version} "
-                f"(supported: {FORMAT_VERSION})"
+                f"unsupported store format version {version!r} "
+                f"(supported: {FORMAT_VERSION}); rebuild the store with "
+                f"`repro ingest`"
             )
         return cls(
             generation=int(payload["generation"]),
@@ -135,7 +136,6 @@ class Manifest:
             normal_length=int(payload["normal_length"]),
             n_features=int(payload["n_features"]),
             metric=str(payload["metric"]),
-            kind=str(payload["kind"]),
             feature_margin=float(payload["feature_margin"]),
             created_s=float(payload["created_s"]),
             ids_file=str(payload.get("ids_file", "ids.json")),

@@ -11,11 +11,9 @@ from repro.core.envelope_transforms import (
 )
 from repro.core.normal_form import NormalForm
 from repro.core.transforms import DFTTransform
-from repro.dtw.distance import ldtw_distance_batch
 from repro.index.gemini import WarpingIndex
-from repro.index.subsequence import SubsequenceIndex
 from repro.ingest import StreamingIndexBuilder, batch_envelope
-from repro.store import CorpusStore
+from repro.store import CorpusStore, current_generation
 from repro.store.corpus import StoreError
 
 
@@ -48,8 +46,7 @@ def test_budget_does_not_change_the_output(tmp_path):
         assert report.peak_buffer_bytes <= report.budget_bytes
         if label == "tight":
             assert report.flushes > 1  # the budget actually bit
-    for column in ("normalized", "features", "env_lower", "env_upper",
-                   "meta"):
+    for column in ("normalized", "features", "env_lower", "env_upper"):
         np.testing.assert_array_equal(
             np.asarray(stores["tight"].column(column)),
             np.asarray(stores["roomy"].column(column)),
@@ -76,55 +73,6 @@ def test_melody_store_matches_in_memory_index(tmp_path):
         np.asarray(store.normalized, dtype=np.float64)
     )
     assert np.abs(feats64 - store.features).max() <= store.feature_margin
-
-
-def test_subsequence_windowing_matches_index(tmp_path):
-    series = _walks(6, 150, seed=9)
-    builder = StreamingIndexBuilder(
-        str(tmp_path), kind="subsequence",
-        normal_form=NormalForm(length=32), window_lengths=(48, 96),
-        stride=16,
-    )
-    store, report = builder.build(series)
-    reference = SubsequenceIndex(series, window_lengths=(48, 96),
-                                 stride=16,
-                                 normal_form=NormalForm(length=32))
-    assert report.rows == reference.window_count
-    meta = [tuple(int(v) for v in row) for row in np.asarray(store.meta)]
-    assert meta == reference._windows
-    np.testing.assert_array_equal(
-        np.asarray(store.normalized),
-        reference._normalized.astype(np.float32),
-    )
-
-
-def test_store_backed_subsequence_range_has_no_false_negatives(tmp_path):
-    """Every window truly within epsilon of a query, by exact banded DTW
-    over all stored windows, is in the float32 store-backed answer."""
-    builder = StreamingIndexBuilder(
-        str(tmp_path), kind="subsequence",
-        normal_form=NormalForm(length=32), window_lengths=(48,),
-        stride=8, memory_budget_mb=0.05,
-    )
-    store, report = builder.build(_walks(8, 160, seed=13))
-    assert report.peak_buffer_bytes <= report.budget_bytes
-    store.verify()
-    index = SubsequenceIndex.from_store(store)
-    rng = np.random.default_rng(91)
-    for _ in range(3):
-        row = int(rng.integers(report.rows))
-        query = (np.asarray(index._normalized[row], dtype=np.float64)
-                 + 0.1 * rng.normal(size=32))
-        q = index.normal_form.apply(query)
-        exact = ldtw_distance_batch(q, index._normalized, index.band)
-        epsilon = float(np.quantile(exact, 0.3))
-        matches, stats = index.range_query(query, epsilon,
-                                           best_per_sequence=False)
-        got = {(m.sequence_id, m.start) for m in matches}
-        for window in np.flatnonzero(exact <= epsilon):
-            seq_row, start, _ = index._windows[int(window)]
-            assert (index.ids[seq_row], start) in got
-        assert stats.candidates >= len(matches)
 
 
 def test_incremental_build_inherits_and_appends(tmp_path):
@@ -155,13 +103,18 @@ def test_id_count_mismatch_raises(tmp_path):
         builder.build(series, ["a", "b", "c", "d"])
 
 
-def test_all_sequences_too_short_raises(tmp_path):
-    builder = StreamingIndexBuilder(
-        str(tmp_path), kind="subsequence",
-        normal_form=NormalForm(length=32), window_lengths=(64,),
-    )
+def test_empty_input_raises(tmp_path):
+    builder = StreamingIndexBuilder(str(tmp_path),
+                                    normal_form=NormalForm(length=32))
     with pytest.raises(StoreError, match="no rows"):
-        builder.build(_walks(3, 20))
+        builder.build([])
+    assert current_generation(str(tmp_path)) is None
+
+
+def test_kind_other_than_melody_is_refused(tmp_path):
+    """Every row is one whole melody; no other row kind is built."""
+    with pytest.raises(ValueError, match="unknown store kind"):
+        StreamingIndexBuilder(str(tmp_path), kind="window")
 
 
 def test_builder_config_round_trips_through_for_store(tmp_path):

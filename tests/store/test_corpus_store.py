@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -24,18 +25,14 @@ def _chunk(rows, n=16, d=4, seed=0):
     features = rng.normal(size=(rows, d)).astype(np.float32)
     env_lower = normalized - 1.0
     env_upper = normalized + 1.0
-    meta = np.stack(
-        [np.arange(rows), np.zeros(rows, dtype=np.int64),
-         np.full(rows, n, dtype=np.int64)], axis=1,
-    )
-    return normalized, features, env_lower, env_upper, meta
+    return normalized, features, env_lower, env_upper
 
 
 def _write_generation(root, generation=0, rows=10, seed=0, *,
                       inherit_from=None, ids=None, activate=True):
     writer = GenerationWriter(
         root, generation, normal_length=16, n_features=4,
-        metric="euclidean", kind="melody", inherit_from=inherit_from,
+        metric="euclidean", inherit_from=inherit_from,
     )
     chunk = _chunk(rows, seed=seed)
     base = len(writer._ids)
@@ -53,7 +50,6 @@ def test_round_trip_and_verify(tmp_path):
     assert store.rows == 12
     np.testing.assert_array_equal(np.asarray(store.normalized), chunk[0])
     np.testing.assert_array_equal(np.asarray(store.features), chunk[1])
-    np.testing.assert_array_equal(np.asarray(store.meta), chunk[4])
     assert store.feature_margin == pytest.approx(1e-7)
     store.verify()
     # reopened via CURRENT
@@ -116,7 +112,7 @@ def test_duplicate_ids_rejected_across_generations(tmp_path):
     base, _ = _write_generation(root, 0, rows=4)
     writer = GenerationWriter(
         root, 1, normal_length=16, n_features=4, metric="euclidean",
-        kind="melody", inherit_from=base,
+        inherit_from=base,
     )
     with pytest.raises(StoreError, match="duplicate id"):
         writer.add_ids([base.ids[0]])
@@ -127,8 +123,7 @@ def test_schema_mismatch_refuses_inherit(tmp_path):
     base, _ = _write_generation(root, 0, rows=4)
     with pytest.raises(StoreError, match="schema mismatch"):
         GenerationWriter(root, 1, normal_length=32, n_features=4,
-                         metric="euclidean", kind="melody",
-                         inherit_from=base)
+                         metric="euclidean", inherit_from=base)
 
 
 def test_unsealed_leftovers_reclaimed_sealed_collision_raises(tmp_path):
@@ -136,7 +131,7 @@ def test_unsealed_leftovers_reclaimed_sealed_collision_raises(tmp_path):
     _write_generation(root, 0, rows=4)
     # a writer that dies before seal leaves a manifest-less directory
     GenerationWriter(root, 1, normal_length=16, n_features=4,
-                     metric="euclidean", kind="melody")
+                     metric="euclidean")
     assert os.path.isdir(os.path.join(root, generation_dirname(1)))
     assert list_generations(root) == [0]  # not listed: no manifest
     # a fresh writer reclaims the garbage and can seal normally
@@ -145,7 +140,7 @@ def test_unsealed_leftovers_reclaimed_sealed_collision_raises(tmp_path):
     # but a *sealed* generation is immutable — colliding is an error
     with pytest.raises(StoreError, match="already exists"):
         GenerationWriter(root, 1, normal_length=16, n_features=4,
-                         metric="euclidean", kind="melody")
+                         metric="euclidean")
 
 
 def test_activation_is_atomic_pointer_swap(tmp_path):
@@ -163,7 +158,7 @@ def test_manifest_config_round_trip(tmp_path):
     root = str(tmp_path)
     writer = GenerationWriter(
         root, 0, normal_length=16, n_features=4, metric="euclidean",
-        kind="melody", config={"delta": 0.25, "custom": [1, 2]},
+        config={"delta": 0.25, "custom": [1, 2]},
     )
     writer.append(*_chunk(3), ids=["a", "b", "c"])
     store = writer.seal(feature_margin=0.0, extra_config={"extra": True})
@@ -177,11 +172,10 @@ def test_verify_catches_envelope_violation(tmp_path):
     root = str(tmp_path)
     writer = GenerationWriter(
         root, 0, normal_length=16, n_features=4, metric="euclidean",
-        kind="melody",
     )
-    normalized, features, env_lower, env_upper, meta = _chunk(3)
+    normalized, features, env_lower, env_upper = _chunk(3)
     env_lower = normalized + 0.5  # lower bound above the data: invalid
-    writer.append(normalized, features, env_lower, env_upper, meta,
+    writer.append(normalized, features, env_lower, env_upper,
                   ids=["a", "b", "c"])
     writer.seal()
     with pytest.raises(StoreError, match="envelope"):
@@ -204,3 +198,60 @@ def test_ids_file_written_and_loaded(tmp_path):
     with open(os.path.join(store.directory, store.manifest.ids_file)) as fh:
         assert json.load(fh) == ["x", 7, ["compound", 1]]
     assert list(CorpusStore.open(root).ids) == ["x", 7, ["compound", 1]]
+
+
+def _version1(payload):
+    """The parent format: a ``kind`` field and a per-row ``meta`` column."""
+    payload = dict(payload, format_version=1, kind="melody")
+    payload["columns"] = dict(payload["columns"],
+                              meta={"dtype": "int64", "cols": 3})
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("rewrite, message", [
+    (lambda payload: json.dumps(dict(payload, format_version=0)),
+     "rebuild the store with `repro ingest`"),
+    (_version1, "rebuild the store with `repro ingest`"),
+    (lambda payload: json.dumps(payload)[:40], "bad manifest"),
+    (lambda payload: json.dumps({"format_version": 2}),
+     "bad manifest: missing field 'generation'"),
+    (lambda payload: json.dumps([payload]), "not a JSON object"),
+], ids=["version-0", "version-1", "truncated", "missing-keys", "not-object"])
+def test_bad_manifest_is_a_store_error(tmp_path, rewrite, message):
+    """A manifest the reader cannot use raises StoreError naming the
+    generation directory, never a bare parse or lookup error."""
+    root = str(tmp_path)
+    store, _ = _write_generation(root, 0, rows=3)
+    path = os.path.join(store.directory, "manifest.json")
+    with open(path) as handle:
+        payload = json.load(handle)
+    with open(path, "w") as handle:
+        handle.write(rewrite(payload))
+    with pytest.raises(StoreError, match=re.escape(message)) as exc_info:
+        CorpusStore.open(root)
+    assert generation_dirname(0) in str(exc_info.value)
+
+
+def test_seal_refuses_an_id_count_unlike_the_row_count(tmp_path):
+    """One id per row is checked when a generation is sealed, so no
+    index ever opens a generation that breaks it."""
+    root = str(tmp_path)
+    writer = GenerationWriter(root, 0, normal_length=16, n_features=4,
+                              metric="euclidean")
+    writer.append(*_chunk(3), ids=["a", "b"])
+    with pytest.raises(StoreError, match="2 ids for 3 rows"):
+        writer.seal()
+    assert list_generations(root) == []  # no manifest was written
+
+
+def test_unreadable_ids_file_is_a_store_error(tmp_path):
+    root = str(tmp_path)
+    store, _ = _write_generation(root, 0, rows=3)
+    path = os.path.join(store.directory, store.manifest.ids_file)
+    with open(path, "w") as handle:
+        handle.write('["g0-0", "g')
+    reopened = CorpusStore.open(root)
+    with pytest.raises(StoreError, match="ids file unreadable"):
+        reopened.ids
+    assert any("ids file unreadable" in error
+               for error in reopened.verify(raise_on_error=False))

@@ -1,6 +1,7 @@
 """Tests for the command-line interface (full lifecycle on disk)."""
 
 import argparse
+import json
 import re
 from pathlib import Path
 
@@ -295,6 +296,55 @@ class TestLifecycle:
         assert main(["hum", "--corpus", corpus_dir, "--melody", "0",
                      "--profile", "poor", "--out", hum_file]) == 0
         assert np.load(hum_file).size > 0
+
+
+def _rewrite_manifest(generation, rewrite):
+    path = generation / "manifest.json"
+    path.write_text(rewrite(json.loads(path.read_text())))
+
+
+def _truncate_ids(generation):
+    path = generation / "ids.json"
+    path.write_text(path.read_text()[:10])
+
+
+class TestStoreErrors:
+    @pytest.mark.parametrize("command", ["query", "serve"])
+    @pytest.mark.parametrize("spoil, message", [
+        (None, "no CURRENT generation"),
+        (lambda gen: _rewrite_manifest(gen, lambda m: json.dumps(
+            dict(m, format_version=1, kind="melody"))),
+         "rebuild the store with `repro ingest`"),
+        (lambda gen: _rewrite_manifest(gen, lambda m: json.dumps(m)[:30]),
+         "bad manifest"),
+        (_truncate_ids, "ids file unreadable"),
+    ], ids=["empty", "version-1", "truncated", "truncated-ids"])
+    def test_store_error_is_one_line_and_exit_two(
+            self, tmp_path, capsys, command, spoil, message):
+        """A store that cannot be opened is reported as argparse reports
+        a usage error: one stderr line and status 2, no traceback."""
+        store_dir = tmp_path / "store"
+        hum_file = str(tmp_path / "hum.npy")
+        np.save(hum_file, np.full(40, 60.0))
+        if spoil is None:
+            store_dir.mkdir()
+        else:
+            corpus_dir = str(tmp_path / "corpus")
+            main(["corpus", "--songs", "1", "--per-song", "3", "--out",
+                  corpus_dir])
+            main(["ingest", "--corpus", corpus_dir, "--store-dir",
+                  str(store_dir)])
+            spoil(store_dir / "gen-000000")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--store-dir", str(store_dir), "--hum",
+                  hum_file])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro {command}: error: ")
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestObservabilityFlags:

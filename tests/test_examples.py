@@ -19,7 +19,6 @@ FAST_EXAMPLES = [
     "figures1_to_5.py",
     "query_by_humming.py",
     "index_tuning.py",
-    "hum_any_part.py",
 ]
 
 
