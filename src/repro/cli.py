@@ -15,10 +15,9 @@ Hum inputs to ``query`` and ``serve`` may be ``.npy`` pitch-series files
 files; one that is not a finite, non-empty 1-D series is a usage error.
 ``query`` answers through the filter cascade, as ``serve`` does.
 
-The telemetry loop closes through two more groups::
+Exported telemetry is read back through one command::
 
     repro obs report   --trace trace.jsonl          # trace analytics
-    repro perf replay  --workload wl.jsonl --store-dir store/
 
 And the serving layer::
 
@@ -128,6 +127,17 @@ def _hum(path: str) -> tuple[str, np.ndarray]:
         raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
 
 
+def _trace_file(path: str) -> str:
+    """argparse ``type`` of ``--trace``: a path that opens for reading."""
+    try:
+        open(path).close()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"{path}: {exc.strerror or exc}"
+        ) from None
+    return path
+
+
 def _print_hits(results) -> None:
     for rank, (name, dist) in enumerate(results, start=1):
         print(f"{rank:3d}. {name}  (DTW distance {dist:.3f})")
@@ -148,8 +158,7 @@ def _emit_stats_json(payload: dict, dest: str, info) -> None:
 
 def _cmd_query(args) -> int:
     obs = None
-    if (args.trace_out or args.metrics_out or args.workload_out
-            or args.slow_query_ms is not None):
+    if args.trace_out or args.metrics_out or args.slow_query_ms is not None:
         from .obs import Observability
 
         def on_slow(record):
@@ -160,7 +169,6 @@ def _cmd_query(args) -> int:
         obs = Observability.to_files(
             trace_out=args.trace_out,
             metrics_out=args.metrics_out,
-            workload_out=args.workload_out,
             slow_query_ms=args.slow_query_ms,
             on_slow=on_slow if args.slow_query_ms is not None else None,
             trace_append=args.trace_append,
@@ -234,9 +242,6 @@ def _cmd_query(args) -> int:
             if args.metrics_out:
                 print(f"wrote metrics snapshot to {args.metrics_out}",
                       file=info)
-            if args.workload_out:
-                print(f"wrote workload records to {args.workload_out}",
-                      file=info)
 
 
 def _cmd_serve(args) -> int:
@@ -245,20 +250,12 @@ def _cmd_serve(args) -> int:
     from .serve.loadgen import RequestSpec, run_load, service_dispatch
 
     obs = None
-    exporter = None
-    if args.trace_out or args.metrics_out or args.metrics_jsonl:
+    if args.trace_out or args.metrics_out:
         from .obs import Observability
 
         obs = Observability.to_files(
             trace_out=args.trace_out, metrics_out=args.metrics_out,
         )
-        if args.metrics_jsonl:
-            from .obs import PeriodicSnapshotExporter
-
-            exporter = PeriodicSnapshotExporter(
-                obs.metrics, jsonl_path=args.metrics_jsonl,
-                interval_s=args.metrics_interval_s,
-            ).start()
     try:
         index = _open_index(args.store_dir)
         if obs is not None:
@@ -338,10 +335,6 @@ def _cmd_serve(args) -> int:
                       f"requests={row['requests']} rtt={rtt} rss={rss}")
         return 1 if failed else 0
     finally:
-        if exporter is not None:
-            exporter.close()
-            print(f"wrote {exporter.samples} metrics snapshots to "
-                  f"{args.metrics_jsonl}")
         if obs is not None:
             obs.close()
             if args.trace_out:
@@ -367,15 +360,11 @@ def _cmd_obs_report(args) -> int:
         return 1
     if args.format == "json":
         text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    elif args.format == "folded":
-        text = report.format_folded()
-    elif args.scenarios:
-        text = report.format_scenario_matrix()
     else:
-        text = report.format_table(per_shard=args.per_shard)
-    if stats.bad_lines and args.format != "table":
-        # The table embeds its own WARNING header; the machine formats
-        # keep stdout clean, so the caveat goes to stderr instead.
+        text = report.format_table()
+    if stats.bad_lines and args.format == "json":
+        # The table embeds its own WARNING header; JSON keeps stdout
+        # clean, so the caveat goes to stderr instead.
         print(f"warning: skipped {stats.bad_lines} undecodable line(s) "
               f"of {stats.lines} read from {args.trace}",
               file=sys.stderr)
@@ -393,64 +382,6 @@ def _cmd_obs_report(args) -> int:
     return 0
 
 
-def _cmd_obs_export(args) -> int:
-    """Convert a metrics snapshot (JSON) into an external format."""
-    import json
-
-    from .obs import append_snapshot, prometheus_text
-
-    with open(args.metrics) as handle:
-        snapshot = json.load(handle)
-    if not isinstance(snapshot, dict) or "counters" not in snapshot:
-        print(f"error: {args.metrics} is not a metrics snapshot "
-              f"(want the JSON written by --metrics-out)", file=sys.stderr)
-        return 2
-    if args.format == "jsonl":
-        if not args.out:
-            print("error: --format jsonl needs --out (the series file "
-                  "to append to)", file=sys.stderr)
-            return 2
-        append_snapshot(args.out, snapshot)
-        print(f"appended snapshot to {args.out}")
-        return 0
-    text = prometheus_text(snapshot)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote prometheus exposition to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _cmd_obs_top(args) -> int:
-    """One-shot terminal view of a metrics snapshot or series."""
-    import json
-
-    from .obs import format_top, read_snapshot_series
-
-    if args.series:
-        snapshots, bad = read_snapshot_series(args.series)
-        if bad:
-            print(f"warning: skipped {bad} undecodable line(s) in "
-                  f"{args.series}", file=sys.stderr)
-        if not snapshots:
-            print(f"error: no snapshots in {args.series}", file=sys.stderr)
-            return 1
-        snapshot = snapshots[-1]
-        print(f"series {args.series}: {len(snapshots)} snapshot(s), "
-              f"showing the newest")
-    else:
-        with open(args.metrics) as handle:
-            snapshot = json.load(handle)
-        if not isinstance(snapshot, dict) or "counters" not in snapshot:
-            print(f"error: {args.metrics} is not a metrics snapshot",
-                  file=sys.stderr)
-            return 2
-    sys.stdout.write(format_top(snapshot))
-    return 0
-
-
 def _cmd_quality(args) -> int:
     """Run the degradation scenario matrix and print/record it."""
     from pathlib import Path
@@ -460,9 +391,8 @@ def _cmd_quality(args) -> int:
     from .qbh.quality import run_scenario_matrix
     from .qbh.system import QueryByHummingSystem
 
-    for out in (args.trace_out, args.metrics_out, args.json_out):
-        if out:
-            Path(out).parent.mkdir(parents=True, exist_ok=True)
+    if args.json_out:
+        Path(args.json_out).parent.mkdir(parents=True, exist_ok=True)
     obs = None
     if args.trace_out or args.metrics_out:
         from .obs import Observability
@@ -510,30 +440,6 @@ def _cmd_quality(args) -> int:
             if args.metrics_out:
                 print(f"wrote metrics snapshot to {args.metrics_out}",
                       file=sys.stderr)
-
-
-def _cmd_perf_replay(args) -> int:
-    """Re-execute a captured workload and verify answer parity."""
-    from .perf import load_workload, replay_workload
-
-    records = load_workload(args.workload)
-    if not records:
-        print(f"error: no replayable records in {args.workload}",
-              file=sys.stderr)
-        return 2
-    index = _open_index(args.store_dir)
-    report = replay_workload(
-        index.engine(),
-        records,
-        modes=tuple(args.modes),
-        workers=args.workers,
-        atol=args.atol,
-    )
-    print(f"replaying {len(records)} recorded queries from "
-          f"{args.workload} against {args.store_dir} "
-          f"(db={len(index)})", file=sys.stderr)
-    print(report.summary())
-    return 0 if report.ok else 1
 
 
 def _cmd_hum(args) -> int:
@@ -681,16 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "after serving")
     p_query.add_argument("--slow-query-ms", type=float, metavar="N",
                          help="log queries slower than N ms to stderr; "
-                              "with --trace-out, export only their traces "
-                              "and workload records")
+                              "with --trace-out, export only their traces")
     p_query.add_argument("--trace-append", action="store_true",
                          help="append to an existing --trace-out file "
                               "instead of truncating it (accumulate a "
                               "slow-query corpus across runs)")
-    p_query.add_argument("--workload-out", metavar="FILE",
-                         help="capture each served query (raw input, "
-                              "parameters, exact results) as replayable "
-                              "JSONL for 'repro perf replay'")
     p_query.set_defaults(func=_cmd_query)
 
     p_serve = sub.add_parser(
@@ -736,14 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "every S seconds (ping RTT, RSS, respawns "
                               "land in shard.health.* gauges and the "
                               "saturation report)")
-    p_serve.add_argument("--metrics-jsonl", metavar="FILE",
-                         help="sample the metrics registry into an "
-                              "append-only snapshot series while serving "
-                              "(feeds 'repro obs top --series')")
-    p_serve.add_argument("--metrics-interval-s", type=float, default=1.0,
-                         metavar="S",
-                         help="sampling period for --metrics-jsonl "
-                              "(default: 1.0)")
     p_serve.add_argument("--shadow-fraction", type=float, default=0.0,
                          metavar="F",
                          help="shadow-score this fraction of served "
@@ -800,79 +693,18 @@ def build_parser() -> argparse.ArgumentParser:
              "pruning power, and critical paths",
     )
     p_obs_report.add_argument("--trace", required=True, metavar="FILE",
-                              help="span JSONL written by --trace-out")
-    p_obs_report.add_argument("--format",
-                              choices=("table", "json", "folded"),
+                              type=_trace_file,
+                              help="span JSONL written by --trace-out; the "
+                                   "table adds the per-shard breakdown and "
+                                   "the quality scenario matrix when the "
+                                   "log carries their spans")
+    p_obs_report.add_argument("--format", choices=("table", "json"),
                               default="table",
-                              help="terminal table, JSON document, or "
-                                   "folded stacks for flamegraph tools")
+                              help="terminal table or JSON document")
     p_obs_report.add_argument("--out", metavar="FILE",
                               help="write the report to FILE instead of "
                                    "stdout")
-    p_obs_report.add_argument("--per-shard", action="store_true",
-                              help="append the per-shard breakdown table "
-                                   "(latency percentiles, work share, "
-                                   "pruning power per worker process)")
-    p_obs_report.add_argument("--scenarios", action="store_true",
-                              help="render the quality scenario matrix "
-                                   "(recall@k and latency per degradation "
-                                   "scenario x severity, contour baseline "
-                                   "column) from quality:query spans")
     p_obs_report.set_defaults(func=_cmd_obs_report)
-
-    p_obs_export = obs_sub.add_parser(
-        "export",
-        help="convert a --metrics-out snapshot to Prometheus text "
-             "exposition or append it to a JSONL time series",
-    )
-    p_obs_export.add_argument("--metrics", required=True, metavar="FILE",
-                              help="metrics snapshot JSON written by "
-                                   "--metrics-out")
-    p_obs_export.add_argument("--format",
-                              choices=("prometheus", "jsonl"),
-                              default="prometheus",
-                              help="prometheus text exposition (default) "
-                                   "or one appended JSONL series line")
-    p_obs_export.add_argument("--out", metavar="FILE",
-                              help="output file (default: stdout; "
-                                   "required for --format jsonl)")
-    p_obs_export.set_defaults(func=_cmd_obs_export)
-
-    p_obs_top = obs_sub.add_parser(
-        "top",
-        help="one-shot terminal view: headline counters plus the "
-             "per-shard health table",
-    )
-    top_src = p_obs_top.add_mutually_exclusive_group(required=True)
-    top_src.add_argument("--metrics", metavar="FILE",
-                         help="metrics snapshot JSON written by "
-                              "--metrics-out")
-    top_src.add_argument("--series", metavar="FILE",
-                         help="snapshot JSONL series (shows the newest "
-                              "sample)")
-    p_obs_top.set_defaults(func=_cmd_obs_top)
-
-    p_perf = sub.add_parser(
-        "perf", help="workload replay"
-    )
-    perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
-
-    p_perf_replay = perf_sub.add_parser(
-        "replay",
-        help="re-execute a captured workload and verify answer parity",
-    )
-    p_perf_replay.add_argument("--workload", required=True, metavar="FILE",
-                               help="workload JSONL from --workload-out")
-    p_perf_replay.add_argument("--store-dir", required=True, metavar="DIR",
-                               help="columnar store to replay against")
-    p_perf_replay.add_argument("--modes", nargs="+",
-                               choices=("serial", "concurrent"),
-                               default=["serial", "concurrent"])
-    p_perf_replay.add_argument("--workers", type=int,
-                               help="threads of the 'concurrent' mode")
-    p_perf_replay.add_argument("--atol", type=float, default=1e-9,
-                               help="distance tolerance (default: 1e-9)")
-    p_perf_replay.set_defaults(func=_cmd_perf_replay)
 
     p_exp = sub.add_parser("experiment",
                            help="regenerate one of the paper's tables/figures")

@@ -63,7 +63,6 @@ calls out of this package.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 import numbers
@@ -457,21 +456,6 @@ def search_params(kind: str, param) -> dict:
     return {"epsilon": param} if kind == "range" else {"k": param}
 
 
-def _query_id(q: np.ndarray, kind: str, params: dict, band: int) -> str:
-    """Stable 16-hex id of one (query, kind, parameters, band) request.
-
-    A content digest, not a sequence number: replaying the same query
-    with the same parameters yields the same id, which is what lets
-    ``repro perf replay`` line a workload record up with the trace
-    spans of both the recorded and the replayed run.
-    """
-    values = tuple(params.values())
-    param = values if len(values) > 1 else values[0]
-    digest = hashlib.sha1(q.tobytes())
-    digest.update(f"|{kind}|{param!r}|{band}".encode())
-    return digest.hexdigest()[:16]
-
-
 def _query_span_attrs(stats: CascadeStats) -> dict:
     """Root-span attributes, taken verbatim from the finished stats.
 
@@ -711,24 +695,6 @@ class QueryEngine:
             )
         return q
 
-    def _workload(self, qid, query, params: dict, results) -> dict | None:
-        """Replayable capture of one served query, or ``None``.
-
-        Built only when the facade has a workload sink attached
-        (:attr:`Observability.wants_workload`).  The *raw* query is
-        recorded — pre-normalisation — so ``repro perf replay`` walks
-        the identical public entry path, normal form included.
-        """
-        if not self.obs.wants_workload:
-            return None
-        return {
-            "query_id": qid,
-            "params": params,
-            "band": self.band,
-            "query": np.asarray(query, dtype=np.float64).ravel(),
-            "results": results,
-        }
-
     def _stage_bounds(
         self, name: str, ctx: _QueryContext, rows: np.ndarray
     ) -> np.ndarray:
@@ -859,10 +825,8 @@ class QueryEngine:
         cap = math.inf if epsilon is None else epsilon
         ctx = _QueryContext(self, self._normalise_query(query))
         m = len(self)
-        qid = (_query_id(ctx.q, kind, params, self.band)
-               if self.obs.enabled else None)
         with self.obs.span(
-            "query", kind=kind, **params, band=self.band, query_id=qid,
+            "query", kind=kind, **params, band=self.band,
         ) as qspan:
             started = monotonic_s()
             stats = CascadeStats(corpus_size=m)
@@ -948,10 +912,7 @@ class QueryEngine:
             stats.total_time_s = monotonic_s() - started
             stats.cpu_time_s = stats.total_time_s
             qspan.set(**_query_span_attrs(stats))
-        self.obs.record_cascade_query(
-            kind, stats, ctx.kernel_stats,
-            workload=self._workload(qid, query, params, results),
-        )
+        self.obs.record_cascade_query(kind, stats, ctx.kernel_stats)
         return results, stats
 
     def range_search(self, query, epsilon: float, *, should_abort=None):

@@ -3,8 +3,8 @@
 The quality-observability layer needs queries that are *wrong in a
 known way*: a clean hum of a known database melody, perturbed by one
 named error mode at a controlled severity, so recall@k can be charted
-per scenario × severity (the scenario matrix of
-``repro obs report --scenarios``).
+per scenario × severity (the scenario matrix that ``repro obs
+report`` prints from a quality trace).
 
 Each scenario is a pure function on a frame-level pitch series (MIDI
 semitones, 100 frames/s — the output of

@@ -13,8 +13,8 @@ The unified telemetry layer for the whole query path.  One
   latency threshold, and
 * trace analytics (:mod:`repro.obs.analysis`): a streaming,
   corrupt-line-tolerant JSONL reader plus aggregation into per-stage
-  latency percentiles, pruning-power tables, critical paths, and
-  folded-stack (flamegraph) exports — ``repro obs report``.
+  latency percentiles, pruning-power tables, critical paths, and the
+  per-shard and quality-scenario sections — ``repro obs report``.
 
 Everything accepts the shared :data:`OBS_DISABLED` facade — the
 default — whose hooks return immediately, so instrumentation costs
@@ -35,13 +35,6 @@ from .analysis import (
     read_traces,
 )
 from .clock import monotonic_s, wall_s
-from .export import (
-    PeriodicSnapshotExporter,
-    append_snapshot,
-    format_top,
-    prometheus_text,
-    read_snapshot_series,
-)
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
     Counter,
@@ -90,11 +83,6 @@ __all__ = [
     "TraceReport",
     "TraceReadStats",
     "percentile_from_histogram",
-    "prometheus_text",
-    "append_snapshot",
-    "read_snapshot_series",
-    "PeriodicSnapshotExporter",
-    "format_top",
     "RECALL_KS",
     "ShadowScorer",
     "rank_of_target",

@@ -16,9 +16,6 @@ questions an operator actually asks of a query-by-humming deployment:
 * **Critical path** — per trace, the root-to-leaf chain of child
   spans with the largest duration; aggregated over all traces this
   names the spans where the latency actually lives.
-* **Folded stacks** — ``parent;child;... <self-time-us>`` lines, the
-  flamegraph interchange format, so any stack-collapse viewer can
-  render where traced time went.
 
 Reading is *streaming* and *tolerant*: span lines are consumed one at
 a time (a multi-gigabyte trace log never loads at once), lines that
@@ -34,10 +31,13 @@ grouping here is by ``trace_id``, so interleaving is harmless.
   spans home renamed ``shard:query`` and stamped with ``shard`` /
   ``worker_epoch``; aggregated per shard these give latency
   percentiles, pruning power, work share, and the fleet's
-  imbalance/skew ratio (``--per-shard``).
+  imbalance/skew ratio.
+* **Scenario matrix** — ``quality:query`` events folded into recall@k
+  and latency per (degradation scenario, severity) cell.
 
-``repro obs report --trace FILE [--format table|json|folded]
-[--per-shard]`` is the CLI surface over :func:`read_traces` +
+The per-shard and scenario sections appear in the table whenever the
+log carries their spans.  ``repro obs report --trace FILE [--format
+table|json]`` is the CLI surface over :func:`read_traces` +
 :func:`analyze_traces`.
 """
 
@@ -539,7 +539,6 @@ class TraceReport:
     latencies: list[SpanLatency] = field(default_factory=list)
     stages: list[StageAggregate] = field(default_factory=list)
     critical_paths: list[dict] = field(default_factory=list)
-    folded: dict[str, int] = field(default_factory=dict)
     queries: int = 0
     results: int = 0
     dtw_computations: int = 0
@@ -568,20 +567,12 @@ class TraceReport:
             "shard_imbalance": self.shard_imbalance,
         }
 
-    def format_folded(self) -> str:
-        """Folded-stack lines (``a;b;c <self-us>``), flamegraph-ready."""
-        lines = [
-            f"{path} {value}"
-            for path, value in sorted(self.folded.items())
-        ]
-        return "\n".join(lines)
-
-    def format_table(self, *, per_shard: bool = False) -> str:
+    def format_table(self) -> str:
         """A fixed-width terminal report (latency, pruning, paths).
 
-        *per_shard* appends the per-shard breakdown table
-        (``repro obs report --per-shard``) when the log carries
-        ``shard:query`` spans.
+        The scenario matrix follows when the log carries
+        ``quality:query`` spans, and the per-shard breakdown when it
+        carries ``shard:query`` spans.
         """
         out = [
             f"traces: {self.queries} queries "
@@ -669,18 +660,13 @@ class TraceReport:
                     f"{serve.coalesced} coalesced)"
                 )
         if self.quality is not None:
-            out.append("")
-            out.append(
-                f"quality: {self.quality.queries} ground-truth queries "
-                f"over {len(self.quality.cells)} scenario cells "
-                f"(--scenarios for the matrix)"
-            )
-        if per_shard:
+            out += ["", self.format_scenario_matrix()]
+        if self.shards:
             out += ["", *self._format_shard_table()]
         return "\n".join(out)
 
     def format_scenario_matrix(self) -> str:
-        """The recall@k × latency matrix (``--scenarios``).
+        """The recall@k × latency matrix of ``quality:query`` spans.
 
         One row per (scenario, severity) cell: our recall@{1,5,10} and
         MRR, the p50/p95 query latency, and the contour-string
@@ -719,9 +705,6 @@ class TraceReport:
         return "\n".join(lines)
 
     def _format_shard_table(self) -> list[str]:
-        if not self.shards:
-            return ["per-shard: no shard:query spans in this log "
-                    "(run with --shards and tracing enabled)"]
         imbalance = (f"{self.shard_imbalance:.2f}"
                      if self.shard_imbalance is not None else "-")
         lines = [
@@ -764,23 +747,6 @@ def _critical_path(trace: list[dict], children: dict) -> list[dict]:
             return path
         node = max(kids, key=lambda s: s["duration_s"])
         path.append(node)
-
-
-def _fold_trace(trace: list[dict], children: dict,
-                folded: dict[str, int]) -> None:
-    """Accumulate per-stack self time (µs) for the folded export."""
-    (root,) = children.get(None, [None])
-    if root is None:  # pragma: no cover - read_traces guarantees a root
-        return
-    stack = [(root, root["name"])]
-    while stack:
-        span, path = stack.pop()
-        kids = children.get(span["span_id"], [])
-        child_s = sum(kid["duration_s"] for kid in kids)
-        self_us = int(round(max(span["duration_s"] - child_s, 0.0) * 1e6))
-        folded[path] = folded.get(path, 0) + self_us
-        for kid in kids:
-            stack.append((kid, f"{path};{kid['name']}"))
 
 
 def analyze_traces(
@@ -863,7 +829,6 @@ def analyze_traces(
                                        "total_s": 0.0})
         entry["count"] += 1
         entry["total_s"] += chain[0]["duration_s"] if chain else 0.0
-        _fold_trace(trace, children, report.folded)
 
     # Tightness: each stage's candidate-weighted mean bound relative to
     # the tightest (last-configured) stage's.  Stage order in a trace

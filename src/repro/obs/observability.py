@@ -30,8 +30,8 @@ build exactly the second form.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
+from pathlib import Path
 
 from .clock import wall_s
 from .metrics import MetricsRegistry
@@ -74,15 +74,6 @@ class Observability:
     gate_traces:
         With a *slow_query_s* threshold, export only slow traces
         instead of every trace.
-    workload_sink:
-        Optional callable receiving one workload record per captured
-        query (raw input series, parameters, exact results) — the
-        food of :func:`repro.perf.replay.replay_workload`.  Engines
-        only build the record when a sink is present
-        (:attr:`wants_workload`).
-    gate_workload:
-        With a *slow_query_s* threshold, capture only slow queries'
-        workload records instead of every query's.
     """
 
     enabled = True
@@ -96,8 +87,6 @@ class Observability:
         slow_query_s: float | None = None,
         on_slow=None,
         gate_traces: bool = False,
-        workload_sink=None,
-        gate_workload: bool = False,
     ) -> None:
         if tracer is None:
             if trace_sink is not None:
@@ -111,9 +100,6 @@ class Observability:
         self.slow_query_s = slow_query_s
         self.on_slow = on_slow
         self.slow_queries: deque = deque(maxlen=_SLOW_LOG_CAPACITY)
-        self.workload_sink = workload_sink
-        self._gate_workload = gate_workload
-        self._workload_lock = threading.Lock()
         self._closers: list = []
 
     # ------------------------------------------------------------------
@@ -126,7 +112,6 @@ class Observability:
         *,
         trace_out=None,
         metrics_out=None,
-        workload_out=None,
         slow_query_ms: float | None = None,
         on_slow=None,
         trace_append: bool = False,
@@ -137,29 +122,23 @@ class Observability:
         slow ones when *slow_query_ms* is also given); *trace_append*
         extends an existing span log instead of truncating it.
         *metrics_out* receives one registry snapshot when
-        :meth:`close` runs.  *workload_out* receives one replayable
-        record per served query (only slow ones when *slow_query_ms*
-        is also given) — see :mod:`repro.perf.replay`.
+        :meth:`close` runs.  Missing parent directories of both are
+        created.
         """
+        for out in (trace_out, metrics_out):
+            if out is not None:
+                Path(out).parent.mkdir(parents=True, exist_ok=True)
         sink = None
         closers = []
         if trace_out is not None:
             exporter = JsonlSpanExporter(trace_out, append=trace_append)
             closers.append(exporter.close)
             sink = exporter
-        workload_sink = None
-        if workload_out is not None:
-            from ..perf.replay import WorkloadRecorder
-
-            workload_sink = WorkloadRecorder(workload_out)
-            closers.append(workload_sink.close)
         obs = cls(
             trace_sink=sink,
             slow_query_s=None if slow_query_ms is None else slow_query_ms / 1e3,
             on_slow=on_slow,
             gate_traces=slow_query_ms is not None,
-            workload_sink=workload_sink,
-            gate_workload=slow_query_ms is not None,
         )
         obs._metrics_out = metrics_out
         obs._closers = closers
@@ -187,28 +166,18 @@ class Observability:
         """Open a span on the facade's tracer (no-op when disabled)."""
         return self.tracer.span(name, **attrs)
 
-    @property
-    def wants_workload(self) -> bool:
-        """True when a workload sink is attached (engines check this
-        before paying for a replayable capture record)."""
-        return self.workload_sink is not None
-
     # ------------------------------------------------------------------
     # recording hooks (called unconditionally by instrumented code)
     # ------------------------------------------------------------------
 
     def record_cascade_query(self, kind: str, stats,
-                             kernel_stats=None, workload=None) -> None:
+                             kernel_stats=None) -> None:
         """Fold one finished engine query into metrics + slow-query log.
 
         *stats* is the query's :class:`~repro.engine.CascadeStats`;
         *kernel_stats* the per-query
         :class:`~repro.dtw.kernels.KernelStats`, when the caller
-        collected one.  *workload* — built by the engine only when
-        :attr:`wants_workload` — carries the replayable capture
-        (query id, raw input, parameters, exact results) and is
-        forwarded to the workload sink, gated to slow queries when so
-        configured.  Metric names recorded here are the contract
+        collected one.  Metric names recorded here are the contract
         documented in ``docs/ARCHITECTURE.md`` ("Observability").
         """
         m = self.metrics
@@ -236,28 +205,7 @@ class Observability:
                       stage=stage.name).inc(stage.wall_time_s)
         if kernel_stats is not None:
             self.record_kernel(kernel_stats)
-        if self.workload_sink is not None and workload is not None:
-            self._capture_workload(kind, stats, workload)
         self._check_slow(kind, stats)
-
-    def _capture_workload(self, kind: str, stats, workload: dict) -> None:
-        if (self._gate_workload and self.slow_query_s is not None
-                and stats.total_time_s < self.slow_query_s):
-            return
-        record = {
-            "schema": 1,
-            "timestamp_s": wall_s(),
-            "kind": kind,
-            "duration_ms": stats.total_time_s * 1e3,
-            "results": [
-                [item, float(dist)] for item, dist in workload["results"]
-            ],
-            "query": [float(v) for v in workload["query"]],
-            **{key: workload[key] for key in
-               ("query_id", "params", "band")},
-        }
-        with self._workload_lock:
-            self.workload_sink(record)
 
     def record_kernel(self, kernel_stats) -> None:
         """Fold one :class:`~repro.dtw.kernels.KernelStats` into metrics."""
@@ -547,8 +495,8 @@ class _DisabledObservability(Observability):
     def __init__(self) -> None:
         super().__init__(tracer=NOOP_TRACER)
 
-    def record_cascade_query(self, kind, stats, kernel_stats=None,
-                             workload=None) -> None:
+    def record_cascade_query(self, kind, stats,
+                             kernel_stats=None) -> None:
         """Do nothing (observability is disabled)."""
 
     def record_kernel(self, kernel_stats) -> None:

@@ -11,7 +11,7 @@ outside the served top-k.  Each query is recorded through the
 :class:`~repro.obs.Observability` facade
 (``record_quality_query`` → ``quality.*`` metrics + ``quality:query``
 instant spans), so the same run feeds the live scrape, the trace-file
-matrix of ``repro obs report --scenarios``, and the in-process
+matrix of ``repro obs report``, and the in-process
 :class:`ScenarioMatrix` returned to the caller.
 
 The contour-string baseline (the paper's comparison point) runs on

@@ -16,9 +16,9 @@ atomically under the GIL and a health row is advisory, not a
 linearizable view.  Pings, by contrast, take the router lock: they
 share the pipes with fan-outs and must not interleave with one.
 
-Everything here surfaces in three places: ``shard.health.*`` gauges
-(labelled per shard), :meth:`QBHService.saturation`'s ``"shards"``
-section, and the ``repro obs top`` terminal view.
+Everything here surfaces in two places: ``shard.health.*`` gauges
+(labelled per shard) and :meth:`QBHService.saturation`'s ``"shards"``
+section.
 """
 
 from __future__ import annotations

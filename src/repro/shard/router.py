@@ -264,8 +264,7 @@ class ShardRouter:
 
         The router carries the engine's normal form (queries enter raw,
         exactly as they would the engine), so it is a drop-in
-        replacement wherever the engine is called — including the
-        ``repro perf replay`` harness.
+        replacement wherever the engine is called.
         """
         return cls(
             engine._data, shards=shards, band=engine.band,

@@ -187,21 +187,6 @@ def test_report_critical_paths_and_folded(traced_run):
         assert entry["path"].startswith("query")
         assert entry["count"] >= 1 and entry["mean_s"] >= 0
 
-    folded = report.format_folded()
-    assert folded
-    for line in folded.splitlines():
-        stack, value = line.rsplit(" ", 1)
-        assert stack.startswith("query")
-        assert int(value) >= 0
-    # Self times partition each trace: the folded total equals the
-    # summed root durations (to integer-microsecond rounding).
-    total_us = sum(int(line.rsplit(" ", 1)[1])
-                   for line in folded.splitlines())
-    root_us = 0
-    for trace in read_traces(path):
-        root_us += trace[-1]["duration_s"] * 1e6
-    assert total_us == pytest.approx(root_us, abs=len(folded.splitlines()))
-
 
 def test_report_formats_render(traced_run):
     path, _ = traced_run
@@ -334,7 +319,7 @@ def test_report_without_serve_spans_has_no_serve_section(traced_run):
 
 
 # ----------------------------------------------------------------------
-# per-shard breakdown (repro obs report --per-shard)
+# per-shard breakdown (a section of repro obs report's table)
 # ----------------------------------------------------------------------
 
 
@@ -374,11 +359,12 @@ def test_per_shard_aggregates(sharded_run):
 
 def test_per_shard_table_renders(sharded_run):
     report = analyze_traces(read_traces(sharded_run))
-    table = report.format_table(per_shard=True)
+    table = report.format_table()
     assert "per-shard (3 shards" in table
     assert "work" in table and "pruned" in table
-    # default rendering leaves the per-shard section out
-    assert "per-shard" not in report.format_table()
+    assert "\n".join(report._format_shard_table()) in table
+    # a sharded trace carries no quality spans, so no scenario matrix
+    assert "scenario matrix:" not in table
 
 
 def test_per_shard_to_dict_is_json_ready(sharded_run):
@@ -394,8 +380,30 @@ def test_per_shard_section_absent_without_shard_spans(traced_run):
     report = analyze_traces(read_traces(path))
     assert report.shards == []
     assert report.shard_imbalance is None
-    table = report.format_table(per_shard=True)
-    assert "no shard:query spans" in table
+    table = report.format_table()
+    assert "per-shard" not in table
+    assert "scenario matrix:" not in table
+
+
+# ----------------------------------------------------------------------
+# scenario matrix (a section of repro obs report's table)
+# ----------------------------------------------------------------------
+
+
+def test_quality_trace_table_carries_the_scenario_matrix(tmp_path):
+    path = tmp_path / "quality.jsonl"
+    obs = Observability.to_files(trace_out=path)
+    for scenario, severity, rank in (("jitter", 0.5, 1), ("jitter", 1.0, 4),
+                                     ("tempo", 0.5, 20)):
+        obs.record_quality_query(scenario, severity, rank, 20,
+                                 duration_s=0.01, contour_rank=2)
+    obs.close()
+    report = analyze_traces(read_traces(path))
+    matrix = report.format_scenario_matrix()
+    assert matrix.startswith("scenario matrix: 3 queries, 2 scenarios")
+    table = report.format_table()
+    assert matrix in table
+    assert "per-shard" not in table
 
 
 def test_bad_lines_warn_in_the_table_header(sharded_run, tmp_path):

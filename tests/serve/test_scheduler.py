@@ -1,11 +1,9 @@
 """Request scheduler: FIFO dispatch, coalescing, fairness, parity.
 
-The headline concurrency-edge test at the bottom replays a mixed
+The headline concurrency-edge test at the bottom sends a mixed
 range/knn workload through a :class:`~repro.serve.QBHService` from
-8 client threads (``workers=8``) via the :mod:`repro.perf.replay`
-parity harness — the same apparatus that checks the shard router
-under concurrent callers — asserting the serving layer returns the
-exact recorded answers.
+8 client threads, asserting the serving layer returns the exact
+serially recorded answers.
 """
 
 import threading
@@ -16,13 +14,14 @@ import pytest
 
 from repro.datasets.generators import random_walks
 from repro.engine import QueryEngine
-from repro.perf.replay import replay_workload
 from repro.serve import (
     QBHService,
     RequestScheduler,
     ServeOutcome,
     ServeRequest,
 )
+
+from tests.conftest import run_concurrently
 
 
 def make_request(kind="knn", param=5, value=0.0, deadline_s=None):
@@ -164,59 +163,43 @@ def parity_setup():
     engine = QueryEngine(corpus, delta=0.1)
     rng = np.random.default_rng(42)
     queries = [corpus[i] + 0.15 * rng.normal(size=96) for i in range(12)]
-    records = []
+    requests = []
     for i, query in enumerate(queries):
         if i % 2 == 0:
             results, _ = engine.knn(query, 4)
-            params = {"k": 4}
-            kind = "knn"
+            kind, param = "knn", 4
         else:
             results, _ = engine.range_search(query, 3.0)
-            params = {"epsilon": 3.0}
-            kind = "range"
-        records.append({
-            "schema": 1, "query_id": f"q{i}", "kind": kind,
-            "params": params, "query": [float(v) for v in query],
-            "results": [[item, float(dist)] for item, dist in results],
-        })
-    return engine, records
-
-
-class _ServiceEngineAdapter:
-    """Expose a QBHService through the engine replay interface."""
-
-    def __init__(self, service):
-        self.service = service
-
-    def search(self, query, *, k=None, epsilon=None):
-        outcome = (self.service.range_search(query, epsilon)
-                   if k is None else self.service.knn(query, k))
-        assert outcome.ok, outcome.status
-        return list(outcome.results), None
+            kind, param = "range", 3.0
+        requests.append((query, kind, param, list(results)))
+    return engine, requests
 
 
 def test_service_parity_with_serial_dispatch_workers8(parity_setup):
     """Mixed range/knn traffic from 8 client threads, queued by the
     scheduler onto its dispatcher, returns byte-for-byte the serially
     recorded answers."""
-    engine, records = parity_setup
+    engine, requests = parity_setup
+    want = [answer for _, _, _, answer in requests]
     service = QBHService.from_engine(engine, cache_size=64)
+
+    def answer(request):
+        query, kind, param, _ = request
+        outcome = (service.range_search(query, param) if kind == "range"
+                   else service.knn(query, param))
+        assert outcome.ok, outcome.status
+        return list(outcome.results)
+
     try:
-        adapter = _ServiceEngineAdapter(service)
         # Concurrent first, while the cache is cold: those requests go
         # through the queue and the dispatcher; the serial pass after
         # it is answered from the cache they filled.
-        reports = [
-            replay_workload(
-                adapter, records, modes=(mode,), workers=8,
-                atol=0.0,  # byte-identical, not merely close
-            )
-            for mode in ("concurrent", "serial")
-        ]
+        concurrent = run_concurrently(answer, requests, threads=8)
+        serial = [answer(request) for request in requests]
         executed = service.saturation()["executed"]
     finally:
         service.close()
-    for report in reports:
-        assert report.ok, report.summary()
-        assert len(report.checks) == len(records)
-    assert executed == len(records)
+    # ids and distances by ==: byte-identical, not merely close.
+    assert concurrent == want
+    assert serial == want
+    assert executed == len(requests)

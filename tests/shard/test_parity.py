@@ -5,10 +5,9 @@ level down: partitioning must never change what the engine computes.
 This suite drives the combinations that could disagree — the DTW
 kernel that computed the recorded answer (the engine's batch or an
 exhaustive scan by the single-pair row loop) x request kind (range/knn)
-x callers (one thread / several at once) x shard count — through the
-``repro perf replay`` harness with ``atol=0.0``: the recorded answer
-and every sharded replay must match to the last float bit, order
-included.
+x callers (one thread / several at once) x shard count: the recorded
+answer and every sharded answer must match to the last float bit,
+order included.
 """
 
 import numpy as np
@@ -16,11 +15,10 @@ import pytest
 
 from repro.datasets.generators import random_walks
 from repro.engine import QueryEngine
-from repro.perf import replay_workload
 from repro.serve.loadgen import result_digest
 from repro.shard import ShardRouter
 
-from tests.conftest import KERNEL_NAMES, exact_answer
+from tests.conftest import KERNEL_NAMES, exact_answer, run_concurrently
 
 SHARD_COUNTS = (1, 2, 3)
 
@@ -41,14 +39,14 @@ def _engine(corpus):
     return QueryEngine(list(corpus), delta=0.1)
 
 
-def _records(engine, queries, kernel="vectorized"):
-    """Ground-truth workload records, as the capture path would emit.
+def _requests(engine, queries, kernel="vectorized"):
+    """``(query, params, answer)`` per request: the ground truth.
 
     ``"vectorized"`` records the single engine's answers; ``"scalar"``
     records an exhaustive scan by the single-pair row loop.
     """
-    records = []
-    for i, query in enumerate(queries):
+    requests = []
+    for query in queries:
         for kind, param in (("knn", 4), ("range", 5.0)):
             params = {"epsilon" if kind == "range" else "k": param}
             if kernel == "scalar":
@@ -57,29 +55,29 @@ def _records(engine, queries, kernel="vectorized"):
                 got, _ = engine.range_search(query, param)
             else:
                 got, _ = engine.knn(query, param)
-            records.append({
-                "schema": 1, "query_id": f"q{i}-{kind}", "kind": kind,
-                "params": params,
-                "query": [float(v) for v in query],
-                "results": [[item, float(dist)] for item, dist in got],
-            })
-    return records
+            requests.append((query, params, list(got)))
+    return requests
 
 
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_replay_parity_exact(corpus, queries, kernel, shards):
-    """Recorded answers, by either kernel, replay bit-exactly through a
+    """Recorded answers, by either kernel, come back bit-exactly from a
     sharded fleet, from one caller and from several at once."""
     engine = _engine(corpus)
-    records = _records(engine, queries, kernel)
+    requests = _requests(engine, queries, kernel)
+    want = [answer for _, _, answer in requests]
+
     with ShardRouter.from_engine(engine, shards=shards) as router:
-        report = replay_workload(router, records,
-                                 modes=("serial", "concurrent"), workers=4,
-                                 atol=0.0)
-    assert report.ok, report.summary()
-    # 5 queries x 2 kinds x 2 modes.
-    assert len(report.checks) == len(records) * 2
+        def answer(request):
+            query, params, _ = request
+            return list(router.search(query, **params)[0])
+
+        serial = [answer(request) for request in requests]
+        concurrent = run_concurrently(answer, requests, threads=4)
+    # ids and distances by ==: the same rows, order and float bits.
+    assert serial == want
+    assert concurrent == want
 
 
 def test_digests_agree_across_shard_counts(corpus, queries):

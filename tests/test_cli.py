@@ -107,11 +107,15 @@ class TestParser:
         """The history gate, the serving benchmark, the index-file
         builder and the commands outside query by humming (singing
         grades, corpus statistics, ABC export, feature-count tuning, the
-        in-memory demo) are gone; their commands are refused, not
-        silently run, an index file is no longer an input, the DTW
-        kernel is no longer an option, and replay stays."""
+        in-memory demo), workload replay and the metrics export and
+        terminal views are gone; their commands are refused, not
+        silently run, an index file is no longer an input, and the DTW
+        kernel is no longer an option."""
         for argv in (["perf", "record", "--bench", "cascade", "--json", "b"],
                      ["perf", "check"],
+                     ["perf", "replay", "--workload", "w", "--store-dir", "s"],
+                     ["obs", "export", "--metrics", "m.json"],
+                     ["obs", "top", "--metrics", "m.json"],
                      ["bench-" "serve", "--quick"],
                      ["index", "--out", "o"],
                      ["assess", "--corpus", "c", "--melody", "0", "--hum", "h.npy"],
@@ -126,17 +130,11 @@ class TestParser:
         with pytest.raises(SystemExit) as exit_info:
             main(["query", "--index", "i", "--hum", "h.npy"])
         assert exit_info.value.code == 2
-        for argv in (["query", "--store-dir", "s", "--hum", "h.npy",
-                      "--dtw-" "backend", "scalar"],
-                     ["perf", "replay", "--workload", "w", "--store-dir", "s",
-                      "--backends", "scalar"]):
-            with pytest.raises(SystemExit) as exit_info:
-                main(argv)
-            assert exit_info.value.code == 2, argv
-            assert "unrecognized arguments" in capsys.readouterr().err
-        args = build_parser().parse_args(
-            ["perf", "replay", "--workload", "w.jsonl", "--store-dir", "s"])
-        assert args.perf_command == "replay" and args.workload == "w.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", "--store-dir", "s", "--hum", "h.npy",
+                  "--dtw-" "backend", "scalar"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _command_paths(parser, prefix=()):
@@ -420,6 +418,17 @@ class TestObservabilityFlags:
         assert (snap["counters"]["engine.candidates_refined_total"]
                 == stats.dtw_computations)
 
+    def test_exports_into_a_missing_directory_create_it(self, pipeline,
+                                                        tmp_path):
+        store_dir, hum_file = pipeline
+        trace_file = tmp_path / "new" / "deeper" / "trace.jsonl"
+        metrics_file = tmp_path / "new" / "metrics.json"
+        assert main(["query", "--store-dir", store_dir, "--hum", hum_file,
+                     "-k", "2", "--trace-out", str(trace_file),
+                     "--metrics-out", str(metrics_file)]) == 0
+        assert trace_file.stat().st_size > 0
+        assert metrics_file.stat().st_size > 0
+
     def test_slow_query_threshold_zero_reports_on_stderr(self, pipeline,
                                                          capsys):
         store_dir, hum_file = pipeline
@@ -444,7 +453,7 @@ class TestObservabilityFlags:
 
 
 class TestTelemetryCommands:
-    """``repro obs report`` and the ``repro perf`` group."""
+    """``repro obs report``, the one reader of an exported trace."""
 
     @pytest.fixture()
     def pipeline(self, tmp_path):
@@ -473,6 +482,9 @@ class TestTelemetryCommands:
         table = capsys.readouterr().out
         assert "traces: 2 queries" in table
         assert "tightness" in table
+        # A single-engine trace has neither derived section.
+        assert "per-shard (" not in table
+        assert "scenario matrix:" not in table
 
         report_file = str(tmp_path / "report.json")
         assert main(["obs", "report", "--trace", trace_file,
@@ -493,14 +505,17 @@ class TestTelemetryCommands:
                 stage["candidates_in"]
             assert by_name[stage["name"]]["pruned"] == stage["pruned"]
 
-        capsys.readouterr()
-        assert main(["obs", "report", "--trace", trace_file,
-                     "--format", "folded"]) == 0
-        folded = capsys.readouterr().out
-        for line in folded.strip().splitlines():
-            stack, value = line.rsplit(" ", 1)
-            assert stack.startswith("query")
-            assert int(value) >= 0
+    @pytest.mark.parametrize("bad", ["missing", "directory"])
+    def test_bad_trace_path_is_a_usage_error(self, bad, tmp_path, capsys):
+        path = tmp_path / bad
+        if bad == "directory":
+            path.mkdir()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs", "report", "--trace", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --trace: {path}: " in err
+        assert "Traceback" not in err
 
     def test_obs_report_fails_without_complete_traces(self, tmp_path,
                                                       capsys):
@@ -539,35 +554,9 @@ class TestTelemetryCommands:
         roots = [json.loads(line) for line in open(trace_file)]
         assert sum(1 for s in roots if s["parent_id"] is None) == 1
 
-    def test_workload_capture_and_replay_roundtrip(self, pipeline, tmp_path,
-                                                   capsys):
-        import json
-
-        store_dir, hum_file = pipeline
-        workload_file = str(tmp_path / "workload.jsonl")
-        assert main(["query", "--store-dir", store_dir, "--hum", hum_file,
-                     "-k", "3", "--workload-out", workload_file]) == 0
-        assert f"wrote workload records to {workload_file}" in \
-            capsys.readouterr().out
-
-        assert main(["perf", "replay", "--workload", workload_file,
-                     "--store-dir", store_dir]) == 0
-        assert "replay PARITY OK" in capsys.readouterr().out
-
-        # Tamper with a recorded distance: replay must fail.
-        records = [json.loads(line) for line in open(workload_file)]
-        records[0]["results"][0][1] += 5.0
-        with open(workload_file, "w") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
-        assert main(["perf", "replay", "--workload", workload_file,
-                     "--store-dir", store_dir,
-                     "--modes", "serial"]) == 1
-        assert "FAILED" in capsys.readouterr().out
-
 
 class TestQualityCommand:
-    """``repro quality`` and ``repro obs report --scenarios``."""
+    """``repro quality`` and the scenario matrix of ``repro obs report``."""
 
     def test_matrix_runs_and_exports(self, tmp_path, capsys):
         import json
@@ -595,13 +584,14 @@ class TestQualityCommand:
         assert counters["quality.queries_total"
                         "{scenario=jitter,severity=1}"] == 1
 
-        # The exported spans replay into the same matrix offline.
+        # The exported spans replay into the same matrix offline: the
+        # report's table carries it because the trace has quality spans.
         capsys.readouterr()
-        assert main(["obs", "report", "--trace", trace_file,
-                     "--scenarios"]) == 0
+        assert main(["obs", "report", "--trace", trace_file]) == 0
         table = capsys.readouterr().out
         assert "scenario matrix: 4 queries, 2 scenarios" in table
         assert "jitter" in table and "transposition" in table
+        assert "per-shard (" not in table
 
     def test_scenarios_report_without_quality_spans(self, tmp_path,
                                                     capsys):
@@ -612,13 +602,12 @@ class TestQualityCommand:
                 "attrs": {}}
         trace_file = tmp_path / "trace.jsonl"
         trace_file.write_text(json.dumps(span) + "\n")
-        assert main(["obs", "report", "--trace", str(trace_file),
-                     "--scenarios"]) == 0
-        assert "no quality:query spans" in capsys.readouterr().out
+        assert main(["obs", "report", "--trace", str(trace_file)]) == 0
+        assert "scenario matrix:" not in capsys.readouterr().out
 
 
 class TestShardedTelemetryCommands:
-    """Sharded tracing + the ``obs export`` / ``obs top`` group."""
+    """Sharded tracing and its section of ``repro obs report``."""
 
     @pytest.fixture()
     def sharded_artifacts(self, tmp_path):
@@ -660,53 +649,11 @@ class TestShardedTelemetryCommands:
                                                 capsys):
         trace_file, _ = sharded_artifacts
         capsys.readouterr()
-        assert main(["obs", "report", "--trace", trace_file,
-                     "--per-shard"]) == 0
+        assert main(["obs", "report", "--trace", trace_file]) == 0
         table = capsys.readouterr().out
         assert "per-shard (2 shards" in table
         assert "work" in table and "pruned" in table
-
-    def test_obs_export_prometheus_to_stdout(self, sharded_artifacts,
-                                             capsys):
-        _, metrics_file = sharded_artifacts
-        capsys.readouterr()
-        assert main(["obs", "export", "--metrics", metrics_file]) == 0
-        text = capsys.readouterr().out
-        assert "# TYPE repro_shard_fanouts_total counter" in text
-        assert 'repro_shard_cpu_seconds_total{shard="0"}' in text
-
-    def test_obs_export_jsonl_feeds_top(self, sharded_artifacts, tmp_path,
-                                        capsys):
-        _, metrics_file = sharded_artifacts
-        series_file = str(tmp_path / "series.jsonl")
-        assert main(["obs", "export", "--metrics", metrics_file,
-                     "--format", "jsonl", "--out", series_file]) == 0
-        assert main(["obs", "export", "--metrics", metrics_file,
-                     "--format", "jsonl", "--out", series_file]) == 0
-        capsys.readouterr()
-        assert main(["obs", "top", "--series", series_file]) == 0
-        out = capsys.readouterr().out
-        assert "2 snapshot(s)" in out
-        assert "shard.fanouts_total" in out
-
-    def test_obs_top_on_snapshot(self, sharded_artifacts, capsys):
-        _, metrics_file = sharded_artifacts
-        capsys.readouterr()
-        assert main(["obs", "top", "--metrics", metrics_file]) == 0
-        out = capsys.readouterr().out
-        assert "shard.lifecycle_total" in out
-
-    def test_obs_export_jsonl_requires_out(self, sharded_artifacts, capsys):
-        _, metrics_file = sharded_artifacts
-        assert main(["obs", "export", "--metrics", metrics_file,
-                     "--format", "jsonl"]) == 2
-        assert "needs --out" in capsys.readouterr().err
-
-    def test_obs_export_rejects_non_snapshot(self, tmp_path, capsys):
-        bogus = tmp_path / "not_metrics.json"
-        bogus.write_text('{"results": []}')
-        assert main(["obs", "export", "--metrics", str(bogus)]) == 2
-        assert "not a metrics snapshot" in capsys.readouterr().err
+        assert "scenario matrix:" not in table
 
     def test_schema_checker_accepts_the_sharded_trace(self,
                                                       sharded_artifacts):

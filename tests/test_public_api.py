@@ -26,8 +26,6 @@ MODULES = [
     "repro.obs.observability",
     "repro.obs.analysis",
     "repro.obs.quality",
-    "repro.perf",
-    "repro.perf.replay",
     "repro.serve",
     "repro.serve.scheduler",
     "repro.serve.admission",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Forbid raw stdlib timers in the engine and perf packages.
+"""Forbid raw stdlib timers in the engine and serving packages.
 
-All engine and perf-subsystem timing must go through
+All engine and serving-layer timing must go through
 :mod:`repro.obs.clock` — the single timing source that traces, metrics,
 ``CascadeStats``, and the benchmark history share.  A raw
 ``time.perf_counter()`` (or ``time.time()`` / ``time.monotonic()``)
@@ -26,8 +26,8 @@ import sys
 import tokenize
 
 #: Packages in which raw timers are forbidden.
-LINTED_DIRS = ("src/repro/engine", "src/repro/perf", "src/repro/serve",
-               "src/repro/shard", "src/repro/store", "src/repro/ingest")
+LINTED_DIRS = ("src/repro/engine", "src/repro/serve", "src/repro/shard",
+               "src/repro/store", "src/repro/ingest")
 
 #: The allowed home of the timer wrappers.
 ALLOWED_FILES = ("src/repro/obs/clock.py",)
