@@ -147,11 +147,13 @@ def _emit_stats_json(payload: dict, dest: str, info) -> None:
     """Write the machine-readable query record to *dest* (``-`` = stdout)."""
     import json
 
+    from .obs import open_output
+
     text = json.dumps(payload, indent=2, sort_keys=True)
     if dest == "-":
         print(text)
     else:
-        with open(dest, "w") as handle:
+        with open_output(dest) as handle:
             handle.write(text + "\n")
         print(f"wrote stats to {dest}", file=info)
 
@@ -347,7 +349,7 @@ def _cmd_obs_report(args) -> int:
     """Aggregate an exported span JSONL into the operator's report."""
     import json
 
-    from .obs import TraceReadStats, analyze_traces, read_traces
+    from .obs import TraceReadStats, analyze_traces, open_output, read_traces
 
     stats = TraceReadStats()
     report = analyze_traces(read_traces(args.trace, stats), stats)
@@ -369,7 +371,7 @@ def _cmd_obs_report(args) -> int:
               f"of {stats.lines} read from {args.trace}",
               file=sys.stderr)
     if args.out:
-        with open(args.out, "w") as handle:
+        with open_output(args.out) as handle:
             handle.write(text + "\n")
         print(f"wrote {args.format} report to {args.out}")
     else:
@@ -384,15 +386,11 @@ def _cmd_obs_report(args) -> int:
 
 def _cmd_quality(args) -> int:
     """Run the degradation scenario matrix and print/record it."""
-    from pathlib import Path
-
     from .music.corpus import generate_corpus, segment_corpus
-    from .obs import OBS_DISABLED
+    from .obs import OBS_DISABLED, open_output
     from .qbh.quality import run_scenario_matrix
     from .qbh.system import QueryByHummingSystem
 
-    if args.json_out:
-        Path(args.json_out).parent.mkdir(parents=True, exist_ok=True)
     obs = None
     if args.trace_out or args.metrics_out:
         from .obs import Observability
@@ -425,7 +423,7 @@ def _cmd_quality(args) -> int:
         if args.json_out:
             import json
 
-            with open(args.json_out, "w") as handle:
+            with open_output(args.json_out) as handle:
                 handle.write(json.dumps(matrix.to_dict(), indent=2,
                                         sort_keys=True) + "\n")
             print(f"wrote scenario matrix to {args.json_out}",
@@ -479,6 +477,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_report(args) -> int:
     from .experiments import active_scale, generate_report
+    from .obs import open_output
 
     scale = active_scale()
     print(f"generating reproduction report at {scale.name} scale ...",
@@ -487,7 +486,7 @@ def _cmd_report(args) -> int:
         scale, include=tuple(args.sections) if args.sections else None
     )
     if args.out:
-        with open(args.out, "w") as handle:
+        with open_output(args.out) as handle:
             handle.write(text)
         print(f"wrote {args.out}")
     else:

@@ -57,7 +57,6 @@ class _Snapshot(NamedTuple):
     ids: list
     envelopes: tuple | None
     lb_slack: float
-    engines: dict  # cascade engines over these rows, per stage plan
 
 
 class WarpingIndex:
@@ -270,7 +269,7 @@ class WarpingIndex:
                                              capacity=self._capacity)
             return _Snapshot(self._index, self._id_to_row, self._data,
                              self._features, self.ids, self._envelopes,
-                             self._lb_slack, self._engines)
+                             self._lb_slack)
 
     def _store_state(self, store) -> dict:
         """Every corpus-dependent object for a generation.
@@ -506,35 +505,42 @@ class WarpingIndex:
         long-lived index without rebuilding anything.
         """
         self.obs = OBS_DISABLED if obs is None else obs
-        for engine in self._engines.values():
+        with self._swap_lock:
+            engines = list(self._engines.values())
+        for engine in engines:
             engine.obs = self.obs
 
     def engine(self, *, stages=None):
         """The batched filter-cascade engine over this index's corpus.
 
-        Lazily built (and cached per stage configuration and
-        generation) from the stored normal forms — and, for a store's
-        rows, the store's memory-mapped envelope columns.  The engine
-        is the vectorised hot path: it evaluates the whole corpus
-        through cheap-to-tight lower-bound stages before any exact DTW,
-        and reports per-stage pruning counters.
+        Built once per stage configuration and generation, from the
+        stored normal forms — and, for a store's rows, the store's
+        memory-mapped envelope columns.  The build runs under the lock
+        :meth:`swap_generation` rebinds the corpus under, as the
+        feature index's does, so concurrent first callers (the serving
+        layer's dispatchers) share one engine instead of each building
+        their own.  The engine is the vectorised hot path: it
+        evaluates the whole corpus through cheap-to-tight lower-bound
+        stages before any exact DTW, and reports per-stage pruning
+        counters.
         """
         from ..engine import DEFAULT_STAGES, QueryEngine
 
         key = DEFAULT_STAGES if stages is None else tuple(stages)
-        snap = self._snapshot(tree=False)
-        if key not in snap.engines:
-            snap.engines[key] = QueryEngine(
-                snap.data,
-                band=self.band,
-                stages=key,
-                n_features=self.feature_dim,
-                ids=snap.ids,
-                envelopes=snap.envelopes,
-                metric=self.metric,
-                obs=self.obs,
-            )
-        return snap.engines[key]
+        with self._swap_lock:
+            engine = self._engines.get(key)
+            if engine is None:
+                engine = self._engines[key] = QueryEngine(
+                    self._data,
+                    band=self.band,
+                    stages=key,
+                    n_features=self.feature_dim,
+                    ids=self.ids,
+                    envelopes=self._envelopes,
+                    metric=self.metric,
+                    obs=self.obs,
+                )
+        return engine
 
     def cascade_range_query(self, query, epsilon: float, *, stages=None):
         """Exact ε-range query through the filter cascade.

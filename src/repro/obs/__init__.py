@@ -58,6 +58,7 @@ from .tracing import (
     NoopTracer,
     Span,
     Tracer,
+    open_output,
     slow_trace_filter,
 )
 
@@ -71,6 +72,7 @@ __all__ = [
     "InMemorySink",
     "JsonlSpanExporter",
     "slow_trace_filter",
+    "open_output",
     "MetricsRegistry",
     "Counter",
     "Gauge",

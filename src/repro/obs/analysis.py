@@ -570,15 +570,17 @@ class TraceReport:
     def format_table(self) -> str:
         """A fixed-width terminal report (latency, pruning, paths).
 
-        The scenario matrix follows when the log carries
-        ``quality:query`` spans, and the per-shard breakdown when it
-        carries ``shard:query`` spans.
+        Each section is printed only when the log carries its spans:
+        the query totals for ``query`` roots, the span table for timed
+        spans, the pruning table for ``stage:*`` spans, the serving
+        rows for ``serve:*`` spans, the scenario matrix for
+        ``quality:query`` spans and the per-shard breakdown for
+        ``shard:query`` spans.
         """
-        out = [
-            f"traces: {self.queries} queries "
-            f"({self.read.spans} spans, {self.read.bad_lines} bad lines, "
-            f"{self.read.incomplete_traces} incomplete)",
-        ]
+        read = (f"{self.read.spans} spans, {self.read.bad_lines} bad lines, "
+                f"{self.read.incomplete_traces} incomplete")
+        out = [f"traces: {self.queries} queries ({read})" if self.queries
+               else f"traces: {read}"]
         if self.read.bad_lines:
             # Corrupt-line tolerance, surfaced: the reader skipped
             # lines, and a report that silently under-counts is worse
@@ -588,34 +590,40 @@ class TraceReport:
                 f"line(s) of {self.read.lines} read — counts below are "
                 f"a lower bound"
             )
-        out += [
-            f"totals: {self.corpus_candidates} candidates -> "
-            f"{self.dtw_computations} refined "
-            f"({self.dtw_abandoned} abandoned) -> {self.results} results",
-            "",
-            f"{'span':<18}{'count':>7}{'mean ms':>9}{'p50 ms':>9}"
-            f"{'p95 ms':>9}{'p99 ms':>9}{'max ms':>9}",
-        ]
-        for row in self.latencies:
+        if self.queries:
             out.append(
-                f"{row.name:<18}{row.count:>7}"
-                f"{row.mean_s * 1e3:>9.3f}{row.p50_s * 1e3:>9.3f}"
-                f"{row.p95_s * 1e3:>9.3f}{row.p99_s * 1e3:>9.3f}"
-                f"{row.max_s * 1e3:>9.3f}"
+                f"totals: {self.corpus_candidates} candidates -> "
+                f"{self.dtw_computations} refined "
+                f"({self.dtw_abandoned} abandoned) -> {self.results} results"
             )
-        out += [
-            "",
-            f"{'stage':<12}{'in':>10}{'pruned':>10}{'left':>10}"
-            f"{'rate':>8}{'tightness':>11}",
-        ]
-        for stage in self.stages:
-            tightness = (f"{stage.tightness:>11.3f}"
-                         if stage.tightness is not None else f"{'-':>11}")
-            out.append(
-                f"{stage.name:<12}{stage.candidates_in:>10}"
-                f"{stage.pruned:>10}{stage.survivors:>10}"
-                f"{stage.prune_rate:>8.1%}{tightness}"
-            )
+        if self.latencies:
+            out += [
+                "",
+                f"{'span':<18}{'count':>7}{'mean ms':>9}{'p50 ms':>9}"
+                f"{'p95 ms':>9}{'p99 ms':>9}{'max ms':>9}",
+            ]
+            for row in self.latencies:
+                out.append(
+                    f"{row.name:<18}{row.count:>7}"
+                    f"{row.mean_s * 1e3:>9.3f}{row.p50_s * 1e3:>9.3f}"
+                    f"{row.p95_s * 1e3:>9.3f}{row.p99_s * 1e3:>9.3f}"
+                    f"{row.max_s * 1e3:>9.3f}"
+                )
+        if self.stages:
+            out += [
+                "",
+                f"{'stage':<12}{'in':>10}{'pruned':>10}{'left':>10}"
+                f"{'rate':>8}{'tightness':>11}",
+            ]
+            for stage in self.stages:
+                tightness = (f"{stage.tightness:>11.3f}"
+                             if stage.tightness is not None
+                             else f"{'-':>11}")
+                out.append(
+                    f"{stage.name:<12}{stage.candidates_in:>10}"
+                    f"{stage.pruned:>10}{stage.survivors:>10}"
+                    f"{stage.prune_rate:>8.1%}{tightness}"
+                )
         if self.critical_paths:
             out += ["", "critical paths (per-trace dominant chain):"]
             for entry in self.critical_paths:

@@ -30,6 +30,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 
 from .clock import wall_s
+from .tracing import open_output
 
 __all__ = [
     "Counter",
@@ -280,7 +281,7 @@ class MetricsRegistry:
     def write_json(self, path) -> dict:
         """Write :meth:`snapshot` to *path* as JSON; return the dict."""
         snap = self.snapshot()
-        with open(path, "w", encoding="utf-8") as handle:
+        with open_output(path) as handle:
             json.dump(snap, handle, indent=2)
             handle.write("\n")
         return snap

@@ -31,7 +31,6 @@ build exactly the second form.
 from __future__ import annotations
 
 from collections import deque
-from pathlib import Path
 
 from .clock import wall_s
 from .metrics import MetricsRegistry
@@ -123,11 +122,8 @@ class Observability:
         extends an existing span log instead of truncating it.
         *metrics_out* receives one registry snapshot when
         :meth:`close` runs.  Missing parent directories of both are
-        created.
+        created (:func:`~repro.obs.tracing.open_output`).
         """
-        for out in (trace_out, metrics_out):
-            if out is not None:
-                Path(out).parent.mkdir(parents=True, exist_ok=True)
         sink = None
         closers = []
         if trace_out is not None:

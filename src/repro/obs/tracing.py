@@ -51,6 +51,7 @@ import itertools
 import json
 import threading
 from collections.abc import Callable, Sequence
+from pathlib import Path
 
 from .clock import monotonic_s
 
@@ -62,6 +63,7 @@ __all__ = [
     "InMemorySink",
     "JsonlSpanExporter",
     "slow_trace_filter",
+    "open_output",
 ]
 
 #: A sink receives every span of one finished trace, root span last.
@@ -318,6 +320,15 @@ class InMemorySink:
         return [span for trace in self.traces for span in trace]
 
 
+def open_output(path, mode: str = "w"):
+    """Open the output file *path* as UTF-8 text, creating its missing
+    parent directories first.  Every file the package writes for a
+    user (span logs, metrics snapshots, the CLI's reports) opens
+    through here, so a path under a new directory works everywhere."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, mode, encoding="utf-8")
+
+
 class JsonlSpanExporter:
     """Writes every span of every finished trace to a JSONL file.
 
@@ -333,7 +344,7 @@ class JsonlSpanExporter:
 
     def __init__(self, path, append: bool = True) -> None:
         self.path = path
-        self._handle = open(path, "a" if append else "w", encoding="utf-8")
+        self._handle = open_output(path, "a" if append else "w")
 
     def __call__(self, spans: Sequence[Span]) -> None:
         for span in spans:

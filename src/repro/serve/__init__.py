@@ -7,7 +7,8 @@ filter-and-refine machinery (:mod:`repro.engine`,
 survives load":
 
 * :mod:`~repro.serve.scheduler` — bounded FIFO request queue and one
-  dispatcher thread, coalescing queued duplicates into one execution;
+  dispatcher thread per usable CPU, coalescing queued duplicates into
+  one execution;
 * :mod:`~repro.serve.admission` — the queue cap, per-request
   deadlines (cooperatively cancelled inside the engine), deterministic
   retry/backoff for shed requests;

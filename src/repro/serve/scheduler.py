@@ -1,9 +1,9 @@
 """Request scheduler: a bounded FIFO queue with request coalescing.
 
-Concurrent callers submit single queries; one dispatcher thread answers
-them in arrival order:
+Concurrent callers submit single queries; one dispatcher thread per
+usable CPU answers them in arrival order:
 
-1. the dispatcher blocks on the bounded FIFO queue and takes the
+1. an idle dispatcher blocks on the bounded FIFO queue and takes the
    **oldest** request, together with every queued request carrying the
    same fingerprint (same query bytes, kind and parameter) — request
    coalescing, the win under the QBH workload's repeated hums;
@@ -15,8 +15,14 @@ them in arrival order:
    answer — and a request whose deadline lapsed *during* execution
    still gets ``deadline_exceeded``, never a late result.
 
-Fairness is the queue order itself: no later arrival overtakes a
+Fairness is the queue order itself: no later arrival is taken before a
 waiting request, so a hot query can never starve an unpopular one.
+
+Dispatchers run executions side by side: the engine's refine kernel
+and NumPy's large loops release the interpreter lock, so a second
+dispatcher on a second core answers a second request instead of
+queueing it behind the first.  The count is the CPUs this process may
+run on (its affinity mask), not an option.
 
 The scheduler knows nothing about engines or caches: execution is a
 callable ``execute(request) -> ServeOutcome`` supplied by
@@ -26,6 +32,7 @@ testable with stub executors.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -38,6 +45,14 @@ __all__ = ["ServeOutcome", "ServeRequest", "ServeFuture",
 
 #: Outcome statuses a request can resolve to.
 OUTCOME_STATUSES = ("ok", "shed", "deadline_exceeded", "error", "shutdown")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: one dispatcher thread each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -145,14 +160,15 @@ class ServeRequest:
 
 
 class RequestScheduler:
-    """Bounded FIFO queue + one dispatcher thread.
+    """Bounded FIFO queue + one dispatcher thread per usable CPU.
 
     Parameters
     ----------
     execute:
-        ``(request) -> ServeOutcome`` run on the dispatcher thread for
+        ``(request) -> ServeOutcome`` run on a dispatcher thread for
         the oldest waiting request; its coalesced duplicates share the
-        answer.  The outcome is a template: the scheduler stamps
+        answer.  Dispatchers call it concurrently, so it must be
+        thread-safe.  The outcome is a template: the scheduler stamps
         per-request queue wait, group size, and the post-execution
         deadline check on top.
     max_queue_depth:
@@ -176,9 +192,13 @@ class RequestScheduler:
         self._closed = False
         self._drain = True
         self._inflight = 0
-        self._thread = threading.Thread(target=self._dispatch_loop,
-                                        name="serve-dispatch", daemon=True)
-        self._thread.start()
+        self._threads = [
+            threading.Thread(target=self._dispatch_loop,
+                             name=f"serve-dispatch-{i}", daemon=True)
+            for i in range(_usable_cpus())
+        ]
+        for thread in self._threads:
+            thread.start()
 
     # ------------------------------------------------------------------
     # producer side
@@ -192,7 +212,8 @@ class RequestScheduler:
 
     @property
     def inflight(self) -> int:
-        """Requests currently answered by the running execution."""
+        """Requests currently answered by running executions, summed
+        over dispatchers."""
         with self._lock:
             return self._inflight
 
@@ -213,20 +234,25 @@ class RequestScheduler:
             return True
 
     def close(self, *, drain: bool = True) -> None:
-        """Stop dispatching: drain the queue or shed it, then join.
+        """Stop dispatching: drain the queue or shed it, then join
+        every dispatcher.
 
         With *drain* (default) queued requests are still executed;
         otherwise they resolve immediately with status ``shutdown``.
-        Idempotent; safe to call from any thread.
+        Idempotent; safe to call from any thread.  Called from a
+        dispatcher thread (an executor or completion callback), it
+        joins none: that dispatcher cannot join itself, and the others
+        exit once the queue is empty.
         """
         with self._cond:
             if not self._closed:
                 self._closed = True
                 self._drain = drain
             self._cond.notify_all()
-        if self._thread is not threading.current_thread():
-            self._thread.join()
-            # The dispatcher has exited, so nothing calls these again.
+        if threading.current_thread() not in self._threads:
+            for thread in self._threads:
+                thread.join()
+            # Every dispatcher has exited, so nothing calls these again.
             # They are the owner's bound methods: kept, scheduler and
             # owner form a reference cycle that strands the owner's
             # index and memory maps until the cyclic collector runs.
@@ -262,7 +288,7 @@ class RequestScheduler:
                         (group if request.fingerprint == fingerprint
                          else kept).append(request)
                     self._queue = kept
-                    self._inflight = len(group)
+                    self._inflight += len(group)
             for request in shed:
                 self._resolve(request, ServeOutcome(status="shutdown"))
             if group:
@@ -277,7 +303,7 @@ class RequestScheduler:
                 self._run_group(group)
             finally:
                 with self._lock:
-                    self._inflight = 0
+                    self._inflight -= len(group)
 
     def _resolve(self, request: ServeRequest, outcome: ServeOutcome) -> None:
         request.future.resolve(outcome)

@@ -12,9 +12,9 @@ serving pieces together:
   byte-identical repeats instantly, with versioned invalidation keyed
   to the index's swap counter;
 * admitted requests wait in the **request scheduler**'s FIFO queue
-  (:class:`~repro.serve.scheduler.RequestScheduler`); its one
-  dispatcher answers them oldest first, coalescing queued duplicates
-  into one execution;
+  (:class:`~repro.serve.scheduler.RequestScheduler`); its
+  dispatchers, one thread per usable CPU, answer them oldest first,
+  side by side, coalescing queued duplicates into one execution;
 * execution runs on the engine with **cooperative deadlines**: the
   engine's ``should_abort`` checkpoints turn a lapsed deadline into a
   ``deadline_exceeded`` outcome, never a partial answer;
@@ -209,9 +209,9 @@ class QBHService:
                 index, shards=shards, mp_context=mp_context,
                 obs=kwargs.get("obs"),
             )
-            # Build the fleet now, before the scheduler's thread starts:
+            # Build the fleet now, before the scheduler's threads start:
             # a defaulted start method can still fork here (cheap),
-            # whereas the first query would build it on the dispatcher
+            # whereas the first query would build it on a dispatcher
             # thread, where only spawn is safe.
             manager.router()
             service = cls(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.transforms import (
+    BATCH_ROWS,
     DFTTransform,
     HaarTransform,
     IdentityTransform,
@@ -45,6 +46,21 @@ class TestLinearTransformBase:
         batch = t.transform_batch(data)
         for i in range(5):
             assert np.allclose(batch[i], t.transform(data[i]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, BATCH_ROWS - 1, BATCH_ROWS + 1,
+                                      2 * BATCH_ROWS + 2, 5 * BATCH_ROWS // 2])
+    @pytest.mark.parametrize("make", ALL_FIXED)
+    def test_batch_equals_one_product_bit_for_bit(self, make, rows, dtype,
+                                                  rng):
+        """Blocked upcasting changes no bit of any feature, whatever
+        the row count's remainder modulo the block size."""
+        t = make()
+        data = rng.normal(size=(rows, t.input_length)).astype(dtype)
+        want = np.asarray(data, dtype=np.float64) @ t.matrix.T
+        got = t.transform_batch(data)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
 
     def test_batch_rejects_wrong_width(self, rng):
         t = DFTTransform(32, 6)

@@ -6,6 +6,7 @@ range/knn workload through a :class:`~repro.serve.QBHService` from
 serially recorded answers.
 """
 
+import os
 import threading
 import time
 
@@ -35,25 +36,46 @@ def make_request(kind="knn", param=5, value=0.0, deadline_s=None):
     )
 
 
+def pin_cpus(monkeypatch, count, *, via="affinity"):
+    """Make the scheduler read *count* usable CPUs, so it starts that
+    many dispatchers: through the affinity mask, or through
+    ``os.cpu_count`` on a platform without one."""
+    if via == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+    return count
+
+
 class RecordingExecutor:
     """Stub executor capturing the requests it executed.
 
-    With *hold_first*, the first execution blocks until :attr:`release`
-    is set (and :attr:`started` tells the test it is running), so the
-    test can queue requests behind it deterministically.
+    With *hold_first*, every execution blocks until :attr:`release` is
+    set (and :meth:`wait_started` tells the test how many are running),
+    so the test can occupy the dispatchers and queue requests behind
+    them deterministically.
     """
 
     def __init__(self, delay_s=0.0, hold_first=False):
         self.executed = []
         self.delay_s = delay_s
-        self.started = threading.Event()
+        self._started = threading.Condition()
         self.release = threading.Event()
         if not hold_first:
             self.release.set()
 
+    def wait_started(self, count=1, timeout=5.0):
+        """Whether *count* executions have started within *timeout*."""
+        with self._started:
+            return self._started.wait_for(
+                lambda: len(self.executed) >= count, timeout)
+
     def __call__(self, request):
-        self.executed.append(request)
-        self.started.set()
+        with self._started:
+            self.executed.append(request)
+            self._started.notify_all()
         assert self.release.wait(5)
         if self.delay_s:
             time.sleep(self.delay_s)
@@ -62,7 +84,29 @@ class RecordingExecutor:
         )
 
 
+class GatedExecutor:
+    """Stub executor whose executions each wait, for at most five
+    seconds, until *parties* of them run at once: with fewer
+    dispatchers than parties the wait breaks and the requests fail."""
+
+    def __init__(self, parties):
+        self.barrier = threading.Barrier(parties, timeout=5.0)
+
+    def __call__(self, request):
+        self.barrier.wait()
+        return ServeOutcome(
+            status="ok", results=((request.kind, float(request.param)),)
+        )
+
+
 class TestBatching:
+    """Queue policy, on two dispatchers whatever the host's CPU count,
+    so that what a test occupies and queues does not depend on it."""
+
+    @pytest.fixture(autouse=True)
+    def _two_dispatchers(self, monkeypatch):
+        pin_cpus(monkeypatch, 2)
+
     def test_single_request_dispatches(self):
         executor = RecordingExecutor()
         scheduler = RequestScheduler(executor)
@@ -75,9 +119,9 @@ class TestBatching:
     def test_duplicates_coalesce_to_one_execution(self):
         executor = RecordingExecutor(hold_first=True)
         scheduler = RequestScheduler(executor)
-        blocker = make_request(value=9.0)
-        scheduler.submit(blocker)
-        assert executor.started.wait(5)
+        for blocker in (9.0, 10.0):  # one per dispatcher
+            scheduler.submit(make_request(value=blocker))
+        assert executor.wait_started(2)
         requests = [make_request(value=1.0) for _ in range(5)]
         for request in requests:
             scheduler.submit(request)
@@ -85,18 +129,22 @@ class TestBatching:
         outcomes = [r.future.result(timeout=5) for r in requests]
         scheduler.close()
         assert all(o.ok for o in outcomes)
-        assert executor.executed[1:] == [requests[0]]  # five, one run
+        assert executor.executed[2:] == [requests[0]]  # five, one run
         assert all(o.batch_size == 5 for o in outcomes)
         assert len({id(o.results) for o in outcomes}) == 1  # shared answer
 
-    def test_fairness_oldest_first_no_starvation(self):
-        """A hot query group cannot starve an unpopular singleton."""
+    def test_fairness_oldest_first_no_starvation(self, monkeypatch):
+        """A hot query group cannot starve an unpopular singleton.
+
+        On one dispatcher, so that the order requests are taken in is
+        the order they execute in."""
+        pin_cpus(monkeypatch, 1)
         executor = RecordingExecutor(delay_s=0.002, hold_first=True)
         scheduler = RequestScheduler(executor)
         singleton = make_request(kind="range", param=1.0)
         hot = [make_request(param=5, value=float(i % 2)) for i in range(12)]
         scheduler.submit(hot[0])
-        assert executor.started.wait(5)
+        assert executor.wait_started()
         scheduler.submit(singleton)
         for request in hot[1:]:
             scheduler.submit(request)
@@ -157,6 +205,56 @@ class TestBatching:
             make_request(kind="nope")
 
 
+class TestDispatchers:
+    """One dispatcher per usable CPU, executing side by side."""
+
+    @pytest.mark.parametrize("via", ["affinity", "cpu_count"])
+    def test_distinct_requests_execute_at_once_on_every_dispatcher(
+            self, monkeypatch, via):
+        dispatchers = pin_cpus(monkeypatch, 3, via=via)
+        scheduler = RequestScheduler(GatedExecutor(dispatchers))
+        requests = [make_request(value=float(i)) for i in range(dispatchers)]
+        try:
+            for request in requests:
+                assert scheduler.submit(request)
+            outcomes = [r.future.result(timeout=10) for r in requests]
+        finally:
+            scheduler.close()
+        assert [o.status for o in outcomes] == ["ok"] * dispatchers, [
+            o.error for o in outcomes]
+
+    def test_inflight_sums_over_dispatchers_and_close_joins_all(
+            self, monkeypatch):
+        dispatchers = pin_cpus(monkeypatch, 3)
+        running = threading.Semaphore(0)
+        release = threading.Event()
+
+        class HeldEngine:
+            def search(self, query, **kwargs):
+                running.release()
+                assert release.wait(5)
+                return [("row", float(query[0]))], None
+
+        service = QBHService(lambda: HeldEngine(), cache_size=0)
+        try:
+            futures = [service.submit("knn", [float(i), 0.0], 1)
+                       for i in range(dispatchers)]
+            for _ in range(dispatchers):
+                assert running.acquire(timeout=5)
+            assert service.saturation()["inflight"] == dispatchers
+            queued = service.submit("knn", [9.0, 0.0], 1)
+            assert service.saturation()["queue_depth"] == 1
+            release.set()
+        finally:
+            release.set()
+            service.close(drain=True)
+        threads = service.scheduler._threads
+        assert len(threads) == dispatchers
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(f.result(timeout=0).ok for f in [*futures, queued])
+        assert service.saturation()["inflight"] == 0
+
+
 @pytest.fixture(scope="module")
 def parity_setup():
     corpus = random_walks(300, 96, seed=41)
@@ -177,7 +275,7 @@ def parity_setup():
 
 def test_service_parity_with_serial_dispatch_workers8(parity_setup):
     """Mixed range/knn traffic from 8 client threads, queued by the
-    scheduler onto its dispatcher, returns byte-for-byte the serially
+    scheduler onto its dispatchers, returns byte-for-byte the serially
     recorded answers."""
     engine, requests = parity_setup
     want = [answer for _, _, _, answer in requests]
@@ -192,7 +290,7 @@ def test_service_parity_with_serial_dispatch_workers8(parity_setup):
 
     try:
         # Concurrent first, while the cache is cold: those requests go
-        # through the queue and the dispatcher; the serial pass after
+        # through the queue and the dispatchers; the serial pass after
         # it is answered from the cache they filled.
         concurrent = run_concurrently(answer, requests, threads=8)
         serial = [answer(request) for request in requests]

@@ -537,6 +537,31 @@ class TestTelemetryCommands:
         assert "0 line(s) read" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["query", "obs report", "report"])
+    def test_output_file_under_a_missing_directory(self, command, pipeline,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+        """Every file a command writes creates its missing parent
+        directories, as ``--trace-out`` and ``--metrics-out`` do."""
+        store_dir, hum_file = pipeline
+        out = tmp_path / "new" / "deeper" / "out.txt"
+        trace_file = str(tmp_path / "trace.jsonl")
+        query = ["query", "--store-dir", store_dir, "--hum", hum_file,
+                 "-k", "2"]
+        if command == "query":
+            argv = query + ["--stats-json", str(out)]
+        elif command == "obs report":
+            assert main(query + ["--trace-out", trace_file]) == 0
+            argv = ["obs", "report", "--trace", trace_file, "--out", str(out)]
+        else:
+            monkeypatch.setenv("REPRO_SCALE", "smoke")
+            argv = ["report", "--sections", "scaling", "--out", str(out)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert f"wrote {'stats to ' if command == 'query' else ''}" in (
+            captured.out + captured.err)
+        assert out.read_text().strip()
+
     def test_trace_append_accumulates_across_runs(self, pipeline, tmp_path):
         import json
 
@@ -592,6 +617,11 @@ class TestQualityCommand:
         assert "scenario matrix: 4 queries, 2 scenarios" in table
         assert "jitter" in table and "transposition" in table
         assert "per-shard (" not in table
+        # A quality-only trace has no query, span or stage section: no
+        # zero totals, no header-only tables above the matrix.
+        assert table.startswith("traces: 4 spans, 0 bad lines")
+        assert "0 queries" not in table and "totals:" not in table
+        assert "mean ms" not in table and "tightness" not in table
 
     def test_scenarios_report_without_quality_spans(self, tmp_path,
                                                     capsys):
