@@ -32,7 +32,6 @@ import numpy as np
 from .series import as_series
 
 __all__ = [
-    "BATCH_ROWS",
     "LinearTransform",
     "PAATransform",
     "DFTTransform",
@@ -43,10 +42,10 @@ __all__ = [
     "IdentityTransform",
 ]
 
-#: Rows per block of :meth:`LinearTransform.transform_batch` (the last
-#: block takes the remainder too): a 1 024 x 128 float64 block is 1 MB,
-#: against 10 MB for a whole 10^4-row corpus.
-BATCH_ROWS = 1024
+# Rows per block of :meth:`LinearTransform.transform_batch` (the last
+# block takes the remainder too): a 1 024 x 128 float64 block is 1 MB,
+# against 10 MB for a whole 10^4-row corpus.
+_BATCH_ROWS = 1024
 
 
 class LinearTransform:
@@ -105,7 +104,7 @@ class LinearTransform:
         """Map a ``(m, n)`` matrix of series to ``(m, N)`` float64
         features.
 
-        Rows are upcast to float64 about :data:`BATCH_ROWS` at a time,
+        Rows are upcast to float64 about 1 024 at a time,
         so a float32 corpus (a store's memory-mapped rows) never has a
         corpus-sized float64 copy; the features equal one
         whole-matrix product's bit for bit.
@@ -119,12 +118,12 @@ class LinearTransform:
         rows = mat.shape[0]
         coeffs = self._matrix.T
         out = np.empty((rows, self.output_dim))
-        # Every block but a whole small matrix has at least BATCH_ROWS
+        # Every block but a whole small matrix has at least _BATCH_ROWS
         # rows (the last one takes the remainder): BLAS computes small
         # products with other kernels, whose sums round differently,
         # and the features would then depend on the blocking.
-        blocks = max(rows // BATCH_ROWS, 1)
-        edges = [i * BATCH_ROWS for i in range(blocks)] + [rows]
+        blocks = max(rows // _BATCH_ROWS, 1)
+        edges = [i * _BATCH_ROWS for i in range(blocks)] + [rows]
         for start, stop in zip(edges, edges[1:]):
             np.matmul(mat[start:stop].astype(np.float64, copy=False),
                       coeffs, out=out[start:stop])

@@ -233,30 +233,33 @@ class RequestScheduler:
             self._cond.notify()
             return True
 
-    def close(self, *, drain: bool = True) -> None:
+    def close(self, *, drain: bool = True) -> bool:
         """Stop dispatching: drain the queue or shed it, then join
-        every dispatcher.
+        every dispatcher; return whether they have all exited.
 
         With *drain* (default) queued requests are still executed;
         otherwise they resolve immediately with status ``shutdown``.
         Idempotent; safe to call from any thread.  Called from a
         dispatcher thread (an executor or completion callback), it
-        joins none: that dispatcher cannot join itself, and the others
-        exit once the queue is empty.
+        joins none and returns ``False``: that dispatcher cannot join
+        itself, and the others may still be executing; they exit once
+        the queue is empty.
         """
         with self._cond:
             if not self._closed:
                 self._closed = True
                 self._drain = drain
             self._cond.notify_all()
-        if threading.current_thread() not in self._threads:
-            for thread in self._threads:
-                thread.join()
-            # Every dispatcher has exited, so nothing calls these again.
-            # They are the owner's bound methods: kept, scheduler and
-            # owner form a reference cycle that strands the owner's
-            # index and memory maps until the cyclic collector runs.
-            self._execute = self._on_complete = None
+        if threading.current_thread() in self._threads:
+            return False
+        for thread in self._threads:
+            thread.join()
+        # Every dispatcher has exited, so nothing calls these again.
+        # They are the owner's bound methods: kept, scheduler and owner
+        # form a reference cycle that strands the owner's index and
+        # memory maps until the cyclic collector runs.
+        self._execute = self._on_complete = None
+        return True
 
     # ------------------------------------------------------------------
     # dispatcher side

@@ -317,7 +317,10 @@ class QBHService:
 
         A shard router/manager built by :meth:`from_engine` /
         :meth:`from_index` is closed here too — poison-pill + drain,
-        after the scheduler stops feeding it.
+        after every dispatcher has stopped feeding it.  Called from a
+        dispatcher thread (an executor or completion callback), close
+        returns at once and the fleet closes once the last dispatcher
+        exits.
         """
         self._closed = True
         if self._ingest is not None:
@@ -332,9 +335,18 @@ class QBHService:
             # poison-pill drain would only see a closed router.
             self._health_monitor.close()
             self._health_monitor = None
-        self.scheduler.close(drain=drain)
-        if self._owned_shards is not None:
-            self._owned_shards.close()
+        if self.scheduler.close(drain=drain):
+            if self._owned_shards is not None:
+                self._owned_shards.close()
+        elif self._owned_shards is not None:
+            # Called on a dispatcher: the others may still be executing
+            # on the fleet.  A thread that can join them closes it.
+            threading.Thread(target=self._close_shards_after_dispatch,
+                             name="serve-close", daemon=True).start()
+
+    def _close_shards_after_dispatch(self) -> None:
+        self.scheduler.close()  # closed already: joins every dispatcher
+        self._owned_shards.close()
 
     @property
     def shard_manager(self):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import transforms
 from repro.core.transforms import (
-    BATCH_ROWS,
     DFTTransform,
     HaarTransform,
     IdentityTransform,
@@ -12,6 +12,9 @@ from repro.core.transforms import (
     PAATransform,
     SVDTransform,
 )
+
+# Rows per block of transform_batch.
+BLOCK = transforms._BATCH_ROWS
 
 ALL_FIXED = [
     lambda: PAATransform(64, 8),
@@ -48,8 +51,8 @@ class TestLinearTransformBase:
             assert np.allclose(batch[i], t.transform(data[i]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("rows", [1, BATCH_ROWS - 1, BATCH_ROWS + 1,
-                                      2 * BATCH_ROWS + 2, 5 * BATCH_ROWS // 2])
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK + 1,
+                                      2 * BLOCK + 2, 5 * BLOCK // 2])
     @pytest.mark.parametrize("make", ALL_FIXED)
     def test_batch_equals_one_product_bit_for_bit(self, make, rows, dtype,
                                                   rng):

@@ -6,7 +6,6 @@ range/knn workload through a :class:`~repro.serve.QBHService` from
 serially recorded answers.
 """
 
-import os
 import threading
 import time
 
@@ -23,6 +22,7 @@ from repro.serve import (
 )
 
 from tests.conftest import run_concurrently
+from tests.serve.conftest import pin_cpus
 
 
 def make_request(kind="knn", param=5, value=0.0, deadline_s=None):
@@ -34,19 +34,6 @@ def make_request(kind="knn", param=5, value=0.0, deadline_s=None):
         fingerprint=request_fingerprint(query, kind, param),
         deadline_s=deadline_s,
     )
-
-
-def pin_cpus(monkeypatch, count, *, via="affinity"):
-    """Make the scheduler read *count* usable CPUs, so it starts that
-    many dispatchers: through the affinity mask, or through
-    ``os.cpu_count`` on a platform without one."""
-    if via == "affinity":
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(count)), raising=False)
-    else:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-    return count
 
 
 class RecordingExecutor:

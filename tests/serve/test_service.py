@@ -18,6 +18,8 @@ from repro.index.gemini import WarpingIndex
 from repro.obs import Observability
 from repro.serve import AdmissionPolicy, QBHService, RetryPolicy
 
+from tests.serve.conftest import pin_cpus
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -30,20 +32,31 @@ def engine(corpus):
 
 
 class GatedEngine:
-    """Stub engine: the first search blocks until :attr:`release` is
-    set (:attr:`started` says it is running); every later search
-    sleeps *delay_s*.  Lets a test queue requests behind a held one."""
+    """Stub engine: the first *held* searches block until
+    :attr:`release` is set (:meth:`wait_started` says they are
+    running); every later search sleeps *delay_s*.  Holding as many
+    searches as there are dispatchers lets a test queue requests
+    behind them."""
 
-    def __init__(self, delay_s=0.0):
+    def __init__(self, delay_s=0.0, held=1):
         self.delay_s = delay_s
-        self.started = threading.Event()
+        self.held = held
         self.release = threading.Event()
         self.calls = 0
+        self._started = threading.Condition()
+
+    def wait_started(self, count, timeout=10.0):
+        """Whether *count* searches have started within *timeout*."""
+        with self._started:
+            return self._started.wait_for(lambda: self.calls >= count,
+                                          timeout)
 
     def search(self, query, *, k=None, epsilon=None, should_abort=None):
-        self.calls += 1
-        if self.calls == 1:
-            self.started.set()
+        with self._started:
+            self.calls += 1
+            call = self.calls
+            self._started.notify_all()
+        if call <= self.held:
             assert self.release.wait(10)
         else:
             time.sleep(self.delay_s)
@@ -101,18 +114,56 @@ class TestLifecycle:
         outcomes = [future.result(timeout=10) for future in futures]
         assert all(o.ok for o in outcomes)
 
-    def test_close_without_drain_sheds(self, corpus):
-        # A held first request keeps the rest queued until the close.
-        gated = GatedEngine()
+    def test_close_without_drain_sheds(self, corpus, monkeypatch):
+        # Two held requests, one per dispatcher, keep the rest queued
+        # until the close.
+        pin_cpus(monkeypatch, 2)
+        gated = GatedEngine(held=2)
         service = QBHService.from_engine(gated)
         futures = [service.submit("knn", corpus[i] + 0.05, 3)
                    for i in range(8)]
-        assert gated.started.wait(10)
+        assert gated.wait_started(2)
         threading.Timer(0.05, gated.release.set).start()
         service.close(drain=False)
         statuses = {f.result(timeout=10).status for f in futures}
         assert "shutdown" in statuses
         assert statuses <= {"ok", "shutdown"}
+
+    def test_close_on_a_dispatcher_closes_the_fleet_after_the_others(
+            self, monkeypatch):
+        """A close called by an executor returns at once; the fleet the
+        service owns closes only once the other dispatcher's execution
+        has finished, so that execution never meets a closed fleet."""
+        pin_cpus(monkeypatch, 2)
+        finished = []
+        closed = threading.Event()
+
+        class Fleet:
+            def close(self):
+                self.finished_before_close = list(finished)
+                closed.set()
+
+        class ClosingEngine(GatedEngine):
+            def search(self, query, **kwargs):
+                if query[0] == 1.0:
+                    service.close()
+                    return [("closer", 1.0)], None
+                answer = super().search(query, **kwargs)
+                finished.append(query[0])
+                return answer
+
+        gated = ClosingEngine()
+        service = QBHService.from_engine(gated, cache_size=0)
+        fleet = service._owned_shards = Fleet()
+        held = service.submit("knn", np.array([0.0, 0.0]), 3)
+        assert gated.wait_started(1)
+        closer = service.submit("knn", np.array([1.0, 0.0]), 3)
+        assert closer.result(timeout=10).ok
+        assert not closed.wait(0.2)
+        gated.release.set()
+        assert held.result(timeout=10).ok
+        assert closed.wait(10)
+        assert fleet.finished_before_close == [0.0]
 
     def test_context_manager_closes(self, corpus, engine):
         with QBHService.from_engine(engine) as service:
@@ -122,8 +173,11 @@ class TestLifecycle:
 
 
 class TestAdmissionWiring:
-    def test_overload_sheds_with_retry_hint(self, corpus):
-        gated = GatedEngine()
+    def test_overload_sheds_with_retry_hint(self, corpus, monkeypatch):
+        # Two held executions and a queue of one admit at most three
+        # of the six submissions, however fast the dispatchers take.
+        pin_cpus(monkeypatch, 2)
+        gated = GatedEngine(held=2)
         service = QBHService.from_engine(
             gated,
             admission=AdmissionPolicy(max_queue_depth=1,
@@ -135,7 +189,7 @@ class TestAdmissionWiring:
             gated.release.set()
             shed = [f.result(timeout=10) for f in futures
                     if f.result(timeout=10).status == "shed"]
-            assert shed, "queue bound of 1 must shed some of 6 submissions"
+            assert len(shed) >= 3, "two held + a queue of 1 admit 3 of 6"
             assert all(o.retry_after_s == 0.25 for o in shed)
             assert all(o.results is None for o in shed)
         finally:
@@ -188,15 +242,20 @@ class TestAdmissionWiring:
 
 
 class TestOneExecutionAtATime:
-    def test_distinct_queued_requests_never_share_an_execution(self):
+    """On one dispatcher, the only count at which what is queued
+    behind a held request does not depend on thread timing."""
+
+    def test_distinct_queued_requests_never_share_an_execution(
+            self, monkeypatch):
         """Queued behind a held request, B, C (same kind and k, other
         query) and D (B's duplicate) take two executions: C waits
         only for its own 50 ms search, D shares B's answer."""
+        pin_cpus(monkeypatch, 1)
         gated = GatedEngine(delay_s=0.05)
         service = QBHService.from_engine(gated, cache_size=0)
         try:
             held = service.submit("knn", np.array([0.0, 0.0]), 3)
-            assert gated.started.wait(10)
+            assert gated.wait_started(1)
             futures = [service.submit("knn", np.array([value, 0.0]), 3)
                        for value in (1.0, 2.0, 1.0)]
             gated.release.set()
