@@ -31,9 +31,18 @@ directly with no sign handling; for transforms with negative
 coefficients (DFT, SVD, DWT) it is *not* container-invariant and is
 included only so the ablation benchmark can demonstrate the resulting
 false negatives.
+
+Theorem 1 holds for any container, so New_PAA also reduces each
+*corpus row's* envelope: :func:`envelope_paa` computes those frame
+means for a whole matrix of row envelopes at
+:func:`row_paa_frames` frames, as the float32 column a store keeps
+next to its envelope columns (the row side of the engine's ``new_paa``
+stage).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -46,7 +55,15 @@ __all__ = [
     "NewPAAEnvelopeTransform",
     "KeoghPAAEnvelopeTransform",
     "NaiveEnvelopeTransform",
+    "envelope_paa",
+    "frame_means",
+    "round_f32",
+    "row_paa_frames",
 ]
+
+#: Rows :func:`envelope_paa` upcasts to float64 at a time (1 MB at
+#: n = 128), so a corpus-sized column never has a float64 copy.
+_PAA_BLOCK_ROWS = 1024
 
 
 class EnvelopeTransform:
@@ -184,3 +201,77 @@ class NaiveEnvelopeTransform(EnvelopeTransform):
         a = self.transform.matrix @ envelope.upper
         b = self.transform.matrix @ envelope.lower
         return Envelope(lower=np.minimum(a, b), upper=np.maximum(a, b))
+
+
+def round_f32(values, toward: float) -> np.ndarray:
+    """*values* as float32, each rounded toward ``-inf`` or ``+inf``.
+
+    The nearest float32, stepped one ulp toward *toward* where it lies
+    on the wrong side (``np.nextafter``'s result, by integer steps on
+    the bit pattern: one step up the magnitude for a float on the far
+    side of zero, one down otherwise; signed zeros step to the
+    smallest subnormal of their sign).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    near = values.astype(np.float32)
+    off = (near > values if toward < 0 else near < values).view(np.int8)
+    away = np.signbit(near)
+    if toward > 0:
+        away = ~away
+    near.view(np.int32)[...] += np.where(away, off, -off)
+    return near
+
+
+def row_paa_frames(n_features: int, n: int) -> int:
+    """Frames of the row-envelope New_PAA column: ``min(2 N, n)``.
+
+    Twice the query side's, because the column is computed once per
+    row and stored, not once per query.
+    """
+    return min(2 * int(n_features), int(n))
+
+
+def frame_means(rows, n_frames: int) -> np.ndarray:
+    """Float64 PAA frame means of every row of a ``(rows, n)`` matrix,
+    summed in float64 whatever the input dtype."""
+    rows = np.asarray(rows).astype(np.float64, copy=False)
+    starts, widths = _frames(rows.shape[1], n_frames)
+    return np.add.reduceat(rows, starts, axis=1) / widths
+
+
+@functools.lru_cache(maxsize=None)
+def _frames(n: int, n_frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """PAA frame starts and widths (shared, read-only)."""
+    bounds = PAATransform(n, n_frames).frame_bounds
+    starts, widths = bounds[:-1], np.diff(bounds).astype(np.float64)
+    starts.flags.writeable = widths.flags.writeable = False
+    return starts, widths
+
+
+def envelope_paa(lower, upper, n_frames: int) -> np.ndarray:
+    """New_PAA of every row's envelope: ``(rows, 2 * n_frames)`` float32.
+
+    Columns ``[:n_frames]`` are the frame means of each row of *lower*,
+    rounded down to float32, and ``[n_frames:]`` those of *upper*,
+    rounded up: each stored pair brackets the exact means, so a bound
+    computed from it never exceeds New_PAA of the exact envelope.  The
+    means come from :func:`frame_means`, :data:`_PAA_BLOCK_ROWS` rows
+    at a time (their own few-ulp float64 error sits far inside the
+    engine's pruning guard).
+    """
+    lower = np.asarray(lower)
+    upper = np.asarray(upper)
+    if lower.shape != upper.shape or lower.ndim != 2:
+        raise ValueError(
+            f"envelope sides must be two equal 2-D arrays, got "
+            f"{lower.shape} and {upper.shape}"
+        )
+    rows = lower.shape[0]
+    out = np.empty((rows, 2 * n_frames), dtype=np.float32)
+    for start in range(0, rows, _PAA_BLOCK_ROWS):
+        block = slice(start, start + _PAA_BLOCK_ROWS)
+        out[block, :n_frames] = round_f32(
+            frame_means(lower[block], n_frames), -np.inf)
+        out[block, n_frames:] = round_f32(
+            frame_means(upper[block], n_frames), np.inf)
+    return out

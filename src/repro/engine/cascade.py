@@ -1,11 +1,11 @@
 """The batched query engine: a cascade of lower-bound filters.
 
-GEMINI's filter-and-refine strategy, production-shaped: an entire
-corpus is evaluated through a configurable sequence of increasingly
-tight, increasingly expensive lower bounds — each stage vectorised
-over a ``(num_candidates, n)`` matrix — and only the candidates no
-bound could prune pay for an exact banded DTW, early-abandoned against
-the best result found so far.
+GEMINI's filter-and-refine strategy, production-shaped: the corpus is
+evaluated through a configurable sequence of increasingly tight,
+increasingly expensive lower bounds — each stage vectorised over a
+``(num_candidates, n)`` matrix — and only the candidates no bound
+could prune pay for an exact banded DTW, early-abandoned against the
+best result found so far.
 
 Stage names, in canonical cost order (:data:`STAGE_ORDER`):
 
@@ -14,7 +14,9 @@ name       bound                                                 cost/row
 ========== ===================================================== ========
 first_last corner cells of the banded DP (Kim-style)             O(1)
 keogh_paa  Keogh_PAA feature envelope (prior art, §5.2)          O(N)
-new_paa    New_PAA feature envelope (Theorem 1, the paper's)     O(N)
+new_paa    New_PAA both ways (Theorem 1, the paper's): the query O(N)
+           envelope's at N frames, max the row envelope's at
+           min(2N, n) frames
 lb_keogh   Lemma 2 both ways: max(EQ, EC), in the rows' dtype    O(n)
 lemire     Lemire two-pass LB_Improved (2009 refinement)         O(n)
 ========== ===================================================== ========
@@ -24,6 +26,13 @@ row's own envelope (the ``envelopes`` the engine is given or computes).
 ``lb_keogh`` reads both in one pass over blocks of rows, in float32 for
 a float32 corpus (deflated by its worst-case rounding error) and in
 float64 otherwise; see :func:`~repro.engine.stages.lb_keogh_two_sided`.
+``new_paa`` is the same idea one level down.  Theorem 1 holds for any
+container, so New_PAA of each row's envelope lower-bounds EC as New_PAA
+of the query's envelope lower-bounds EQ.  The row side reads a float32
+column of frame means, rounded outward (a store's ``env_paa``, or
+computed by the engine with
+:func:`~repro.core.envelope_transforms.envelope_paa`), and is deflated
+like ``lb_keogh``; see :func:`~repro.engine.stages.lb_new_paa_two_sided`.
 
 Every stage bound is an individual lower bound on the exact distance,
 so pruning against a query radius never loses a true answer; the
@@ -33,14 +42,28 @@ non-decreasing along the cascade by construction.  Within the envelope
 family the raw bounds on float64 rows are themselves provably
 ordered::
 
-    keogh_paa <= new_paa <= EQ <= lb_keogh <= exact LDTW
-                            EQ <= lemire   <= exact LDTW
+    keogh_paa <= new_paa(EQ side) <= EQ <= lb_keogh <= exact LDTW
+                 new_paa(EC side) <= EC <= lb_keogh
+                           new_paa       <= lb_keogh
+                                      EQ <= lemire   <= exact LDTW
 
 (`tests/properties/` asserts these chains on hundreds of generated
 cases).  ``lemire`` and ``lb_keogh`` are not ordered against each
 other, and ``first_last`` is sound but outside the chain — either can
 beat or lose to the other bounds depending on the data, which is
 exactly why the running maximum is kept.
+
+Two walks run a plan.  A range query's radius is fixed, so order buys
+nothing: each stage bounds every row the previous ones kept, in turn.
+A k-NN query's radius shrinks as it refines, so it walks best first:
+``new_paa`` bounds the whole corpus and orders it, the other stages
+bound it a block of :data:`_WALK_BLOCK` rows at a time only while the
+block's ``new_paa`` is within the radius, and the refine takes the
+pending rows whenever their best bound is at most the next unread
+row's — Seidl-Kriegel's multi-step k-NN at each level of the cascade,
+in Lemire's cheap-bounds-first order (arXiv 0807.1734).  It is exact
+on every plan: DTW has no triangle inequality to shortcut with
+(arXiv 2002.04187), only lower bounds.  See :meth:`QueryEngine._walk`.
 
 Per-query observability lives in :class:`CascadeStats`: candidates in,
 pruned, bound statistics and wall time per stage, plus exact-phase
@@ -80,7 +103,11 @@ from ..core.envelope import (
 from ..core.envelope_transforms import (
     KeoghPAAEnvelopeTransform,
     NewPAAEnvelopeTransform,
+    envelope_paa,
+    frame_means,
+    row_paa_frames,
 )
+from ..core.transforms import PAATransform
 from ..core.normal_form import NormalForm
 from ..dtw.distance import ldtw_distance_batch
 from ..dtw.kernels import KernelStats
@@ -93,6 +120,8 @@ from .stages import (
     lb_first_last_batch,
     lb_keogh_two_sided,
     lb_lemire_batch,
+    lb_new_paa_two_sided,
+    query_sides,
 )
 
 __all__ = ["QueryEngine", "CascadeStats", "StageStats", "STAGE_ORDER",
@@ -123,12 +152,26 @@ _REFINE_ROWS = 1024
 #: Growth factor of a k-NN walk's refine slices, from k up to
 #: :data:`_REFINE_ROWS`: each slice is cut and abandoned against the
 #: radius the previous ones shrank, so small early slices bring the
-#: refined rows close to the floor.  Swept on bench_e2e's ``knn_hard``
-#: requests (10^4 rows, k=10, one thread, native kernel): 280 / 286 /
-#: 294 / 305 rows per query for x2 / x4 / x8 / x16 (691 with a single
-#: opening k-row slice, against a floor of 272), p50 12-15 ms for all
-#: four.  x8 keeps the NumPy body at about three calls per query.
-_REFINE_GROWTH = 8
+#: refined rows close to the floor.  Re-swept with the best-first walk
+#: (2026-10, bench_e2e's ``knn_hard`` requests, 10^4 rows, k=10, one
+#: thread, native kernel, 1024-row blocks): 272.2 / 275.8 / 279.3 /
+#: 287.9 rows and 5.3 / 3.9 / 3.5 / 3.2 kernel calls per query for
+#: x2 / x4 / x8 / x16, against a max(EQ, EC) floor of 271.0.  x2 keeps
+#: the refine within 1 % of the floor.
+_REFINE_GROWTH = 2
+
+#: Rows the k-NN walk reads at a time, in ascending ``new_paa`` order.
+#: A block's stages are a few whole-block NumPy calls, so the block
+#: decides how often the walk holds the GIL between them: on
+#: ``knn_hard`` (same setting as above, two threads on one engine)
+#: 256-row blocks served 127-136 queries/s, no more than one thread,
+#: and 1024-row blocks 201-211, while ``lb_keogh`` bounded 2 203 and
+#: 2 318 rows per query.  2048-row blocks bound 2 745.
+_WALK_BLOCK = 1024
+
+#: Rows the walk's order sorts first (4 blocks); the rest is sorted
+#: only if the walk reads that far.
+_WALK_HEAD = 4 * _WALK_BLOCK
 
 
 @dataclass
@@ -480,7 +523,8 @@ def _maybe_abort(should_abort, phase: str) -> None:
 
     Raises :class:`~repro.engine.errors.QueryAborted` tagged with
     *phase* the moment the callback returns true.  Checkpoints sit
-    before every cascade stage and before every refine slice, so an abort
+    before every cascade stage (in the k-NN walk, before each block's)
+    and before every refine slice, so an abort
     (e.g. a missed serving deadline) cuts work short without ever
     producing a partial — and therefore possibly wrong — answer.
     """
@@ -508,10 +552,11 @@ def _set_kernel_span(span, ks: KernelStats | None, before) -> None:
 
 
 class _QueryContext:
-    """Per-query precomputations, built lazily stage by stage."""
+    """Per-query precomputations, built lazily stage by stage.  Local to
+    one call: nothing here is ever kept on the shared engine."""
 
-    __slots__ = ("q", "band", "_q_env", "_reduced", "_engine",
-                 "kernel_stats")
+    __slots__ = ("q", "band", "_q_env", "_reduced", "_sides", "_paa_means",
+                 "_engine", "kernel_stats")
 
     def __init__(self, engine: "QueryEngine", q: np.ndarray) -> None:
         self._engine = engine
@@ -519,6 +564,8 @@ class _QueryContext:
         self.band = engine.band
         self._q_env: Envelope | None = None
         self._reduced: dict[str, Envelope] = {}
+        self._sides: tuple | None = None
+        self._paa_means: np.ndarray | None = None
         # Kernel work counters are collected only when observability is
         # on: the kernels' per-row/per-diagonal accounting is cheap but
         # not free, and nothing reads it otherwise.
@@ -536,18 +583,139 @@ class _QueryContext:
             self._reduced[name] = transform.reduce(self.q_envelope)
         return self._reduced[name]
 
+    @property
+    def keogh_sides(self) -> tuple:
+        """The ``lb_keogh`` stage's query arrays, cast once per query
+        (the k-NN walk bounds a query's rows in several blocks)."""
+        if self._sides is None:
+            self._sides = query_sides(self.q, self.q_envelope,
+                                      self._engine._data.dtype)
+        return self._sides
+
+    @property
+    def paa_means(self) -> np.ndarray:
+        """The query's frame means at the row-envelope PAA's frames."""
+        if self._paa_means is None:
+            self._paa_means = frame_means(self.q[None, :],
+                                          self._engine._paa_frames)[0]
+        return self._paa_means
+
+
+class _Ascending:
+    """The corpus rows in ascending *key*, sorted only as far as read.
+
+    An ``argpartition`` picks the first *head* rows and sorts them; the
+    rest is partitioned again, for a head four times larger, only once
+    the walk has read the first.
+    """
+
+    __slots__ = ("_key", "_rows", "_pos", "_rest", "_head")
+
+    def __init__(self, key: np.ndarray, head: int) -> None:
+        self._key = key
+        self._rows = np.empty(0, dtype=np.intp)
+        self._pos = 0
+        self._rest: np.ndarray | None = None  # unsorted rows; None: all
+        self._head = head
+
+    def _sort_next(self) -> None:
+        rest = self._rest
+        sub = self._key if rest is None else self._key[rest]
+        if sub.size > self._head:
+            part = np.argpartition(sub, self._head - 1)
+            first, later = part[:self._head], part[self._head:]
+            first = first[np.argsort(sub[first], kind="stable")]
+        else:
+            first = np.argsort(sub, kind="stable")
+            later = np.empty(0, dtype=np.intp)
+        if rest is not None:
+            first, later = rest[first], rest[later]
+        self._rows, self._pos, self._rest = first, 0, later
+        self._head *= 4
+
+    def next_key(self) -> float | None:
+        """The key of the next unread row; ``None`` once all are read."""
+        if self._pos == self._rows.size:
+            if self._rest is not None and not self._rest.size:
+                return None
+            self._sort_next()
+        return float(self._key[self._rows[self._pos]])
+
+    def take(self, count: int) -> np.ndarray:
+        """Up to *count* next rows (after :meth:`next_key`)."""
+        rows = self._rows[self._pos:self._pos + count]
+        self._pos += rows.size
+        return rows
+
+
+def _tally(stage: StageStats, raw: np.ndarray) -> None:
+    """Fold one evaluation of *stage* over ``raw.size`` rows into its
+    record: rows bounded, and the min / mean / max of the raw bound."""
+    if not raw.size:
+        return
+    seen = stage.candidates_in
+    low, high, total = float(raw.min()), float(raw.max()), float(raw.sum())
+    if seen:
+        stage.bound_min = min(stage.bound_min, low)
+        stage.bound_max = max(stage.bound_max, high)
+        stage.bound_mean = ((stage.bound_mean * seen + total)
+                            / (seen + raw.size))
+    else:
+        stage.bound_min, stage.bound_max = low, high
+        stage.bound_mean = total / raw.size
+    stage.candidates_in = seen + int(raw.size)
+
+
+class _Answer:
+    """The *k* best hits so far, or every hit when *k* is ``None``.
+
+    A heap of ``(-distance, -row)``: its top is the worst hit in answer
+    order, the one a better hit evicts once *k* are held.
+    """
+
+    __slots__ = ("k", "cap", "_heap")
+
+    def __init__(self, k: int | None, cap: float) -> None:
+        self.k = k
+        self.cap = cap
+        self._heap: list[tuple[float, int]] = []
+
+    def radius(self) -> float:
+        """``min(epsilon, k-th distance so far)``, unset as ``inf``."""
+        if self.k is not None and len(self._heap) >= self.k:
+            return -self._heap[0][0]
+        return self.cap
+
+    def add(self, rows: np.ndarray, dists: np.ndarray,
+            cutoff: float) -> None:
+        """Keep the rows refined against *cutoff* that it did not cut."""
+        heap, k = self._heap, self.k
+        hits = dists <= cutoff
+        for row, dist in zip(rows[hits].tolist(), dists[hits].tolist()):
+            entry = (-dist, -row)
+            if k is None or len(heap) < k:
+                heapq.heappush(heap, entry)
+            elif entry > heap[0]:
+                heapq.heapreplace(heap, entry)
+
+    def results(self, ids) -> list[tuple[object, float]]:
+        """``(id, distance)`` pairs in (distance, corpus row) order."""
+        return [(ids[-negrow], -negd)
+                for negd, negrow in sorted(self._heap, reverse=True)]
+
 
 class QueryEngine:
     """Batched filter-cascade search over a fixed-length series corpus.
 
     One method runs a query: :meth:`search`, the *k* best within
     *epsilon*, with :meth:`range_search` (*epsilon* alone) and
-    :meth:`knn` (*k* alone) as its two spellings.  Its one walk prunes
-    every stage against the radius ``min(epsilon, k-th distance so
-    far)`` and sends the survivors, in ascending lower-bound order,
-    through the batched DTW kernel in slices of at most
-    :data:`_REFINE_ROWS` (:meth:`_refine`), early abandoned against
-    that radius.  Answers are ordered by (distance, corpus row).
+    :meth:`knn` (*k* alone) as its two spellings.  Every stage prunes
+    against the radius ``min(epsilon, k-th distance so far)``, eagerly
+    for a range query (:meth:`_eager`) and best first for a k-NN one
+    (:meth:`_walk`); survivors go through the batched DTW kernel in
+    slices of at most :data:`_REFINE_ROWS` (:meth:`_refine`), early
+    abandoned against that radius.  Answers are ordered by (distance,
+    corpus row).
 
     Parameters
     ----------
@@ -569,12 +737,15 @@ class QueryEngine:
     ids:
         Optional identifiers, default ``range(len(corpus))``.
     envelopes:
-        Optional ``(lower, upper)``: every row's ``k``-envelope, two
-        arrays of the corpus's shape and dtype (a store's ``env_lower``
-        / ``env_upper`` columns).  Data, like *ids*: when absent the
-        engine computes the same arrays with
-        :func:`~repro.core.envelope.batch_envelope`, so the argument
-        changes no result.  The ``lb_keogh`` stage reads them.
+        Optional ``(lower, upper)`` or ``(lower, upper, paa)``: every
+        row's ``k``-envelope, two arrays of the corpus's shape and
+        dtype (a store's ``env_lower`` / ``env_upper`` columns), and
+        their New_PAA column (a store's ``env_paa``).  Data, like
+        *ids*: when absent the engine computes the same arrays with
+        :func:`~repro.core.envelope.batch_envelope` and
+        :func:`~repro.core.envelope_transforms.envelope_paa`, so the
+        argument changes no result.  The ``lb_keogh`` stage reads the
+        envelopes, ``new_paa`` the column.
     metric:
         ``"euclidean"`` (default) or ``"manhattan"``.
     obs:
@@ -653,20 +824,40 @@ class QueryEngine:
             if len(ids) != m:
                 raise ValueError(f"{m} series but {len(ids)} ids")
         self.ids = ids
+        n_features = min(n_features, n)
+        frames = row_paa_frames(n_features, n)
+        env_paa = None
         if envelopes is not None:
-            lower, upper = (np.asarray(side) for side in envelopes)
-            if (lower.shape != data.shape or upper.shape != data.shape
+            lower, upper, *rest = (np.asarray(side) for side in envelopes)
+            if (len(rest) > 1 or lower.shape != data.shape
+                    or upper.shape != data.shape
                     or lower.dtype != data.dtype
                     or upper.dtype != data.dtype):
                 raise ValueError(
                     f"envelopes must be two {data.dtype} arrays of shape "
-                    f"{data.shape}"
+                    f"{data.shape}, and optionally their New_PAA column"
                 )
             envelopes = (lower, upper)
-        elif "lb_keogh" in stages:
+            if rest:
+                env_paa = rest[0]
+                if (env_paa.shape != (m, 2 * frames)
+                        or env_paa.dtype != np.float32):
+                    raise ValueError(
+                        f"the envelopes' New_PAA column must be float32 "
+                        f"of shape {(m, 2 * frames)}, got {env_paa.dtype} "
+                        f"{env_paa.shape}"
+                    )
+        elif "lb_keogh" in stages or "new_paa" in stages:
             envelopes = batch_envelope(data, self.band)
-        self._envelopes = envelopes
-        n_features = min(n_features, n)
+        if "new_paa" in stages and env_paa is None:
+            env_paa = envelope_paa(*envelopes, frames)
+        self._envelopes = envelopes if "lb_keogh" in stages else None
+        # The row side of ``new_paa``: each row's envelope reduced by
+        # New_PAA at ``frames`` frames, a store's ``env_paa`` column.
+        self._env_paa = env_paa
+        self._paa_frames = frames
+        self._paa_widths = np.diff(
+            PAATransform(n, frames).frame_bounds).astype(np.float64)
         self._env_transforms = {
             "keogh_paa": KeoghPAAEnvelopeTransform(n, n_features, metric=metric),
             "new_paa": NewPAAEnvelopeTransform(n, n_features, metric=metric),
@@ -695,20 +886,25 @@ class QueryEngine:
             )
         return q
 
-    def _stage_bounds(
-        self, name: str, ctx: _QueryContext, rows: np.ndarray
-    ) -> np.ndarray:
+    def _stage_bounds(self, name: str, ctx: _QueryContext, rows) -> np.ndarray:
+        """Stage *name*'s raw bound for the rows *rows* selects (an
+        index array, or ``slice(None)`` for the whole corpus)."""
         if name == "first_last":
             return lb_first_last_batch(
                 ctx.q, self._data, rows, metric=self.metric
             )
-        if name in ("keogh_paa", "new_paa"):
+        if name == "keogh_paa":
             return lb_envelope_batch(
                 self._features[rows], ctx.reduced(name), metric=self.metric
             )
+        if name == "new_paa":
+            return lb_new_paa_two_sided(
+                self._features, ctx.reduced(name), ctx.paa_means,
+                self._env_paa, self._paa_widths, rows, metric=self.metric,
+            )
         if name == "lb_keogh":
             return lb_keogh_two_sided(
-                ctx.q, ctx.q_envelope, self._data, *self._envelopes, rows,
+                ctx.keogh_sides, self._data, *self._envelopes, rows,
                 metric=self.metric,
             )
         if name == "lemire":
@@ -720,38 +916,6 @@ class QueryEngine:
                 metric=self.metric,
             )
         raise ValueError(f"unknown stage {name!r}")  # pragma: no cover
-
-    def _run_stage(
-        self,
-        name: str,
-        ctx: _QueryContext,
-        alive: np.ndarray,
-        bounds: np.ndarray,
-        radius: float,
-    ):
-        """Evaluate one stage on the live set and prune against *radius*.
-
-        Returns ``(alive, stage, span)``; the span is already closed,
-        but its attributes stay writable until the trace is delivered,
-        which lets :meth:`search` fold its seed-radius re-prune into the
-        first stage's record *and* span consistently.
-        """
-        with self.obs.span("stage:" + name) as span:
-            started = monotonic_s()
-            stage = StageStats(name=name, candidates_in=int(alive.size))
-            if alive.size:
-                raw = self._stage_bounds(name, ctx, alive)
-                bounds[alive] = np.maximum(bounds[alive], raw)
-                stage.bound_min = float(raw.min())
-                stage.bound_mean = float(raw.mean())
-                stage.bound_max = float(raw.max())
-                if math.isfinite(radius):
-                    keep = bounds[alive] <= radius + _PRUNE_ATOL
-                    stage.pruned = int(alive.size - np.count_nonzero(keep))
-                    alive = alive[keep]
-            stage.wall_time_s = monotonic_s() - started
-            span.set(**stage.to_dict())
-        return alive, stage, span
 
     def _refine(
         self,
@@ -800,120 +964,174 @@ class QueryEngine:
     ) -> tuple[list[tuple[object, float]], CascadeStats]:
         """The *k* nearest series within DTW distance *epsilon*, exactly.
 
-        The engine's one walk, with radius ``min(epsilon, k-th distance
-        so far)`` (unset counts as infinite).  Every stage prunes
-        against it; while it is infinite, the first stage's *k* best
-        rows are refined to seed it.  Survivors are then refined in
-        ascending bound order, in slices each cut and abandoned against
-        the radius as of its start — for *k*, slices of *k*, then
-        :data:`_REFINE_GROWTH` times more each, up to
-        :data:`_REFINE_ROWS`; without *k*, slices of
-        :data:`_REFINE_ROWS` — up to the optimal multi-step stop
-        (Seidl–Kriegel).  Results are ``(id,
-        distance)`` pairs ordered by (distance, corpus row).
+        The radius is ``min(epsilon, k-th distance so far)`` (unset
+        counts as infinite).  Without *k* it is *epsilon*, fixed, and
+        every stage prunes the whole corpus against it in turn
+        (:meth:`_eager`).  With *k* the engine walks the rows best
+        first (:meth:`_walk`), bounding and refining only the rows the
+        shrinking radius still admits.  Both refine in slices through
+        the batched DTW kernel, early abandoned against the radius.
+        Results are ``(id, distance)`` pairs ordered by (distance,
+        corpus row).
 
         *should_abort*, when given, is a zero-argument callable polled
-        before every stage and before every refine slice; the query
-        raises :class:`QueryAborted` as soon as it returns true
-        (cooperative cancellation — the serving layer's deadline
-        mechanism).
+        before every stage (in the walk, every block's stages) and
+        before every refine slice; the query raises
+        :class:`QueryAborted` as soon as it returns true, never a
+        partial answer (cooperative cancellation — the serving layer's
+        deadline mechanism).
         """
         k, epsilon = check_search(k, epsilon)
         kind = query_kind(k)
         params = {key: value for key, value in
                   (("k", k), ("epsilon", epsilon)) if value is not None}
-        cap = math.inf if epsilon is None else epsilon
+        answer = _Answer(k, math.inf if epsilon is None else epsilon)
         ctx = _QueryContext(self, self._normalise_query(query))
-        m = len(self)
         with self.obs.span(
             "query", kind=kind, **params, band=self.band,
         ) as qspan:
             started = monotonic_s()
-            stats = CascadeStats(corpus_size=m)
-            alive = np.arange(m)
-            bounds = np.zeros(m)
-            # The answer so far, a heap of (-distance, -row): its top is
-            # the worst hit in answer order, the one a better hit evicts
-            # once k are held.
-            best: list[tuple[float, int]] = []
-            seeded = np.zeros(m, dtype=bool)
-
-            def radius() -> float:
-                return -best[0][0] if k is not None and len(best) >= k else cap
-
-            def refine_rows(rows: np.ndarray) -> None:
-                """Refine *rows* against the current radius; keep the hits."""
-                cutoff = radius()
-                dists = self._refine(ctx, rows, cutoff, stats, should_abort)
-                hits = dists <= cutoff
-                for row, dist in zip(rows[hits].tolist(),
-                                     dists[hits].tolist()):
-                    entry = (-dist, -row)
-                    if k is None or len(best) < k:
-                        heapq.heappush(best, entry)
-                    elif entry > best[0]:
-                        heapq.heapreplace(best, entry)
-
-            for position, name in enumerate(self.stages):
-                _maybe_abort(should_abort, "stage:" + name)
-                alive, stage, sspan = self._run_stage(
-                    name, ctx, alive, bounds, radius()
-                )
-                stats.stages.append(stage)
-                if (position == 0 and k is not None and alive.size
-                        and math.isinf(radius())):
-                    # Seed the answer radius from the k most promising
-                    # candidates so later (pricier) stages can prune.
-                    seeds = alive[np.argsort(bounds[alive], kind="stable")][:k]
-                    seeded[seeds] = True
-                    refine_rows(seeds)
-                    if math.isfinite(radius()):
-                        keep = bounds[alive] <= radius() + _PRUNE_ATOL
-                        stage.pruned += int(
-                            alive.size - np.count_nonzero(keep)
-                        )
-                        alive = alive[keep]
-                        # Keep the closed stage span a faithful
-                        # projection of the (just amended) stage stats.
-                        sspan.set(
-                            pruned=stage.pruned,
-                            survivors=stage.survivors,
-                            prune_rate=stage.prune_rate,
-                        )
-
-            order = alive[np.argsort(bounds[alive], kind="stable")]
-            pending = order[~seeded[order]]
-            position = 0
-            # The stage-0 seeds were picked by the loosest bound, so the
-            # radius they left is loose too.  Open a k-NN walk with the
-            # k best rows by the final bound, then let slices grow by
-            # _REFINE_GROWTH: each is cut and abandoned against the
-            # radius the previous ones shrank (Seidl-Kriegel's
-            # r-optimality, up to a slice's worth of rows).
-            size = _REFINE_ROWS if k is None else k
-            while position < pending.size:
-                rows = pending[position:position + size]
-                size = min(size * _REFINE_GROWTH, _REFINE_ROWS)
-                # Bounds ascend along ``pending``: refine only the prefix
-                # the stages would keep at the radius as of now; the rest
-                # is re-checked next round against the (possibly
-                # smaller) radius.
-                rows = rows[:np.searchsorted(
-                    bounds[rows], radius() + _PRUNE_ATOL, side="right"
-                )]
-                if not rows.size:
-                    stats.exact_skipped += int(pending.size - position)
-                    break
-                refine_rows(rows)
-                position += rows.size
-            results = [(self.ids[-negrow], -negd)
-                       for negd, negrow in sorted(best, reverse=True)]
+            stats = CascadeStats(corpus_size=len(self))
+            if k is None:
+                self._eager(ctx, answer, stats, should_abort)
+            else:
+                self._walk(ctx, answer, stats, should_abort, started)
+            results = answer.results(self.ids)
             stats.results = len(results)
             stats.total_time_s = monotonic_s() - started
             stats.cpu_time_s = stats.total_time_s
             qspan.set(**_query_span_attrs(stats))
         self.obs.record_cascade_query(kind, stats, ctx.kernel_stats)
         return results, stats
+
+    def _eager(self, ctx: _QueryContext, answer: _Answer,
+               stats: CascadeStats, should_abort) -> None:
+        """A range query: each stage bounds every row the previous ones
+        kept and prunes against the fixed radius; the survivors are
+        refined in slices of :data:`_REFINE_ROWS`, in corpus order."""
+        radius = answer.radius()
+        alive = np.arange(len(self))
+        bounds = np.zeros(len(self))
+        for name in self.stages:
+            _maybe_abort(should_abort, "stage:" + name)
+            with self.obs.span("stage:" + name) as span:
+                started = monotonic_s()
+                stage = StageStats(name=name)
+                if alive.size:
+                    raw = self._stage_bounds(name, ctx, alive)
+                    _tally(stage, raw)
+                    bounds[alive] = np.maximum(bounds[alive], raw)
+                    if math.isfinite(radius):
+                        keep = bounds[alive] <= radius + _PRUNE_ATOL
+                        stage.pruned = int(alive.size
+                                           - np.count_nonzero(keep))
+                        alive = alive[keep]
+                stage.wall_time_s = monotonic_s() - started
+                span.set(**stage.to_dict())
+            stats.stages.append(stage)
+        for start in range(0, alive.size, _REFINE_ROWS):
+            rows = alive[start:start + _REFINE_ROWS]
+            answer.add(rows, self._refine(ctx, rows, radius, stats,
+                                          should_abort), radius)
+
+    def _walk(self, ctx: _QueryContext, answer: _Answer,
+              stats: CascadeStats, should_abort, started: float) -> None:
+        """A k-NN query, best first, every bound computed only where the
+        walk needs it (Seidl-Kriegel's multi-step k-NN at each level of
+        the cascade, after Lemire's cheap-bounds-first order).
+
+        ``new_paa``, when planned, bounds the whole corpus and orders
+        it (:class:`_Ascending`; its time includes the ordering);
+        without it every row's order key is 0.  The walk then repeats
+        the first of two steps that applies, until neither does:
+
+        * **refine** while the best pending bound is at most both the
+          radius and the next unread key: the pending rows up to both,
+          at most k, then :data:`_REFINE_GROWTH` times more each slice,
+          up to :data:`_REFINE_ROWS`, abandoned at the radius;
+        * **read** the next :data:`_WALK_BLOCK` rows while their key is
+          at most the radius: the plan's other stages bound them in plan
+          order, each pruning against the radius, and the survivors
+          join the pending set in ascending bound order.
+
+        Pending rows still above the radius at the end are
+        ``exact_skipped``; unread rows are counted as pruned by
+        ``new_paa``.  Stage records sum over the blocks (rows bounded,
+        pruned, time — refine time excluded), one ``stage:<name>`` span
+        each, laid out from the query's start (durations faithful, not
+        offsets), so ``CascadeStats.from_trace`` still rebuilds them.
+        """
+        m = len(self)
+        records = {name: StageStats(name=name) for name in self.stages}
+        passes = [name for name in self.stages if name != "new_paa"]
+        order_stage = records.get("new_paa")
+        if order_stage is not None:
+            _maybe_abort(should_abort, "stage:new_paa")
+            begun = monotonic_s()
+            key = self._stage_bounds("new_paa", ctx, slice(None))
+            _tally(order_stage, key)
+            order = _Ascending(key, _WALK_HEAD)
+            order.next_key()
+            order_stage.wall_time_s = monotonic_s() - begun
+        else:
+            key = np.zeros(m)
+            order = _Ascending(key, m)
+        pending = np.empty(0, dtype=np.intp)
+        pending_bounds = np.empty(0)
+        read = 0
+        size = answer.k
+        while True:
+            limit = answer.radius() + _PRUNE_ATOL
+            next_key = order.next_key()
+            unread = math.inf if next_key is None else next_key
+            if pending.size and pending_bounds[0] <= min(unread, limit):
+                take = min(size, int(np.searchsorted(
+                    pending_bounds, min(unread, limit), side="right")))
+                rows, pending = pending[:take], pending[take:]
+                pending_bounds = pending_bounds[take:]
+                size = min(size * _REFINE_GROWTH, _REFINE_ROWS)
+                cutoff = answer.radius()
+                answer.add(rows, self._refine(ctx, rows, cutoff, stats,
+                                              should_abort), cutoff)
+                continue
+            if next_key is None or next_key > limit:
+                break
+            rows = order.take(_WALK_BLOCK)
+            bounds = key[rows]
+            # Keys ascend along the order: the rows above the radius,
+            # and every row after them, are never read.
+            kept = int(np.searchsorted(bounds, limit, side="right"))
+            rows, bounds = rows[:kept], bounds[:kept]
+            read += kept
+            for name in passes:
+                if not rows.size:
+                    break
+                _maybe_abort(should_abort, "stage:" + name)
+                begun = monotonic_s()
+                stage = records[name]
+                raw = self._stage_bounds(name, ctx, rows)
+                _tally(stage, raw)
+                np.maximum(bounds, raw, out=bounds)
+                keep = bounds <= limit
+                stage.pruned += int(rows.size - np.count_nonzero(keep))
+                rows, bounds = rows[keep], bounds[keep]
+                stage.wall_time_s += monotonic_s() - begun
+            pending = np.concatenate((pending, rows))
+            pending_bounds = np.concatenate((pending_bounds, bounds))
+            merged = np.argsort(pending_bounds, kind="stable")
+            pending, pending_bounds = pending[merged], pending_bounds[merged]
+        if order_stage is not None:
+            order_stage.pruned = m - read
+        stats.exact_skipped = int(pending.size)
+        cursor = started
+        for name in self.stages:
+            stage = records[name]
+            with self.obs.span("stage:" + name) as span:
+                span.set(**stage.to_dict())
+            if self.obs.tracer.enabled:
+                span.start_s, span.end_s = cursor, cursor + stage.wall_time_s
+            cursor += stage.wall_time_s
+            stats.stages.append(stage)
 
     def range_search(self, query, epsilon: float, *, should_abort=None):
         """All series within DTW distance *epsilon*: :meth:`search`."""

@@ -127,8 +127,9 @@ class WarpingIndex:
         #: ``store.generation``.)
         self.generation = 0
         self._store = None
-        #: Row envelopes of ``_data`` when it is a store's rows (that
-        #: store's columns); ``None`` lets the engine compute its own.
+        #: Row envelopes of ``_data`` and their New_PAA column when it
+        #: is a store's rows (that store's columns); ``None`` lets the
+        #: engine compute its own.
         self._envelopes = None
         self._lb_slack = 0.0
         self.normal_form = normal_form or NormalForm()
@@ -300,7 +301,8 @@ class WarpingIndex:
             "_store": store,
             # Mapped (or joined across segments) here, off the query
             # path, rather than by the first engine() after a swap.
-            "_envelopes": (store.env_lower, store.env_upper),
+            "_envelopes": (store.env_lower, store.env_upper,
+                           store.env_paa),
             "_engines": {},
             "_lb_slack": self._slack_for(store.feature_margin,
                                          self.env_transform.output_dim,

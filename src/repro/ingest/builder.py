@@ -8,7 +8,8 @@ over the whole chunk (exact for the stored float32 data — envelope
 values are order statistics), GEMINI features are extracted batched in
 float64 and quantized to float32 with the maximum absolute quantization
 error tracked as the generation's ``feature_margin``, and the chunk is
-appended to the generation's segment files.
+appended to the generation's segment files (the writer derives the
+``env_paa`` column from the envelopes).
 
 Passing ``base=`` builds an *incremental* generation: the previous
 generation's segments are inherited by hard link and only the new rows
@@ -27,6 +28,7 @@ from ..core.envelope_transforms import (
     KeoghPAAEnvelopeTransform,
     NewPAAEnvelopeTransform,
     SignSplitEnvelopeTransform,
+    row_paa_frames,
 )
 from ..core.envelope import batch_envelope, warping_width_to_k
 from ..core.normal_form import NormalForm
@@ -171,14 +173,17 @@ class StreamingIndexBuilder:
         self.capacity = int(capacity)
         self.budget_bytes = int(memory_budget_mb * (1 << 20))
         n, d = self.normal_length, self.n_features
+        f = row_paa_frames(d, n)
         # Deterministic staging account per buffered row: the float32
         # normalized chunk held across the chunk, plus the transient
         # flush-time arrays (float64 feature matmul input and output,
-        # float32 features and the two envelope outputs).
+        # float32 features, the two envelope outputs and the writer's
+        # ``env_paa`` column, whose float64 means go 1 024 rows a time).
         self.row_bytes = (
             n * 4                     # normalized f32
             + n * 8 + d * 8 + d * 4   # f64 upcast, f64 feats, f32 feats
             + 2 * n * 4               # envelope outputs
+            + 2 * f * 4               # env_paa f32
         )
         self.chunk_rows = max(1, self.budget_bytes // self.row_bytes)
 

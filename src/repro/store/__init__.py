@@ -15,12 +15,17 @@ Columns (all row-aligned; one row is one whole melody with one id):
 ``env_lower``    float32, (rows, normal_length) — LDTW k-envelope lower
 ``env_upper``    float32, (rows, normal_length) — LDTW k-envelope upper
 ``features``     float32, (rows, n_features)   — GEMINI envelope features
+``env_paa``      float32, (rows, 2 F)          — New_PAA of each row's
+                 envelope at F = min(2 n_features, normal_length) frames
 
 Envelope values are order statistics of the stored float32 data, so the
 float32 envelope columns are *exact* for the stored corpus; the query
 engine reads them memory-mapped as each row's own envelope (the EC half
 of its ``lb_keogh`` stage), and ``verify()`` checks they bound the
-data.  Features are
+data.  ``env_paa`` holds their frame means, lower side rounded down and
+upper side rounded up (the row side of the engine's ``new_paa`` stage);
+``verify()`` checks it brackets the means recomputed from the envelope
+columns.  Features are
 computed in float64 and quantized to float32; the manifest records the
 maximum absolute quantization error (``feature_margin``) so index-side
 lower bounds can be slackened to keep the zero-false-negative contract

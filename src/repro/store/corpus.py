@@ -35,6 +35,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..core.envelope_transforms import (
+    envelope_paa,
+    frame_means,
+    row_paa_frames,
+)
 from ..obs.clock import wall_s
 from .manifest import (
     COLUMN_SPECS,
@@ -58,6 +63,8 @@ __all__ = [
 ]
 
 _CURRENT = "CURRENT"
+#: Rows :meth:`CorpusStore.verify` recomputes frame means for at a time.
+_VERIFY_ROWS = 4096
 _GEN_PREFIX = "gen-"
 
 
@@ -187,6 +194,7 @@ class GenerationWriter:
         os.makedirs(self.directory)
         self._normal_length = int(normal_length)
         self._n_features = int(n_features)
+        self._paa_frames = row_paa_frames(n_features, normal_length)
         self._metric = metric
         self._config = dict(config or {})
         self._segments: list[SegmentMeta] = []
@@ -235,8 +243,9 @@ class GenerationWriter:
 
     def _write_column(self, column: str, chunk: np.ndarray) -> None:
         dtype, source = COLUMN_SPECS[column]
-        width = (self._n_features if source == "n_features"
-                 else self._normal_length)
+        width = {"n_features": self._n_features,
+                 "env_paa": 2 * self._paa_frames}.get(source,
+                                                      self._normal_length)
         data = np.ascontiguousarray(chunk, dtype=np.dtype(dtype))
         if data.ndim != 2 or data.shape[1] != width:
             raise StoreError(
@@ -259,14 +268,29 @@ class GenerationWriter:
     def append(self, normalized: np.ndarray, features: np.ndarray,
                env_lower: np.ndarray, env_upper: np.ndarray, *,
                ids: Sequence[Any] | None = None) -> None:
-        """Append one row-aligned chunk to the new segment."""
+        """Append one row-aligned chunk to the new segment.
+
+        The ``env_paa`` column is derived here from the chunk's
+        envelope columns as stored (float32), so every writer of a
+        generation produces it the same way.
+        """
         if self._sealed:
             raise StoreError("writer already sealed")
         chunk_rows = int(np.asarray(normalized).shape[0])
+        env_lower = np.asarray(env_lower, dtype=np.float32)
+        env_upper = np.asarray(env_upper, dtype=np.float32)
+        if env_lower.shape != env_upper.shape or env_lower.ndim != 2:
+            raise StoreError(
+                f"envelope chunks have shapes {env_lower.shape} and "
+                f"{env_upper.shape}, expected two equal (rows, "
+                f"{self._normal_length})"
+            )
+        env_paa = envelope_paa(env_lower, env_upper, self._paa_frames)
         for name, chunk in (("normalized", normalized),
                             ("features", features),
                             ("env_lower", env_lower),
-                            ("env_upper", env_upper)):
+                            ("env_upper", env_upper),
+                            ("env_paa", env_paa)):
             if int(np.asarray(chunk).shape[0]) != chunk_rows:
                 raise StoreError(
                     f"column {name!r} has {np.asarray(chunk).shape[0]} "
@@ -462,6 +486,10 @@ class CorpusStore:
         return self.column("env_upper")
 
     @property
+    def env_paa(self) -> np.ndarray:
+        return self.column("env_paa")
+
+    @property
     def ids(self) -> list[Any]:
         if self._ids is None:
             path = os.path.join(self.directory, self.manifest.ids_file)
@@ -474,6 +502,23 @@ class CorpusStore:
         return list(self._ids)
 
     # -- validation --------------------------------------------------
+
+    def _paa_brackets_envelopes(self) -> bool:
+        """Whether every ``env_paa`` row holds its envelope's frame
+        means between its lower and upper halves (checked in blocks, so
+        no corpus-sized float64 array is made)."""
+        frames = row_paa_frames(self.manifest.n_features,
+                                self.manifest.normal_length)
+        paa = self.column("env_paa")
+        lower, upper = self.env_lower, self.env_upper
+        for start in range(0, self.rows, _VERIFY_ROWS):
+            block = slice(start, start + _VERIFY_ROWS)
+            if not (np.all(paa[block, :frames]
+                           <= frame_means(lower[block], frames))
+                    and np.all(frame_means(upper[block], frames)
+                               <= paa[block, frames:])):
+                return False
+        return True
 
     def verify(self, *, raise_on_error: bool = True) -> list[str]:
         """Recompute checksums and cross-check shapes.
@@ -523,6 +568,9 @@ class CorpusStore:
             data = self.normalized
             if not (np.all(lower <= data) and np.all(data <= upper)):
                 errors.append("envelope columns do not bound the data")
+            if not self._paa_brackets_envelopes():
+                errors.append("env_paa column does not bracket the "
+                              "frame means of the envelope columns")
         if errors and raise_on_error:
             raise StoreError(
                 f"generation {self.generation} failed verification: "

@@ -19,6 +19,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..core.envelope_transforms import row_paa_frames
+
 __all__ = [
     "COLUMN_SPECS",
     "FORMAT_VERSION",
@@ -31,16 +33,20 @@ __all__ = [
 
 #: Manifest format version; bump on incompatible layout changes.
 #: Version 2 dropped version 1's per-row ``meta`` column and ``kind``
-#: field: every row is one whole melody with one id.
-FORMAT_VERSION = 2
+#: field: every row is one whole melody with one id.  Version 3 added
+#: the ``env_paa`` column.
+FORMAT_VERSION = 3
 
 #: Column schema: name -> (numpy dtype string, width source).  Width
-#: source is ``"normal_length"`` or ``"n_features"``.
+#: source is ``"normal_length"``, ``"n_features"`` or ``"env_paa"``
+#: (two sides of ``min(2 n_features, normal_length)`` frame means, see
+#: :func:`~repro.core.envelope_transforms.envelope_paa`).
 COLUMN_SPECS: dict[str, tuple[str, Any]] = {
     "normalized": ("float32", "normal_length"),
     "env_lower": ("float32", "normal_length"),
     "env_upper": ("float32", "normal_length"),
     "features": ("float32", "n_features"),
+    "env_paa": ("float32", "env_paa"),
 }
 
 _HASH_CHUNK = 1 << 20
@@ -93,8 +99,11 @@ class Manifest:
     ids_file: str = "ids.json"
 
     def column_width(self, column: str) -> int:
-        if COLUMN_SPECS[column][1] == "n_features":
+        source = COLUMN_SPECS[column][1]
+        if source == "n_features":
             return self.n_features
+        if source == "env_paa":
+            return 2 * row_paa_frames(self.n_features, self.normal_length)
         return self.normal_length
 
     def to_dict(self) -> dict[str, Any]:

@@ -128,13 +128,12 @@ def test_knn_stats_account_for_every_candidate(corpus, query):
     results, stats = engine.knn(query, 5)
     assert len(results) == 5
     # Every corpus series is pruned by a bound, refined exactly, or
-    # skipped by the best-first walk once k answers were proven safe.
-    # A radius-seeding candidate may be refined *and* later pruned, so
-    # the sum can exceed the corpus size by at most one per refinement.
+    # skipped by the best-first walk once k answers were proven safe —
+    # exactly one of the three (rows the walk never read count as
+    # pruned by the bound that ordered it).
     accounted = (stats.pruned_total + stats.dtw_computations
                  + stats.exact_skipped)
-    assert accounted >= stats.corpus_size
-    assert accounted <= stats.corpus_size + stats.dtw_computations
+    assert accounted == stats.corpus_size
     assert stats.dtw_computations <= stats.corpus_size
     assert stats.dtw_computations >= 5  # at least the k answers
     assert stats.dtw_abandoned <= stats.dtw_computations
@@ -312,19 +311,24 @@ def test_refine_is_one_kernel_dispatch_per_slice(corpus, query):
     rng = np.random.default_rng(5)
     big = np.cumsum(rng.normal(size=(2000, LENGTH)), axis=1)
     hum = big[7] + 2.0 * rng.normal(size=LENGTH)
-    obs = Observability()
+    obs, sink = Observability.in_memory()
     calls = obs.metrics.counter("dtw.kernel_calls_total")
     engine = QueryEngine(big, band=BAND, obs=obs)
     before = calls.value
     results, stats = engine.knn(hum, 10)
-    # The stage-0 seed call, then slices of k, k x _REFINE_GROWTH, ...
-    # (capped at _REFINE_ROWS) rows, of which only the last can be short.
-    slices, covered, size = 0, 0, 10
-    while covered < stats.dtw_computations - 10:
-        slices += 1
-        covered += size
+    (trace,) = sink.traces
+    slices = [span.attrs["rows"] for span in trace if span.name == "refine"]
+    # One kernel call per refine slice.  The k-NN walk refines slices
+    # of at most k, k x _REFINE_GROWTH, ... rows (capped at
+    # _REFINE_ROWS), each cut where the pending bounds pass the radius
+    # or the next unread row's bound, and they add up to the rows
+    # refined.
+    assert calls.value - before == len(slices)
+    size = 10
+    for rows in slices:
+        assert 1 <= rows <= size
         size = min(size * _REFINE_GROWTH, _REFINE_ROWS)
-    assert calls.value - before == 1 + slices
+    assert sum(slices) == stats.dtw_computations
     assert ([i for i, _ in results]
             == [i for i, _ in engine.ground_truth_knn(hum, 10)])
 

@@ -10,10 +10,9 @@ that sound:
   over the stored corpus returns answers **bitwise identical** to one
   over a float64 upcast copy, though its bounds differ in the last
   digits;
-* the engine reads the store's envelope columns, and an engine that
-  computes its own envelopes instead returns the same bounds, counters
-  and answers — also after ``insert`` / ``remove`` detach the index's
-  rows from the store;
+* the engine reads the store's envelope columns and their New_PAA
+  column, and an engine that computes its own instead returns the same
+  bounds, counters and answers;
 * tree searches over the stored float32 features inflate epsilon (and
   deflate k-NN bounds) by the manifest margin — range answers over the
   store can therefore never lose a true float32-corpus hit (zero false
@@ -30,7 +29,7 @@ from repro.core.envelope import k_envelope
 from repro.core.normal_form import NormalForm
 from repro.datasets.generators import random_walks
 from repro.engine import QueryEngine
-from repro.engine.stages import lb_keogh_two_sided
+from repro.engine.stages import lb_keogh_two_sided, query_sides
 from repro.index.gemini import WarpingIndex
 from repro.ingest import StreamingIndexBuilder
 
@@ -104,15 +103,17 @@ def test_store_envelopes_change_no_result(pair, queries):
     given = f32.engine()
     assert np.shares_memory(given._envelopes[0], f32.store.env_lower)
     assert np.shares_memory(given._envelopes[1], f32.store.env_upper)
+    assert np.shares_memory(given._env_paa, f32.store.env_paa)
     own = QueryEngine(f32._data, band=f32.band, n_features=f32.feature_dim,
                       ids=list(f32.ids), metric=f32.metric)
+    assert np.array_equal(given._env_paa, own._env_paa)
     rows = np.arange(len(own))
     for query in queries:
         q = f32.normal_form.apply(query)
-        env = k_envelope(q, f32.band)
+        sides = query_sides(q, k_envelope(q, f32.band), f32._data.dtype)
         assert np.array_equal(
-            lb_keogh_two_sided(q, env, f32._data, *given._envelopes, rows),
-            lb_keogh_two_sided(q, env, f32._data, *own._envelopes, rows),
+            lb_keogh_two_sided(sides, f32._data, *given._envelopes, rows),
+            lb_keogh_two_sided(sides, f32._data, *own._envelopes, rows),
         )
         for params in ({"k": 5}, {"epsilon": 18.0}, {"k": 3, "epsilon": 18.0}):
             a, a_stats = given.search(q, **params)

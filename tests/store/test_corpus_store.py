@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from repro.store import (
+    FORMAT_VERSION,
     CorpusStore,
     GenerationWriter,
     StoreError,
     activate_generation,
     current_generation,
+    file_sha256,
     generation_dirname,
     list_generations,
     prune_generations,
@@ -182,6 +184,44 @@ def test_verify_catches_envelope_violation(tmp_path):
         CorpusStore.open(root, generation=0).verify()
 
 
+def test_env_paa_column_brackets_the_envelope_frame_means(tmp_path):
+    """The writer derives ``env_paa`` from the envelope columns: per row
+    the frame means of the lower side rounded down, then of the upper
+    side rounded up, at min(2 n_features, normal_length) frames."""
+    store, chunk = _write_generation(str(tmp_path), rows=5)
+    _, _, env_lower, env_upper = chunk
+    paa = np.asarray(store.env_paa)
+    assert paa.dtype == np.float32 and paa.shape == (5, 16)
+    lower_means = env_lower.astype(np.float64).reshape(5, 8, 2).mean(axis=2)
+    upper_means = env_upper.astype(np.float64).reshape(5, 8, 2).mean(axis=2)
+    assert np.all(paa[:, :8] <= lower_means)
+    assert np.all(upper_means <= paa[:, 8:])
+    np.testing.assert_allclose(paa[:, :8], lower_means, rtol=1e-6)
+    np.testing.assert_allclose(paa[:, 8:], upper_means, rtol=1e-6)
+
+
+def test_verify_catches_env_paa_that_does_not_bracket(tmp_path):
+    """A column whose lower half exceeds a frame mean fails verify, even
+    with its checksum rewritten to match."""
+    root = str(tmp_path)
+    store, _ = _write_generation(root, rows=4)
+    (segment,) = store.manifest.segments
+    entry = segment.files["env_paa"]
+    path = os.path.join(store.directory, entry["file"])
+    paa = np.fromfile(path, dtype=np.float32).reshape(4, 16)
+    paa[2, 3] = np.nextafter(paa[2, 3], np.float32(np.inf)) + 1e-3
+    paa.tofile(path)
+    manifest = os.path.join(store.directory, "manifest.json")
+    with open(manifest) as handle:
+        payload = json.load(handle)
+    payload["segments"][0]["files"]["env_paa"]["sha256"] = file_sha256(path)
+    with open(manifest, "w") as handle:
+        json.dump(payload, handle)
+    errors = CorpusStore.open(root).verify(raise_on_error=False)
+    assert errors == ["env_paa column does not bracket the frame means "
+                      "of the envelope columns"]
+
+
 def test_malformed_current_pointer(tmp_path):
     root = str(tmp_path)
     _write_generation(root, 0, rows=2)
@@ -208,15 +248,25 @@ def _version1(payload):
     return json.dumps(payload)
 
 
+def _version2(payload):
+    """The parent format: no ``env_paa`` column."""
+    payload = dict(payload, format_version=2)
+    payload["columns"] = {name: spec for name, spec
+                          in payload["columns"].items() if name != "env_paa"}
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize("rewrite, message", [
     (lambda payload: json.dumps(dict(payload, format_version=0)),
      "rebuild the store with `repro ingest`"),
     (_version1, "rebuild the store with `repro ingest`"),
+    (_version2, "rebuild the store with `repro ingest`"),
     (lambda payload: json.dumps(payload)[:40], "bad manifest"),
-    (lambda payload: json.dumps({"format_version": 2}),
+    (lambda payload: json.dumps({"format_version": FORMAT_VERSION}),
      "bad manifest: missing field 'generation'"),
     (lambda payload: json.dumps([payload]), "not a JSON object"),
-], ids=["version-0", "version-1", "truncated", "missing-keys", "not-object"])
+], ids=["version-0", "version-1", "version-2", "truncated", "missing-keys",
+        "not-object"])
 def test_bad_manifest_is_a_store_error(tmp_path, rewrite, message):
     """A manifest the reader cannot use raises StoreError naming the
     generation directory, never a bare parse or lookup error."""

@@ -313,10 +313,13 @@ class TestStoreErrors:
         (lambda gen: _rewrite_manifest(gen, lambda m: json.dumps(
             dict(m, format_version=1, kind="melody"))),
          "rebuild the store with `repro ingest`"),
+        (lambda gen: _rewrite_manifest(gen, lambda m: json.dumps(
+            dict(m, format_version=2))),
+         "rebuild the store with `repro ingest`"),
         (lambda gen: _rewrite_manifest(gen, lambda m: json.dumps(m)[:30]),
          "bad manifest"),
         (_truncate_ids, "ids file unreadable"),
-    ], ids=["empty", "version-1", "truncated", "truncated-ids"])
+    ], ids=["empty", "version-1", "version-2", "truncated", "truncated-ids"])
     def test_store_error_is_one_line_and_exit_two(
             self, tmp_path, capsys, command, spoil, message):
         """A store that cannot be opened is reported as argparse reports
