@@ -1,4 +1,5 @@
-"""Banded-DTW computation kernels: one per call shape.
+"""Banded-DTW computation kernels: one per call shape, and the native
+library they share with the cascade's stage bounds.
 
 The exact Sakoe-Chiba banded DTW of Definition 4 is the repo's hottest
 inner loop: every candidate that survives the lower-bound cascade pays
@@ -15,13 +16,10 @@ dynamic program lives, as one function per call shape:
     One query against a ``(B, n)`` candidate matrix, with one of two
     bodies and the same answers from either:
 
-    * **native** — ``banded_dtw.c`` next to this file: the reference's
-      row-major DP per candidate, with row-granularity abandoning.  The
-      first call in a process compiles it with ``cc`` into
-      ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``), keyed by
-      a hash of the source and the compiler command, and loads it with
-      :mod:`ctypes`, which releases the GIL for the call.  A call costs
-      tens of microseconds whatever its row count.
+    * **native** — ``banded_dtw_batch`` in ``banded_dtw.c`` next to this
+      file: the reference's row-major DP per candidate, with
+      row-granularity abandoning.  A call costs tens of microseconds
+      whatever its row count.
     * **NumPy** — when no build can be had (no ``cc``, a compile or
       load error, an unwritable cache): an anti-diagonal *wavefront*
       sweep.  All cells on one anti-diagonal ``i + j = d`` are
@@ -35,14 +33,26 @@ dynamic program lives, as one function per call shape:
     The engine, the tree route's range query and every oracle reach the
     DTW through it.
 
+**One native library.**  ``banded_dtw.c`` holds the refine kernel and
+the bodies of the cascade's stage bounds (:mod:`repro.engine.stages`)
+and of the store's frame means (``CorpusStore.verify``).  The first
+call that needs it compiles it with ``cc`` into
+``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``), keyed by a hash
+of the source and the compiler command, and loads it with
+:mod:`ctypes`, which releases the GIL for every call.
+:func:`native_library` returns it with every entry point bound, or
+``None`` — then every caller runs its NumPy body.  It is built with
+``-O3`` (see :data:`_CFLAGS`): GCC 12 vectorises the stage bodies' lane
+sums only there.
+
 All work in **accumulated-cost space**: squared differences for the
 Euclidean metric (the square root is the caller's job, as in the
 paper's ``D^2`` recurrences) and absolute differences for Manhattan.
 ``inf`` means "no admissible path" or "abandoned against the cutoff".
 For ``k >= 1`` every body does the same IEEE operations per cell (the C
-is built with ``-ffp-contract=off`` and without ``-ffast-math``), so a
-finished cost agrees bit for bit; bodies differ only in which
-over-cutoff rows they abandon.
+is built with ``-ffp-contract=off`` and without ``-ffast-math``, at
+``-O3`` as at ``-O2``), so a finished cost agrees bit for bit; bodies
+differ only in which over-cutoff rows they abandon.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -80,18 +91,23 @@ _COMPACT_MIN_DEAD = 32
 _COMPACT_DEAD_FRACTION = 0.5
 
 
-#: The native body's source, shipped next to this module.
+#: The native library's source, shipped next to this module.
 _SOURCE = Path(__file__).with_name("banded_dtw.c")
 
-#: Compiler flags for the native body.  ``-ffp-contract=off`` keeps
-#: ``best + d*d`` two roundings (no fused multiply-add), and there is
-#: no ``-ffast-math`` or ``-march=native``: costs stay bit-identical to
-#: the reference, and a build cached on a home directory shared across
-#: hosts runs on all of them.
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: Compiler flags for the native library.  ``-O3``, because GCC 12
+#: vectorises the stage bodies' lane sums only there: ``lb_keogh`` over
+#: 1 024 float32 rows in walk order took 0.48 ms at ``-O2`` and
+#: 0.23-0.33 ms at ``-O3``, and ``banded_dtw_batch`` over 1 024 rows
+#: (n = 128, k = 6) 4.40 -> 3.77 ms, with bit-identical costs (2-vCPU
+#: host).  ``-ffp-contract=off`` keeps ``best + d*d`` two roundings
+#: (no fused multiply-add), and there is no ``-ffast-math`` or
+#: ``-march=native``: costs stay bit-identical to the reference, and a
+#: build cached on a home directory shared across hosts runs on all of
+#: them.
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
-#: The loaded native entry point, ``None`` for the NumPy body, or
-#: :data:`_UNLOADED` until the first batched call decides.
+#: The loaded library (see :func:`_bind`), ``None`` for the NumPy bodies,
+#: or :data:`_UNLOADED` until the first call that needs it decides.
 _UNLOADED = object()
 _native = _UNLOADED
 _native_lock = threading.Lock()
@@ -105,21 +121,44 @@ def _cache_dir() -> Path:
     return Path(base) / "repro"
 
 
-def _bind(path: Path):
-    """The entry point of the shared object at *path*, or ``None``."""
+_P, _I64, _INT = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
+
+#: Every entry point of the native library: ``(argtypes, restype)``.
+#: ``banded_dtw_batch`` is this module's; the rest are the stage bounds'
+#: bodies (:mod:`repro.engine.stages`) and the store's frame means.
+_ENTRY_POINTS = {
+    "banded_dtw_batch": ((_P, _I64, _P, _I64, _I64, _I64, _P, _INT, _P),
+                         _I64),
+    "lb_first_last_f32": ((_P, _I64, _P, _I64, _P, _I64, _INT, _P), _INT),
+    "lb_first_last_f64": ((_P, _I64, _P, _I64, _P, _I64, _INT, _P), _INT),
+    "lb_keogh_f32": ((_P, _P, _P, _P, _I64, _P, _P, _P, _I64, _P, _I64,
+                      ctypes.c_double, _INT, _P), _INT),
+    "lb_keogh_f64": ((_P, _P, _P, _P, _I64, _P, _P, _P, _I64, _P, _I64,
+                      ctypes.c_double, _INT, _P), _INT),
+    "lb_band": ((_P, _I64, _I64, _P, _I64, _P, _P, _INT, _P), _INT),
+    "lb_new_paa": ((_P, _I64, _P, _P, _P, _I64, _P, _P, _P, _I64, _P, _I64,
+                    _INT, _P), _INT),
+    "frame_means_f32": ((_P, _I64, _I64, _P, _I64, _P), None),
+}
+
+
+def _bind(path: Path) -> SimpleNamespace | None:
+    """Every entry point of the shared object at *path*, as attributes
+    of the same names, or ``None`` if it cannot be loaded or lacks any
+    of them."""
     try:
-        fn = ctypes.CDLL(str(path)).banded_dtw_batch
+        library = ctypes.CDLL(str(path))
+        functions = {name: getattr(library, name) for name in _ENTRY_POINTS}
     except (OSError, AttributeError):  # truncated, foreign or stale
         return None
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                   ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                   ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p)
-    fn.restype = ctypes.c_int64
-    return fn
+    for name, (argtypes, restype) in _ENTRY_POINTS.items():
+        functions[name].argtypes = argtypes
+        functions[name].restype = restype
+    return SimpleNamespace(**functions)
 
 
-def _load_native():
-    """Load the cached native body, building it first if need be.
+def _load_native() -> SimpleNamespace | None:
+    """Load the cached native library, building it first if need be.
 
     The build goes to a temporary file in the cache directory and is
     moved into place with :func:`os.replace`, so processes starting at
@@ -139,28 +178,32 @@ def _load_native():
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
         path = cache / f"banded_dtw-{key}.so"
         if path.exists():
-            fn = _bind(path)
-            if fn is not None:
-                return fn
+            library = _bind(path)
+            if library is not None:
+                return library
         fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
         os.close(fd)
         try:
             subprocess.run([*command, "-o", tmp, "-x", "c", "-"],
                            input=source, capture_output=True, check=True,
                            timeout=120)
-            os.replace(tmp, path)
+            # Bound under its temporary name: a stale build loaded from
+            # the cached name would be handed back for that name again.
+            library = _bind(Path(tmp))
+            if library is not None:
+                os.replace(tmp, path)
+            return library
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        return _bind(path)
     except (OSError, RuntimeError, subprocess.SubprocessError):
         # No home directory, an unwritable cache, a failed or hung
         # compile: the NumPy body answers instead, and nothing raises.
         return None
 
 
-def _native_kernel():
-    """The native entry point (loaded on first use) or ``None``."""
+def native_library() -> SimpleNamespace | None:
+    """The native library (loaded on first use) or ``None``."""
     global _native
     if _native is _UNLOADED:
         with _native_lock:
@@ -359,10 +402,10 @@ def banded_dtw_cost_batch(
             totals = np.where(totals > bounds, _INF, totals)
         return totals
 
-    native = _native_kernel()
+    native = native_library()
     if native is not None:
         out = np.empty(total)
-        cells = native(
+        cells = native.banded_dtw_batch(
             x.ctypes.data, n, candidates.ctypes.data, total, m, k,
             None if bounds is None else bounds.ctypes.data,
             int(manhattan), out.ctypes.data,

@@ -21,11 +21,17 @@ lb_keogh   Lemma 2 both ways: max(EQ, EC), in the rows' dtype    O(n)
 lemire     Lemire two-pass LB_Improved (2009 refinement)         O(n)
 ========== ===================================================== ========
 
-EQ is each row against the query's envelope, EC the query against the
-row's own envelope (the ``envelopes`` the engine is given or computes).
-``lb_keogh`` reads both in one pass over blocks of rows, in float32 for
-a float32 corpus (deflated by its worst-case rounding error) and in
-float64 otherwise; see :func:`~repro.engine.stages.lb_keogh_two_sided`.
+The first four are served by the native library's stage bodies (one
+call per stage over the rows asked for, the GIL released), or by NumPy
+where it cannot be built; ``lemire`` is NumPy-only (see
+:mod:`repro.engine.stages`).  EQ is each row against the query's
+envelope, EC the query against the row's own envelope (the
+``envelopes`` the engine is given or computes).  ``lb_keogh`` reads
+both in one pass, in float32 for a float32 corpus (deflated by its
+worst-case rounding error) and in float64 otherwise, and is given the
+pruning radius: the native body stops at EC for a row whose EC already
+exceeds it, and returns that partial bound (still sound, and pruned
+all the same); see :func:`~repro.engine.stages.lb_keogh_two_sided`.
 ``new_paa`` is the same idea one level down.  Theorem 1 holds for any
 container, so New_PAA of each row's envelope lower-bounds EC as New_PAA
 of the query's envelope lower-bounds EQ.  The row side reads a float32
@@ -57,8 +63,9 @@ Two walks run a plan.  A range query's radius is fixed, so order buys
 nothing: each stage bounds every row the previous ones kept, in turn.
 A k-NN query's radius shrinks as it refines, so it walks best first:
 ``new_paa`` bounds the whole corpus and orders it, the other stages
-bound it a block of :data:`_WALK_BLOCK` rows at a time only while the
-block's ``new_paa`` is within the radius, and the refine takes the
+bound it a block at a time (from :data:`_WALK_FIRST` times k rows,
+doubling up to :data:`_WALK_BLOCK`) only while the block's
+``new_paa`` is within the radius, and the refine takes the
 pending rows whenever their best bound is at most the next unread
 row's — Seidl-Kriegel's multi-step k-NN at each level of the cascade,
 in Lemire's cheap-bounds-first order (arXiv 0807.1734).  It is exact
@@ -160,14 +167,26 @@ _REFINE_ROWS = 1024
 #: the refine within 1 % of the floor.
 _REFINE_GROWTH = 2
 
-#: Rows the k-NN walk reads at a time, in ascending ``new_paa`` order.
-#: A block's stages are a few whole-block NumPy calls, so the block
-#: decides how often the walk holds the GIL between them: on
-#: ``knn_hard`` (same setting as above, two threads on one engine)
-#: 256-row blocks served 127-136 queries/s, no more than one thread,
-#: and 1024-row blocks 201-211, while ``lb_keogh`` bounded 2 203 and
-#: 2 318 rows per query.  2048-row blocks bound 2 745.
+#: Most rows the k-NN walk reads at a time, in ascending ``new_paa``
+#: order.  Each block costs a few stage calls, which release the GIL
+#: but are made from Python.  Re-swept with the native stage bodies
+#: (2026-10, bench_e2e's ``knn_hard`` requests, 10^4 rows, k=10, two
+#: threads on one engine, 2-vCPU host, 6 alternated passes): blocks of
+#: at most 256 / 512 / 1024 rows served 206-254 / 256-315 / 298-376
+#: queries/s (medians 227 / 271 / 328) while ``lb_keogh`` bounded
+#: 2 203 / 2 206 / 2 224 rows per query.
 _WALK_BLOCK = 1024
+
+#: The k-NN walk's first block, in multiples of k; each later block is
+#: twice the one before, up to :data:`_WALK_BLOCK`, so a small store is
+#: not bounded whole before any distance is known.  On ``knn_hard``
+#: (same setting, one thread), first blocks of 4 / 8 / 16 / 32 / 64 k
+#: refined 272.62 / 272.30 / 272.07 / 271.51 / 271.43 rows per query
+#: and ``lb_keogh`` bounded 2 218 / 2 219 / 2 224 / 2 231 / 2 254, against
+#: 272.18 and 2 318 with whole 1024-row blocks.  16 k is the smallest
+#: first block that refines fewer rows than whole blocks on all 120
+#: requests and on bench_e2e's traced 16 (203.25 against 204.31).
+_WALK_FIRST = 16
 
 #: Rows the walk's order sorts first (4 blocks); the rest is sorted
 #: only if the walk reads that far.
@@ -180,7 +199,11 @@ class StageStats:
 
     ``wall_time_s`` is the stage's elapsed time for one query; when
     stats objects for several queries are merged with ``+`` it becomes
-    the *sum* over those queries.
+    the *sum* over those queries.  ``bound_min`` / ``bound_mean`` /
+    ``bound_max`` are over the raw bounds the stage returned, and a row
+    the native ``lb_keogh`` abandoned at the radius returns a partial
+    bound (its EC alone), so on that stage they may read below the
+    full bounds' statistics.
     """
 
     name: str
@@ -806,7 +829,10 @@ class QueryEngine:
                     "corpus series must share one length "
                     "(or pass a fixed-length normal_form)"
                 )
-        self._data = data
+        # The stage bodies read rows in place, so every corpus-sized array
+        # is C-contiguous from here on (a store's columns already are,
+        # and stay mapped).
+        self._data = data = np.ascontiguousarray(data)
         m, n = data.shape
         if (band is None) == (delta is None):
             raise ValueError("give exactly one of band= or delta=")
@@ -851,10 +877,13 @@ class QueryEngine:
             envelopes = batch_envelope(data, self.band)
         if "new_paa" in stages and env_paa is None:
             env_paa = envelope_paa(*envelopes, frames)
-        self._envelopes = envelopes if "lb_keogh" in stages else None
+        self._envelopes = (tuple(np.ascontiguousarray(side)
+                                 for side in envelopes)
+                           if "lb_keogh" in stages else None)
         # The row side of ``new_paa``: each row's envelope reduced by
         # New_PAA at ``frames`` frames, a store's ``env_paa`` column.
-        self._env_paa = env_paa
+        self._env_paa = (None if env_paa is None
+                         else np.ascontiguousarray(env_paa))
         self._paa_frames = frames
         self._paa_widths = np.diff(
             PAATransform(n, frames).frame_bounds).astype(np.float64)
@@ -886,16 +915,20 @@ class QueryEngine:
             )
         return q
 
-    def _stage_bounds(self, name: str, ctx: _QueryContext, rows) -> np.ndarray:
+    def _stage_bounds(self, name: str, ctx: _QueryContext, rows,
+                      limit: float) -> np.ndarray:
         """Stage *name*'s raw bound for the rows *rows* selects (an
-        index array, or ``slice(None)`` for the whole corpus)."""
+        index array, or ``slice(None)`` for the whole corpus).
+
+        *limit* is the pruning radius: ``lb_keogh`` stops bounding a
+        row once it exceeds it, and returns that partial bound."""
         if name == "first_last":
             return lb_first_last_batch(
                 ctx.q, self._data, rows, metric=self.metric
             )
         if name == "keogh_paa":
             return lb_envelope_batch(
-                self._features[rows], ctx.reduced(name), metric=self.metric
+                self._features, ctx.reduced(name), rows, metric=self.metric
             )
         if name == "new_paa":
             return lb_new_paa_two_sided(
@@ -905,7 +938,7 @@ class QueryEngine:
         if name == "lb_keogh":
             return lb_keogh_two_sided(
                 ctx.keogh_sides, self._data, *self._envelopes, rows,
-                metric=self.metric,
+                metric=self.metric, radius=limit,
             )
         if name == "lemire":
             return lb_lemire_batch(
@@ -1018,7 +1051,8 @@ class QueryEngine:
                 started = monotonic_s()
                 stage = StageStats(name=name)
                 if alive.size:
-                    raw = self._stage_bounds(name, ctx, alive)
+                    raw = self._stage_bounds(name, ctx, alive,
+                                             radius + _PRUNE_ATOL)
                     _tally(stage, raw)
                     bounds[alive] = np.maximum(bounds[alive], raw)
                     if math.isfinite(radius):
@@ -1049,10 +1083,11 @@ class QueryEngine:
           radius and the next unread key: the pending rows up to both,
           at most k, then :data:`_REFINE_GROWTH` times more each slice,
           up to :data:`_REFINE_ROWS`, abandoned at the radius;
-        * **read** the next :data:`_WALK_BLOCK` rows while their key is
-          at most the radius: the plan's other stages bound them in plan
-          order, each pruning against the radius, and the survivors
-          join the pending set in ascending bound order.
+        * **read** the next block while its key is at most the radius
+          (:data:`_WALK_FIRST` times k rows, then twice the last, up to
+          :data:`_WALK_BLOCK`): the plan's other stages bound it in
+          plan order, each pruning against the radius, and the
+          survivors join the pending set in ascending bound order.
 
         Pending rows still above the radius at the end are
         ``exact_skipped``; unread rows are counted as pruned by
@@ -1068,7 +1103,7 @@ class QueryEngine:
         if order_stage is not None:
             _maybe_abort(should_abort, "stage:new_paa")
             begun = monotonic_s()
-            key = self._stage_bounds("new_paa", ctx, slice(None))
+            key = self._stage_bounds("new_paa", ctx, slice(None), math.inf)
             _tally(order_stage, key)
             order = _Ascending(key, _WALK_HEAD)
             order.next_key()
@@ -1080,6 +1115,7 @@ class QueryEngine:
         pending_bounds = np.empty(0)
         read = 0
         size = answer.k
+        block = min(_WALK_FIRST * answer.k, _WALK_BLOCK)
         while True:
             limit = answer.radius() + _PRUNE_ATOL
             next_key = order.next_key()
@@ -1096,7 +1132,8 @@ class QueryEngine:
                 continue
             if next_key is None or next_key > limit:
                 break
-            rows = order.take(_WALK_BLOCK)
+            rows = order.take(block)
+            block = min(2 * block, _WALK_BLOCK)
             bounds = key[rows]
             # Keys ascend along the order: the rows above the radius,
             # and every row after them, are never read.
@@ -1109,7 +1146,7 @@ class QueryEngine:
                 _maybe_abort(should_abort, "stage:" + name)
                 begun = monotonic_s()
                 stage = records[name]
-                raw = self._stage_bounds(name, ctx, rows)
+                raw = self._stage_bounds(name, ctx, rows, limit)
                 _tally(stage, raw)
                 np.maximum(bounds, raw, out=bounds)
                 keep = bounds <= limit

@@ -1,12 +1,38 @@
 """Vectorised lower-bound kernels for the filter cascade.
 
-Every kernel here evaluates one query against many candidate rows in a
-handful of NumPy operations, instead of the one-pair-at-a-time calls in
+Every kernel here evaluates one query against many candidate rows in
+one call, instead of the one-pair-at-a-time calls in
 :mod:`repro.core.lower_bounds`.  On float64 rows each kernel agrees
 with its scalar counterpart to floating-point precision (the property
 suite in ``tests/properties/`` pins this to 1e-9), so the cascade
 inherits the no-false-negative guarantee of Theorem 1 / Lemma 2 case
 by case.
+
+**Two bodies.**  The four served stages run in the native library
+``repro/dtw/banded_dtw.c`` (:func:`~repro.dtw.kernels.native_library`,
+one ctypes call per stage over the rows asked for, the GIL released)
+and fall back to NumPy, a handful of whole-array operations, where it
+cannot be built.  ``lemire`` is NumPy-only.
+
+=========== ================================ =========================
+stage       function                         native body
+=========== ================================ =========================
+first_last  :func:`lb_first_last_batch`      ``lb_first_last_f32/f64``
+keogh_paa   :func:`lb_envelope_batch`        ``lb_band``
+new_paa     :func:`lb_new_paa_two_sided`     ``lb_new_paa``
+lb_keogh    :func:`lb_keogh_two_sided`       ``lb_keogh_f32/f64``
+lemire      :func:`lb_lemire_batch`          (none)
+=========== ================================ =========================
+
+The native bodies sum a row's terms in 16 lanes (a feature row's
+handful in order) where NumPy sums pairwise; the float32 soundness
+argument of :func:`lb_keogh_two_sided` holds for an n-term sum in any
+order, and both bodies deflate by the same factor, so their bounds
+agree within it.  The native ``lb_keogh`` also takes the pruning radius:
+it bounds EC first (the tighter side), and a row whose EC exceeds the
+radius gets EC alone — a partial bound, still at most the exact
+distance and above the radius, so it prunes the row just as the full
+bound would.  The NumPy body computes every bound in full.
 
 Kernels, cheapest first:
 
@@ -20,19 +46,18 @@ Kernels, cheapest first:
   feature matrix it is the Theorem-1 feature-space bound (New_PAA or
   Keogh_PAA, depending on which reduction produced the band).
 * :func:`lb_new_paa_two_sided` — Theorem 1 read both ways, the
-  ``new_paa`` stage: the max of the query side (:func:`lb_envelope_batch`
-  on the feature matrix) and the row side, :func:`lb_row_paa`: the
-  query's PAA against New_PAA of each *row's* own envelope (a store's
-  ``env_paa`` column).  Theorem 1 holds for any container, so the row
-  side lower-bounds EC, hence the distance.  It is computed in float32
-  and deflated like ``lb_keogh``.
+  ``new_paa`` stage: the max of the query side (the feature matrix
+  against the reduced query envelope) and the row side,
+  :func:`lb_row_paa`: the query's PAA against New_PAA of each *row's*
+  own envelope (a store's ``env_paa`` column).  Theorem 1 holds for any
+  container, so the row side lower-bounds EC, hence the distance.  It
+  is computed in float32 and deflated like ``lb_keogh``.
 * :func:`lb_keogh_two_sided` — Lemma 2 read both ways, the ``lb_keogh``
   stage: ``max(EQ, EC)``, where EC is the distance from the query to
-  each *row's* own ``k``-envelope (banded DTW is symmetric).  Computed
-  in blocks of :data:`_BLOCK_ROWS` rows in the rows' own dtype; float32
-  rows get a bound rounded down to stay sound (derived in the
-  docstring).  Its query-side arrays come from :func:`query_sides`,
-  cast once per query.
+  each *row's* own ``k``-envelope (banded DTW is symmetric), in the
+  rows' own dtype; float32 rows get a bound rounded down to stay sound
+  (derived in the docstring).  Its query-side arrays come from
+  :func:`query_sides`, cast once per query.
 * :func:`lb_lemire_batch` — Lemire's two-pass LB_Improved (Pattern
   Recognition 2009): the LB_Keogh gaps plus the distance from the
   query to the envelope of each candidate's *projection* onto the
@@ -42,10 +67,14 @@ Kernels, cheapest first:
 
 from __future__ import annotations
 
+import ctypes
+import math
+
 import numpy as np
 
 from ..core.envelope import Envelope, batch_envelope
 from ..core.envelope_transforms import round_f32
+from ..dtw.kernels import native_library
 
 __all__ = [
     "batch_gap_distance",
@@ -96,6 +125,40 @@ def _as_matrix(candidates, width: int | None = None) -> np.ndarray:
     return mat
 
 
+def _native_rows(rows, m: int):
+    """*rows* as a native body takes them: ``(None, m)`` for every row
+    (``None`` or ``slice(None)``), ``(index array, count)`` for a 1-D
+    integer array, or ``None`` for anything else (the NumPy body then
+    answers, with NumPy's indexing)."""
+    if rows is None or (isinstance(rows, slice) and rows == slice(None)):
+        return None, m
+    if isinstance(rows, slice):
+        return None
+    index = np.asarray(rows)
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        return None
+    index = np.ascontiguousarray(index, dtype=np.intp)
+    return index, index.size
+
+
+def _call(entry, *args) -> None:
+    """Run a native stage body; a row index out of range raises."""
+    if entry(*args) != 0:
+        raise IndexError("row index out of range")
+
+
+def _ptr(array) -> int | None:
+    """The data address of a C-contiguous array, ``None`` for ``None``.
+
+    ``ctypes.c_char.from_buffer`` reads it in a fifth of the time
+    ``array.ctypes.data`` takes, but only from a writable array."""
+    if array is None:
+        return None
+    if array.flags.writeable and array.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    return array.ctypes.data
+
+
 def _gap_norm(gap: np.ndarray, manhattan: bool) -> np.ndarray:
     """Row norms of ``max(gap, 0)``, in *gap*'s dtype (overwrites it)."""
     np.maximum(gap, 0, out=gap)
@@ -126,20 +189,38 @@ def batch_gap_distance(
 
 
 def lb_envelope_batch(
-    candidates, envelope: Envelope, *, metric: str = "euclidean"
+    candidates, envelope: Envelope, rows=None, *, metric: str = "euclidean"
 ) -> np.ndarray:
     """Vectorised envelope bound: each row against one envelope.
 
     With the query's full-dimension ``k``-envelope this is LB_Keogh
     (Lemma 2) for every candidate at once; with a container-invariantly
     reduced envelope and the candidates' feature vectors it is the
-    paper's Theorem-1 bound.  Matches the scalar
-    :func:`repro.core.lower_bounds.lb_keogh` /
+    paper's Theorem-1 bound (the ``keogh_paa`` stage).  Matches the
+    scalar :func:`repro.core.lower_bounds.lb_keogh` /
     :func:`~repro.core.lower_bounds.lb_envelope_transform` values.
+    *rows*, when given, selects the candidate rows bounded.
     """
-    return batch_gap_distance(
-        candidates, envelope.lower, envelope.upper, metric=metric
-    )
+    manhattan = _check_metric(metric)
+    library = native_library()
+    lo = np.ascontiguousarray(envelope.lower, dtype=np.float64)
+    hi = np.ascontiguousarray(envelope.upper, dtype=np.float64)
+    mat = np.asarray(candidates)
+    picked = None
+    if (library is not None and mat.ndim == 2
+            and lo.shape == hi.shape == (mat.shape[1],)):
+        picked = _native_rows(rows, len(mat))
+    if picked is None:
+        if rows is not None:
+            mat = mat[rows]
+        return batch_gap_distance(mat, lo, hi, metric=metric)
+    mat = np.ascontiguousarray(mat, dtype=np.float64)
+    index, count = picked
+    out = np.empty(count)
+    _call(library.lb_band, _ptr(mat), mat.shape[1], mat.shape[0],
+          _ptr(index), count, _ptr(lo), _ptr(hi),
+          int(manhattan), _ptr(out))
+    return out
 
 
 def lb_first_last_batch(
@@ -162,6 +243,18 @@ def lb_first_last_batch(
         raise ValueError(
             f"candidates must have shape (m, {q.size}), got {data.shape}"
         )
+    library = native_library()
+    picked = None if library is None else _native_rows(rows, len(data))
+    if picked is not None and data.dtype in (np.float32, np.float64):
+        data = np.ascontiguousarray(data)
+        q = np.ascontiguousarray(q)
+        index, count = picked
+        out = np.empty(count)
+        entry = (library.lb_first_last_f32 if data.dtype == np.float32
+                 else library.lb_first_last_f64)
+        _call(entry, _ptr(q), q.size, _ptr(data), len(data),
+              _ptr(index), count, int(manhattan), _ptr(out))
+        return out
     pick = slice(None) if rows is None else rows
     first = np.abs(q[0] - data[pick, 0])
     if q.size == 1:
@@ -201,6 +294,7 @@ def query_sides(q, q_envelope: Envelope, dtype) -> tuple:
 
 def lb_keogh_two_sided(
     sides, data, env_lower, env_upper, rows, *, metric: str = "euclidean",
+    radius: float = math.inf,
 ) -> np.ndarray:
     """Lemma 2 both ways, ``max(EQ, EC)``, for the rows indexed by *rows*.
 
@@ -208,11 +302,16 @@ def lb_keogh_two_sided(
     ``data.dtype``.  EQ is each row's distance to the query's envelope;
     EC the query's distance to the row's own ``k``-envelope
     ``(env_lower[r], env_upper[r])``.  Banded DTW is symmetric, so both
-    lower-bound it.  Rows are gathered and bounded :data:`_BLOCK_ROWS`
-    at a time in the dtype of *data* — one read of each block serves
-    both terms, and nothing corpus-sized is made in float64.
+    lower-bound it.  The native body bounds each row in place, in the
+    dtype of *data*, EC first: a row whose EC (deflated on float32
+    rows) exceeds *radius* is not read further and gets EC as its
+    bound — a partial bound, sound, and above *radius*.  The NumPy body
+    gathers and bounds rows :data:`_BLOCK_ROWS` at a time — one read of
+    each block serves both terms, and nothing corpus-sized is made in
+    float64 — and ignores *radius*.
 
-    Float64 rows get exactly ``max(EQ, EC)``.  On float32 rows the
+    Float64 rows get ``max(EQ, EC)``, rounded only as float64 sums
+    are.  On float32 rows the
     query arrays are rounded outward (:func:`query_sides`): the
     envelope's lower side and the ``q`` of the ``q - U`` gaps down, its
     upper side and the ``q`` of the ``L - q`` gaps up.  Every gap then
@@ -239,7 +338,28 @@ def lb_keogh_two_sided(
     """
     manhattan = _check_metric(metric)
     lo, hi, q_down, q_up = sides
-    rows = np.asarray(rows)
+    library = native_library()
+    picked = None if library is None else _native_rows(rows, len(data))
+    if (picked is not None and data.dtype in (np.float32, np.float64)
+            and all(side.dtype == data.dtype for side in sides)
+            and env_lower.dtype == env_upper.dtype == data.dtype):
+        index, count = picked
+        arrays = [np.ascontiguousarray(a) for a in
+                  (lo, hi, q_down, q_up, data, env_lower, env_upper)]
+        if (data.ndim != 2 or env_lower.shape != data.shape
+                or env_upper.shape != data.shape
+                or any(a.shape != (data.shape[1],) for a in arrays[:4])):
+            raise ValueError("query sides, rows and envelopes disagree "
+                             "in shape")
+        out = np.empty(count)
+        entry = (library.lb_keogh_f32 if data.dtype == np.float32
+                 else library.lb_keogh_f64)
+        _call(entry, *(_ptr(a) for a in arrays[:4]), lo.size,
+              *(_ptr(a) for a in arrays[4:]), len(data), _ptr(index),
+              count, radius, int(manhattan), _ptr(out))
+        return out
+    rows = np.arange(len(data))[rows] if isinstance(rows, slice) \
+        else np.asarray(rows)
     out = np.empty(rows.size)
     for start in range(0, rows.size, _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
@@ -265,9 +385,36 @@ def lb_new_paa_two_sided(features, envelope: Envelope, q_means, env_paa,
     The query side is each row's *features* against the query's reduced
     *envelope* (:func:`lb_envelope_batch`), the row side the query's
     frame means *q_means* against each row's ``env_paa`` brackets
-    (:func:`lb_row_paa`).  Both are computed
-    :data:`_PAA_BLOCK_ROWS` rows at a time.
+    (:func:`lb_row_paa`).  The native body takes both sides of a row in
+    one pass; the NumPy body computes them :data:`_PAA_BLOCK_ROWS` rows
+    at a time.
     """
+    manhattan = _check_metric(metric)
+    library = native_library()
+    picked = (None if library is None
+              else _native_rows(rows, features.shape[0]))
+    if (picked is not None and features.dtype == np.float64
+            and env_paa.dtype == np.float32):
+        index, count = picked
+        features = np.ascontiguousarray(features)
+        env_paa = np.ascontiguousarray(env_paa)
+        lo = np.ascontiguousarray(envelope.lower, dtype=np.float64)
+        hi = np.ascontiguousarray(envelope.upper, dtype=np.float64)
+        q_up = round_f32(q_means, np.inf)
+        q_down = round_f32(q_means, -np.inf)
+        weights = np.ascontiguousarray(widths, dtype=np.float32)
+        if (features.ndim != 2 or lo.shape != (features.shape[1],)
+                or hi.shape != lo.shape or q_up.shape != weights.shape
+                or env_paa.shape != (features.shape[0], 2 * weights.size)):
+            raise ValueError("features, envelope, frame means and env_paa "
+                             "disagree in shape")
+        out = np.empty(count)
+        _call(library.lb_new_paa, _ptr(features), features.shape[1],
+              _ptr(lo), _ptr(hi), _ptr(env_paa),
+              weights.size, _ptr(q_up), _ptr(q_down),
+              _ptr(weights), features.shape[0], _ptr(index), count,
+              int(manhattan), _ptr(out))
+        return out
     count = features.shape[0] if isinstance(rows, slice) else len(rows)
     out = np.empty(count)
     for start in range(0, count, _PAA_BLOCK_ROWS):
@@ -275,7 +422,8 @@ def lb_new_paa_two_sided(features, envelope: Envelope, q_means, env_paa,
         block = (slice(start, stop) if isinstance(rows, slice)
                  else rows[start:stop])
         np.maximum(
-            lb_envelope_batch(features[block], envelope, metric=metric),
+            batch_gap_distance(features[block], envelope.lower,
+                               envelope.upper, metric=metric),
             lb_row_paa(q_means, env_paa, block, widths, metric=metric),
             out=out[start:stop],
         )

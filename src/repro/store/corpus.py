@@ -40,6 +40,8 @@ from ..core.envelope_transforms import (
     frame_means,
     row_paa_frames,
 )
+from ..core.transforms import PAATransform
+from ..dtw.kernels import native_library
 from ..obs.clock import wall_s
 from .manifest import (
     COLUMN_SPECS,
@@ -507,16 +509,30 @@ class CorpusStore:
         """Whether every ``env_paa`` row holds its envelope's frame
         means between its lower and upper halves (checked in blocks, so
         no corpus-sized float64 array is made)."""
-        frames = row_paa_frames(self.manifest.n_features,
-                                self.manifest.normal_length)
+        n = self.manifest.normal_length
+        frames = row_paa_frames(self.manifest.n_features, n)
         paa = self.column("env_paa")
         lower, upper = self.env_lower, self.env_upper
+        library = native_library()
+        bounds = PAATransform(n, frames).frame_bounds.astype(np.int64)
+
+        def means(rows: np.ndarray) -> np.ndarray:
+            # The native body sums the float32 rows in float64 in
+            # NumPy's order, so its means are frame_means' bit for bit,
+            # without the float64 copy.
+            if library is None or rows.dtype != np.float32:
+                return frame_means(rows, frames)
+            rows = np.ascontiguousarray(rows)
+            out = np.empty((rows.shape[0], frames))
+            library.frame_means_f32(rows.ctypes.data, rows.shape[0], n,
+                                    bounds.ctypes.data, frames,
+                                    out.ctypes.data)
+            return out
+
         for start in range(0, self.rows, _VERIFY_ROWS):
             block = slice(start, start + _VERIFY_ROWS)
-            if not (np.all(paa[block, :frames]
-                           <= frame_means(lower[block], frames))
-                    and np.all(frame_means(upper[block], frames)
-                               <= paa[block, frames:])):
+            if not (np.all(paa[block, :frames] <= means(lower[block]))
+                    and np.all(means(upper[block]) <= paa[block, frames:])):
                 return False
         return True
 

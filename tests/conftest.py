@@ -1,17 +1,39 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.dtw import kernels
 from repro.dtw.distance import ldtw_distance
 from repro.music import generate_corpus, segment_corpus
 
 #: The two DTW kernels, by the name their test cases carry: the
 #: single-pair row loop (the reference) and the batch the engine runs.
 KERNEL_NAMES = ("vectorized", "scalar")
+
+
+def bodies() -> tuple[str, ...]:
+    """The bodies this host has: ``"native"`` (where the library loads,
+    the default one) and ``"numpy"``, the fallback without a compiler."""
+    if kernels.native_library() is None:
+        return ("numpy",)
+    return ("native", "numpy")
+
+
+@contextlib.contextmanager
+def body(name: str):
+    """Within the block, every kernel and stage bound runs on the
+    *name* body (see :func:`bodies`)."""
+    saved = kernels._native
+    kernels._native = kernels.native_library() if name == "native" else None
+    try:
+        yield
+    finally:
+        kernels._native = saved
 
 
 def run_concurrently(fn, items, threads=8):

@@ -1,10 +1,12 @@
-"""The native kernel's build cache and its fallbacks.
+"""The native library's build cache and its fallbacks.
 
 The first batched call in a process compiles ``banded_dtw.c`` into
 ``$XDG_CACHE_HOME/repro`` (or loads it from there); later processes
-load the cached build without running the compiler.  A missing
-compiler, an unwritable cache or a damaged cached file leaves the NumPy
-body answering, with the same answers and no exception.
+load the cached build without running the compiler.  The library holds
+the refine kernel and the stage bounds' bodies, bound all or none: a
+missing compiler, an unwritable cache or a damaged cached file leaves
+the NumPy bodies answering, with the same answers and no exception, and
+a cached build lacking an entry point is rebuilt.
 """
 
 import os
@@ -18,7 +20,7 @@ import pytest
 
 from repro.dtw import kernels
 from repro.dtw.kernels import banded_dtw_cost_batch
-from repro.engine import QueryEngine
+from repro.engine import STAGE_ORDER, QueryEngine
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler on this host")
@@ -78,9 +80,46 @@ def fresh_load(monkeypatch, tmp_path):
     return answer
 
 
+class _Counting:
+    """A stand-in for the loaded library that counts calls per entry
+    point and forwards them."""
+
+    def __init__(self, library):
+        self.library = library
+        self.calls = {}
+
+    def __getattr__(self, name):
+        entry = getattr(self.library, name)
+
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return entry(*args)
+
+        return counted
+
+
 @needs_cc
-def test_native_body_is_loaded_where_cc_exists():
-    assert kernels._native_kernel() is not None
+def test_native_body_is_loaded_where_cc_exists(monkeypatch):
+    """Where there is a compiler, every entry point loads, and the
+    engine's stage bounds and refine reach the native bodies on both
+    walks, over float32 and float64 rows: none falls back to NumPy
+    unseen."""
+    library = kernels.native_library()
+    assert library is not None
+    assert set(vars(library)) == set(kernels._ENTRY_POINTS)
+    rng = np.random.default_rng(4)
+    walks = np.cumsum(rng.normal(size=(400, 40)), axis=1)
+    for dtype, suffix in ((np.float32, "f32"), (np.float64, "f64")):
+        counting = _Counting(library)
+        monkeypatch.setattr(kernels, "_native", counting)
+        rows = walks.astype(dtype)
+        engine = QueryEngine(rows, band=4, stages=STAGE_ORDER)
+        x = walks[7] + rng.normal(size=40)
+        engine.search(x, k=5)
+        engine.search(x, epsilon=engine.ground_truth(x, k=20)[-1][1])
+        assert set(counting.calls) >= {
+            "banded_dtw_batch", "lb_band", "lb_new_paa",
+            f"lb_first_last_{suffix}", f"lb_keogh_{suffix}"}
 
 
 @needs_cc
@@ -94,7 +133,7 @@ def test_second_process_loads_the_cache_without_cc(tmp_path):
 @needs_cc
 def test_truncated_cached_build_is_rebuilt(monkeypatch, fresh_load,
                                            tmp_path):
-    assert kernels._native_kernel() is not None
+    assert kernels.native_library() is not None
     (built,) = (tmp_path / "cache" / "repro").glob("banded_dtw-*.so")
     # Point a second cache at a damaged copy under the same name (this
     # process already loaded the first file's path).
@@ -106,6 +145,28 @@ def test_truncated_cached_build_is_rebuilt(monkeypatch, fresh_load,
     assert fresh_load() == fresh_load.expected
     assert kernels._native is not None
     assert damaged.stat().st_size > 200
+
+
+@needs_cc
+def test_cached_build_lacking_an_entry_point_is_rebuilt(
+        monkeypatch, fresh_load, tmp_path):
+    """A build under the cached name that lacks an entry point (a
+    library from before it existed) is rebuilt, not half bound."""
+    assert kernels.native_library() is not None
+    (built,) = (tmp_path / "cache" / "repro").glob("banded_dtw-*.so")
+    stale = tmp_path / "stale" / "repro" / built.name
+    stale.parent.mkdir(parents=True)
+    subprocess.run([shutil.which("cc"), "-shared", "-fPIC", "-o", str(stale),
+                    "-x", "c", "-"],
+                   input=b"int banded_dtw_batch(void) { return 0; }\n",
+                   check=True, capture_output=True, timeout=120)
+    assert kernels._bind(stale) is None
+    stale_size = stale.stat().st_size
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "stale"))
+    monkeypatch.setattr(kernels, "_native", kernels._UNLOADED)
+    assert fresh_load() == fresh_load.expected
+    assert kernels._native is not None
+    assert stale.stat().st_size != stale_size
 
 
 def test_no_compiler_means_the_numpy_body(monkeypatch, fresh_load):

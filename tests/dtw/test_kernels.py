@@ -254,7 +254,7 @@ PARITY_N = 32
 
 
 def _native_or_skip():
-    native = kernels._native_kernel()
+    native = kernels.native_library()
     if native is None:
         pytest.skip("no native build on this host (no C compiler)")
     return native

@@ -6,6 +6,9 @@ bundle (one query against a candidate matrix) the exact banded DTW and
 every cascade stage bound are precomputed once per session, so each
 invariant test sweeps the whole pool cheaply.
 
+Every case is bounded once per body this host has (the native library
+and the NumPy fallback), so each invariant holds on both.
+
 Everything is seeded: the suite is deterministic run to run (the CI
 workflow additionally pins ``PYTHONHASHSEED``).
 """
@@ -34,11 +37,11 @@ from repro.engine.stages import (
     lb_keogh_two_sided,
     lb_lemire_batch,
     lb_new_paa_two_sided,
-    lb_row_paa,
     query_sides,
 )
 from repro.hum.singer import SingerProfile, hum_melody
 from repro.music.corpus import generate_corpus, segment_corpus
+from tests.conftest import bodies, body
 
 #: Pool geometry: 3 families x QUERIES x CANDIDATES cases per invariant.
 LENGTH = 64
@@ -97,6 +100,7 @@ class CaseBundle:
     exact: np.ndarray                    # exact banded DTW per candidate
     bounds: dict[str, np.ndarray] = field(default_factory=dict)
     query_envelope: Envelope | None = None
+    body: str = "native"                 # which body computed the bounds
 
     @property
     def size(self) -> int:
@@ -124,13 +128,18 @@ def two_sided_bound(query, rows: np.ndarray, *,
 def row_side_bound(query, rows: np.ndarray, *,
                    metric: str = "euclidean") -> np.ndarray:
     """The row side of the ``new_paa`` stage, as the engine computes it:
-    from the float32 ``env_paa`` column of *rows*' envelopes."""
+    from the float32 ``env_paa`` column of *rows*' envelopes, on the
+    body in force (the stage with a query side of 0: a feature envelope
+    as wide as float64 goes)."""
     lower, upper = batch_envelope(rows, BAND)
-    return lb_row_paa(frame_means(np.asarray(query)[None, :],
-                                  ROW_FRAMES)[0],
-                      envelope_paa(lower, upper, ROW_FRAMES),
-                      slice(None), _row_widths(rows.shape[1]),
-                      metric=metric)
+    widest = np.finfo(np.float64).max
+    unbounded = Envelope(lower=np.full(FEATURES, -widest),
+                         upper=np.full(FEATURES, widest))
+    return lb_new_paa_two_sided(
+        np.zeros((rows.shape[0], FEATURES)), unbounded,
+        frame_means(np.asarray(query)[None, :], ROW_FRAMES)[0],
+        envelope_paa(lower, upper, ROW_FRAMES), _row_widths(rows.shape[1]),
+        slice(None), metric=metric)
 
 
 def _row_widths(n: int) -> np.ndarray:
@@ -164,13 +173,35 @@ def row_side_reference(query, rows: np.ndarray, *,
 
 
 def make_bundle(family: str, query_raw, candidate_raws) -> CaseBundle:
-    """Normalise, then compute exact distances and every stage bound."""
+    """Normalise, then compute exact distances and every stage bound
+    (on the body in force)."""
     q = NORMAL_FORM.apply(query_raw)
     cands = np.vstack([NORMAL_FORM.apply(c) for c in candidate_raws])
     # The reference row loop, pair by pair: the batch kernel is what the
     # parity properties check against these values.
     exact = np.array([ldtw_distance(q, row, BAND) for row in cands])
     bundle = CaseBundle(family=family, query=q, candidates=cands, exact=exact)
+    _bound(bundle)
+    return bundle
+
+
+def on_each_body(case: CaseBundle) -> list[CaseBundle]:
+    """*case* bounded by every body this host has, one bundle each (the
+    exact distances are shared)."""
+    out = []
+    for name in bodies():
+        bundle = CaseBundle(family=case.family, query=case.query,
+                            candidates=case.candidates, exact=case.exact,
+                            body=name)
+        with body(name):
+            _bound(bundle)
+        out.append(bundle)
+    return out
+
+
+def _bound(bundle: CaseBundle) -> None:
+    """Every stage bound of *bundle*'s case."""
+    q, cands = bundle.query, bundle.candidates
     env = k_envelope(q, BAND)
     bundle.query_envelope = env
     transforms = _transforms()
@@ -195,11 +226,11 @@ def make_bundle(family: str, query_raw, candidate_raws) -> CaseBundle:
         envelope_paa(lower, upper, ROW_FRAMES), _row_widths(LENGTH),
         slice(None),
     )
-    return bundle
 
 
 def generate_bundles(seed: int = 2003) -> list[CaseBundle]:
-    """The full deterministic pool: one bundle per (family, query)."""
+    """The full deterministic pool: one bundle per (family, query,
+    body)."""
     rng = np.random.default_rng(seed)
     melodies = segment_corpus(generate_corpus(4, seed=seed), per_song=10,
                               seed=seed)
@@ -207,26 +238,26 @@ def generate_bundles(seed: int = 2003) -> list[CaseBundle]:
     bundles: list[CaseBundle] = []
     for _ in range(QUERIES_PER_FAMILY):
         raw_len = int(rng.integers(48, 128))
-        bundles.append(make_bundle(
+        bundles.extend(on_each_body(make_bundle(
             "random_walk",
             _raw_random_walk(raw_len, rng),
             [_raw_random_walk(int(rng.integers(48, 128)), rng)
              for _ in range(CANDIDATES_PER_QUERY)],
-        ))
-        bundles.append(make_bundle(
+        )))
+        bundles.extend(on_each_body(make_bundle(
             "sine_mixture",
             _raw_sine_mixture(raw_len, rng),
             [_raw_sine_mixture(int(rng.integers(48, 128)), rng)
              for _ in range(CANDIDATES_PER_QUERY)],
-        ))
-        bundles.append(make_bundle(
+        )))
+        bundles.extend(on_each_body(make_bundle(
             "synthetic_hum",
             hum_melody(melodies[int(rng.integers(len(melodies)))], profile,
                        rng),
             [hum_melody(melodies[int(rng.integers(len(melodies)))], profile,
                         rng)
              for _ in range(CANDIDATES_PER_QUERY)],
-        ))
+        )))
     return bundles
 
 

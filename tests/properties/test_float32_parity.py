@@ -20,6 +20,9 @@ that sound:
   the data itself);
 * distances between the float64 index and the store-backed index agree
   to float32 resolution on the standard ablation corpus.
+
+The engine's properties hold on the native stage bodies and on the
+NumPy fallback alike.
 """
 
 import numpy as np
@@ -32,6 +35,7 @@ from repro.engine import QueryEngine
 from repro.engine.stages import lb_keogh_two_sided, query_sides
 from repro.index.gemini import WarpingIndex
 from repro.ingest import StreamingIndexBuilder
+from tests.conftest import bodies, body
 
 CORPUS_SIZE = 60
 LENGTH = 128
@@ -79,26 +83,30 @@ def _counters(stats) -> dict:
 
 
 def test_engine_over_f32_corpus_is_bitwise_exact(pair, queries):
-    """Answers of Cascade(float32 rows) == Cascade(float64 upcast)."""
+    """Answers of Cascade(float32 rows) == Cascade(float64 upcast), on
+    each body."""
     _, f32 = pair
     upcast = QueryEngine(
         np.asarray(f32._data, dtype=np.float64),
         band=f32.band, n_features=f32.feature_dim,
         ids=list(f32.ids), metric=f32.metric,
     )
-    for query in queries:
-        q = f32.normal_form.apply(query)
-        a, _ = f32.engine().knn(q, 5)
-        b, _ = upcast.knn(q, 5)
-        assert a == b  # bitwise: same ids, same float distances
-        ra, _ = f32.engine().range_search(q, 18.0)
-        rb, _ = upcast.range_search(q, 18.0)
-        assert ra == rb
+    for name in bodies():
+        with body(name):
+            for query in queries:
+                q = f32.normal_form.apply(query)
+                a, _ = f32.engine().knn(q, 5)
+                b, _ = upcast.knn(q, 5)
+                assert a == b  # bitwise: same ids, same float distances
+                ra, _ = f32.engine().range_search(q, 18.0)
+                rb, _ = upcast.range_search(q, 18.0)
+                assert ra == rb
 
 
 def test_store_envelopes_change_no_result(pair, queries):
     """An engine on the store's envelope columns equals one computing
-    its own: bounds bitwise, every stats counter, and the answers."""
+    its own: bounds bitwise, every stats counter, and the answers, on
+    each body."""
     _, f32 = pair
     given = f32.engine()
     assert np.shares_memory(given._envelopes[0], f32.store.env_lower)
@@ -108,18 +116,24 @@ def test_store_envelopes_change_no_result(pair, queries):
                       ids=list(f32.ids), metric=f32.metric)
     assert np.array_equal(given._env_paa, own._env_paa)
     rows = np.arange(len(own))
-    for query in queries:
-        q = f32.normal_form.apply(query)
-        sides = query_sides(q, k_envelope(q, f32.band), f32._data.dtype)
-        assert np.array_equal(
-            lb_keogh_two_sided(sides, f32._data, *given._envelopes, rows),
-            lb_keogh_two_sided(sides, f32._data, *own._envelopes, rows),
-        )
-        for params in ({"k": 5}, {"epsilon": 18.0}, {"k": 3, "epsilon": 18.0}):
-            a, a_stats = given.search(q, **params)
-            b, b_stats = own.search(q, **params)
-            assert a == b
-            assert _counters(a_stats) == _counters(b_stats)
+    for name in bodies():
+        with body(name):
+            for query in queries:
+                q = f32.normal_form.apply(query)
+                sides = query_sides(q, k_envelope(q, f32.band),
+                                    f32._data.dtype)
+                assert np.array_equal(
+                    lb_keogh_two_sided(sides, f32._data, *given._envelopes,
+                                       rows),
+                    lb_keogh_two_sided(sides, f32._data, *own._envelopes,
+                                       rows),
+                )
+                for params in ({"k": 5}, {"epsilon": 18.0},
+                               {"k": 3, "epsilon": 18.0}):
+                    a, a_stats = given.search(q, **params)
+                    b, b_stats = own.search(q, **params)
+                    assert a == b
+                    assert _counters(a_stats) == _counters(b_stats)
 
 
 def test_range_zero_false_negatives_vs_f64(pair, queries):

@@ -74,7 +74,7 @@ def test_kernel_bodies_bit_identical_over_pool(bundles, metric, monkeypatch):
     """Native and NumPy bodies: identical unbounded distances (the
     reference's, exactly); under cutoffs, identical within the cutoff
     and inf or exact beyond it."""
-    if kernels._native_kernel() is None:
+    if kernels.native_library() is None:
         pytest.skip("no native build on this host (no C compiler)")
 
     def both(bundle, **kwargs):

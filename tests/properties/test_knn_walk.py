@@ -7,8 +7,9 @@ unread row's (Seidl-Kriegel at each level of the cascade).  Whatever
 it skips, it must return exactly what :meth:`QueryEngine.ground_truth`
 returns — ids in (distance, row) order and distances equal — for any
 plan, any k, ties at the k-th distance, k with epsilon, and a float32
-store.  Its stats must still project onto one ``stage:<name>`` span per
-stage, and an abort between blocks must raise, never answer.
+store, on the native stage bodies and on the NumPy fallback.  Its stats
+must still project onto one ``stage:<name>`` span per stage, and an
+abort between blocks must raise, never answer.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.engine import cascade
 from repro.index.gemini import WarpingIndex
 from repro.ingest import StreamingIndexBuilder
 from repro.obs import Observability
+from tests.conftest import bodies, body
 
 BAND = 4
 LENGTH = 48
@@ -53,8 +55,9 @@ def _hums(corpus, count: int = 4, noise: float = 1.0, seed: int = 42):
 
 @pytest.fixture(autouse=True)
 def small_blocks(monkeypatch):
-    """Blocks of 16 rows and a 32-row first head, so a 210-row corpus
-    takes many blocks and the order's lazy re-sorts."""
+    """Blocks growing from k rows to 16 and a 32-row first head, so a
+    210-row corpus takes many blocks and the order's lazy re-sorts."""
+    monkeypatch.setattr(cascade, "_WALK_FIRST", 1)
     monkeypatch.setattr(cascade, "_WALK_BLOCK", 16)
     monkeypatch.setattr(cascade, "_WALK_HEAD", 32)
 
@@ -63,11 +66,13 @@ def small_blocks(monkeypatch):
 @pytest.mark.parametrize("k", [1, 10, len(CORPUS)])
 def test_walk_equals_ground_truth(plan, k):
     engine = QueryEngine(CORPUS, band=BAND, stages=plan)
-    for hum in _hums(CORPUS):
-        truth = engine.ground_truth(hum, k=k)
-        results, stats = engine.knn(hum, k)
-        assert results == truth
-        assert stats.results == len(truth)
+    for name in bodies():
+        with body(name):
+            for hum in _hums(CORPUS):
+                truth = engine.ground_truth(hum, k=k)
+                results, stats = engine.knn(hum, k)
+                assert results == truth
+                assert stats.results == len(truth)
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=_plan_id)
@@ -77,10 +82,12 @@ def test_ties_at_the_kth_distance(plan, k):
     (k+1)-th nearest are twins at one distance; the walk keeps the
     lower row, as the oracle's (distance, row) order does."""
     engine = QueryEngine(CORPUS, band=BAND, stages=plan)
-    for hum in _hums(CORPUS, noise=0.6, seed=43):
-        truth = engine.ground_truth(hum, k=k + 1)
-        assert truth[k - 1][1] == truth[k][1]
-        assert engine.knn(hum, k)[0] == truth[:k]
+    for name in bodies():
+        with body(name):
+            for hum in _hums(CORPUS, noise=0.6, seed=43):
+                truth = engine.ground_truth(hum, k=k + 1)
+                assert truth[k - 1][1] == truth[k][1]
+                assert engine.knn(hum, k)[0] == truth[:k]
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=_plan_id)
@@ -98,7 +105,9 @@ def test_k_with_epsilon(plan, held):
             cut += 1
         epsilon = (dists[cut - 1] + dists[cut]) / 2
         truth = engine.ground_truth(hum, k=k, epsilon=epsilon)
-        assert engine.search(hum, k=k, epsilon=epsilon)[0] == truth
+        for name in bodies():
+            with body(name):
+                assert engine.search(hum, k=k, epsilon=epsilon)[0] == truth
 
 
 @pytest.fixture(scope="module")
@@ -117,9 +126,11 @@ def test_walk_on_a_float32_store(store_index, plan, k):
     """Over the store's float32 rows and its ``env_paa`` column."""
     engine = store_index.engine(stages=plan)
     assert engine._data.dtype == np.float32
-    for hum in _hums(CORPUS, seed=45):
-        q = store_index.normal_form.apply(hum)
-        assert engine.knn(q, k)[0] == engine.ground_truth(q, k=k)
+    for name in bodies():
+        with body(name):
+            for hum in _hums(CORPUS, seed=45):
+                q = store_index.normal_form.apply(hum)
+                assert engine.knn(q, k)[0] == engine.ground_truth(q, k=k)
 
 
 def test_walk_skips_work_and_accounts_for_every_row():
@@ -230,6 +241,27 @@ def test_range_on_a_corpus_of_several_paa_blocks():
     engine = QueryEngine(corpus, band=BAND, stages=("new_paa", "lb_keogh"))
     for hum in _hums(corpus, count=2, noise=0.5, seed=51):
         epsilon = engine.ground_truth(hum, k=8)[-1][1]
-        results, stats = engine.range_search(hum, epsilon)
-        assert results == engine.ground_truth(hum, epsilon=epsilon)
-        assert stats.stages[0].candidates_in == len(corpus)
+        for name in bodies():
+            with body(name):
+                results, stats = engine.range_search(hum, epsilon)
+                assert results == engine.ground_truth(hum, epsilon=epsilon)
+                assert stats.stages[0].candidates_in == len(corpus)
+
+
+def test_stages_prune_on_a_store_of_one_default_block(monkeypatch):
+    """With the default block sizes, a 1 000-row store is no longer one
+    block read before any distance is known: the first block is a few
+    times k rows, so the walk stops before it has read the store."""
+    monkeypatch.undo()
+    assert cascade._WALK_FIRST * 10 < 1000 <= cascade._WALK_BLOCK
+    rng = np.random.default_rng(52)
+    corpus = np.cumsum(rng.normal(size=(1000, LENGTH)), axis=1)
+    engine = QueryEngine(corpus, band=BAND)
+    for name in bodies():
+        with body(name):
+            for hum in _hums(corpus, noise=0.5, seed=53):
+                results, stats = engine.knn(hum, 10)
+                assert results == engine.ground_truth(hum, k=10)
+                by_name = {stage.name: stage for stage in stats.stages}
+                assert by_name["new_paa"].pruned > 0
+                assert by_name["lb_keogh"].candidates_in < len(corpus)

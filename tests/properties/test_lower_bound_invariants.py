@@ -21,6 +21,11 @@ filter cascade relies on:
   pointwise and strictly in aggregate.
 * **Batch == scalar** — the vectorized kernels agree with the scalar
   reference implementations to 1e-9.
+* **Both bodies** — every case is bounded by the native library and by
+  the NumPy fallback, and the two agree: to 1e-9 on float64 rows,
+  within the float32 deflation on float32 rows.  A native ``lb_keogh``
+  given a radius abandons a row once its EC exceeds it; the partial
+  bound it returns is above that radius and still sound.
 """
 
 from __future__ import annotations
@@ -40,10 +45,13 @@ from repro.engine.stages import (
     query_sides,
 )
 
+from tests.conftest import bodies, body
+
 from .conftest import (
     ALL_STAGES,
     BAND,
     ENVELOPE_CHAIN,
+    ROW_FRAMES,
     ROW_SIDE_CHAIN,
     _transforms,
     generate_bundles,
@@ -198,13 +206,14 @@ def test_float32_two_sided_bound_never_exceeds_float64(
 ):
     """On float32 rows the deflated bound is <= the exact float64
     max(EQ, EC) of the same stored rows, every case, both metrics —
-    and loses at most the deflation's 1e-5 relative."""
+    and loses at most the deflation's 1e-5 relative, on each body."""
     for bundle in bundles:
         query = bundle.query * scale + offset
         rows = (bundle.candidates * scale + offset).astype(np.float32)
-        single = two_sided_bound(query, rows, metric=metric)
-        exact = two_sided_bound(query, rows.astype(np.float64),
-                                metric=metric)
+        with body(bundle.body):
+            single = two_sided_bound(query, rows, metric=metric)
+            exact = two_sided_bound(query, rows.astype(np.float64),
+                                    metric=metric)
         assert np.all(single <= exact), (
             f"float32 bound exceeds float64 by "
             f"{np.max(single - exact):.3e} on a {bundle.family} case"
@@ -220,11 +229,13 @@ def test_float32_row_side_bound_never_exceeds_float64(
     """The row side of ``new_paa`` as served — from the float32
     ``env_paa`` column, rounded outward, in float32 arithmetic, deflated
     — is <= the same bound computed in float64 from the exact frame
-    means, every case, both metrics; and it gives up little of it."""
+    means, every case, both metrics, each body; and it gives up little
+    of it."""
     for bundle in bundles:
         query = bundle.query * scale + offset
         rows = bundle.candidates * scale + offset
-        single = row_side_bound(query, rows, metric=metric)
+        with body(bundle.body):
+            single = row_side_bound(query, rows, metric=metric)
         exact = row_side_reference(query, rows, metric=metric)
         assert np.all(single <= exact), (
             f"float32 row side exceeds float64 by "
@@ -255,17 +266,22 @@ def test_manhattan_metric_bounds_are_sound():
         ldtw_distance(q, c, 4, metric="manhattan") for c in cands
     ])
     lower, upper = batch_envelope(cands, 4)
-    for bound in (
-        lb_envelope_batch(cands, env, metric="manhattan"),
-        lb_first_last_batch(q, cands, metric="manhattan"),
-        lb_keogh_two_sided(query_sides(q, env, cands.dtype), cands, lower,
-                           upper, np.arange(len(cands)), metric="manhattan"),
-        lb_lemire_batch(q, cands, 4, q_envelope=env, metric="manhattan"),
-        lb_row_paa(frame_means(q[None, :], 12)[0],
-                   envelope_paa(lower, upper, 12), slice(None),
-                   np.full(12, 4.0), metric="manhattan"),
-    ):
-        assert np.max(bound - exact) <= ATOL
+    for name in bodies():
+        with body(name):
+            computed = (
+                lb_envelope_batch(cands, env, metric="manhattan"),
+                lb_first_last_batch(q, cands, metric="manhattan"),
+                lb_keogh_two_sided(query_sides(q, env, cands.dtype), cands,
+                                   lower, upper, np.arange(len(cands)),
+                                   metric="manhattan"),
+                lb_lemire_batch(q, cands, 4, q_envelope=env,
+                                metric="manhattan"),
+                lb_row_paa(frame_means(q[None, :], 12)[0],
+                           envelope_paa(lower, upper, 12), slice(None),
+                           np.full(12, 4.0), metric="manhattan"),
+            )
+        for bound in computed:
+            assert np.max(bound - exact) <= ATOL
 
 
 def test_pool_is_deterministic_under_fixed_seed():
@@ -277,3 +293,89 @@ def test_pool_is_deterministic_under_fixed_seed():
         assert np.array_equal(a.exact, b.exact)
         for stage in ALL_STAGES:
             assert np.array_equal(a.bounds[stage], b.bounds[stage])
+
+
+def _pairs(bundles):
+    """``(native, numpy)`` bundles of each case (the pool bounds every
+    case once per body, native first); skips on a host without the
+    native library."""
+    if "native" not in bodies():
+        pytest.skip("no native build on this host (no C compiler)")
+    return list(zip(bundles[::2], bundles[1::2]))
+
+
+def _gamma(terms: int) -> float:
+    """gamma_terms for float32: the relative error a deflated bound of
+    *terms* rounded steps may carry below the exact one."""
+    m = terms * 2.0 ** -24
+    return m / (1 - m)
+
+
+def test_native_and_numpy_bodies_agree_on_float64_rows(bundles):
+    """On float64 rows the two bodies compute the same bounds, each
+    summed in its own order: equal to 1e-9, and ``first_last`` (the same
+    operations) bit for bit.  (``new_paa``'s row side is float32 on any
+    rows: the next test.)"""
+    for native, numpy_body in _pairs(bundles):
+        assert (native.body, numpy_body.body) == ("native", "numpy")
+        assert np.array_equal(native.bounds["first_last"],
+                              numpy_body.bounds["first_last"])
+        for stage in ("keogh_paa", "new_paa_eq", "lb_keogh", "lb_keogh_eq"):
+            np.testing.assert_allclose(native.bounds[stage],
+                                       numpy_body.bounds[stage],
+                                       rtol=0, atol=ATOL, err_msg=stage)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_native_and_numpy_bodies_agree_on_float32_rows(bundles, metric):
+    """On float32 rows both bodies deflate by the same worst case, so
+    their bounds differ by at most twice that factor: ``lb_keogh``
+    (n + 4 rounded steps) and the row side of ``new_paa`` (frames + 4)."""
+    for case, _ in _pairs(bundles):
+        rows = case.candidates.astype(np.float32)
+        computed = {}
+        for name in bodies():
+            with body(name):
+                computed[name] = (
+                    two_sided_bound(case.query, rows, metric=metric),
+                    row_side_bound(case.query, rows, metric=metric))
+        for side, terms in enumerate((rows.shape[1] + 4, ROW_FRAMES + 4)):
+            np.testing.assert_allclose(
+                computed["native"][side], computed["numpy"][side],
+                rtol=2 * _gamma(terms), atol=0)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_abandoned_rows_stay_sound_and_above_their_radius(bundles, metric,
+                                                          dtype):
+    """A native ``lb_keogh`` given a radius returns, for a row it
+    abandons, a partial bound above that radius and still below the
+    exact float64 max(EQ, EC); every other row gets its full bound,
+    unchanged."""
+    abandoned_total = 0
+    for case, _ in _pairs(bundles):
+        rows = case.candidates.astype(dtype)
+        lower, upper = batch_envelope(rows, BAND)
+        sides = query_sides(case.query, k_envelope(case.query, BAND), dtype)
+        every = np.arange(len(rows))
+        with body("numpy"):
+            exact = two_sided_bound(case.query, rows.astype(np.float64),
+                                    metric=metric)
+        with body("native"):
+            full = lb_keogh_two_sided(sides, rows, lower, upper, every,
+                                      metric=metric)
+            for quantile in (0.1, 0.5, 0.9):
+                radius = float(np.quantile(full, quantile))
+                cut = lb_keogh_two_sided(sides, rows, lower, upper, every,
+                                         metric=metric, radius=radius)
+                abandoned = cut != full
+                abandoned_total += int(np.count_nonzero(abandoned))
+                assert np.all(cut[abandoned] > radius)
+                assert np.all(cut[abandoned] < full[abandoned])
+                assert np.all(cut <= exact + ATOL), (
+                    f"a cut bound exceeds the exact one by "
+                    f"{np.max(cut - exact):.3e} on a {case.family} case")
+                assert np.all(full[~abandoned] <= radius) or np.all(
+                    cut[~abandoned] == full[~abandoned])
+    assert abandoned_total > 0

@@ -7,6 +7,9 @@ import re
 import numpy as np
 import pytest
 
+from repro.core.envelope_transforms import frame_means
+from repro.core.transforms import PAATransform
+from repro.dtw import kernels
 from repro.store import (
     FORMAT_VERSION,
     CorpusStore,
@@ -19,6 +22,7 @@ from repro.store import (
     list_generations,
     prune_generations,
 )
+from tests.conftest import bodies, body
 
 
 def _chunk(rows, n=16, d=4, seed=0):
@@ -202,9 +206,13 @@ def test_env_paa_column_brackets_the_envelope_frame_means(tmp_path):
 
 def test_verify_catches_env_paa_that_does_not_bracket(tmp_path):
     """A column whose lower half exceeds a frame mean fails verify, even
-    with its checksum rewritten to match."""
+    with its checksum rewritten to match, on the native frame means and
+    on NumPy's; the column as written passes on both."""
     root = str(tmp_path)
     store, _ = _write_generation(root, rows=4)
+    for name in bodies():
+        with body(name):
+            assert store.verify(raise_on_error=False) == []
     (segment,) = store.manifest.segments
     entry = segment.files["env_paa"]
     path = os.path.join(store.directory, entry["file"])
@@ -217,9 +225,30 @@ def test_verify_catches_env_paa_that_does_not_bracket(tmp_path):
     payload["segments"][0]["files"]["env_paa"]["sha256"] = file_sha256(path)
     with open(manifest, "w") as handle:
         json.dump(payload, handle)
-    errors = CorpusStore.open(root).verify(raise_on_error=False)
-    assert errors == ["env_paa column does not bracket the frame means "
-                      "of the envelope columns"]
+    for name in bodies():
+        with body(name):
+            errors = CorpusStore.open(root).verify(raise_on_error=False)
+            assert errors == ["env_paa column does not bracket the frame "
+                              "means of the envelope columns"]
+
+
+@pytest.mark.parametrize("n, frames", [(128, 16), (100, 16), (37, 5),
+                                       (300, 16), (600, 2)])
+def test_native_frame_means_are_numpys_bit_for_bit(n, frames):
+    """The native frame means ``verify`` reads equal :func:`frame_means`
+    over the float64 rows exactly — frames of fewer than 9, up to 129
+    and over 129 values alike — so both find the same rows bracketed."""
+    library = kernels.native_library()
+    if library is None:
+        pytest.skip("no native build on this host (no C compiler)")
+    rng = np.random.default_rng(n)
+    rows = (rng.normal(size=(50, n))
+            * 10.0 ** rng.uniform(-8, 8, size=(50, n))).astype(np.float32)
+    bounds = PAATransform(n, frames).frame_bounds.astype(np.int64)
+    out = np.empty((50, frames))
+    library.frame_means_f32(rows.ctypes.data, 50, n, bounds.ctypes.data,
+                            frames, out.ctypes.data)
+    assert np.array_equal(out, frame_means(rows, frames))
 
 
 def test_malformed_current_pointer(tmp_path):
