@@ -1,11 +1,13 @@
-"""Index tuning: envelope transforms, dimensions, and backends.
+"""Index tuning: envelope transforms and dimensions.
 
 Shows how the pieces of the warping index trade off against each
 other on a random-walk workload:
 
 * envelope transform (New_PAA vs Keogh_PAA vs DFT vs SVD),
-* feature dimensionality,
-* index backend (R*-tree vs grid file vs linear scan).
+* feature dimensionality.
+
+Costs are the paper's: candidates the R*-tree filter retrieves and the
+pages it reads.
 
 Run with:  python examples/index_tuning.py
 """
@@ -74,16 +76,8 @@ def main() -> None:
         cand, pages = mean_cost(index, queries, radius)
         print(f"   N={dims:<3}       candidates={cand:8.1f}  pages={pages:6.1f}")
 
-    print("\n3. Index backend (New_PAA, 8 dims):")
-    for kind in ("rstar", "grid", "linear"):
-        index = WarpingIndex(series, delta=DELTA, index_kind=kind,
-                             normal_form=nf)
-        cand, pages = mean_cost(index, queries, radius)
-        print(f"   {kind:<10} candidates={cand:8.1f}  pages={pages:6.1f}")
-
     print("\nReading: more dimensions -> tighter filter but bigger index "
-          "entries; New_PAA dominates Keogh_PAA at every setting; the "
-          "R*-tree touches the fewest pages.")
+          "entries; New_PAA dominates Keogh_PAA at every setting.")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 Walks the complete paper architecture on synthetic audio:
 
-    hum audio -> pitch tracking -> normal form -> warping index ->
-    ranked melodies
+    hum audio -> pitch tracking -> normal form -> filter cascade ->
+    exact DTW -> ranked melodies
 
 and contrasts it with the contour-string baseline fed by automatic
 note segmentation, showing why the paper abandons that route.
@@ -52,7 +52,8 @@ def main() -> None:
     # --- approach 1: time-series matching (the paper's) -------------
     results, stats = system.query(pitch_series, k=5)
     print("\nTime-series approach (DTW warping index):")
-    print(f"  candidates={stats.candidates} pages={stats.page_accesses}")
+    print(f"  pruned={stats.pruned_total} of {stats.corpus_size} "
+          f"refined={stats.dtw_computations}")
     for rank, (name, dist) in enumerate(results, start=1):
         hit = "  <-- target" if name == melodies[target].name else ""
         print(f"  {rank}. {name} (distance {dist:.2f}){hit}")

@@ -23,11 +23,11 @@ def main() -> None:
     print(f"  {len(songs)} songs -> {len(melodies)} melodies of "
           f"{min(len(m) for m in melodies)}-{max(len(m) for m in melodies)} notes")
 
-    # 2. Index it.  delta is the DTW warping width; New_PAA envelope
-    #    transform + R*-tree are the defaults.
+    # 2. Index it.  delta is the DTW warping width; the New_PAA
+    #    envelope transform is the default.
     system = QueryByHummingSystem(melodies, delta=0.1)
     print(f"  indexed {len(system)} melodies "
-          f"({system.index.feature_dim} feature dims, R*-tree)")
+          f"({system.index.feature_dim} feature dims)")
 
     # 3. Simulate a user humming melody #123 — off-key, off-tempo,
     #    with sloppy note timing (that is what the index is for).
@@ -38,10 +38,11 @@ def main() -> None:
           f"({hum.size} pitch frames at 10 ms) ...")
 
     # 4. Query: top-10 most similar melodies under shift-invariant,
-    #    tempo-invariant, locally-warped DTW.
+    #    tempo-invariant, locally-warped DTW.  The filter cascade's
+    #    lower bounds rule most melodies out before any exact DTW.
     results, stats = system.query(hum, k=10)
-    print(f"  filter retrieved {stats.candidates} candidates, "
-          f"{stats.page_accesses} page accesses, "
+    print(f"  lower bounds pruned {stats.pruned_total} of "
+          f"{stats.corpus_size} melodies, "
           f"{stats.dtw_computations} exact DTW computations")
     print("\nTop matches:")
     for rank, (name, distance) in enumerate(results[:5], start=1):

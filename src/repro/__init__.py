@@ -13,6 +13,11 @@ Quick start::
     melodies = segment_corpus(generate_corpus(50, seed=1))
     system = QueryByHummingSystem(melodies, delta=0.1)
     results, stats = system.query(hum_pitch_series, k=10)
+    print(stats.summary())   # the filter cascade's per-stage pruning
+
+``system.query`` answers through :class:`QueryEngine`, the filter
+cascade the service runs; the R*-tree route of
+:class:`WarpingIndex` is the paper's page-access instrument.
 """
 
 from .core import (

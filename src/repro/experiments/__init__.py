@@ -11,7 +11,6 @@ these, so results are equally reproducible from a notebook or script::
 
 from .ablations import (
     NOISE_LEVELS,
-    run_backend_ablation,
     run_cascade_ablation,
     run_knn_ablation,
     run_noise_sweep,
@@ -45,7 +44,6 @@ from .tightness import (
 
 __all__ = [
     "NOISE_LEVELS",
-    "run_backend_ablation",
     "run_cascade_ablation",
     "run_knn_ablation",
     "run_noise_sweep",

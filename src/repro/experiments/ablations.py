@@ -30,7 +30,6 @@ from .config import ExperimentScale
 __all__ = [
     "run_signsplit_ablation",
     "run_knn_ablation",
-    "run_backend_ablation",
     "run_cascade_ablation",
     "run_second_filter_ablation",
     "run_split_ablation",
@@ -94,38 +93,6 @@ def run_knn_ablation(db_size: int, n_queries: int, *,
         rows["refined_scan"].append(db_size)
         rows["pages_multistep"].append(round(pages / n_queries, 1))
     return rows
-
-
-def run_backend_ablation(db_size: int, n_queries: int, *,
-                         delta: float = 0.1, seed: int = 41) -> tuple[dict, dict]:
-    """Page accesses per range query across all index backends.
-
-    Returns ``(rows, answers)`` where *answers* maps backend to the
-    per-query candidate lists (for the neutrality assertion).
-    """
-    series = list(random_walks(db_size, _LENGTH, seed=seed))
-    queries = random_walks(n_queries, _LENGTH, seed=seed + 1)
-    radius = 0.5 * np.sqrt(_LENGTH)
-    kinds = ("rstar", "grid", "cluster", "linear")
-    indexes = {
-        kind: WarpingIndex(
-            series, delta=delta, normal_form=NormalForm(length=_LENGTH),
-            index_kind=kind,
-        )
-        for kind in kinds
-    }
-    pages = {kind: 0 for kind in kinds}
-    answers = {kind: [] for kind in kinds}
-    for q in queries:
-        for kind, index in indexes.items():
-            ids, stats = index.filter_query(q, radius)
-            pages[kind] += stats.page_accesses
-            answers[kind].append(sorted(ids))
-    rows = {
-        "backend": list(kinds),
-        "pages_per_query": [round(pages[k] / n_queries, 1) for k in kinds],
-    }
-    return rows, answers
 
 
 #: Stage configurations the cascade ablation compares.

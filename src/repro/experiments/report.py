@@ -10,7 +10,6 @@ file, every number regenerated on their machine.
 from __future__ import annotations
 
 from .ablations import (
-    run_backend_ablation,
     run_cascade_ablation,
     run_knn_ablation,
     run_noise_sweep,
@@ -52,9 +51,6 @@ EXPERIMENT_SECTIONS = {
                   lambda s: run_signsplit_ablation(max(200, s.fig7_pairs))),
     "knn": ("Ablation — multi-step k-NN",
             lambda s: run_knn_ablation(_small_db(s), s.fig8_queries)),
-    "backends": ("Ablation — index backends",
-                 lambda s: run_backend_ablation(_small_db(s),
-                                                s.fig8_queries)[0]),
     "secondfilter": ("Ablation — §5.2 second filter",
                      lambda s: run_second_filter_ablation(_small_db(s),
                                                           s.fig8_queries)),

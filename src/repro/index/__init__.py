@@ -1,17 +1,11 @@
-"""Multidimensional indexing: R*-tree, grid file, cluster index, GEMINI."""
+"""Multidimensional indexing: the R*-tree and the GEMINI warping index."""
 
-from .cluster import ClusterIndex
 from .gemini import WarpingIndex
-from .gridfile import GridFile
-from .linear_scan import LinearScan
 from .rstartree import RStarTree
 from .stats import QueryStats
 
 __all__ = [
     "WarpingIndex",
-    "ClusterIndex",
-    "GridFile",
-    "LinearScan",
     "RStarTree",
     "QueryStats",
 ]

@@ -4,8 +4,8 @@
 
 1. every database series is brought to its normal form and reduced to a
    feature vector ``X = T(x)``;
-2. the feature vectors are stored in a multidimensional index
-   (R*-tree, grid file, or a linear-scan baseline);
+2. the feature vectors are stored in a multidimensional index (an
+   R*-tree, bulk-loaded by the first tree query);
 3. a query is brought to its normal form, its ``k``-envelope is
    computed, and the envelope is reduced with a **container-invariant**
    envelope transform to a feature-space rectangle ``[E^L, E^U]``;
@@ -16,6 +16,11 @@
 Because the envelope lives on the *query* side, an existing Euclidean
 feature index gains DTW support without being rebuilt — one of the
 paper's selling points.
+
+The tree route (:meth:`WarpingIndex.filter_query`, :meth:`range_query`,
+:meth:`knn_query`) is the paper's page-access instrument.  Served
+queries take the cascade route (:meth:`WarpingIndex.cascade_knn_query`,
+:meth:`cascade_range_query`), which returns the same answer.
 """
 
 from __future__ import annotations
@@ -34,15 +39,10 @@ from ..core.normal_form import NormalForm
 from ..dtw.distance import ldtw_distance, ldtw_distance_batch, ldtw_refiner
 from ..obs import OBS_DISABLED, Observability
 from ..obs.clock import monotonic_s
-from .cluster import ClusterIndex
-from .gridfile import GridFile
-from .linear_scan import LinearScan
 from .rstartree import RStarTree
 from .stats import QueryStats
 
 __all__ = ["WarpingIndex"]
-
-_INDEX_KINDS = ("rstar", "grid", "linear", "cluster")
 
 
 class _Snapshot(NamedTuple):
@@ -50,7 +50,7 @@ class _Snapshot(NamedTuple):
     lock :meth:`WarpingIndex.swap_generation` rebinds it under, so a
     reader that holds it never mixes two generations."""
 
-    tree: object  # the feature index; None until a tree route builds it
+    tree: RStarTree | None  # None until a tree route builds it
     id_to_row: dict
     data: np.ndarray
     features: np.ndarray
@@ -76,10 +76,8 @@ class WarpingIndex:
     normal_form:
         Normalisation applied to database and query series.  Its
         ``length`` fixes the UTW normal-form length ``n``.
-    index_kind:
-        ``"rstar"`` (default), ``"grid"``, ``"linear"`` or ``"cluster"``.
     capacity:
-        Page capacity of the underlying index.
+        Page capacity of the R*-tree.
     ids:
         Optional identifiers for the database series.
     metric:
@@ -89,7 +87,7 @@ class WarpingIndex:
         built accordingly).
     obs:
         An :class:`~repro.obs.Observability` facade.  Attaches to the
-        R*-tree/grid query paths (``index.*`` metrics, ``query`` spans)
+        R*-tree query paths (``index.*`` metrics, ``query`` spans)
         and propagates to every cached cascade engine (see
         :meth:`set_observability`).  Default ``None`` = disabled.
     """
@@ -102,17 +100,12 @@ class WarpingIndex:
         env_transform: EnvelopeTransform | None = None,
         n_features: int = 8,
         normal_form: NormalForm | None = None,
-        index_kind: str = "rstar",
         capacity: int = 50,
         ids: Sequence | None = None,
         metric: str = "euclidean",
         obs: Observability | None = None,
     ) -> None:
         self.obs = OBS_DISABLED if obs is None else obs
-        if index_kind not in _INDEX_KINDS:
-            raise ValueError(
-                f"index_kind must be one of {_INDEX_KINDS}, got {index_kind!r}"
-            )
         if metric not in ("euclidean", "manhattan"):
             raise ValueError(
                 f"metric must be 'euclidean' or 'manhattan', got {metric!r}"
@@ -175,7 +168,6 @@ class WarpingIndex:
         self._features = self.env_transform.transform.transform_batch(
             self._data)
         self._index = None
-        self.index_kind = index_kind
         self._capacity = capacity
 
     @classmethod
@@ -221,7 +213,6 @@ class WarpingIndex:
             raise ValueError(
                 "store's envelope transform does not match its normal form"
             )
-        self.index_kind = "rstar"
         self._capacity = int(cfg.get("capacity", 50))
         self._swap_lock = threading.Lock()
         for name, value in self._store_state(store).items():
@@ -250,24 +241,15 @@ class WarpingIndex:
         """This generation's corpus state, read under one acquisition of
         the lock :meth:`swap_generation` rebinds it under.
 
-        With *tree*, the feature index is built first if this
+        With *tree*, the R*-tree is built first if this
         generation has none yet.  Only the tree routes (``filter_query``,
         ``range_query``, ``knn_query``) ask for it, so the cascade route
         never pays for it.
         """
         with self._swap_lock:
             if tree and self._index is None:
-                features, ids = self._features, self.ids
-                if self.index_kind == "rstar":
-                    self._index = RStarTree.bulk_load(
-                        features, ids, capacity=self._capacity)
-                elif self.index_kind == "grid":
-                    self._index = GridFile(features, ids)
-                elif self.index_kind == "cluster":
-                    self._index = ClusterIndex(features, ids)
-                else:
-                    self._index = LinearScan(features, ids,
-                                             capacity=self._capacity)
+                self._index = RStarTree.bulk_load(
+                    self._features, self.ids, capacity=self._capacity)
             return _Snapshot(self._index, self._id_to_row, self._data,
                              self._features, self.ids, self._envelopes,
                              self._lb_slack)

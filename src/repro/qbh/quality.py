@@ -187,7 +187,7 @@ def run_scenario_matrix(system, *, scenarios=None,
                 clean = hum_melody(system.melodies[target], profile, rng)
                 query = degrade(clean, scenario, float(severity), rng=rng)
                 t0 = monotonic_s()
-                results, _ = system.query_cascade(query, k)
+                results, _ = system.query(query, k)
                 elapsed_s = monotonic_s() - t0
                 rank = rank_of_target(results, system.names[target])
                 if rank is None:

@@ -5,7 +5,9 @@ diagram does:
 
 * a **database of music**: melodies as ``(note, duration)`` tuples,
   expanded to piecewise-constant pitch time series;
-* an **index**: the GEMINI warping index over their normal forms;
+* an **index**: the GEMINI warping index over their normal forms,
+  queried through its filter-cascade engine (the route the service
+  serves);
 * **user humming**: a pitch time series from the tracker (or from a
   singer model), normalised the same way and matched with
   shift-invariant, tempo-invariant, locally-warped DTW.
@@ -23,9 +25,9 @@ import numpy as np
 
 from ..core.normal_form import NormalForm
 from ..dtw.distance import ldtw_distance_batch
+from ..engine import CascadeStats
 from ..hum.pitch_tracking import track_pitch
 from ..index.gemini import WarpingIndex
-from ..index.stats import QueryStats
 from ..music.melody import Melody
 
 __all__ = ["QueryByHummingSystem"]
@@ -45,17 +47,15 @@ class QueryByHummingSystem:
         UTW normal-form length for all series.
     n_features:
         Reduced dimensionality of the index.
-    index_kind:
-        ``"rstar"``, ``"grid"``, or ``"linear"``.
     samples_per_beat:
         Sampling of the melody time series.
     env_transform:
         Optional custom envelope transform (defaults to New_PAA).
     obs:
         An :class:`~repro.obs.Observability` facade, passed through to
-        the underlying :class:`~repro.index.gemini.WarpingIndex` (and
-        from there to the cascade engines), so a hummed query traces
-        and meters end to end.  Default ``None`` = disabled.
+        the underlying :class:`~repro.index.gemini.WarpingIndex` and
+        from there to its cascade engine, so a hummed query traces and
+        meters end to end.  Default ``None`` = disabled.
     """
 
     def __init__(
@@ -65,10 +65,8 @@ class QueryByHummingSystem:
         delta: float = 0.1,
         normal_length: int = 128,
         n_features: int = 8,
-        index_kind: str = "rstar",
         samples_per_beat: int = 8,
         env_transform=None,
-        capacity: int = 50,
         obs=None,
     ) -> None:
         if not melodies:
@@ -85,8 +83,6 @@ class QueryByHummingSystem:
             env_transform=env_transform,
             n_features=n_features,
             normal_form=NormalForm(length=normal_length, shift=True),
-            index_kind=index_kind,
-            capacity=capacity,
             obs=obs,
         )
 
@@ -117,11 +113,15 @@ class QueryByHummingSystem:
 
     def query(
         self, pitch_series, k: int = 10, *, collapse_duplicates: bool = False
-    ) -> tuple[list[tuple[str, float]], QueryStats]:
+    ) -> tuple[list[tuple[str, float]], CascadeStats]:
         """Top-*k* melodies for a hummed pitch time series.
 
         Returns ``(results, stats)``; results are ``(melody_name,
-        dtw_distance)`` pairs, best first.
+        dtw_distance)`` pairs, best first (ties by database order).
+        The answer is exact, the one the service and the tree route
+        return: the index's filter-cascade engine computes it, and
+        *stats* is the engine's :class:`~repro.engine.CascadeStats`,
+        whose per-stage counters show where candidates were pruned.
 
         With *collapse_duplicates*, note-for-note identical melodies
         (phrase repetition produces them when songs are segmented)
@@ -129,12 +129,12 @@ class QueryByHummingSystem:
         rather than the same tune at several tied ranks.
         """
         if not collapse_duplicates:
-            hits, stats = self.index.knn_query(pitch_series, k)
+            hits, stats = self.index.cascade_knn_query(pitch_series, k)
             return [(self.names[idx], dist) for idx, dist in hits], stats
         # Over-fetch, then keep the best representative per duplicate
         # group until k distinct tunes are collected.
         fetch = min(len(self), k * 4)
-        hits, stats = self.index.knn_query(pitch_series, fetch)
+        hits, stats = self.index.cascade_knn_query(pitch_series, fetch)
         group_of = self._duplicate_groups()
         results: list[tuple[str, float]] = []
         seen_groups: set[int] = set()
@@ -161,29 +161,15 @@ class QueryByHummingSystem:
 
     def query_range(
         self, pitch_series, epsilon: float
-    ) -> tuple[list[tuple[str, float]], QueryStats]:
-        """All melodies within DTW distance *epsilon* of the hum."""
-        hits, stats = self.index.range_query(pitch_series, epsilon)
-        return [(self.names[idx], dist) for idx, dist in hits], stats
-
-    def query_cascade(self, pitch_series, k: int = 10, *, stages=None):
-        """Top-*k* melodies via the batched filter-cascade engine.
-
-        Returns the same exact answer as :meth:`query`, but evaluated
-        with :class:`~repro.engine.QueryEngine` — vectorised
-        lower-bound stages followed by best-first, early-abandoning
-        exact DTW — and returns a
-        :class:`~repro.engine.CascadeStats` whose per-stage counters
-        show where candidates were pruned (``repro query --stats``
-        prints it).
-        """
-        hits, stats = self.index.cascade_knn_query(pitch_series, k,
-                                                   stages=stages)
+    ) -> tuple[list[tuple[str, float]], CascadeStats]:
+        """All melodies within DTW distance *epsilon* of the hum,
+        best first, through the filter-cascade engine."""
+        hits, stats = self.index.cascade_range_query(pitch_series, epsilon)
         return [(self.names[idx], dist) for idx, dist in hits], stats
 
     def query_audio(
         self, waveform, *, sample_rate: int = 8000, k: int = 10
-    ) -> tuple[list[tuple[str, float]], QueryStats]:
+    ) -> tuple[list[tuple[str, float]], CascadeStats]:
         """Top-*k* melodies for raw hum audio (runs the pitch tracker)."""
         track = track_pitch(waveform, sample_rate=sample_rate)
         pitches = track.pitch_series()

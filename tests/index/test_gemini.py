@@ -42,10 +42,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="empty"):
             WarpingIndex([], delta=0.1)
 
-    def test_rejects_bad_index_kind(self, walks):
-        with pytest.raises(ValueError, match="index_kind"):
-            WarpingIndex(walks[:5], delta=0.1, index_kind="btree")
-
     def test_rejects_mismatched_transform(self, walks):
         env_t = KeoghPAAEnvelopeTransform(32, 4)
         with pytest.raises(ValueError, match="normal form"):
@@ -77,11 +73,10 @@ class TestConstruction:
 
 
 class TestRangeQuery:
-    @pytest.mark.parametrize("kind", ["rstar", "grid", "linear"])
-    def test_exact_answers_all_backends(self, walks, query, kind):
+    def test_exact_answers(self, walks, query):
         idx = WarpingIndex(
             walks, delta=0.1, normal_form=NormalForm(length=64),
-            index_kind=kind, capacity=16,
+            capacity=16,
         )
         for eps in (2.0, 5.0, 12.0):
             results, stats = idx.range_query(query, eps)
@@ -170,14 +165,13 @@ def twins():
     return originals + [series.copy() for series in originals[:10]]
 
 
-@pytest.mark.parametrize("kind", ["rstar", "grid", "linear", "cluster"])
-def test_tree_routes_order_ties_like_the_cascade(twins, kind):
+def test_tree_routes_order_ties_like_the_cascade(twins):
     """Tree k-NN and range answers are ordered by (distance, corpus row),
     the cascade's order, whatever the ids sort as."""
     # String ids in reverse row order: sorting by id inverts row order.
     ids = [f"m{len(twins) - row:02d}" for row in range(len(twins))]
     index = WarpingIndex(twins, delta=0.1, normal_form=NormalForm(length=64),
-                         index_kind=kind, capacity=8, ids=ids)
+                         capacity=8, ids=ids)
     rng = np.random.default_rng(7)
     for i in range(20):
         query = twins[i % 10] + 0.3 * rng.normal(size=64)
@@ -194,7 +188,7 @@ def test_tree_routes_order_ties_like_the_cascade(twins, kind):
     # Ids of mixed types never meet in a comparison.
     mixed = list(range(30)) + [f"copy{row}" for row in range(10)]
     index = WarpingIndex(twins, delta=0.1, normal_form=NormalForm(length=64),
-                         index_kind=kind, capacity=8, ids=mixed)
+                         capacity=8, ids=mixed)
     tree, _ = index.knn_query(twins[3], 3)
     cascade, _ = index.cascade_knn_query(twins[3], 3)
     assert [item for item, _ in tree] == [item for item, _ in cascade]

@@ -1,6 +1,6 @@
 """Property-based tests for the index layer.
 
-The central guarantee — range queries over any backend return exactly
+The central guarantee — range queries over the R*-tree return exactly
 the brute-force answer, for arbitrary point sets and query rectangles —
 is checked with hypothesis-generated inputs.
 """
@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.index.gridfile import GridFile
-from repro.index.linear_scan import LinearScan
 from repro.index.rstartree import RStarTree
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False, width=32)
@@ -29,21 +27,13 @@ def brute(points, lo, hi, radius):
     return set(np.nonzero(np.sum(gap * gap, axis=1) <= radius * radius)[0].tolist())
 
 
-def build_all(points):
-    return [
-        RStarTree.bulk_load(points, capacity=4),
-        GridFile(points, resolution=3),
-        LinearScan(points, capacity=4),
-    ]
-
-
 @settings(max_examples=60, deadline=None)
 @given(point_sets(), arrays(np.float64, 3, elements=coord),
        st.floats(0, 5, allow_nan=False))
 def test_point_range_query_exact(points, q, radius):
     expected = brute(points, q, q, radius)
-    for index in build_all(points):
-        assert set(index.range_search(q, q, radius)) == expected
+    index = RStarTree.bulk_load(points, capacity=4)
+    assert set(index.range_search(q, q, radius)) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -53,20 +43,20 @@ def test_point_range_query_exact(points, q, radius):
 def test_rect_range_query_exact(points, lo, extent, radius):
     hi = lo + extent
     expected = brute(points, lo, hi, radius)
-    for index in build_all(points):
-        assert set(index.range_search(lo, hi, radius)) == expected
+    index = RStarTree.bulk_load(points, capacity=4)
+    assert set(index.range_search(lo, hi, radius)) == expected
 
 
 @settings(max_examples=40, deadline=None)
 @given(point_sets(max_points=40), arrays(np.float64, 3, elements=coord))
 def test_nearest_is_sorted_and_complete(points, q):
-    for index in build_all(points):
-        ranked = list(index.nearest(q, q))
-        assert len(ranked) == points.shape[0]
-        dists = [d for d, _ in ranked]
-        assert all(a <= b + 1e-9 for a, b in zip(dists, dists[1:]))
-        expected = np.sort(np.linalg.norm(points - q, axis=1))
-        assert np.allclose(np.sort(dists), expected, atol=1e-6)
+    index = RStarTree.bulk_load(points, capacity=4)
+    ranked = list(index.nearest(q, q))
+    assert len(ranked) == points.shape[0]
+    dists = [d for d, _ in ranked]
+    assert all(a <= b + 1e-9 for a, b in zip(dists, dists[1:]))
+    expected = np.sort(np.linalg.norm(points - q, axis=1))
+    assert np.allclose(np.sort(dists), expected, atol=1e-6)
 
 
 @settings(max_examples=30, deadline=None)

@@ -82,10 +82,9 @@ class TestL1WarpingIndex:
             normal_form=NormalForm(length=64),
         )
 
-    @pytest.mark.parametrize("kind", ["rstar", "grid", "linear"])
-    def test_exact_range_queries(self, walks, kind):
+    def test_exact_range_queries(self, walks):
         index = WarpingIndex(
-            walks, delta=0.1, metric="manhattan", index_kind=kind,
+            walks, delta=0.1, metric="manhattan",
             normal_form=NormalForm(length=64),
         )
         query = random_walks(1, 96, seed=82)[0]

@@ -194,3 +194,64 @@ class TestReinsertionAndSplits:
         tree.check_invariants()
         hits = tree.range_search(np.full(3, 5.0), np.full(3, 5.0), 1.0)
         assert set(hits) == brute_range(pts, np.full(3, 5.0), 1.0)
+
+
+class TestContract:
+    """What the GEMINI layer relies on, on a bulk-loaded 4-d tree: range
+    and nearest answers against brute force, both metrics, and page
+    accounting that accumulates until reset."""
+
+    DIM = 4
+
+    def build(self, points):
+        return RStarTree.bulk_load(points, capacity=8)
+
+    def test_point_range(self, rng):
+        pts = rng.normal(size=(250, self.DIM))
+        index = self.build(pts)
+        for _ in range(4):
+            q = rng.normal(size=self.DIM)
+            for radius in (0.5, 1.5):
+                assert set(index.range_search(q, q, radius)) == (
+                    brute_rect_range(pts, q, q, radius))
+
+    def test_rect_range_manhattan(self, rng):
+        pts = rng.normal(size=(200, self.DIM))
+        index = self.build(pts)
+        lo = np.full(self.DIM, -0.4)
+        hi = np.full(self.DIM, 0.4)
+        got = set(index.range_search(lo, hi, 1.0, metric="manhattan"))
+        gap = np.maximum(lo - pts, 0.0) + np.maximum(pts - hi, 0.0)
+        assert got == set(np.nonzero(np.sum(gap, axis=1) <= 1.0)[0].tolist())
+
+    def test_nearest_order_and_completeness(self, rng):
+        pts = rng.normal(size=(120, self.DIM))
+        index = self.build(pts)
+        q = rng.normal(size=self.DIM)
+        ranked = list(index.nearest(q, q))
+        assert len(ranked) == 120
+        dists = [d for d, _ in ranked]
+        assert all(a <= b + 1e-9 for a, b in zip(dists, dists[1:]))
+        assert np.allclose(
+            np.sort(dists), np.sort(np.linalg.norm(pts - q, axis=1)),
+            atol=1e-9,
+        )
+
+    def test_page_accesses_accumulate_and_reset(self, rng):
+        index = self.build(rng.normal(size=(100, self.DIM)))
+        origin = np.zeros(self.DIM)
+        index.reset_stats()
+        assert index.page_accesses == 0
+        index.range_search(origin, origin, 1.0)
+        first = index.page_accesses
+        assert first > 0
+        index.range_search(origin, origin, 1.0)
+        assert index.page_accesses == 2 * first
+        index.reset_stats()
+        assert index.page_accesses == 0
+
+    def test_rejects_bad_metric(self, rng):
+        index = self.build(rng.normal(size=(10, self.DIM)))
+        with pytest.raises(ValueError, match="metric"):
+            index.range_search(np.zeros(self.DIM), np.zeros(self.DIM), 1.0,
+                               metric="chebyshev")

@@ -209,10 +209,18 @@ class TestFacadeWiring:
         assert system.obs is obs
 
         hum = melodies[2].to_time_series(system.samples_per_beat)
-        results, _ = system.query(hum, k=2)
+        results, stats = system.query(hum, k=2)
         assert results[0][0] == "tune2"
+        # The system answers through the engine: its metrics, not the
+        # tree route's, record the query.
+        assert obs.metrics.counter("engine.queries_total",
+                                   kind="knn").value == 1
+        assert obs.metrics.counter("engine.results_total").value == 2
+        assert stats.corpus_size == len(melodies)
+        assert obs.metrics.counter(
+            "engine.candidates_total").value == stats.corpus_size
         assert obs.metrics.counter("index.queries_total",
-                                   kind="knn").value >= 1
+                                   kind="knn").value == 0
 
         system.set_observability(None)
         assert system.obs is OBS_DISABLED

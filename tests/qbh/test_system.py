@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import DEFAULT_STAGES, CascadeStats
 from repro.hum.singer import SingerProfile, hum_melody
 from repro.qbh.system import QueryByHummingSystem
 
@@ -63,7 +64,47 @@ class TestQuery:
         results, stats = system.query(hum, k=10)
         assert len(results) == 10
         assert all(isinstance(name, str) for name, _ in results)
-        assert stats.page_accesses > 0
+        # The engine's record: every melody entered the cascade, the
+        # stages pruned some by bound alone, and at least the k answers
+        # were refined with exact DTW.
+        assert isinstance(stats, CascadeStats)
+        assert stats.corpus_size == len(system)
+        assert [stage.name for stage in stats.stages] == list(DEFAULT_STAGES)
+        assert stats.pruned_total > 0
+        assert 10 <= stats.dtw_computations < len(system)
+        assert stats.results == 10
+        _, ranged = system.query_range(hum, results[-1][1])
+        assert isinstance(ranged, CascadeStats)
+        assert ranged.results >= 10
+
+    def test_system_answers_as_the_tree_route(self, system,
+                                              small_corpus_module):
+        """The front door (the engine) and the paper's R*-tree route
+        give the same ids in the same order, ties between duplicate
+        melodies included, and the same distances."""
+        groups = system._duplicate_groups()
+        assert len(set(groups.values())) < len(system)  # has duplicates
+        rng = np.random.default_rng(58)
+        row_of = {name: row for row, name in enumerate(system.names)}
+        for target in range(0, len(system), len(system) // 24):
+            hum = hum_melody(small_corpus_module[target],
+                             SingerProfile.poor(), rng)
+            named, _ = system.query(hum, k=10)
+            tree, _ = system.index.knn_query(hum, 10)
+            assert [row_of[name] for name, _ in named] == [
+                row for row, _ in tree]
+            np.testing.assert_allclose([d for _, d in named],
+                                       [d for _, d in tree],
+                                       rtol=0, atol=1e-9)
+            # A radius at the 6th distance, ties at the boundary in.
+            epsilon = float(np.nextafter(tree[5][1], np.inf))
+            named, _ = system.query_range(hum, epsilon)
+            tree, _ = system.index.range_query(hum, epsilon)
+            assert [row_of[name] for name, _ in named] == [
+                row for row, _ in tree]
+            np.testing.assert_allclose([d for _, d in named],
+                                       [d for _, d in tree],
+                                       rtol=0, atol=1e-9)
 
     def test_collapse_duplicates_yields_distinct_tunes(
         self, system, small_corpus_module, rng

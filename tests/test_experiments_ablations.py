@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.experiments import (
     SMOKE,
-    run_backend_ablation,
     run_knn_ablation,
     run_noise_sweep,
     run_second_filter_ablation,
@@ -24,13 +23,6 @@ def test_knn_smoke():
     rows = run_knn_ablation(150, 2)
     assert rows["refined_scan"] == [150, 150, 150]
     assert all(r <= 150 for r in rows["refined_multistep"])
-
-
-def test_backends_smoke():
-    rows, answers = run_backend_ablation(150, 2)
-    assert set(rows["backend"]) == {"rstar", "grid", "cluster", "linear"}
-    assert (answers["rstar"] == answers["grid"] == answers["cluster"]
-            == answers["linear"])
 
 
 def test_second_filter_smoke():

@@ -93,7 +93,7 @@ def test_importing_the_library_loads_no_scipy():
     script = textwrap.dedent("""
         import sys
         import repro, repro.cli, repro.store, repro.serve, repro.shard
-        import repro.ingest, repro.index.cluster
+        import repro.ingest, repro.index
         loaded = sorted(name for name in sys.modules
                         if name == "scipy" or name.startswith("scipy."))
         assert not loaded, loaded

@@ -7,10 +7,10 @@ from repro.experiments import EXPERIMENT_SECTIONS, SMOKE, generate_report
 
 class TestGenerateReport:
     def test_subset_sections(self):
-        text = generate_report(SMOKE, include=("scaling", "backends"))
+        text = generate_report(SMOKE, include=("scaling", "knn"))
         assert "# Reproduction report" in text
         assert "## Scalability" in text
-        assert "## Ablation — index backends" in text
+        assert "## Ablation — multi-step k-NN" in text
         assert "## Table 2" not in text
 
     def test_rank_table_rendering(self):
@@ -27,7 +27,7 @@ class TestGenerateReport:
             generate_report(SMOKE, include=("fig99",))
 
     def test_all_sections_registered(self):
-        assert len(EXPERIMENT_SECTIONS) == 15
+        assert len(EXPERIMENT_SECTIONS) == 14
 
     def test_cli_report_subset(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main

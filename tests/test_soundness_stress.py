@@ -1,7 +1,7 @@
 """Randomised cross-configuration soundness stress test.
 
 One test to rule them out: across random combinations of envelope
-transform, feature dimensionality, backend, warping width, metric, and
+transform, feature dimensionality, page capacity, warping width, metric, and
 dataset family, the warping index must return exactly the ground-truth
 answer.  Catches any interaction bug the per-module tests might miss.
 """
@@ -45,7 +45,6 @@ def random_config(rng):
         "kind": str(kind),
         "metric": str(metric),
         "n_features": int(rng.choice([4, 8, 16])),
-        "backend": str(rng.choice(["rstar", "grid", "linear"])),
         "delta": float(rng.choice([0.0, 0.05, 0.1, 0.25])),
         "family": str(rng.choice(FAMILIES)),
         "capacity": int(rng.choice([8, 50])),
@@ -64,7 +63,6 @@ def test_random_configuration_is_exact(trial):
         delta=config["delta"],
         env_transform=env_t,
         normal_form=NormalForm(length=LENGTH),
-        index_kind=config["backend"],
         capacity=config["capacity"],
         metric=config["metric"],
     )
