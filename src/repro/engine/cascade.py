@@ -59,18 +59,19 @@ other, and ``first_last`` is sound but outside the chain — either can
 beat or lose to the other bounds depending on the data, which is
 exactly why the running maximum is kept.
 
-Two walks run a plan.  A range query's radius is fixed, so order buys
-nothing: each stage bounds every row the previous ones kept, in turn.
-A k-NN query's radius shrinks as it refines, so it walks best first:
-``new_paa`` bounds the whole corpus and orders it, the other stages
-bound it a block at a time (from :data:`_WALK_FIRST` times k rows,
-doubling up to :data:`_WALK_BLOCK`) only while the block's
-``new_paa`` is within the radius, and the refine takes the
-pending rows whenever their best bound is at most the next unread
-row's — Seidl-Kriegel's multi-step k-NN at each level of the cascade,
-in Lemire's cheap-bounds-first order (arXiv 0807.1734).  It is exact
-on every plan: DTW has no triangle inequality to shortcut with
-(arXiv 2002.04187), only lower bounds.  See :meth:`QueryEngine._walk`.
+One walk runs a plan for both kinds of query (see
+:meth:`QueryEngine._walk`).  ``new_paa`` bounds the whole corpus first,
+a row whose bound exceeds the radius is never read, and the other
+stages bound the rows read a block at a time, in Lemire's
+cheap-bounds-first order (arXiv 0807.1734).  A range query's radius is
+fixed, so the rows within it are one block, in corpus order.  A k-NN
+query's radius shrinks as it refines, so it walks best first: blocks in
+ascending ``new_paa`` (from :data:`_WALK_FIRST` times k rows, doubling
+up to :data:`_WALK_BLOCK`) while the next row's is within the radius,
+refining the pending rows whenever their best bound is at most the next
+unread row's — Seidl-Kriegel's multi-step k-NN at each level of the
+cascade.  It is exact on every plan: DTW has no triangle inequality to
+shortcut with (arXiv 2002.04187), only lower bounds.
 
 Per-query observability lives in :class:`CascadeStats`: candidates in,
 pruned, bound statistics and wall time per stage, plus exact-phase
@@ -292,9 +293,10 @@ class CascadeStats:
     Attributes
     ----------
     corpus_size:
-        Candidates entering the first stage.
+        Rows searched.
     stages:
-        One :class:`StageStats` per configured filter stage, in order.
+        One :class:`StageStats` per configured filter stage, in plan
+        order; each stage's ``candidates_in`` is the rows it bounded.
     dtw_computations:
         Exact DTW dynamic programs started during refinement.
     dtw_abandoned:
@@ -332,10 +334,9 @@ class CascadeStats:
 
     @property
     def exact_candidates(self) -> int:
-        """Candidates that survived every filter stage."""
-        if self.stages:
-            return self.stages[-1].survivors
-        return self.corpus_size
+        """Rows no filter stage pruned: refined or ``exact_skipped``,
+        whatever the plan's order."""
+        return self.corpus_size - self.pruned_total
 
     @property
     def pruned_total(self) -> int:
@@ -546,8 +547,8 @@ def _maybe_abort(should_abort, phase: str) -> None:
 
     Raises :class:`~repro.engine.errors.QueryAborted` tagged with
     *phase* the moment the callback returns true.  Checkpoints sit
-    before every cascade stage (in the k-NN walk, before each block's)
-    and before every refine slice, so an abort
+    before every stage call of the walk and before every refine slice,
+    so an abort
     (e.g. a missed serving deadline) cuts work short without ever
     producing a partial — and therefore possibly wrong — answer.
     """
@@ -733,9 +734,8 @@ class QueryEngine:
     One method runs a query: :meth:`search`, the *k* best within
     *epsilon*, with :meth:`range_search` (*epsilon* alone) and
     :meth:`knn` (*k* alone) as its two spellings.  Every stage prunes
-    against the radius ``min(epsilon, k-th distance so far)``, eagerly
-    for a range query (:meth:`_eager`) and best first for a k-NN one
-    (:meth:`_walk`); survivors go through the batched DTW kernel in
+    against the radius ``min(epsilon, k-th distance so far)``, in one
+    walk (:meth:`_walk`); survivors go through the batched DTW kernel in
     slices of at most :data:`_REFINE_ROWS` (:meth:`_refine`), early
     abandoned against that radius.  Answers are ordered by (distance,
     corpus row).
@@ -998,21 +998,18 @@ class QueryEngine:
         """The *k* nearest series within DTW distance *epsilon*, exactly.
 
         The radius is ``min(epsilon, k-th distance so far)`` (unset
-        counts as infinite).  Without *k* it is *epsilon*, fixed, and
-        every stage prunes the whole corpus against it in turn
-        (:meth:`_eager`).  With *k* the engine walks the rows best
-        first (:meth:`_walk`), bounding and refining only the rows the
-        shrinking radius still admits.  Both refine in slices through
-        the batched DTW kernel, early abandoned against the radius.
-        Results are ``(id, distance)`` pairs ordered by (distance,
-        corpus row).
+        counts as infinite).  One walk (:meth:`_walk`) bounds and
+        refines only the rows the radius admits: without *k* they are
+        read at once, with *k* best first as the radius shrinks.  The
+        refine runs in slices through the batched DTW kernel, early
+        abandoned against the radius.  Results are ``(id, distance)``
+        pairs ordered by (distance, corpus row).
 
         *should_abort*, when given, is a zero-argument callable polled
-        before every stage (in the walk, every block's stages) and
-        before every refine slice; the query raises
-        :class:`QueryAborted` as soon as it returns true, never a
-        partial answer (cooperative cancellation — the serving layer's
-        deadline mechanism).
+        before ``new_paa``, every block's other stages and every refine
+        slice; the query raises :class:`QueryAborted` as soon as it
+        returns true, never a partial answer (cooperative cancellation
+        — the serving layer's deadline mechanism).
         """
         k, epsilon = check_search(k, epsilon)
         kind = query_kind(k)
@@ -1025,10 +1022,7 @@ class QueryEngine:
         ) as qspan:
             started = monotonic_s()
             stats = CascadeStats(corpus_size=len(self))
-            if k is None:
-                self._eager(ctx, answer, stats, should_abort)
-            else:
-                self._walk(ctx, answer, stats, should_abort, started)
+            self._walk(ctx, answer, stats, should_abort, started)
             results = answer.results(self.ids)
             stats.results = len(results)
             stats.total_time_s = monotonic_s() - started
@@ -1037,47 +1031,24 @@ class QueryEngine:
         self.obs.record_cascade_query(kind, stats, ctx.kernel_stats)
         return results, stats
 
-    def _eager(self, ctx: _QueryContext, answer: _Answer,
-               stats: CascadeStats, should_abort) -> None:
-        """A range query: each stage bounds every row the previous ones
-        kept and prunes against the fixed radius; the survivors are
-        refined in slices of :data:`_REFINE_ROWS`, in corpus order."""
-        radius = answer.radius()
-        alive = np.arange(len(self))
-        bounds = np.zeros(len(self))
-        for name in self.stages:
-            _maybe_abort(should_abort, "stage:" + name)
-            with self.obs.span("stage:" + name) as span:
-                started = monotonic_s()
-                stage = StageStats(name=name)
-                if alive.size:
-                    raw = self._stage_bounds(name, ctx, alive,
-                                             radius + _PRUNE_ATOL)
-                    _tally(stage, raw)
-                    bounds[alive] = np.maximum(bounds[alive], raw)
-                    if math.isfinite(radius):
-                        keep = bounds[alive] <= radius + _PRUNE_ATOL
-                        stage.pruned = int(alive.size
-                                           - np.count_nonzero(keep))
-                        alive = alive[keep]
-                stage.wall_time_s = monotonic_s() - started
-                span.set(**stage.to_dict())
-            stats.stages.append(stage)
-        for start in range(0, alive.size, _REFINE_ROWS):
-            rows = alive[start:start + _REFINE_ROWS]
-            answer.add(rows, self._refine(ctx, rows, radius, stats,
-                                          should_abort), radius)
-
     def _walk(self, ctx: _QueryContext, answer: _Answer,
               stats: CascadeStats, should_abort, started: float) -> None:
-        """A k-NN query, best first, every bound computed only where the
-        walk needs it (Seidl-Kriegel's multi-step k-NN at each level of
+        """The one search loop: every bound computed only where the
+        query needs it (Seidl-Kriegel's multi-step k-NN at each level of
         the cascade, after Lemire's cheap-bounds-first order).
 
-        ``new_paa``, when planned, bounds the whole corpus and orders
-        it (:class:`_Ascending`; its time includes the ordering);
-        without it every row's order key is 0.  The walk then repeats
-        the first of two steps that applies, until neither does:
+        ``new_paa``, when planned, bounds the whole corpus first (its
+        time includes picking or ordering the rows to read); it is the
+        order key (without it every row's key is 0), and a row whose
+        key exceeds the radius is never read.  The plan's other stages
+        bound the rows read a block at a time (:meth:`_bound_block`).
+
+        A range query's radius is *epsilon* and never shrinks, so order
+        buys nothing: the rows whose key is within it are one block, in
+        corpus order, and its survivors are refined in slices of
+        :data:`_REFINE_ROWS`.  A k-NN query orders the rows by key
+        (:class:`_Ascending`) and repeats the first of two steps that
+        applies, until neither does:
 
         * **refine** while the best pending bound is at most both the
           radius and the next unread key: the pending rows up to both,
@@ -1085,9 +1056,8 @@ class QueryEngine:
           up to :data:`_REFINE_ROWS`, abandoned at the radius;
         * **read** the next block while its key is at most the radius
           (:data:`_WALK_FIRST` times k rows, then twice the last, up to
-          :data:`_WALK_BLOCK`): the plan's other stages bound it in
-          plan order, each pruning against the radius, and the
-          survivors join the pending set in ascending bound order.
+          :data:`_WALK_BLOCK`); its survivors join the pending set in
+          ascending bound order.
 
         Pending rows still above the radius at the end are
         ``exact_skipped``; unread rows are counted as pruned by
@@ -1098,68 +1068,72 @@ class QueryEngine:
         """
         m = len(self)
         records = {name: StageStats(name=name) for name in self.stages}
-        passes = [name for name in self.stages if name != "new_paa"]
+        passes = [records[name] for name in self.stages if name != "new_paa"]
         order_stage = records.get("new_paa")
         if order_stage is not None:
             _maybe_abort(should_abort, "stage:new_paa")
             begun = monotonic_s()
             key = self._stage_bounds("new_paa", ctx, slice(None), math.inf)
             _tally(order_stage, key)
-            order = _Ascending(key, _WALK_HEAD)
-            order.next_key()
-            order_stage.wall_time_s = monotonic_s() - begun
         else:
             key = np.zeros(m)
-            order = _Ascending(key, m)
-        pending = np.empty(0, dtype=np.intp)
-        pending_bounds = np.empty(0)
-        read = 0
-        size = answer.k
-        block = min(_WALK_FIRST * answer.k, _WALK_BLOCK)
-        while True:
+        if answer.k is None:
             limit = answer.radius() + _PRUNE_ATOL
-            next_key = order.next_key()
-            unread = math.inf if next_key is None else next_key
-            if pending.size and pending_bounds[0] <= min(unread, limit):
-                take = min(size, int(np.searchsorted(
-                    pending_bounds, min(unread, limit), side="right")))
-                rows, pending = pending[:take], pending[take:]
-                pending_bounds = pending_bounds[take:]
-                size = min(size * _REFINE_GROWTH, _REFINE_ROWS)
-                cutoff = answer.radius()
-                answer.add(rows, self._refine(ctx, rows, cutoff, stats,
+            within = np.flatnonzero(key <= limit)
+        else:
+            order = _Ascending(key, m if order_stage is None else _WALK_HEAD)
+            order.next_key()
+        if order_stage is not None:
+            order_stage.wall_time_s = monotonic_s() - begun
+        if answer.k is None:
+            read = int(within.size)
+            rows, _ = self._bound_block(ctx, within, key[within], limit,
+                                        passes, should_abort)
+            cutoff = answer.radius()
+            for begin in range(0, rows.size, _REFINE_ROWS):
+                part = rows[begin:begin + _REFINE_ROWS]
+                answer.add(part, self._refine(ctx, part, cutoff, stats,
                                               should_abort), cutoff)
-                continue
-            if next_key is None or next_key > limit:
-                break
-            rows = order.take(block)
-            block = min(2 * block, _WALK_BLOCK)
-            bounds = key[rows]
-            # Keys ascend along the order: the rows above the radius,
-            # and every row after them, are never read.
-            kept = int(np.searchsorted(bounds, limit, side="right"))
-            rows, bounds = rows[:kept], bounds[:kept]
-            read += kept
-            for name in passes:
-                if not rows.size:
+        else:
+            pending = np.empty(0, dtype=np.intp)
+            pending_bounds = np.empty(0)
+            read = 0
+            size = answer.k
+            block = min(_WALK_FIRST * answer.k, _WALK_BLOCK)
+            while True:
+                limit = answer.radius() + _PRUNE_ATOL
+                next_key = order.next_key()
+                unread = math.inf if next_key is None else next_key
+                if pending.size and pending_bounds[0] <= min(unread, limit):
+                    take = min(size, int(np.searchsorted(
+                        pending_bounds, min(unread, limit), side="right")))
+                    rows, pending = pending[:take], pending[take:]
+                    pending_bounds = pending_bounds[take:]
+                    size = min(size * _REFINE_GROWTH, _REFINE_ROWS)
+                    cutoff = answer.radius()
+                    answer.add(rows, self._refine(ctx, rows, cutoff, stats,
+                                                  should_abort), cutoff)
+                    continue
+                if next_key is None or next_key > limit:
                     break
-                _maybe_abort(should_abort, "stage:" + name)
-                begun = monotonic_s()
-                stage = records[name]
-                raw = self._stage_bounds(name, ctx, rows, limit)
-                _tally(stage, raw)
-                np.maximum(bounds, raw, out=bounds)
-                keep = bounds <= limit
-                stage.pruned += int(rows.size - np.count_nonzero(keep))
-                rows, bounds = rows[keep], bounds[keep]
-                stage.wall_time_s += monotonic_s() - begun
-            pending = np.concatenate((pending, rows))
-            pending_bounds = np.concatenate((pending_bounds, bounds))
-            merged = np.argsort(pending_bounds, kind="stable")
-            pending, pending_bounds = pending[merged], pending_bounds[merged]
+                rows = order.take(block)
+                block = min(2 * block, _WALK_BLOCK)
+                bounds = key[rows]
+                # Keys ascend along the order: the rows above the radius,
+                # and every row after them, are never read.
+                kept = int(np.searchsorted(bounds, limit, side="right"))
+                read += kept
+                rows, bounds = self._bound_block(
+                    ctx, rows[:kept], bounds[:kept], limit, passes,
+                    should_abort)
+                pending = np.concatenate((pending, rows))
+                pending_bounds = np.concatenate((pending_bounds, bounds))
+                merged = np.argsort(pending_bounds, kind="stable")
+                pending = pending[merged]
+                pending_bounds = pending_bounds[merged]
+            stats.exact_skipped = int(pending.size)
         if order_stage is not None:
             order_stage.pruned = m - read
-        stats.exact_skipped = int(pending.size)
         cursor = started
         for name in self.stages:
             stage = records[name]
@@ -1169,6 +1143,28 @@ class QueryEngine:
                 span.start_s, span.end_s = cursor, cursor + stage.wall_time_s
             cursor += stage.wall_time_s
             stats.stages.append(stage)
+
+    def _bound_block(self, ctx: _QueryContext, rows: np.ndarray,
+                     bounds: np.ndarray, limit: float,
+                     passes: list[StageStats], should_abort):
+        """One block of read rows through the stages in *passes*, in
+        plan order: each bounds the rows the ones before it kept, raises
+        their *bounds* (the running maximum, updated in place) and
+        prunes those above *limit*.  Returns the survivors and their
+        bounds."""
+        for stage in passes:
+            if not rows.size:
+                break
+            _maybe_abort(should_abort, "stage:" + stage.name)
+            begun = monotonic_s()
+            raw = self._stage_bounds(stage.name, ctx, rows, limit)
+            _tally(stage, raw)
+            np.maximum(bounds, raw, out=bounds)
+            keep = bounds <= limit
+            stage.pruned += int(rows.size - np.count_nonzero(keep))
+            rows, bounds = rows[keep], bounds[keep]
+            stage.wall_time_s += monotonic_s() - begun
+        return rows, bounds
 
     def range_search(self, query, epsilon: float, *, should_abort=None):
         """All series within DTW distance *epsilon*: :meth:`search`."""

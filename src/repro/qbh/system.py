@@ -146,6 +146,7 @@ class QueryByHummingSystem:
             results.append((self.names[idx], dist))
             if len(results) == k:
                 break
+        stats.results = len(results)
         return results, stats
 
     def _duplicate_groups(self) -> dict[int, int]:

@@ -5,8 +5,8 @@ stage configuration, corpus family, and metric, ``search`` — by *k*,
 by *epsilon* (``knn`` / ``range_search``) or by both — returns exactly
 the results of a brute-force scan with the exact banded DTW.  The
 stats object must additionally tell a coherent story
-(stage i's survivors are stage i+1's candidates, pruned + survivors =
-candidates in, ...), and everything is deterministic under a fixed seed.
+(every row pruned, refined or skipped exactly once, pruned +
+survivors = candidates in, ...), and everything is deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -108,19 +108,29 @@ def test_epsilon_sweep_never_loses_results(corpus, query):
 
 
 def test_stats_tell_a_consistent_story(corpus, query):
+    """A range query walks the corpus as k-NN does: ``new_paa`` bounds
+    every row, the rows within epsilon are read, and each later stage
+    bounds the rows the ones before it kept.  Every row is pruned by a
+    bound or refined, exactly once."""
     engine = QueryEngine(corpus, band=BAND, stages=STAGE_ORDER)
     _, stats = engine.range_search(query, epsilon=5.0)
     assert [s.name for s in stats.stages] == list(STAGE_ORDER)
-    assert stats.stages[0].candidates_in == corpus.shape[0]
-    for left, right in zip(stats.stages[:-1], stats.stages[1:]):
+    by_name = {stage.name: stage for stage in stats.stages}
+    assert by_name["new_paa"].candidates_in == corpus.shape[0]
+    passes = [by_name[name] for name in STAGE_ORDER if name != "new_paa"]
+    assert passes[0].candidates_in == by_name["new_paa"].survivors
+    for left, right in zip(passes[:-1], passes[1:]):
         assert left.survivors == right.candidates_in
     for stage in stats.stages:
         assert stage.pruned + stage.survivors == stage.candidates_in
         assert 0.0 <= stage.prune_rate <= 1.0
         assert stage.wall_time_s >= 0.0
     assert stats.pruned_total == sum(s.pruned for s in stats.stages)
-    assert stats.exact_candidates == stats.stages[-1].survivors
-    assert stats.dtw_computations <= stats.exact_candidates
+    assert stats.exact_candidates == passes[-1].survivors
+    assert stats.dtw_computations == stats.exact_candidates
+    assert stats.exact_skipped == 0
+    assert (stats.pruned_total + stats.dtw_computations
+            == corpus.shape[0])
 
 
 def test_knn_stats_account_for_every_candidate(corpus, query):

@@ -1,15 +1,18 @@
-"""The best-first k-NN walk against the oracle.
+"""The walk against the oracle, for k-NN and range queries.
 
 A k-NN query reads the corpus in ascending ``new_paa`` order, a block
 at a time, bounds each block with the plan's other stages and refines
 from the pending rows only while their best bound is at most the next
-unread row's (Seidl-Kriegel at each level of the cascade).  Whatever
-it skips, it must return exactly what :meth:`QueryEngine.ground_truth`
-returns — ids in (distance, row) order and distances equal — for any
-plan, any k, ties at the k-th distance, k with epsilon, and a float32
-store, on the native stage bodies and on the NumPy fallback.  Its stats
-must still project onto one ``stage:<name>`` span per stage, and an
-abort between blocks must raise, never answer.
+unread row's (Seidl-Kriegel at each level of the cascade).  A range
+query reads the rows whose ``new_paa`` is within epsilon as one block,
+in corpus order, and refines what the other stages leave.  Whatever
+either skips, it must return exactly what
+:meth:`QueryEngine.ground_truth` returns — ids in (distance, row) order
+and distances equal — for any plan, any k, ties at the k-th distance, k
+with epsilon, and a float32 store, on the native stage bodies and on
+the NumPy fallback.  Its stats must still project onto one
+``stage:<name>`` span per stage, and an abort before any stage call
+must raise, never answer.
 """
 
 from __future__ import annotations
@@ -51,6 +54,18 @@ def _hums(corpus, count: int = 4, noise: float = 1.0, seed: int = 42):
     targets = rng.choice(len(corpus), size=count, replace=False)
     return [corpus[t] + noise * rng.normal(size=corpus.shape[1])
             for t in targets]
+
+
+def _search(engine, q, k) -> dict:
+    """``search`` keywords: *k*, or for ``k=None`` a range query whose
+    epsilon is the 10th nearest distance."""
+    if k is not None:
+        return {"k": k}
+    return {"epsilon": engine.ground_truth(q, k=10)[-1][1]}
+
+
+def _kind_id(k) -> str:
+    return "range" if k is None else str(k)
 
 
 @pytest.fixture(autouse=True)
@@ -121,16 +136,19 @@ def store_index(tmp_path_factory):
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=_plan_id)
-@pytest.mark.parametrize("k", [1, 10, len(CORPUS)])
+@pytest.mark.parametrize("k", [1, 10, len(CORPUS), None], ids=_kind_id)
 def test_walk_on_a_float32_store(store_index, plan, k):
-    """Over the store's float32 rows and its ``env_paa`` column."""
+    """Over the store's float32 rows and its ``env_paa`` column, by k
+    and by range (``k=None``)."""
     engine = store_index.engine(stages=plan)
     assert engine._data.dtype == np.float32
     for name in bodies():
         with body(name):
             for hum in _hums(CORPUS, seed=45):
                 q = store_index.normal_form.apply(hum)
-                assert engine.knn(q, k)[0] == engine.ground_truth(q, k=k)
+                params = _search(engine, q, k)
+                assert (engine.search(q, **params)[0]
+                        == engine.ground_truth(q, **params))
 
 
 def test_walk_skips_work_and_accounts_for_every_row():
@@ -162,15 +180,19 @@ def test_walk_skips_work_and_accounts_for_every_row():
                                           + stats.exact_skipped)
 
 
-@pytest.mark.parametrize("plan", PLANS, ids=_plan_id)
-def test_trace_rebuilds_the_walks_stats(plan):
+@pytest.mark.parametrize("plan, k", [
+    *(pytest.param(plan, 10, id=_plan_id(plan)) for plan in PLANS),
+    *(pytest.param(plan, None, id="range-" + _plan_id(plan))
+      for plan in PLANS),
+])
+def test_trace_rebuilds_the_walks_stats(plan, k):
     """One ``stage:<name>`` span per stage per query, carrying the
     summed stats, so ``CascadeStats.from_trace`` rebuilds them; stage
     times exclude the refine, which runs in between."""
     obs, sink = Observability.in_memory()
     engine = QueryEngine(CORPUS, band=BAND, stages=plan, obs=obs)
     for hum in _hums(CORPUS, seed=48):
-        _, stats = engine.knn(hum, 10)
+        _, stats = engine.search(hum, **_search(engine, hum, k))
         trace = sink.traces[-1]
         assert CascadeStats.from_trace(trace) == stats
         assert CascadeStats.from_trace([s.to_dict() for s in trace]) == stats
@@ -183,13 +205,10 @@ def test_trace_rebuilds_the_walks_stats(plan):
         assert staged + stats.exact_time_s <= stats.total_time_s
 
 
-def test_abort_between_blocks_raises_and_never_answers():
-    """Sweep the abort point over every poll of a query: each one
-    raises ``QueryAborted``, and the polls reach the blocks' stages and
-    the refine."""
-    engine = QueryEngine(CORPUS, band=BAND)
-    hum = _hums(CORPUS, seed=49)[0]
-    want = engine.knn(hum, 10)[0]
+def _abort_sweep(run) -> tuple[list[str], list]:
+    """Abort ``run(should_abort)`` at its first poll, then its second,
+    and so on: each must raise ``QueryAborted``.  Returns the phases
+    they were raised in and the answer of the run no poll stopped."""
     phases, budget = [], 0
     while True:
         polls = 0
@@ -200,18 +219,45 @@ def test_abort_between_blocks_raises_and_never_answers():
             return polls > budget
 
         try:
-            results, _ = engine.knn(hum, 10, should_abort=abort)
+            results, _ = run(abort)
         except QueryAborted as exc:
             phases.append(exc.phase)
             budget += 1
             continue
-        assert results == want
-        break
+        return phases, results
+
+
+def test_abort_between_blocks_raises_and_never_answers():
+    """Sweep the abort point over every poll of a query: each one
+    raises ``QueryAborted``, and the polls reach the blocks' stages and
+    the refine."""
+    engine = QueryEngine(CORPUS, band=BAND)
+    hum = _hums(CORPUS, seed=49)[0]
+    want = engine.knn(hum, 10)[0]
+    phases, results = _abort_sweep(
+        lambda abort: engine.knn(hum, 10, should_abort=abort))
+    assert results == want
     assert phases[0] == "stage:new_paa"
     assert {"stage:first_last", "stage:keogh_paa", "stage:lb_keogh",
             "refine"} <= set(phases)
     # Blocks after the first are polled too, not only the opening one.
     assert phases.count("stage:first_last") > 1
+
+
+def test_abort_before_a_range_stage_raises_and_never_answers():
+    """A range query polls before ``new_paa``, before each other stage
+    of its one block and before its refine slice; an abort at any of
+    them raises, never returns a partial answer."""
+    engine = QueryEngine(CORPUS, band=BAND)
+    hum = _hums(CORPUS, seed=49)[0]
+    epsilon = engine.ground_truth(hum, k=10)[-1][1]
+    want = engine.range_search(hum, epsilon)[0]
+    assert len(want) >= 10
+    phases, results = _abort_sweep(
+        lambda abort: engine.range_search(hum, epsilon, should_abort=abort))
+    assert results == want
+    assert phases == ["stage:new_paa", "stage:first_last",
+                      "stage:keogh_paa", "stage:lb_keogh", "refine"]
 
 
 def test_engine_checks_the_given_env_paa_column():
@@ -265,3 +311,59 @@ def test_stages_prune_on_a_store_of_one_default_block(monkeypatch):
                 by_name = {stage.name: stage for stage in stats.stages}
                 assert by_name["new_paa"].pruned > 0
                 assert by_name["lb_keogh"].candidates_in < len(corpus)
+
+
+@pytest.mark.parametrize("plan", [("new_paa", "lb_keogh"),
+                                  ("lb_keogh", "new_paa"),
+                                  ("first_last", "lb_keogh")],
+                         ids=["key-first", "key-last", "no-key"])
+@pytest.mark.parametrize("k", [5, None], ids=_kind_id)
+def test_exact_candidates_are_the_rows_no_bound_pruned(plan, k):
+    """``exact_candidates`` counts the rows refined or skipped, wherever
+    the order key sits in the plan: the walk bounds ``new_paa`` first,
+    so the last stage's survivors are not the rows left."""
+    engine = QueryEngine(CORPUS, band=BAND, stages=plan)
+    for hum in _hums(CORPUS, seed=54):
+        _, stats = engine.search(hum, **_search(engine, hum, k))
+        assert stats.exact_candidates == (stats.dtw_computations
+                                          + stats.exact_skipped)
+
+
+@pytest.mark.parametrize("plan", [("new_paa", "first_last", "lb_keogh"),
+                                  cascade.DEFAULT_STAGES,
+                                  ("first_last", "keogh_paa", "lb_keogh")],
+                         ids=["key-first", "key-middle", "no-key"])
+@pytest.mark.parametrize("epsilon", [0.0, "tight", 1e6])
+def test_range_refines_the_rows_every_bound_admits(plan, epsilon,
+                                                   monkeypatch):
+    """A range query refines exactly the rows whose every planned bound
+    is within epsilon (the refine floor), each once, in corpus order."""
+    engine = QueryEngine(CORPUS, band=BAND, stages=plan)
+    refined = []
+    refine = engine._refine
+
+    def spy(ctx, rows, *args):
+        refined.append(rows.copy())
+        return refine(ctx, rows, *args)
+
+    monkeypatch.setattr(engine, "_refine", spy)
+    everything = np.arange(len(CORPUS))
+    # A corpus row held three times, so epsilon 0 admits its copies.
+    hums = [CORPUS[6], *_hums(CORPUS, count=2, seed=55)]
+    for name in bodies():
+        with body(name):
+            for hum in hums:
+                eps = (engine.ground_truth(hum, k=10)[-1][1]
+                       if epsilon == "tight" else epsilon)
+                ctx = cascade._QueryContext(engine,
+                                            engine._normalise_query(hum))
+                bound = np.max([engine._stage_bounds(stage, ctx, everything,
+                                                     np.inf)
+                                for stage in plan], axis=0)
+                floor = np.flatnonzero(bound <= eps + cascade._PRUNE_ATOL)
+                refined.clear()
+                results, stats = engine.range_search(hum, eps)
+                rows = np.concatenate(refined) if refined else floor[:0]
+                assert np.array_equal(rows, floor)
+                assert stats.dtw_computations == floor.size
+                assert results == engine.ground_truth(hum, epsilon=eps)

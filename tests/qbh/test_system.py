@@ -111,8 +111,10 @@ class TestQuery:
     ):
         hum = hum_melody(small_corpus_module[0], SingerProfile.better(), rng)
         plain, _ = system.query(hum, k=10)
-        collapsed, _ = system.query(hum, k=10, collapse_duplicates=True)
+        collapsed, stats = system.query(hum, k=10, collapse_duplicates=True)
         assert len(collapsed) == 10
+        # The stats describe the answer returned, not the over-fetch.
+        assert stats.results == len(collapsed)
         # No two collapsed results may be note-for-note identical melodies.
         notes = {m.name: tuple((n.pitch, n.duration) for n in m)
                  for m in small_corpus_module}
